@@ -36,7 +36,6 @@ from .homs import (
     BudgetExceededError,
     Hom,
     HomConstraints,
-    brute_force_homs,
     check_hom,
     compose,
     enumerate_homs,

@@ -72,17 +72,6 @@ def _emit_module(mod, fmt: str) -> str:
     return serialize.module_to_json(mod) + "\n"
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search budget")
-    p.add_argument("--threads", type=int, default=1,
-                   help="thread bound (the current engine is sequential)")
-
-
-def _check_threads(args) -> None:
-    if getattr(args, "threads", 1) < 1:
-        raise ModuleStructureError("--threads must be at least 1")
-
-
 def _cmd_construct(args) -> int:
     kind = args.family
     if kind == "D0":
@@ -257,6 +246,9 @@ def _cmd_export_dot(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="semimod", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # only the subcommands that search take a budget
+    searches = argparse.ArgumentParser(add_help=False)
+    searches.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search budget")
 
     p = sub.add_parser("construct", help="build a family member or free module")
     p.add_argument("family", choices=["Dn", "En", "D0", "E0", "free"])
@@ -264,50 +256,52 @@ def build_parser() -> _Parser:
     p.add_argument("--flavor", choices=["B", "Finf"], default="B")
     p.add_argument("--rank", type=int, default=None, help="free module rank")
     p.add_argument("--format", choices=["json", "dot", "text"], default="json")
-    _add_common(p)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("validate", help="check the axioms of a module file")
     p.add_argument("file")
-    _add_common(p)
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("homs", help="enumerate morphisms between two modules")
+    p = sub.add_parser(
+        "homs", help="enumerate morphisms between two modules", parents=[searches]
+    )
     p.add_argument("--source", required=True, help="module reference or file")
     p.add_argument("--target", required=True, help="module reference or file")
     p.add_argument("--pins", default=None, help="JSON file with pinned element pairs")
     p.add_argument("--injective", action="store_true")
-    _add_common(p)
     p.set_defaults(func=_cmd_homs)
 
-    p = sub.add_parser("rigidity", help="count injective corner-pinned morphisms")
+    p = sub.add_parser(
+        "rigidity", help="count injective corner-pinned morphisms", parents=[searches]
+    )
     p.add_argument("--flavor", choices=["B", "Finf"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_rigidity)
 
-    p = sub.add_parser("split-check", help="search one-sided inverses of a morphism file")
+    p = sub.add_parser(
+        "split-check", help="search one-sided inverses of a morphism file", parents=[searches]
+    )
     p.add_argument("file")
-    _add_common(p)
     p.set_defaults(func=_cmd_split_check)
 
-    p = sub.add_parser("projective", help="certify (non-)projectivity of a module")
+    p = sub.add_parser(
+        "projective", help="certify (non-)projectivity of a module", parents=[searches]
+    )
     p.add_argument("module", help="module reference or file")
-    _add_common(p)
     p.set_defaults(func=_cmd_projective)
 
     p = sub.add_parser("factor-matrix", help="distinct-rows factorization of a matrix file")
     p.add_argument("file")
-    _add_common(p)
     p.set_defaults(func=_cmd_factor_matrix)
 
     p = sub.add_parser("dualize", help="dualize a morphism between free modules")
     p.add_argument("file")
-    _add_common(p)
     p.set_defaults(func=_cmd_dualize)
 
-    p = sub.add_parser("witness", help="run the corner-embedding witness family")
+    p = sub.add_parser(
+        "witness", help="run the corner-embedding witness family", parents=[searches]
+    )
     p.add_argument("--flavor", choices=["B", "Finf"], default=None)
     p.add_argument("--max-n", type=int, default=None, dest="max_n")
     p.add_argument("--spec", default=None, help="JSON witness description file")
@@ -318,12 +312,10 @@ def build_parser() -> _Parser:
         default=MorphismClass.INJECTIONS.value,
     )
     p.add_argument("--format", choices=["json", "text"], default="text")
-    _add_common(p)
     p.set_defaults(func=_cmd_witness)
 
     p = sub.add_parser("export-dot", help="Hasse diagram of a module as DOT")
     p.add_argument("module", help="module reference or file")
-    _add_common(p)
     p.set_defaults(func=_cmd_export_dot)
 
     return parser
@@ -336,7 +328,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _check_threads(args)
         return args.func(args)
     except BudgetExceededError as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")

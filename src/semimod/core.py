@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -24,9 +23,29 @@ CARRIER_CAP = 1 << 18
 # instead of a flat table (only large free modules ever do).
 DENSE_TABLE_LIMIT = 1 << 23
 
-# Below this carrier size the axiom scans run as plain loops; above it the
-# scans are vectorized in chunks.
-_SMALL_SCAN = 64
+
+class _cached:
+    """A computed attribute of an immutable object, stored on first read.
+
+    Unlike ``functools.cached_property`` it stores with ``object.__setattr__``
+    and never reads the instance ``__dict__``: on CPython 3.11 reading
+    ``__dict__`` converts the instance's inline attribute storage to a dict,
+    and attribute reads in hot loops (``add_of``, ``leq``) that see such an
+    instance run about half as fast.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = self.fn(obj)
+        object.__setattr__(obj, self.name, value)
+        return value
 
 
 class Flavor(str, Enum):
@@ -95,7 +114,7 @@ class FinModule:
     def name(self, e: int) -> str:
         return self.names[e]
 
-    @cached_property
+    @_cached
     def index_of_name(self) -> Mapping[str, int]:
         return {nm: i for i, nm in enumerate(self.names)}
 
@@ -103,11 +122,11 @@ class FinModule:
         """Induced order: a <= b iff a + b = b."""
         return self.add_of(a, b) == b
 
-    @cached_property
+    @_cached
     def order(self) -> "PartialOrder":
         return induced_order(self)
 
-    @cached_property
+    @property
     def add_np(self) -> np.ndarray:
         if self.add_table is None:
             if self.size * self.size > DENSE_TABLE_LIMIT:
@@ -181,63 +200,7 @@ def _structural_check(m: FinModule) -> None:
                     raise ModuleStructureError(f"neg table entry {e} at {a} is not an element id")
 
 
-def _scan_violations_small(m: FinModule) -> list[Violation]:
-    n = m.size
-    add = m.add_of
-    out: list[Violation] = []
-
-    w = next(((a, b) for a in range(n) for b in range(n) if add(a, b) != add(b, a)), None)
-    if w:
-        out.append(Violation("add_commutative", w))
-    w3 = next(
-        (
-            (a, b, c)
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-            if add(add(a, b), c) != add(a, add(b, c))
-        ),
-        None,
-    )
-    if w3:
-        out.append(Violation("add_associative", w3))
-    w1 = next(((a,) for a in range(n) if add(a, a) != a), None)
-    if w1:
-        out.append(Violation("add_idempotent", w1))
-
-    z = m.zero
-    if m.flavor is Flavor.B:
-        w1 = next(((a,) for a in range(n) if add(z, a) != a), None)
-        if w1:
-            out.append(Violation("zero_neutral", (z,) + w1))
-    else:
-        w1 = next(((a,) for a in range(n) if add(z, a) != z), None)
-        if w1:
-            out.append(Violation("zero_absorbing", (z,) + w1))
-        neg = m.neg_of
-        w1 = next(((a,) for a in range(n) if neg(neg(a)) != a), None)
-        if w1:
-            out.append(Violation("neg_involution", w1))
-        w1 = next(((a,) for a in range(n) if add(a, neg(a)) != z), None)
-        if w1:
-            out.append(Violation("neg_cancels", w1))
-        w = next(
-            (
-                (a, b)
-                for a in range(n)
-                for b in range(n)
-                if neg(add(a, b)) != add(neg(a), neg(b))
-            ),
-            None,
-        )
-        if w:
-            out.append(Violation("neg_distributes", w))
-        if neg(z) != z:
-            out.append(Violation("neg_fixes_zero", (z,)))
-    return out
-
-
-def _scan_violations_bulk(m: FinModule) -> list[Violation]:
+def _scan_violations(m: FinModule) -> list[Violation]:
     n = m.size
     A = m.add_np
     out: list[Violation] = []
@@ -247,8 +210,9 @@ def _scan_violations_bulk(m: FinModule) -> list[Violation]:
         a, b = np.argwhere(comm)[0]
         out.append(Violation("add_commutative", (int(a), int(b))))
 
-    # chunked a-blocks keep the n^3 associativity scan within memory
-    rows = max(1, (1 << 22) // (n * n))
+    # a-blocks of at most about 4k entries (single rows once n > 45) keep the
+    # temporaries of the n^3 associativity scan, and so the peak memory, small
+    rows = max(1, (1 << 12) // (n * n))
     for a0 in range(0, n, rows):
         blk = A[a0 : a0 + rows]
         left = A[blk, :]
@@ -301,11 +265,7 @@ def validate_module(m: FinModule) -> ValidationReport:
         raise ModuleStructureError(
             f"cannot run the axiom scan on a {m.size}-element computed-table module"
         )
-    if m.size <= _SMALL_SCAN:
-        violations = _scan_violations_small(m)
-    else:
-        violations = _scan_violations_bulk(m)
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(_scan_violations(m)))
 
 
 @dataclass(frozen=True)
@@ -321,7 +281,7 @@ class PartialOrder:
     def leq(self, a: int, b: int) -> bool:
         return bool((self.masks[a] >> b) & 1)
 
-    @cached_property
+    @_cached
     def down_masks(self) -> tuple[int, ...]:
         down = [0] * self.size
         for a, ms in enumerate(self.masks):
@@ -404,7 +364,7 @@ def induced_order(m: FinModule) -> PartialOrder:
 
 def join_irreducibles(m: FinModule) -> tuple[int, ...]:
     """Nonzero elements that are not the join of their strict lower set."""
-    order = induced_order(m)
+    order = m.order
     add = m.add_of
     out = []
     for x in range(m.size):
@@ -521,7 +481,7 @@ class Congruence:
         if len(seen) != self.size:
             raise ModuleStructureError("classes do not cover the carrier")
 
-    @cached_property
+    @_cached
     def class_of(self) -> tuple[int, ...]:
         out = [0] * self.size
         for ci, cls in enumerate(self.classes):
@@ -650,7 +610,7 @@ def meet_table(m: FinModule) -> tuple[int, ...]:
     candidate anyway and flags a pair whose common lower set has no
     greatest element.
     """
-    order = induced_order(m)
+    order = m.order
     n = m.size
     add = m.add_of
     down = order.down_masks

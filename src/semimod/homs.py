@@ -4,12 +4,11 @@ A hom preserves zero, addition and (flavor Finf) negation.  The enumerator
 backtracks over a generating set of the source, extends each partial
 assignment along recorded generation recipes, prunes on pins, injectivity
 and order-monotonicity, and re-verifies every completed map over all pairs;
-nothing about extension well-definedness is assumed.  A plain filter over
-all total maps serves as the independent oracle.
+nothing about extension well-definedness is assumed.  The tests check the
+search against a plain filter over all total maps in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -384,66 +383,6 @@ def enumerate_homs(
     maps = search.run()
     maps.sort()
     return [Hom(M, N, mp) for mp in maps]
-
-
-def brute_force_homs(
-    M: FinModule,
-    N: FinModule,
-    constraints: Optional[HomConstraints] = None,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> list[Hom]:
-    """Oracle: filter every total map.  Same contract as enumerate_homs.
-
-    The candidate space is narrowed by pins before the budget precheck, so
-    heavily pinned searches on larger carriers stay admissible.
-    """
-    if M.flavor is not N.flavor:
-        raise FlavorMismatchError("hom search requires matching flavors")
-    cons = constraints or HomConstraints()
-    allowed: dict[int, frozenset[int]] = {}
-    if cons.allowed:
-        for x, vs in cons.allowed.items():
-            allowed[x] = frozenset(vs)
-    for x, v in cons.pinned.items():
-        prev = allowed.get(x)
-        allowed[x] = frozenset({v}) if prev is None else prev & {v}
-    cand_lists = []
-    total = 1
-    for x in range(M.size):
-        want = allowed.get(x)
-        cands = sorted(want) if want is not None else list(range(N.size))
-        if not cands:
-            return []
-        cand_lists.append(cands)
-        total *= len(cands)
-        if total > budget:
-            raise BudgetExceededError(
-                f"brute force space of {total}+ maps exceeds budget {budget}", 0
-            )
-    addM, addN = M.add_of, N.add_of
-    n = M.size
-    pairs = [(a, b) for a in range(n) for b in range(a, n)]
-    finf = M.flavor is Flavor.FINF
-    out = []
-    for val in itertools.product(*cand_lists):
-        if val[M.zero] != N.zero:
-            continue
-        if cons.require_injective and len(set(val)) != n:
-            continue
-        ok = True
-        for a, b in pairs:
-            if val[addM(a, b)] != addN(val[a], val[b]):
-                ok = False
-                break
-        if ok and finf:
-            for a in range(n):
-                if val[M.neg_of(a)] != N.neg_of(val[a]):
-                    ok = False
-                    break
-        if ok:
-            out.append(Hom(M, N, val))
-    return out
 
 
 def find_left_inverse(f: Hom, *, budget: int = DEFAULT_BUDGET) -> Optional[Hom]:

@@ -166,6 +166,21 @@ class DistinctRowFactorization:
     split_certificate: Hom
 
 
+def _row_classes(mat: BoolMatrix) -> tuple[list[int], list[int]]:
+    """The class of each row, numbering distinct rows in first-occurrence
+    order, and the first row of each class."""
+    seen: dict[tuple[int, ...], int] = {}
+    row_class: list[int] = []
+    reps: list[int] = []
+    for i in range(mat.rows):
+        key = mat.row(i)
+        if key not in seen:
+            seen[key] = len(seen)
+            reps.append(i)
+        row_class.append(seen[key])
+    return row_class, reps
+
+
 def distinct_row_factorization(mat: BoolMatrix) -> DistinctRowFactorization:
     """Factor a matrix map through the module on its distinct rows.
 
@@ -176,16 +191,8 @@ def distinct_row_factorization(mat: BoolMatrix) -> DistinctRowFactorization:
     the sum (the lowest-representative certificate is not a left inverse
     once a class has two rows).
     """
-    seen: dict[tuple[int, ...], int] = {}
-    row_class = []
-    reps: list[int] = []
-    for i in range(mat.rows):
-        key = mat.row(i)
-        if key not in seen:
-            seen[key] = len(seen)
-            reps.append(i)
-        row_class.append(seen[key])
-    l = len(seen)
+    row_class, reps = _row_classes(mat)
+    l = len(reps)
     reduced = BoolMatrix.from_rows(mat.flavor, [list(mat.row(reps[r])) for r in range(l)]) \
         if l else BoolMatrix(mat.flavor, 0, mat.cols, ())
     dup = [0] * (mat.rows * l)
@@ -281,16 +288,8 @@ def dual_factorization(
     fstar = hom_of_matrix(
         mat.transpose(), source=free_module(Flavor.B, s), target=dualize_free(n)
     )
-    seen: dict[tuple[int, ...], int] = {}
-    surj = []
-    reps: list[int] = []
-    for t in range(s):
-        key = mat.row(t)
-        if key not in seen:
-            seen[key] = len(seen)
-            reps.append(t)
-        surj.append(seen[key])
-    l = len(seen)
+    surj, reps = _row_classes(mat)
+    l = len(reps)
     ind_flat = [0] * (l * s)
     for t, c in enumerate(surj):
         ind_flat[c * s + t] = 1

@@ -48,19 +48,21 @@ class CategorySpec:
     morphism_class: MorphismClass
     budget: int = DEFAULT_BUDGET
     _catalog: dict = field(default_factory=dict, compare=False, repr=False)
+    _by_name: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name, mod in self.objects:
             if mod.flavor is not self.flavor:
                 raise ValueError(f"object {name} has flavor {mod.flavor.value}")
-        if len({name for name, _ in self.objects}) != len(self.objects):
+        self._by_name.update(self.objects)
+        if len(self._by_name) != len(self.objects):
             raise ValueError("object names must be unique")
 
     def module(self, name: str) -> FinModule:
-        for nm, mod in self.objects:
-            if nm == name:
-                return mod
-        raise KeyError(f"unknown object {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"unknown object {name!r}") from None
 
 
 def hom_catalog(spec: CategorySpec, x: str, y: str) -> tuple[CatalogEntry, ...]:
@@ -92,7 +94,7 @@ def hom_catalog(spec: CategorySpec, x: str, y: str) -> tuple[CatalogEntry, ...]:
     return result
 
 
-def in_class(spec: CategorySpec, f: Hom, *, budget: Optional[int] = None) -> bool:
+def in_class(spec: CategorySpec, f: Hom) -> bool:
     if not f.is_hom:
         return False
     if spec.morphism_class is MorphismClass.ALL:
@@ -101,7 +103,7 @@ def in_class(spec: CategorySpec, f: Hom, *, budget: Optional[int] = None) -> boo
         return False
     if spec.morphism_class is MorphismClass.INJECTIONS:
         return True
-    return find_left_inverse(f, budget=budget or spec.budget) is not None
+    return find_left_inverse(f, budget=spec.budget) is not None
 
 
 class Verdict(Enum):
@@ -116,8 +118,11 @@ class FactorizationResult:
     through: Optional[tuple[Hom, Hom]] = None  # (p, q) with q ∘ p = f
 
 
-def factors_through(spec: CategorySpec, f: Hom, yj: str) -> FactorizationResult:
-    """Search for p: X -> Y_j and q: Y_j -> Y_i in the class with q∘p = f.
+def factors_through(
+    spec: CategorySpec, f: Hom, yj: str, *, source: str, target: str
+) -> FactorizationResult:
+    """Search for p: X -> Y_j and q: Y_j -> Y_i in the class with q∘p = f,
+    where f runs from the object named ``source`` to the one named ``target``.
 
     For the injection classes the q catalog is enumerated and each
     injective q pins p pointwise.  For the all-homs class the cheaper
@@ -125,10 +130,12 @@ def factors_through(spec: CategorySpec, f: Hom, yj: str) -> FactorizationResult:
     of q is searched.  Budget exhaustion anywhere yields an inconclusive
     verdict.
     """
-    X, Yj = f.source, spec.module(yj)
+    X, Yj = spec.module(source), spec.module(yj)
+    if f.source != X or f.target != spec.module(target):
+        raise ValueError(f"morphism does not run {source} -> {target}")
     try:
         if spec.morphism_class is not MorphismClass.ALL:
-            for entry in hom_catalog_by_module(spec, yj, f.target):
+            for entry in hom_catalog(spec, yj, target):
                 q = entry.hom
                 pmap = _pin_through_injection(q, f)
                 if pmap is None:
@@ -142,8 +149,7 @@ def factors_through(spec: CategorySpec, f: Hom, yj: str) -> FactorizationResult:
                     raise AssertionError("pinned factorization failed recomposition")
                 return FactorizationResult(Verdict.FACTORS, (p, q))
             return FactorizationResult(Verdict.NO_FACTORIZATION)
-        x0_name = _object_name(spec, X)
-        for entry in hom_catalog(spec, x0_name, yj):
+        for entry in hom_catalog(spec, source, yj):
             p = entry.hom
             pins: dict[int, int] = {}
             consistent = True
@@ -170,18 +176,6 @@ def factors_through(spec: CategorySpec, f: Hom, yj: str) -> FactorizationResult:
         return FactorizationResult(Verdict.NO_FACTORIZATION)
     except BudgetExceededError:
         return FactorizationResult(Verdict.INCONCLUSIVE)
-
-
-def _object_name(spec: CategorySpec, module: FinModule) -> str:
-    for nm, mod in spec.objects:
-        if mod == module:
-            return nm
-    raise KeyError("module is not an object of the spec")
-
-
-def hom_catalog_by_module(spec: CategorySpec, x: str, target: FinModule):
-    """Catalog x -> (the object equal to this module)."""
-    return hom_catalog(spec, x, _object_name(spec, target))
 
 
 def _pin_through_injection(q: Hom, f: Hom) -> Optional[tuple[int, ...]]:
@@ -211,11 +205,13 @@ class PrincipalProjective:
     def basis(self, y: str) -> tuple[CatalogEntry, ...]:
         return hom_catalog(self.spec, self.base, y)
 
-    def act(self, g: Hom, f: Hom) -> Hom:
+    def act(self, g: Hom, f: Hom, target: str) -> Hom:
+        """The basis element g∘f of Hom(base, target), for g ending at ``target``."""
+        if g.target != self.spec.module(target):
+            raise ValueError(f"acting morphism does not end at {target}")
         if not in_class(self.spec, g):
             raise ValueError("acting morphism is not in the class")
         moved = compose(g, f)
-        target = _object_name(self.spec, g.target)
         if moved.map not in {e.hom.map for e in self.basis(target)}:
             raise AssertionError("action left the catalog basis")
         return moved
@@ -267,7 +263,7 @@ def witness_verify(
             raise ValueError(f"morphism {i} is not in the morphism class")
         checks = []
         for yj in y_names[: i - 1]:
-            res = factors_through(spec, f, yj)
+            res = factors_through(spec, f, yj, source=x0, target=yn)
             checks.append((yj, res.verdict))
             if res.verdict is Verdict.FACTORS:
                 any_factor = True

@@ -14,7 +14,7 @@ import json
 import re
 from typing import Any, Optional, Union
 
-from .core import FinModule, Flavor, ModuleStructureError, induced_order
+from .core import FinModule, Flavor, ModuleStructureError, _structural_check
 from .families import construct_D0, construct_E0, construct_Dn, construct_En
 from .free import free_module
 from .homs import Hom
@@ -79,7 +79,9 @@ def module_from_doc(doc: dict) -> FinModule:
         neg = tuple(int(x) for x in doc["neg"]) if "neg" in doc and doc["neg"] is not None else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ModuleStructureError(f"malformed module document: {exc}") from exc
-    return FinModule(flavor, names, zero, add, neg_table=neg)
+    m = FinModule(flavor, names, zero, add, neg_table=neg)
+    _structural_check(m)
+    return m
 
 
 def module_to_json(m: FinModule, canonical: bool = True) -> str:
@@ -168,7 +170,7 @@ def matrix_from_doc(doc: Union[dict, list]) -> BoolMatrix:
 
 def dot_hasse(m: FinModule) -> str:
     """Hasse diagram of the induced order: one edge per covering relation."""
-    order = induced_order(m)
+    order = m.order
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for e in range(m.size):
         lines.append(f'  "{m.name(e)}";')

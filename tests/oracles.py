@@ -3,14 +3,25 @@
 These deliberately avoid the library's support-bitmask encoding: the term
 oracle normalizes formal expressions by rewriting with the defining
 identities, and the product oracle closes the coordinate vectors inside a
-power of the scalars.  Both pin down what the free modules must be.
+power of the scalars.  Both pin down what the free modules must be.  The
+axiom scan and the hom filter below are the plain all-triples and all-maps
+loops that the library's vectorized scan and backtracking search must match.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from typing import Iterable, Optional
 
-from semimod import FinModule, Flavor
+from semimod import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    FinModule,
+    Flavor,
+    FlavorMismatchError,
+    Hom,
+    HomConstraints,
+    Violation,
+)
 
 ZERO = ("zero",)
 
@@ -153,3 +164,122 @@ def hom_table_module(domain: FinModule, n_homs: list[tuple[int, ...]]) -> FinMod
 
 def brute_module_pairs(m: FinModule) -> Iterable[tuple[int, int]]:
     return itertools.product(range(m.size), repeat=2)
+
+
+def scan_violations(m: FinModule) -> list[Violation]:
+    """Every axiom checked by a plain loop over all pairs and triples, with
+    the first witness in row-major order: the reference for validate_module."""
+    n = m.size
+    add = m.add_of
+    out: list[Violation] = []
+
+    w = next(((a, b) for a in range(n) for b in range(n) if add(a, b) != add(b, a)), None)
+    if w:
+        out.append(Violation("add_commutative", w))
+    w3 = next(
+        (
+            (a, b, c)
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+            if add(add(a, b), c) != add(a, add(b, c))
+        ),
+        None,
+    )
+    if w3:
+        out.append(Violation("add_associative", w3))
+    w1 = next(((a,) for a in range(n) if add(a, a) != a), None)
+    if w1:
+        out.append(Violation("add_idempotent", w1))
+
+    z = m.zero
+    if m.flavor is Flavor.B:
+        w1 = next(((a,) for a in range(n) if add(z, a) != a), None)
+        if w1:
+            out.append(Violation("zero_neutral", (z,) + w1))
+    else:
+        w1 = next(((a,) for a in range(n) if add(z, a) != z), None)
+        if w1:
+            out.append(Violation("zero_absorbing", (z,) + w1))
+        neg = m.neg_of
+        w1 = next(((a,) for a in range(n) if neg(neg(a)) != a), None)
+        if w1:
+            out.append(Violation("neg_involution", w1))
+        w1 = next(((a,) for a in range(n) if add(a, neg(a)) != z), None)
+        if w1:
+            out.append(Violation("neg_cancels", w1))
+        w = next(
+            (
+                (a, b)
+                for a in range(n)
+                for b in range(n)
+                if neg(add(a, b)) != add(neg(a), neg(b))
+            ),
+            None,
+        )
+        if w:
+            out.append(Violation("neg_distributes", w))
+        if neg(z) != z:
+            out.append(Violation("neg_fixes_zero", (z,)))
+    return out
+
+
+def brute_force_homs(
+    M: FinModule,
+    N: FinModule,
+    constraints: Optional[HomConstraints] = None,
+    *,
+    budget: int = DEFAULT_BUDGET,
+) -> list[Hom]:
+    """Filter every total map: the reference for enumerate_homs, with the
+    same contract.
+
+    The candidate space is narrowed by pins before the budget precheck, so
+    heavily pinned searches on larger carriers stay admissible.
+    """
+    if M.flavor is not N.flavor:
+        raise FlavorMismatchError("hom search requires matching flavors")
+    cons = constraints or HomConstraints()
+    allowed: dict[int, frozenset[int]] = {}
+    if cons.allowed:
+        for x, vs in cons.allowed.items():
+            allowed[x] = frozenset(vs)
+    for x, v in cons.pinned.items():
+        prev = allowed.get(x)
+        allowed[x] = frozenset({v}) if prev is None else prev & {v}
+    cand_lists = []
+    total = 1
+    for x in range(M.size):
+        want = allowed.get(x)
+        cands = sorted(want) if want is not None else list(range(N.size))
+        if not cands:
+            return []
+        cand_lists.append(cands)
+        total *= len(cands)
+        if total > budget:
+            raise BudgetExceededError(
+                f"brute force space of {total}+ maps exceeds budget {budget}", 0
+            )
+    addM, addN = M.add_of, N.add_of
+    n = M.size
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    finf = M.flavor is Flavor.FINF
+    out = []
+    for val in itertools.product(*cand_lists):
+        if val[M.zero] != N.zero:
+            continue
+        if cons.require_injective and len(set(val)) != n:
+            continue
+        ok = True
+        for a, b in pairs:
+            if val[addM(a, b)] != addN(val[a], val[b]):
+                ok = False
+                break
+        if ok and finf:
+            for a in range(n):
+                if val[M.neg_of(a)] != N.neg_of(val[a]):
+                    ok = False
+                    break
+        if ok:
+            out.append(Hom(M, N, val))
+    return out

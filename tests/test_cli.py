@@ -7,7 +7,7 @@ import pytest
 import semimod as sm
 from semimod import Flavor
 from semimod.cli import main
-from semimod.serialize import hom_to_doc, module_to_doc
+from semimod.serialize import hom_to_doc, module_to_doc, resolve_module_ref
 
 from conftest import diamond_m3
 
@@ -191,6 +191,33 @@ def test_projective_negative(tmp_path, capsys):
     assert not res["projective"] and not res["distributive"] and res["criteria_agree"]
 
 
+def _short_add(doc):
+    doc["add"].pop()
+
+
+def _neg_out_of_range(doc):
+    doc["neg"][1] = len(doc["elements"])
+
+
+def _duplicate_names(doc):
+    doc["elements"][1] = doc["elements"][2]
+
+
+@pytest.mark.parametrize(
+    "ref, corrupt",
+    [("D2", _short_add), ("E2", _neg_out_of_range), ("D2", _duplicate_names)],
+)
+def test_projective_rejects_malformed_document(ref, corrupt, tmp_path, capsys):
+    doc = module_to_doc(resolve_module_ref(ref), canonical=False)
+    corrupt(doc)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "projective", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_factor_matrix_worked_example(tmp_path, capsys):
     path = tmp_path / "mat.json"
     path.write_text(json.dumps([[1, 1], [1, 1], [0, 1]]))
@@ -276,8 +303,13 @@ def test_unknown_flag_exits_3(capsys):
 
 
 def test_bad_threads_value(capsys):
-    code, _, err = run_cli(capsys, "construct", "D0", "--threads", "0")
+    # --threads is gone, and --budget belongs only to the subcommands that search
+    code, _, err = run_cli(capsys, "construct", "D0", "--threads", "1")
     assert code == 3
+    assert "unrecognized arguments" in err
+    code, _, err = run_cli(capsys, "construct", "D0", "--budget", "5")
+    assert code == 3
+    assert "unrecognized arguments" in err
 
 
 def test_console_entry_point_runs():

@@ -3,9 +3,10 @@ from hypothesis import given, settings, strategies as st
 
 import semimod as sm
 from semimod import Flavor
+from semimod.serialize import resolve_module_ref
 
 from conftest import chain_module, diamond_m3
-from oracles import normalize, t_add, t_gen, t_neg, ZERO
+from oracles import normalize, scan_violations, t_add, t_gen, t_neg, ZERO
 
 
 def test_scalar_b_is_valid():
@@ -219,20 +220,23 @@ def test_submodule_on_requires_closure(m3):
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_scan_paths_agree_on_mutations(data):
-    from semimod.core import _scan_violations_bulk, _scan_violations_small
-
-    base = sm.construct_En(9).module  # 65 elements, above the bulk threshold
+    # both flavors: D0 (9 elements), E4 (25) and E9 (65)
+    ref = data.draw(st.sampled_from(["D0", "E4", "E9"]))
+    base = resolve_module_ref(ref)
     n = base.size
     table = list(base.add_table)
-    neg = list(base.neg_table)
+    neg = list(base.neg_table) if base.neg_table is not None else None
     for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
         pos = data.draw(st.integers(min_value=0, max_value=n * n - 1))
         table[pos] = data.draw(st.integers(min_value=0, max_value=n - 1))
-    if data.draw(st.booleans()):
+    if neg is not None and data.draw(st.booleans()):
         pos = data.draw(st.integers(min_value=0, max_value=n - 1))
         neg[pos] = data.draw(st.integers(min_value=0, max_value=n - 1))
-    mutant = sm.FinModule(Flavor.FINF, base.names, base.zero, tuple(table), neg_table=tuple(neg))
-    assert _scan_violations_small(mutant) == _scan_violations_bulk(mutant)
+    mutant = sm.FinModule(
+        base.flavor, base.names, base.zero, tuple(table),
+        neg_table=tuple(neg) if neg is not None else None,
+    )
+    assert list(sm.validate_module(mutant).violations) == scan_violations(mutant)
 
 
 def test_term_normalization_matches_axioms():

@@ -6,6 +6,7 @@ import semimod as sm
 from semimod import Flavor
 
 from conftest import chain_module, diamond_m3
+from oracles import brute_force_homs
 
 
 def D(n):
@@ -88,21 +89,21 @@ def test_hom_b_scalars_has_two_maps():
     b = sm.scalar_module(Flavor.B)
     homs = sm.enumerate_homs(b, b)
     assert [h.map for h in homs] == [(0, 0), (0, 1)]
-    brute = sm.brute_force_homs(b, b)
+    brute = brute_force_homs(b, b)
     assert [h.map for h in brute] == [(0, 0), (0, 1)]
 
 
 def test_fully_pinned_e2_brute_force_within_budget():
     e2 = sm.construct_En(2).module
     pins = {e: e2.zero for e in range(e2.size)}
-    homs = sm.brute_force_homs(e2, e2, sm.HomConstraints(pinned=pins))
+    homs = brute_force_homs(e2, e2, sm.HomConstraints(pinned=pins))
     assert len(homs) == 1  # the constant zero map is the only candidate
 
 
 def test_brute_force_budget_error():
     e2 = sm.construct_En(2).module
     with pytest.raises(sm.BudgetExceededError):
-        sm.brute_force_homs(e2, e2, budget=10 ** 6)
+        brute_force_homs(e2, e2, budget=10 ** 6)
 
 
 def test_enumeration_budget_error():
@@ -152,7 +153,7 @@ def test_enumerate_agrees_with_brute_force(injective):
     checked = 0
     for M, N in _oracle_pairs():
         fast = sm.enumerate_homs(M, N, cons)
-        slow = sm.brute_force_homs(M, N, cons)
+        slow = brute_force_homs(M, N, cons)
         assert [h.map for h in fast] == [h.map for h in slow], (M.names, N.names)
         checked += 1
     assert checked >= 20
@@ -178,7 +179,7 @@ def test_enumerate_agrees_on_random_quotients(flavor):
             if N.size ** M.size > 10 ** 6:
                 continue
             fast = [h.map for h in sm.enumerate_homs(M, N)]
-            slow = [h.map for h in sm.brute_force_homs(M, N)]
+            slow = [h.map for h in brute_force_homs(M, N)]
             assert fast == slow, (M.names, N.names)
 
 
@@ -188,7 +189,7 @@ def test_enumerate_with_pins_agrees_with_brute_force():
     pins = {lat.label(1, 2): lat.label(2, 2)}
     cons = sm.HomConstraints(pinned=pins)
     fast = sm.enumerate_homs(d2, d2, cons)
-    slow = sm.brute_force_homs(d2, d2, cons)
+    slow = brute_force_homs(d2, d2, cons)
     assert [h.map for h in fast] == [h.map for h in slow]
     assert all(h.map[lat.label(1, 2)] == lat.label(2, 2) for h in fast)
 
@@ -205,7 +206,7 @@ def test_enumerate_with_allowed_sets_agrees_with_brute_force():
         }
         cons = sm.HomConstraints(allowed=allowed)
         fast = [h.map for h in sm.enumerate_homs(d2, d2, cons)]
-        slow = [h.map for h in sm.brute_force_homs(d2, d2, cons)]
+        slow = [h.map for h in brute_force_homs(d2, d2, cons)]
         assert fast == slow, allowed
 
 

@@ -77,7 +77,9 @@ def test_factors_trivially_through_itself():
     withx0 = CategorySpec(
         Flavor.B, spec.objects, MorphismClass.INJECTIONS
     )
-    res = factors_through(withx0, sm.identity_hom(spec.module("D0")), "D0")
+    res = factors_through(
+        withx0, sm.identity_hom(spec.module("D0")), "D0", source="D0", target="D0"
+    )
     assert res.verdict is Verdict.FACTORS
     p, q = res.through
     assert p.is_identity() and q.is_identity()
@@ -85,13 +87,13 @@ def test_factors_trivially_through_itself():
 
 def test_corner_embedding_does_not_factor_injectively():
     spec, x0, ys, fs = b_spec()
-    res = factors_through(spec, fs[1], "D4")
+    res = factors_through(spec, fs[1], "D4", source="D0", target="D5")
     assert res.verdict is Verdict.NO_FACTORIZATION
 
 
 def test_corner_embedding_factors_through_all_homs():
     spec, x0, ys, fs = b_spec(MorphismClass.ALL)
-    res = factors_through(spec, fs[1], "D4")
+    res = factors_through(spec, fs[1], "D4", source="D0", target="D5")
     # with arbitrary homs a non-injective q completes the triangle
     assert res.verdict is Verdict.FACTORS
     p, q = res.through
@@ -207,11 +209,21 @@ def test_principal_projective_action():
     assert proj.rank_profile() == {"D0": 4, "D4": 32, "D5": 416}
     f = proj.basis("D4")[0].hom
     g = hom_catalog(spec, "D4", "D5")[0].hom
-    moved = proj.act(g, f)
+    moved = proj.act(g, f, "D5")
     assert moved.map == sm.compose(g, f).map
     with pytest.raises(ValueError):
         proj.act(sm.Hom(spec.module("D4"), spec.module("D4"),
-                        tuple(spec.module("D4").zero for _ in range(13))), f)
+                        tuple(spec.module("D4").zero for _ in range(13))), f, "D4")
+
+
+def test_endpoint_names_must_match_the_morphism():
+    spec, _, _, fs = b_spec()
+    with pytest.raises(ValueError):
+        factors_through(spec, fs[1], "D4", source="D0", target="D4")  # fs[1] ends at D5
+    proj = sm.PrincipalProjective(spec, "D0")
+    g = hom_catalog(spec, "D4", "D5")[0].hom
+    with pytest.raises(ValueError):
+        proj.act(g, proj.basis("D4")[0].hom, "D4")
 
 
 def test_spec_validation():
