@@ -55,11 +55,45 @@ def _load_json(path: str):
         return json.load(fh)
 
 
+def _valid(mod):
+    """The module itself, once it passes the axiom scan.
+
+    Hom checks and searches assume valid modules (``homs._hom_violation``),
+    so modules read from documents are scanned before anything uses them.
+    """
+    report = validate_module(mod)
+    if not report.ok:
+        raise ModuleStructureError(
+            "module document fails the module axioms: " + ", ".join(report.axioms())
+        )
+    return mod
+
+
 def _module_arg(arg: str):
-    """A module reference string, or a path to a module document."""
+    """A module reference string, or a path to a valid module document."""
     if os.path.exists(arg):
-        return serialize.module_from_doc(_load_json(arg))
+        return _valid(serialize.module_from_doc(_load_json(arg)))
     return serialize.resolve_module_ref(arg)
+
+
+def _hom_arg(path: str):
+    """A morphism document whose inline endpoint documents are valid modules."""
+    doc = _load_json(path)
+    f = serialize.hom_from_doc(doc)
+    for end, mod in (("source", f.source), ("target", f.target)):
+        if isinstance(doc[end], dict):
+            _valid(mod)
+    return f
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit_module(mod, fmt: str) -> str:
@@ -138,7 +172,7 @@ def _cmd_rigidity(args) -> int:
 
 
 def _cmd_split_check(args) -> int:
-    f = serialize.hom_from_doc(_load_json(args.file))
+    f = _hom_arg(args.file)
     chk = check_hom(f)
     if not chk.ok:
         raise ModuleStructureError(
@@ -193,7 +227,7 @@ def _cmd_factor_matrix(args) -> int:
 
 
 def _cmd_dualize(args) -> int:
-    f = serialize.hom_from_doc(_load_json(args.file))
+    f = _hom_arg(args.file)
     dual = dualize_hom(f)
     out = {
         "matrix": matrix_to_doc(matrix_of_hom(dual)),
@@ -248,7 +282,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     # only the subcommands that search take a budget
     searches = argparse.ArgumentParser(add_help=False)
-    searches.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search budget")
+    searches.add_argument(
+        "--budget", type=_positive_int, default=DEFAULT_BUDGET, help="search budget"
+    )
 
     p = sub.add_parser("construct", help="build a family member or free module")
     p.add_argument("family", choices=["Dn", "En", "D0", "E0", "free"])
@@ -303,7 +339,7 @@ def build_parser() -> _Parser:
         "witness", help="run the corner-embedding witness family", parents=[searches]
     )
     p.add_argument("--flavor", choices=["B", "Finf"], default=None)
-    p.add_argument("--max-n", type=int, default=None, dest="max_n")
+    p.add_argument("--max-n", type=_positive_int, default=None, dest="max_n")
     p.add_argument("--spec", default=None, help="JSON witness description file")
     p.add_argument(
         "--class",

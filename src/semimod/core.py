@@ -19,8 +19,9 @@ import numpy as np
 # Carriers above this size are refused outright (runaway constructions).
 CARRIER_CAP = 1 << 18
 
-# Above this many table entries a module keeps a computed-op backend
-# instead of a flat table (only large free modules ever do).
+# Above this many table entries a module's addition table is never
+# materialized: the axiom scan and serialization refuse it.  Only free
+# modules, which compute their operations, can be that large.
 DENSE_TABLE_LIMIT = 1 << 23
 
 
@@ -70,9 +71,10 @@ class FinModule:
 
     ``names`` double as display labels and as the canonical sort key for
     serialization, so they must be unique.  ``add_table`` is row-major of
-    size ``n*n``; ``neg_table`` is present exactly for flavor Finf.  Large
-    free modules may carry ``backend`` (an object with ``add``/``neg``
-    methods) instead of a flat table.
+    size ``n*n``; ``neg_table`` is present exactly for flavor Finf.  Free
+    modules carry no tables: their ``backend`` is the
+    :class:`semimod.free.FreeOps` of the free module, which computes
+    addition, negation, the order and the free generators from support codes.
     """
 
     flavor: Flavor
@@ -80,7 +82,6 @@ class FinModule:
     zero: int
     add_table: Optional[tuple[int, ...]]
     neg_table: Optional[tuple[int, ...]] = None
-    free_rank: Optional[int] = None
     backend: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -90,6 +91,11 @@ class FinModule:
             )
         if self.add_table is None and self.backend is None:
             raise ModuleStructureError("module needs either a flat add table or a backend")
+        if self.backend is not None:
+            # the free module's own functions, so that a sum is one call
+            object.__setattr__(self, "add_of", self.backend.add)  # type: ignore[attr-defined]
+            if self.flavor is Flavor.FINF:
+                object.__setattr__(self, "neg_of", self.backend.neg)  # type: ignore[attr-defined]
 
     @property
     def size(self) -> int:
@@ -99,17 +105,18 @@ class FinModule:
     def is_dense(self) -> bool:
         return self.add_table is not None
 
+    @property
+    def free_rank(self) -> Optional[int]:
+        """Number of free generators of a free module, None for other modules."""
+        return None if self.backend is None else self.backend.rank  # type: ignore[attr-defined]
+
     def add_of(self, a: int, b: int) -> int:
-        if self.add_table is not None:
-            return self.add_table[a * len(self.names) + b]
-        return self.backend.add(a, b)  # type: ignore[union-attr]
+        return self.add_table[a * len(self.names) + b]  # type: ignore[index]
 
     def neg_of(self, a: int) -> int:
-        if self.neg_table is not None:
-            return self.neg_table[a]
-        if self.backend is not None and self.flavor is Flavor.FINF:
-            return self.backend.neg(a)  # type: ignore[union-attr]
-        raise ModuleStructureError("no negation on this module")
+        if self.neg_table is None:
+            raise ModuleStructureError("no negation on this module")
+        return self.neg_table[a]
 
     def name(self, e: int) -> str:
         return self.names[e]
@@ -124,7 +131,25 @@ class FinModule:
 
     @_cached
     def order(self) -> "PartialOrder":
+        if self.backend is not None:
+            return self.backend.order  # type: ignore[attr-defined]
         return induced_order(self)
+
+    @_cached
+    def generating_set(self) -> tuple[int, ...]:
+        """A generating set closed under negation, sorted by id.
+
+        The free generators of a free module, otherwise the irreducible
+        generators; for flavor Finf, together with their negations.
+        ``homs.check_hom`` checks maps on this set only.
+        """
+        if self.backend is not None:
+            gens = self.backend.generators  # type: ignore[attr-defined]
+        else:
+            gens = irreducible_generators(self)
+        if self.flavor is Flavor.FINF:
+            gens = gens + tuple(self.neg_of(g) for g in gens)
+        return tuple(sorted(set(gens)))
 
     @property
     def add_np(self) -> np.ndarray:

@@ -7,22 +7,24 @@ supports, collapsing the whole sum to zero on any sign conflict or zero
 summand; negation flips every sign (3^k elements).
 
 Supports are encoded as bitmask pairs ``(pos, neg)`` (``neg`` empty for
-flavor B).  Small free modules get dense tables; larger ones keep a
-computed-op backend so the quadratic table is never materialized.
+flavor B).  Every free module computes its addition, negation and order
+from these codes (:class:`FreeOps`) and never builds a table, so it takes
+O(|F|) memory instead of O(|F|^2).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import (
     CARRIER_CAP,
-    DENSE_TABLE_LIMIT,
     FinModule,
     Flavor,
     FlavorMismatchError,
     ModuleStructureError,
+    PartialOrder,
+    _cached,
 )
 
 ZERO_CODE = (0, 0)
@@ -61,65 +63,86 @@ def _name_of_code(code: tuple[int, int]) -> str:
 
 @dataclass(frozen=True)
 class FreeOps:
-    """Computed addition/negation for a free module, indexed by element id."""
+    """Addition, negation and order of a free module, read off the support codes.
+
+    Element ``i`` has code ``codes[i] = (pos, neg)`` and key
+    ``pos | neg << rank``; the zero has id 0 and key 0.  ``add`` and (flavor
+    Finf) ``neg`` are plain functions of element ids that cost a few integer
+    operations each; no table is built, so a free module takes O(|F|)
+    memory however large it is.
+    """
 
     flavor: Flavor
     rank: int
 
-    @cached_property
-    def codes(self) -> tuple[tuple[int, int], ...]:
-        return tuple(_codes(self.flavor, self.rank))
+    def __post_init__(self) -> None:
+        rank = self.rank
+        codes = tuple(_codes(self.flavor, rank))
+        keys = tuple(p | (n << rank) for p, n in codes)
+        id_of_key = {k: i for i, k in enumerate(keys)}
+        if self.flavor is Flavor.B:
 
-    @cached_property
-    def id_of_code(self) -> dict[tuple[int, int], int]:
-        return {code: i for i, code in enumerate(self.codes)}
+            def add(a: int, b: int) -> int:
+                return id_of_key[keys[a] | keys[b]]
 
-    def add(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            if self.flavor is Flavor.B:
-                return a or b
-            return 0
-        pa, na = self.codes[a]
-        pb, nb = self.codes[b]
-        if (pa & nb) or (na & pb):
-            return 0
-        return self.id_of_code[(pa | pb, na | nb)]
+            neg = None
+            top = 0
+        else:
+            neg_ids = tuple(id_of_key[n | (p << rank)] for p, n in codes)
+            flips = tuple(keys[i] for i in neg_ids)
 
-    def neg(self, a: int) -> int:
-        pos, neg = self.codes[a]
-        return self.id_of_code[(neg, pos)]
+            def add(a: int, b: int) -> int:
+                if a == 0 or b == 0 or keys[a] & flips[b]:
+                    return 0  # zero summand or sign conflict
+                return id_of_key[keys[a] | keys[b]]
+
+            neg = neg_ids.__getitem__
+            # every bit: inclusion of order keys then puts the zero on top
+            top = (1 << (2 * rank)) - 1
+        for name, value in (
+            ("codes", codes),
+            ("id_of_key", id_of_key),
+            ("add", add),
+            ("neg", neg),
+            ("order_keys", (top,) + keys[1:]),
+            ("generators", tuple(id_of_key[1 << b] for b in range(rank))),
+        ):
+            object.__setattr__(self, name, value)
+
+    @_cached
+    def order(self) -> "FreeOrder":
+        return FreeOrder(self.order_keys)
 
 
-@lru_cache(maxsize=None)
-def _free_ops(flavor: Flavor, rank: int) -> FreeOps:
-    return FreeOps(flavor, rank)
+class FreeOrder(PartialOrder):
+    """The induced order of a free module: inclusion of supports with signs,
+    with the zero at the bottom (flavor B) or on top (flavor Finf).
 
+    ``leq`` compares two order keys.  ``masks`` are built on first read
+    only, because they take |F|^2 bits: 3.9 GB for ``free:Finf:11``.
+    """
 
-def _dense_tables(ops: FreeOps) -> tuple[tuple[int, ...], Optional[tuple[int, ...]]]:
-    rank = ops.rank
-    codes = ops.codes
-    if ops.flavor is Flavor.B:
-        id_by_mask = [0] * (1 << rank)
-        for i, (p, _) in enumerate(codes):
-            id_by_mask[p] = i
-        masks = [p for p, _ in codes]
-        add = tuple(id_by_mask[pa | pb] for pa in masks for pb in masks)
-        return add, None
-    id_by_key = [0] * (1 << (2 * rank)) if rank else [0]
-    for i, (p, ng) in enumerate(codes):
-        id_by_key[p | (ng << rank)] = i
-    flat: list[int] = []
-    for pa, na in codes:
-        if pa | na == 0:
-            flat.extend([0] * len(codes))
-            continue
-        for pb, nb in codes:
-            if (pb | nb == 0) or (pa & nb) or (na & pb):
-                flat.append(0)
-            else:
-                flat.append(id_by_key[(pa | pb) | ((na | nb) << rank)])
-    neg = tuple(id_by_key[ng | (p << rank)] for p, ng in codes)
-    return tuple(flat), neg
+    def __init__(self, order_keys: tuple[int, ...]):
+        object.__setattr__(self, "size", len(order_keys))
+        object.__setattr__(self, "order_keys", order_keys)
+
+    def __repr__(self) -> str:
+        return f"FreeOrder(size={self.size})"
+
+    def leq(self, a: int, b: int) -> bool:
+        return not self.order_keys[a] & ~self.order_keys[b]
+
+    @_cached
+    def masks(self) -> tuple[int, ...]:
+        keys = self.order_keys
+        out = []
+        for ka in keys:
+            acc = 0
+            for b, kb in enumerate(keys):
+                if not ka & ~kb:
+                    acc |= 1 << b
+            out.append(acc)
+        return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -132,26 +155,20 @@ def free_module(flavor: Flavor, rank: int) -> FinModule:
         raise ModuleStructureError(
             f"free module of rank {rank} has {size} elements, above the cap of {CARRIER_CAP}"
         )
-    ops = _free_ops(flavor, rank)
+    ops = FreeOps(flavor, rank)
     names = tuple(_name_of_code(c) for c in ops.codes)
-    if size * size <= DENSE_TABLE_LIMIT:
-        add, neg = _dense_tables(ops)
-        return FinModule(flavor, names, 0, add, neg_table=neg, free_rank=rank)
-    return FinModule(flavor, names, 0, None, neg_table=None, free_rank=rank, backend=ops)
+    return FinModule(flavor, names, 0, None, backend=ops)
 
 
 def _ops_of(m: FinModule) -> FreeOps:
-    if m.free_rank is None:
+    if m.backend is None:
         raise FlavorMismatchError("module is not a free module built by free_module()")
-    if isinstance(m.backend, FreeOps):
-        return m.backend
-    return _free_ops(m.flavor, m.free_rank)
+    return m.backend
 
 
 def generator_ids(m: FinModule) -> tuple[int, ...]:
     """Ids of the free generators A_1 .. A_k."""
-    ops = _ops_of(m)
-    return tuple(ops.id_of_code[(1 << b, 0)] for b in range(m.free_rank or 0))
+    return _ops_of(m).generators
 
 
 def support_of(m: FinModule, e: int) -> tuple[tuple[int, int], ...]:
@@ -182,7 +199,7 @@ def element_of_support(m: FinModule, items: Sequence[tuple[int, int]]) -> int:
         return 0
     if pos == 0 and neg == 0:
         return 0
-    return ops.id_of_code[(pos, neg)]
+    return ops.id_of_key[pos | (neg << ops.rank)]
 
 
 def extend_from_generators(

@@ -12,7 +12,7 @@ its distinct rows; dualization realizes transposition as precomposition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -237,7 +237,7 @@ def dualize_free(n: int) -> FinModule:
     """
     base = free_module(Flavor.B, n)
     names = tuple(nm.replace("A", "E") for nm in base.names)
-    return FinModule(Flavor.B, names, base.zero, base.add_table, free_rank=n)
+    return replace(base, names=names)
 
 
 def dualize_hom(f: Hom) -> Hom:

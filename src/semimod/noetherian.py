@@ -313,4 +313,6 @@ def witness_family_from_doc(doc: dict) -> tuple[CategorySpec, str, list[str], li
         budget = int(doc.get("budget", DEFAULT_BUDGET))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed witness description: {exc}") from exc
+    if upto < 1 or budget < 1:
+        raise ValueError("witness description needs max_n and budget of at least 1")
     return default_witness_family(flavor, upto, mclass, budget=budget)

@@ -14,7 +14,13 @@ import json
 import re
 from typing import Any, Optional, Union
 
-from .core import FinModule, Flavor, ModuleStructureError, _structural_check
+from .core import (
+    DENSE_TABLE_LIMIT,
+    FinModule,
+    Flavor,
+    ModuleStructureError,
+    _structural_check,
+)
 from .families import construct_D0, construct_E0, construct_Dn, construct_En
 from .free import free_module
 from .homs import Hom
@@ -41,32 +47,24 @@ def canonical_permutation(m: FinModule) -> list[int]:
 
 
 def module_to_doc(m: FinModule, canonical: bool = True) -> dict:
-    if not m.is_dense:
-        raise ModuleStructureError("computed-table modules are too large to serialize")
+    n = m.size
+    if n * n > DENSE_TABLE_LIMIT:
+        raise ModuleStructureError(
+            f"a {n}-element module is too large to serialize (its table has {n * n} entries)"
+        )
     if canonical:
         rank = canonical_permutation(m)
-        inv = sorted(range(m.size), key=lambda e: rank[e])
-        names = [m.names[e] for e in inv]
-        add = [
-            rank[m.add_of(inv[a], inv[b])] for a in range(m.size) for b in range(m.size)
-        ]
-        doc: dict[str, Any] = {
-            "flavor": m.flavor.value,
-            "elements": names,
-            "zero": rank[m.zero],
-            "add": add,
-        }
-        if m.neg_table is not None:
-            doc["neg"] = [rank[m.neg_of(inv[a])] for a in range(m.size)]
-        return doc
-    doc = {
+        inv = sorted(range(n), key=lambda e: rank[e])
+    else:
+        rank = inv = list(range(n))
+    doc: dict[str, Any] = {
         "flavor": m.flavor.value,
-        "elements": list(m.names),
-        "zero": m.zero,
-        "add": list(m.add_table or ()),
+        "elements": [m.names[e] for e in inv],
+        "zero": rank[m.zero],
+        "add": [rank[m.add_of(inv[a], inv[b])] for a in range(n) for b in range(n)],
     }
-    if m.neg_table is not None:
-        doc["neg"] = list(m.neg_table)
+    if m.flavor is Flavor.FINF:
+        doc["neg"] = [rank[m.neg_of(inv[a])] for a in range(n)]
     return doc
 
 

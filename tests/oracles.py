@@ -4,8 +4,9 @@ These deliberately avoid the library's support-bitmask encoding: the term
 oracle normalizes formal expressions by rewriting with the defining
 identities, and the product oracle closes the coordinate vectors inside a
 power of the scalars.  Both pin down what the free modules must be.  The
-axiom scan and the hom filter below are the plain all-triples and all-maps
-loops that the library's vectorized scan and backtracking search must match.
+axiom scan, the hom check and the hom filter below are the plain
+all-triples, all-pairs and all-maps loops that the library's vectorized
+scan, generator-set hom check and backtracking search must match.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from semimod import (
     HomConstraints,
     Violation,
 )
+from semimod.homs import HomCheck
 
 ZERO = ("zero",)
 
@@ -222,6 +224,26 @@ def scan_violations(m: FinModule) -> list[Violation]:
         if neg(z) != z:
             out.append(Violation("neg_fixes_zero", (z,)))
     return out
+
+
+def check_hom_all_pairs(f: Hom) -> HomCheck:
+    """The morphism identities checked on every pair and every element, with
+    the first violation in row-major order: the reference for check_hom."""
+    M, N = f.source, f.target
+    if M.flavor is not N.flavor:
+        raise FlavorMismatchError("source and target flavors differ")
+    val = f.map
+    if val[M.zero] != N.zero:
+        return HomCheck(False, "zero", (M.zero,))
+    for a in range(M.size):
+        for b in range(M.size):
+            if val[M.add_of(a, b)] != N.add_of(val[a], val[b]):
+                return HomCheck(False, "add", (a, b))
+    if M.flavor is Flavor.FINF:
+        for a in range(M.size):
+            if val[M.neg_of(a)] != N.neg_of(val[a]):
+                return HomCheck(False, "neg", (a,))
+    return HomCheck(True)
 
 
 def brute_force_homs(

@@ -7,9 +7,10 @@ import pytest
 import semimod as sm
 from semimod import Flavor
 from semimod.cli import main
-from semimod.serialize import hom_to_doc, module_to_doc, resolve_module_ref
+from semimod.serialize import hom_to_doc, module_from_doc, module_to_doc, resolve_module_ref
 
 from conftest import diamond_m3
+from oracles import check_hom_all_pairs
 
 
 def run_cli(capsys, *argv):
@@ -53,6 +54,7 @@ def test_construct_free(capsys):
         ("construct", "Dn", "--n", "5"),
         ("construct", "En", "--n", "3"),
         ("construct", "free", "--flavor", "B", "--rank", "3"),
+        ("construct", "free", "--flavor", "Finf", "--rank", "2"),
     ],
 )
 def test_construct_then_validate_round_trip(argv, tmp_path, capsys):
@@ -320,3 +322,88 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "9 elements" in proc.stdout
+
+
+def test_construct_refuses_modules_too_large_to_serialize(capsys):
+    code, _, err = run_cli(capsys, "construct", "free", "--flavor", "B", "--rank", "12")
+    assert code == 3
+    assert "too large to serialize" in err
+    code, out, _ = run_cli(
+        capsys, "construct", "free", "--flavor", "B", "--rank", "12", "--format", "text"
+    )
+    assert code == 0
+    assert "4096 elements" in out
+
+
+def test_projective_d7_certifies(capsys):
+    code, out, _ = run_cli(capsys, "projective", "D7")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["projective"] is True
+    assert doc["criteria_agree"] is True
+    mod = resolve_module_ref("D7")
+    cover = sm.canonical_free_cover(mod)
+    section = sm.Hom(mod, cover.source, tuple(doc["section"]))
+    assert check_hom_all_pairs(section).ok
+    assert sm.compose(cover, section).is_identity()
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_budget_below_one_is_usage_error(budget, capsys):
+    code, out, err = run_cli(capsys, "projective", "D2", "--budget", budget)
+    assert code == 3
+    assert out == ""
+    assert "--budget: must be at least 1" in err
+
+
+@pytest.mark.parametrize("max_n", ["0", "-3"])
+def test_witness_max_n_below_one_is_usage_error(max_n, capsys):
+    code, out, err = run_cli(capsys, "witness", "--flavor", "B", "--max-n", max_n)
+    assert code == 3
+    assert out == ""
+    assert "--max-n: must be at least 1" in err
+
+
+# Commutative, idempotent, with a neutral zero and a partial order as its
+# induced order, but not associative: (c + d) + a = b + a = e while
+# c + (d + a) = c + e = c.
+NON_ASSOCIATIVE = {
+    "flavor": "B",
+    "elements": ["0", "a", "b", "c", "d", "e"],
+    "zero": 0,
+    "add": [
+        0, 1, 2, 3, 4, 5,
+        1, 1, 5, 3, 5, 3,
+        2, 5, 2, 5, 4, 4,
+        3, 3, 5, 3, 2, 3,
+        4, 5, 4, 2, 4, 4,
+        5, 3, 4, 3, 4, 5,
+    ],
+}
+# f(c + d) = f(b) = 0 but f(c) + f(d) = 1: not a hom, yet it passes every
+# check on the generating set {a, b, e}, where the lemma behind the check
+# would need associativity.
+NON_HOM_MAP = [0, 1, 0, 1, 1, 1]
+
+
+def test_document_modules_must_pass_the_axiom_scan(tmp_path, capsys):
+    mod = module_from_doc(NON_ASSOCIATIVE)
+    f = sm.Hom(mod, sm.scalar_module(Flavor.B), tuple(NON_HOM_MAP))
+    assert sm.check_hom(f).ok and not check_hom_all_pairs(f).ok
+
+    module_path = tmp_path / "mod.json"
+    module_path.write_text(json.dumps(NON_ASSOCIATIVE))
+    hom_path = tmp_path / "hom.json"
+    hom_path.write_text(
+        json.dumps({"source": NON_ASSOCIATIVE, "target": "B", "map": NON_HOM_MAP})
+    )
+    for argv in (
+        ("split-check", str(hom_path)),
+        ("homs", "--source", str(module_path), "--target", "B"),
+        ("homs", "--source", "B", "--target", str(module_path)),
+        ("projective", str(module_path)),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3, argv
+        assert out == ""
+        assert "fails the module axioms: add_associative" in err

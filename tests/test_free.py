@@ -125,13 +125,34 @@ def test_support_round_trip():
         assert sm.element_of_support(free, supp) == e
 
 
-def test_large_free_module_uses_computed_backend():
-    big = sm.free_module(Flavor.FINF, 9)
-    assert big.size == 3 ** 9
-    assert not big.is_dense
-    a1 = sm.element_of_support(big, [(0, 1)])
-    assert big.add_of(a1, big.neg_of(a1)) == big.zero
-    assert big.neg_of(big.neg_of(a1)) == a1
+def test_free_modules_use_computed_backend():
+    for rank in (1, 2, 9):
+        free = sm.free_module(Flavor.FINF, rank)
+        assert free.size == 3 ** rank
+        assert not free.is_dense
+        a1 = sm.element_of_support(free, [(0, 1)])
+        assert free.add_of(a1, free.neg_of(a1)) == free.zero
+        assert free.neg_of(free.neg_of(a1)) == a1
+    for rank in (1, 3, 12):
+        free = sm.free_module(Flavor.B, rank)
+        assert free.size == 2 ** rank
+        assert not free.is_dense
+        a1 = sm.element_of_support(free, [(0, 1)])
+        assert free.add_of(a1, free.zero) == a1
+        assert free.add_of(a1, a1) == a1
+
+
+def test_free_order_from_codes_matches_induced_order():
+    for flavor, top in ((Flavor.B, 6), (Flavor.FINF, 4)):
+        for rank in range(top + 1):
+            free = sm.free_module(flavor, rank)
+            ref = sm.induced_order(free)
+            assert free.order.masks == ref.masks
+            assert all(
+                free.order.leq(a, b) == ref.leq(a, b)
+                for a in range(free.size)
+                for b in range(free.size)
+            )
 
 
 def test_free_rank_cap():

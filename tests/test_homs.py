@@ -1,12 +1,14 @@
 import itertools
+import random
 
 import pytest
 
 import semimod as sm
 from semimod import Flavor
+from semimod.serialize import resolve_module_ref as ref
 
 from conftest import chain_module, diamond_m3
-from oracles import brute_force_homs
+from oracles import brute_force_homs, check_hom_all_pairs
 
 
 def D(n):
@@ -295,3 +297,47 @@ def test_split_witnesses_imply_flags():
     assert g.surjective  # has a right inverse h
     assert h.injective  # has a left inverse g
     assert sm.compose(g, h).is_identity()
+
+
+def _maps_to_mutate():
+    """Homs of every kind the library builds: covers, sections, corner
+    embeddings and retractions, and enumerated homs, in both flavors."""
+    out = [sm.canonical_free_cover(ref(r)) for r in ("D0", "E0", "D2", "D3", "D4", "E2", "E3")]
+    for flavor in (Flavor.B, Flavor.FINF):
+        for n in (2, 3):
+            out.extend(sm.canonical_section(n, flavor))
+        for n in (4, 5):
+            out += [sm.corner_embedding(n, flavor), sm.corner_retraction(n, flavor)]
+    for src, tgt in (
+        ("D2", "D3"), ("E2", "E2"), ("D0", "D2"), ("E2", "E0"),
+        ("free:B:2", "D2"), ("free:Finf:1", "E2"), ("D2", "free:B:3"), ("E2", "free:Finf:2"),
+    ):
+        out += sm.enumerate_homs(ref(src), ref(tgt))[:3]
+    return out
+
+
+def test_check_hom_agrees_with_all_pairs_oracle_on_mutations():
+    rng = random.Random(5)
+    verdicts = {True: 0, False: 0}
+    for f in _maps_to_mutate():
+        assert sm.check_hom(f).ok and check_hom_all_pairs(f).ok
+        N = f.target
+        positions = range(f.source.size)
+        if f.source.size > 256:  # the cover of E0: the oracle is slow on 729 elements
+            positions = rng.sample(positions, 128)
+        for x in positions:
+            others = [v for v in range(N.size) if v != f.map[x]]
+            for v in rng.sample(others, min(2, len(others))):
+                mp = list(f.map)
+                mp[x] = v
+                g = sm.Hom(f.source, N, tuple(mp))
+                chk = sm.check_hom(g)
+                assert chk.ok == check_hom_all_pairs(g).ok, (f.source.size, N.size, x, v)
+                verdicts[chk.ok] += 1
+                if chk.kind == "add":
+                    a, s = chk.witness
+                    assert mp[f.source.add_of(a, s)] != N.add_of(mp[a], mp[s])
+                elif chk.kind == "neg":
+                    (s,) = chk.witness
+                    assert mp[f.source.neg_of(s)] != N.neg_of(mp[s])
+    assert verdicts[True] > 0 and verdicts[False] > 0
