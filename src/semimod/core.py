@@ -317,6 +317,15 @@ class PartialOrder:
                 b ^= low
         return tuple(down)
 
+    @_cached
+    def order_keys(self) -> tuple[int, ...]:
+        """Bitmasks with ``a <= b`` iff ``keys[a] & ~keys[b] == 0``.
+
+        The down-sets here; a :class:`semimod.free.FreeOrder` stores its
+        support keys instead, which need no |F|^2 masks.
+        """
+        return self.down_masks
+
     def covering_pairs(self) -> list[tuple[int, int]]:
         """All (lower, upper) pairs with nothing strictly in between."""
         out = []
@@ -657,7 +666,18 @@ def meet_table(m: FinModule) -> tuple[int, ...]:
 
 
 def is_distributive_lattice(m: FinModule) -> DistributivityReport:
-    """Distributivity of meet over join, with a witness on failure."""
+    """Distributivity of meet over join, with a witness on failure.
+
+    The identity a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c) is checked for all a, b
+    and for c in the generating set S = ``m.generating_set`` only: n^2·|S|
+    checks instead of n^3.  That suffices.  Every element is 0 or a join
+    c' ∨ s with s in S and c' shorter, so induct on c.  For c = 0 both
+    sides are a ∧ b, as 0 is the bottom.  For c = c' ∨ s, the check at
+    (a, b ∨ c', s), the induction hypothesis, and the check at (a, c', s)
+    give a ∧ (b ∨ c' ∨ s) = (a ∧ (b ∨ c')) ∨ (a ∧ s) =
+    (a ∧ b) ∨ (a ∧ c') ∨ (a ∧ s) = (a ∧ b) ∨ (a ∧ (c' ∨ s)).  A failure
+    reports the first violating (a, b, s).
+    """
     if m.flavor is not Flavor.B:
         raise FlavorMismatchError("distributivity check applies to flavor B modules")
     n = m.size
@@ -667,11 +687,12 @@ def is_distributive_lattice(m: FinModule) -> DistributivityReport:
             if meets[a * n + b] < 0:
                 return DistributivityReport(False, meetless_pair=(a, b))
     add = m.add_of
+    gens = m.generating_set
     for a in range(n):
         row = meets[a * n : (a + 1) * n]
         for b in range(n):
             ab = row[b]
-            for c in range(n):
+            for c in gens:
                 if row[add(b, c)] != add(ab, row[c]):
                     return DistributivityReport(False, witness_triple=(a, b, c))
     return DistributivityReport(True)

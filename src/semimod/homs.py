@@ -6,8 +6,11 @@ The enumerator backtracks over a generating set of the source, extends each
 partial assignment along recorded generation recipes, prunes on pins,
 injectivity and order-monotonicity, and runs the same check on every
 completed map; nothing about extension well-definedness is assumed.  The
-tests check both against plain loops over all pairs and all total maps in
-``tests/oracles.py``.
+pruning tests are bit operations: target values are compared by order keys,
+source elements through bitmasks of the assigned elements above and below
+them, and a generator's candidates against two bounds computed once per
+search node (see :class:`_Search`).  The tests check both against plain
+loops over all pairs and all total maps in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -151,7 +154,11 @@ def compose(g: Hom, f: Hom) -> Hom:
 
 @dataclass(frozen=True)
 class HomConstraints:
-    """Pins, injectivity, and optional per-element candidate restrictions."""
+    """Pins, injectivity, and optional per-element candidate restrictions.
+
+    Element ids index the source and value ids the target; the search
+    raises ``ValueError`` for one out of range.
+    """
 
     pinned: Mapping[int, int] = field(default_factory=dict)
     require_injective: bool = False
@@ -161,8 +168,9 @@ class HomConstraints:
 # ---------------------------------------------------------------------------
 # generating recipes
 
-# (element, op, a, b): op "zero" | "gen" (a = generator position) |
-# "add" (element = a + b) | "neg" (element = -a)
+# (element, op, a, b): op "zero" | "add" (element = a + b) | "neg"
+# (element = -a).  A layer lists the elements that its generator derives
+# from the earlier ones; the generator itself is assigned by the search.
 Recipe = tuple[int, str, int, int]
 
 
@@ -175,7 +183,6 @@ class GeneratingBasis:
 
 def _free_basis(m: FinModule) -> GeneratingBasis:
     gens = freemod.generator_ids(m)
-    gen_pos = {g: i for i, g in enumerate(gens)}
     layers: list[list[Recipe]] = [[] for _ in gens]
     prelayer: list[Recipe] = [(m.zero, "zero", -1, -1)]
     for e in range(m.size):
@@ -185,9 +192,7 @@ def _free_basis(m: FinModule) -> GeneratingBasis:
         top = max(b for b, _ in supp)
         if len(supp) == 1:
             b, sign = supp[0]
-            if sign > 0:
-                layers[top].append((e, "gen", gen_pos[gens[b]], -1))
-            else:
+            if sign < 0:
                 layers[top].append((e, "neg", gens[b], -1))
         else:
             rest = freemod.element_of_support(m, supp[:-1])
@@ -205,14 +210,15 @@ def _closure_basis(m: FinModule) -> GeneratingBasis:
     members = [m.zero]
     prelayer: list[Recipe] = [(m.zero, "zero", -1, -1)]
     layers: list[tuple[Recipe, ...]] = []
-    for gi, g in enumerate(gens):
+    for g in gens:
+        if g in known:
+            raise FlavorMismatchError(
+                "a generator is generated by the earlier ones; is the module valid?"
+            )
+        known.add(g)
+        members.append(g)
         layer: list[Recipe] = []
-        frontier: list[int] = []
-        if g not in known:
-            known.add(g)
-            members.append(g)
-            layer.append((g, "gen", gi, -1))
-            frontier = [g]
+        frontier = [g]
         while frontier:
             fresh: list[int] = []
             snapshot = list(members)
@@ -251,7 +257,34 @@ def generating_basis(m: FinModule) -> GeneratingBasis:
 # backtracking engine
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class _Search:
+    """Depth-first search over the images of the generators of M in N.
+
+    Level ``d`` tries every allowed image of generator ``d`` in ascending id
+    order, then derives the elements of its layer by the recipes; a
+    completed map is verified by :func:`_hom_violation`.  Every check is a
+    bit operation.  Target values are compared by ``N.order.order_keys``
+    (``a <= b`` iff ``key(a) & ~key(b) == 0``), never by ``N.order.masks``,
+    which a free cover would build in |F|^2 bits.  Source elements are
+    compared through the strict up and down masks of ``M.order``, intersected
+    with the bitmask ``assigned`` of elements that have a value, so placing
+    f(x) = v tests only the assigned elements comparable to x.  Injectivity
+    is the bitmask ``used`` of target values taken.
+
+    Ticks: one per generator candidate scanned, whether or not it passes,
+    and one per verified map; the budget bounds their total.
+    """
+
     def __init__(
         self,
         M: FinModule,
@@ -262,103 +295,98 @@ class _Search:
     ):
         if M.flavor is not N.flavor:
             raise FlavorMismatchError("hom search requires matching flavors")
-        self.M, self.N, self.cons = M, N, cons
+        self.M, self.N = M, N
+        self.injective = cons.require_injective
         self.budget = budget
         self.first_only = first_only
         self.explored = 0
         self.results: list[tuple[int, ...]] = []
         self.basis = generating_basis(M)
-        self.allowed: dict[int, frozenset[int]] = {}
-        self.feasible = self._normalize_constraints()
+        self.allowed = self._allowed_masks(cons)
+        self.keys = N.order.order_keys
+        ordM = M.order
+        self.below = tuple(d & ~(1 << x) for x, d in enumerate(ordM.down_masks))
+        self.above = tuple(u & ~(1 << x) for x, u in enumerate(ordM.masks))
         self.val = [-1] * M.size
-        self.assigned: list[int] = []
-        self.owner: dict[int, int] = {}
-        self.ordM = M.order
-        self.ordN = N.order
+        self.assigned = 0
+        self.used = 0
 
-    def _normalize_constraints(self) -> bool:
-        N = self.N
-        if self.cons.allowed:
-            for x, vs in self.cons.allowed.items():
-                self.allowed[x] = frozenset(vs)
-        for x, v in self.cons.pinned.items():
-            if not (0 <= x < self.M.size and 0 <= v < N.size):
+    def _allowed_masks(self, cons: HomConstraints) -> list[int]:
+        """Per source element, the bitmask of target values it may take (-1:
+        any).  Element or value ids out of range raise ``ValueError``."""
+        m, n = self.M.size, self.N.size
+        allowed = [-1] * m
+        for x, vs in (cons.allowed or {}).items():
+            if not 0 <= x < m:
+                raise ValueError(f"allowed set of element {x} out of range")
+            mask = 0
+            for v in vs:
+                if not 0 <= v < n:
+                    raise ValueError(f"allowed value ({x} -> {v}) out of range")
+                mask |= 1 << v
+            allowed[x] = mask
+        for x, v in cons.pinned.items():
+            if not (0 <= x < m and 0 <= v < n):
                 raise ValueError(f"pin ({x} -> {v}) out of range")
-            prev = self.allowed.get(x)
-            self.allowed[x] = frozenset({v}) if prev is None else prev & {v}
-        if self.cons.require_injective and self.M.size > N.size:
-            return False
-        return all(self.allowed.get(x) is None or self.allowed[x] for x in self.allowed)
+            allowed[x] &= 1 << v
+        return allowed
 
-    def _tick(self) -> None:
-        self.explored += 1
-        if self.explored > self.budget:
-            raise BudgetExceededError(
-                f"hom search budget of {self.budget} exhausted", self.explored
-            )
+    def _exhausted(self) -> BudgetExceededError:
+        return BudgetExceededError(
+            f"hom search budget of {self.budget} exhausted", self.explored
+        )
 
-    def _set(self, x: int, v: int) -> bool:
-        """Assign f(x) = v if consistent with constraints and order.
+    def _bounds(self, x: int) -> tuple[int, int]:
+        """Keys (lo, hi) such that f(x) = v is monotone on the assigned
+        elements exactly when lo is within key(v) and key(v) within hi."""
+        keys, val = self.keys, self.val
+        lo = 0
+        bits = self.below[x] & self.assigned
+        while bits:
+            low = bits & -bits
+            lo |= keys[val[low.bit_length() - 1]]
+            bits ^= low
+        hi = -1
+        bits = self.above[x] & self.assigned
+        while bits:
+            low = bits & -bits
+            hi &= keys[val[low.bit_length() - 1]]
+            bits ^= low
+        return lo, hi
 
-        State is only mutated after every check passes, so a failed set
-        needs no rollback.
-        """
-        want = self.allowed.get(x)
-        if want is not None and v not in want:
-            return False
-        if self.cons.require_injective:
-            holder = self.owner.get(v)
-            if holder is not None and holder != x:
-                return False
-        leqM, leqN = self.ordM.leq, self.ordN.leq
-        val = self.val
-        for y in self.assigned:
-            if leqM(y, x) and not leqN(val[y], v):
-                return False
-            if leqM(x, y) and not leqN(v, val[y]):
-                return False
-        if self.cons.require_injective:
-            self.owner[v] = x
-        val[x] = v
-        self.assigned.append(x)
-        return True
-
-    def _undo_to(self, mark: int) -> None:
-        while len(self.assigned) > mark:
-            x = self.assigned.pop()
-            v = self.val[x]
-            self.val[x] = -1
-            if self.cons.require_injective and self.owner.get(v) == x:
-                del self.owner[v]
-
-    def _run_recipes(self, recipes: Sequence[Recipe], gen_value: int = -1) -> bool:
-        M, N = self.M, self.N
-        val = self.val
+    def _run_recipes(self, recipes: Sequence[Recipe]) -> bool:
+        """Assign the elements the recipes derive, in order, each after
+        checking its allowed set, injectivity and monotonicity; False at the
+        first that fails.  The caller restores ``assigned`` and ``used``."""
+        N = self.N
+        val, keys, allowed = self.val, self.keys, self.allowed
         for e, op, a, b in recipes:
-            if op == "zero":
-                v = N.zero
-            elif op == "gen":
-                v = gen_value
-            elif op == "add":
+            if op == "add":
                 v = N.add_of(val[a], val[b])
-            else:
+            elif op == "neg":
                 v = N.neg_of(val[a])
-            if not self._set(e, v):
+            else:
+                v = N.zero
+            if not allowed[e] >> v & 1 or self.used >> v & 1:
                 return False
+            lo, hi = self._bounds(e)
+            k = keys[v]
+            if lo & ~k or k & ~hi:
+                return False
+            val[e] = v
+            self.assigned |= 1 << e
+            if self.injective:
+                self.used |= 1 << v
         return True
 
     def _verify(self) -> bool:
-        self._tick()
+        self.explored += 1
+        if self.explored > self.budget:
+            raise self._exhausted()
         return _hom_violation(self.M, self.N, self.val).ok
 
-    def _candidates(self, gen: int) -> Sequence[int]:
-        want = self.allowed.get(gen)
-        if want is None:
-            return range(self.N.size)
-        return sorted(want)
-
     def run(self) -> list[tuple[int, ...]]:
-        if not self.feasible:
+        if self.injective and self.M.size > self.N.size or not all(self.allowed):
             return []
         if not self._run_recipes(self.basis.prelayer):
             return []
@@ -366,21 +394,39 @@ class _Search:
         return self.results
 
     def _dfs(self, depth: int) -> None:
-        if depth == len(self.basis.generators):
-            assert all(v >= 0 for v in self.val), "generation recipes left elements unassigned"
+        basis = self.basis
+        if depth == len(basis.generators):
+            assert self.assigned == (1 << self.M.size) - 1, (
+                "generation recipes left elements unassigned"
+            )
             if self._verify():
                 self.results.append(tuple(self.val))
             return
-        gen = self.basis.generators[depth]
-        layer = self.basis.layers[depth]
-        for cand in self._candidates(gen):
-            if self.first_only and self.results:
+        gen = basis.generators[depth]
+        layer = basis.layers[depth]
+        want = self.allowed[gen]
+        cands = range(self.N.size) if want == -1 else _bits(want)
+        keys, val = self.keys, self.val
+        assigned, used = self.assigned, self.used
+        placed = assigned | 1 << gen
+        lo, hi = self._bounds(gen)
+        first_only, results, budget = self.first_only, self.results, self.budget
+        for cand in cands:
+            if first_only and results:
                 return
-            self._tick()
-            mark = len(self.assigned)
-            if self._run_recipes(layer, gen_value=cand):
+            self.explored += 1
+            if self.explored > budget:
+                raise self._exhausted()
+            k = keys[cand]
+            if lo & ~k or k & ~hi or used >> cand & 1:
+                continue
+            val[gen] = cand
+            self.assigned = placed
+            if self.injective:
+                self.used = used | 1 << cand
+            if self._run_recipes(layer):
                 self._dfs(depth + 1)
-            self._undo_to(mark)
+            self.assigned, self.used = assigned, used
 
 
 def enumerate_homs(

@@ -16,6 +16,7 @@ from typing import Iterable, Optional
 from semimod import (
     DEFAULT_BUDGET,
     BudgetExceededError,
+    DistributivityReport,
     FinModule,
     Flavor,
     FlavorMismatchError,
@@ -224,6 +225,34 @@ def scan_violations(m: FinModule) -> list[Violation]:
         if neg(z) != z:
             out.append(Violation("neg_fixes_zero", (z,)))
     return out
+
+
+def meet_by_search(m: FinModule, a: int, b: int) -> Optional[int]:
+    """The greatest common lower bound of a and b in the induced order,
+    found by testing every element, or None if there is none."""
+    add = m.add_of
+    lower = [z for z in range(m.size) if add(z, a) == a and add(z, b) == b]
+    tops = [z for z in lower if all(add(w, z) == z for w in lower)]
+    return tops[0] if tops else None
+
+
+def distributivity_all_triples(m: FinModule) -> DistributivityReport:
+    """Meet over join checked on every triple, with meets from
+    :func:`meet_by_search` and the first failure in row-major order: the
+    reference for is_distributive_lattice."""
+    n = m.size
+    add = m.add_of
+    meet = {}
+    for a in range(n):
+        for b in range(n):
+            z = meet_by_search(m, a, b)
+            if z is None:
+                return DistributivityReport(False, meetless_pair=(a, b))
+            meet[a, b] = z
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if meet[a, add(b, c)] != add(meet[a, b], meet[a, c]):
+            return DistributivityReport(False, witness_triple=(a, b, c))
+    return DistributivityReport(True)
 
 
 def check_hom_all_pairs(f: Hom) -> HomCheck:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,8 +7,17 @@ import semimod as sm
 from semimod import Flavor
 from semimod.serialize import resolve_module_ref
 
-from conftest import chain_module, diamond_m3
-from oracles import normalize, scan_violations, t_add, t_gen, t_neg, ZERO
+from conftest import chain_module, diamond_m3, pentagon_n5
+from oracles import (
+    ZERO,
+    distributivity_all_triples,
+    meet_by_search,
+    normalize,
+    scan_violations,
+    t_add,
+    t_gen,
+    t_neg,
+)
 
 
 def test_scalar_b_is_valid():
@@ -196,6 +207,42 @@ def test_distributivity_of_families_and_counterexamples(m3, n5):
 
     rep5 = sm.is_distributive_lattice(n5)
     assert not rep5.distributive and rep5.witness_triple is not None
+
+
+def _lattices_to_check():
+    """Named lattices plus random ones: sub-semilattices of the free module
+    of rank 4 generated by a few random elements, and quotients of the free
+    module of rank 3 by random congruences; either kind is often not
+    distributive."""
+    out = [diamond_m3(), pentagon_n5()]
+    out += [chain_module(k) for k in range(1, 7)]
+    out += [sm.construct_Dn(n).module for n in (2, 3, 4, 5)]
+    out += [sm.free_module(Flavor.B, r) for r in range(0, 6)]
+    rng = random.Random(13)
+    free4, free3 = sm.free_module(Flavor.B, 4), sm.free_module(Flavor.B, 3)
+    for _ in range(25):
+        seed = rng.sample(range(1, free4.size), rng.randint(2, 5))
+        out.append(sm.submodule_on(free4, sm.generated_submodule(free4, seed))[0])
+    for _ in range(15):
+        pairs = [(rng.randrange(free3.size), rng.randrange(free3.size)) for _ in range(2)]
+        out.append(sm.quotient_by_congruence(free3, sm.generated_congruence(free3, pairs)))
+    return out
+
+
+def test_distributivity_on_generators_agrees_with_all_triples_oracle():
+    verdicts = {True: 0, False: 0}
+    for m in _lattices_to_check():
+        rep = sm.is_distributive_lattice(m)
+        ref = distributivity_all_triples(m)
+        assert rep.distributive == ref.distributive, m.names
+        verdicts[rep.distributive] += 1
+        if not rep.distributive:
+            a, b, c = rep.witness_triple
+            assert c in m.generating_set
+            lhs = meet_by_search(m, a, m.add_of(b, c))
+            rhs = m.add_of(meet_by_search(m, a, b), meet_by_search(m, a, c))
+            assert lhs != rhs
+    assert verdicts[True] >= 15 and verdicts[False] >= 5, verdicts
 
 
 def test_distributivity_rejects_finf():

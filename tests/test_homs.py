@@ -5,9 +5,10 @@ import pytest
 
 import semimod as sm
 from semimod import Flavor
+from semimod.free import FreeOrder
 from semimod.serialize import resolve_module_ref as ref
 
-from conftest import chain_module, diamond_m3
+from conftest import chain_module, diamond_m3, pentagon_n5
 from oracles import brute_force_homs, check_hom_all_pairs
 
 
@@ -341,3 +342,73 @@ def test_check_hom_agrees_with_all_pairs_oracle_on_mutations():
                     (s,) = chk.witness
                     assert mp[f.source.neg_of(s)] != N.neg_of(mp[s])
     assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+@pytest.mark.parametrize(
+    "allowed",
+    [{1: [-1]}, {1: [99]}, {42: [0]}, {-1: [0]}],
+    ids=["negative-value", "value-too-large", "element-too-large", "negative-element"],
+)
+def test_allowed_ids_out_of_range_are_rejected(allowed):
+    d2 = D(2).module
+    with pytest.raises(ValueError, match="out of range"):
+        sm.enumerate_homs(d2, d2, sm.HomConstraints(allowed=allowed))
+
+
+def _module(name):
+    return {"M3": diamond_m3, "N5": pentagon_n5}.get(name, lambda: ref(name))()
+
+
+def _inj(src, tgt):
+    return lambda budget: sm.enumerate_homs(
+        _module(src), _module(tgt), sm.HomConstraints(require_injective=True), budget=budget
+    )
+
+
+def _all(src, tgt):
+    return lambda budget: sm.enumerate_homs(_module(src), _module(tgt), budget=budget)
+
+
+def _cover_section(name):
+    cover = sm.canonical_free_cover(ref(name))
+    return lambda budget: [sm.find_right_inverse(cover, budget=budget)]
+
+
+# (search, ticks it takes, maps it returns): one tick per generator
+# candidate scanned, rejected or not, and one per verified map.  In M3 and
+# N5 an element derived from earlier generators lies above a later one, so
+# only these cases prune a generator's image from above.
+TICK_CASES = {
+    "injective D4->D5": (_inj("D4", "D5"), 11_825, 10),
+    "injective D0->D4": (_inj("D0", "D4"), 4_400, 32),
+    "injective E2->E3": (_inj("E2", "E3"), 669, 40),
+    "injective N5->D3": (_inj("N5", "D3"), 173, 2),
+    "all D2->D3": (_all("D2", "D3"), 690, 240),
+    "all E0->E2": (_all("E0", "E2"), 7_293, 525),
+    "all M3->D3": (_all("M3", "D3"), 1_313, 132),
+    "section of the E4 cover": (_cover_section("E4"), 5_065, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(TICK_CASES))
+def test_search_takes_the_pinned_number_of_ticks(case):
+    search, ticks, found = TICK_CASES[case]
+    result = search(ticks)
+    assert len(result) == found and all(h is not None for h in result)
+    with pytest.raises(sm.BudgetExceededError) as exc:
+        search(ticks - 1)
+    assert exc.value.explored == ticks
+
+
+@pytest.mark.parametrize("name", ["D5", "E4"])
+def test_cover_section_never_reads_free_order_masks(name, monkeypatch):
+    # the masks of a free cover take |F|^2 bits; the search compares order keys
+    def refuse(self):
+        raise AssertionError("the search read the masks of a free order")
+
+    cover = sm.canonical_free_cover(ref(name))
+    monkeypatch.setattr(FreeOrder, "masks", property(refuse))
+    monkeypatch.setattr(FreeOrder, "down_masks", property(refuse))
+    section = sm.find_right_inverse(cover)
+    assert section is not None
+    assert sm.compose(cover, section).is_identity()

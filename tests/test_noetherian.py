@@ -119,16 +119,14 @@ def test_witness_holds_for_finf_family():
 
 
 def test_witness_holds_at_depth():
-    spec, x0, ys, fs = default_witness_family(Flavor.B, 4)
-    report = witness_verify(spec, x0, ys, fs)
-    assert report.holds
-    assert all(
-        verdict is Verdict.NO_FACTORIZATION
-        for lv in report.levels
-        for _, verdict in lv.checks
-    )
-    spec_f, x0_f, ys_f, fs_f = default_witness_family(Flavor.FINF, 3)
-    assert witness_verify(spec_f, x0_f, ys_f, fs_f).holds
+    # B 5 and Finf 4 are the sizes the benchmark's witness jobs run
+    for flavor, upto in ((Flavor.B, 4), (Flavor.FINF, 3), (Flavor.B, 5), (Flavor.FINF, 4)):
+        spec, x0, ys, fs = default_witness_family(flavor, upto)
+        report = witness_verify(spec, x0, ys, fs)
+        assert report.holds and not report.inconclusive, (flavor, upto)
+        verdicts = [verdict for lv in report.levels for _, verdict in lv.checks]
+        assert len(verdicts) == upto * (upto - 1) // 2, (flavor, upto)
+        assert all(v is Verdict.NO_FACTORIZATION for v in verdicts), (flavor, upto)
 
 
 def test_witness_holds_in_split_injection_class():
