@@ -9,13 +9,17 @@ summand; negation flips every sign (3^k elements).
 Supports are encoded as bitmask pairs ``(pos, neg)`` (``neg`` empty for
 flavor B).  Every free module computes its addition, negation and order
 from these codes (:class:`FreeOps`) and never builds a table, so it takes
-O(|F|) memory instead of O(|F|^2).
+O(|F|) memory instead of O(|F|^2).  The extension of a generator
+assignment follows the span walk of the free generators
+(:func:`semimod.core.span_walk`): O(|F|) sums on the free module, where
+each layer is one pass over the span of the earlier generators, and one
+target operation per element.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     CARRIER_CAP,
@@ -25,6 +29,7 @@ from .core import (
     ModuleStructureError,
     PartialOrder,
     _cached,
+    span_walk,
 )
 
 ZERO_CODE = (0, 0)
@@ -208,8 +213,9 @@ def extend_from_generators(
     """Full map table of the unique hom extending a generator assignment.
 
     This is the universal property of the free module: zero goes to zero,
-    and every element goes to the target-side sum of the (signed) images of
-    its support.
+    generator i to ``images[i]``, and every other element to the value its
+    recipe in the span walk of the generators derives (the target-side sum
+    of the signed images of its support), one target operation each.
     """
     if free.flavor is not target.flavor:
         raise FlavorMismatchError("free source and target must share a flavor")
@@ -218,27 +224,12 @@ def extend_from_generators(
         raise FlavorMismatchError("source is not a free module")
     if len(images) != rank:
         raise ValueError(f"expected {rank} generator images, got {len(images)}")
-    ops = _ops_of(free)
-    add = target.add_of
-    neg_imgs = None
-    if free.flavor is Flavor.FINF:
-        neg_imgs = [target.neg_of(v) for v in images]
+    gens = free.generators
     out = [target.zero] * free.size
-    for e, (pos, negm) in enumerate(ops.codes):
-        if pos == 0 and negm == 0:
-            continue
-        acc: Optional[int] = None
-        bits = pos
-        while bits:
-            low = bits & -bits
-            v = images[low.bit_length() - 1]
-            acc = v if acc is None else add(acc, v)
-            bits ^= low
-        bits = negm
-        while bits:
-            low = bits & -bits
-            v = neg_imgs[low.bit_length() - 1]  # type: ignore[index]
-            acc = v if acc is None else add(acc, v)
-            bits ^= low
-        out[e] = acc if acc is not None else target.zero
+    for g, v in zip(gens, images):
+        out[g] = v
+    add, neg = target.add_of, target.neg_of
+    for layer in span_walk(free, gens)[1]:
+        for e, op, a, b in layer:  # type: ignore[union-attr]
+            out[e] = add(out[a], out[b]) if op == "add" else neg(out[a])
     return tuple(out)

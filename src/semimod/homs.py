@@ -2,15 +2,17 @@
 
 A hom preserves zero, addition and (flavor Finf) negation.  Maps are
 checked on a generating set of the source (see :func:`_hom_violation`).
-The enumerator backtracks over a generating set of the source, extends each
-partial assignment along recorded generation recipes, prunes on pins,
-injectivity and order-monotonicity, and runs the same check on every
-completed map; nothing about extension well-definedness is assumed.  The
-pruning tests are bit operations: target values are compared by order keys,
-source elements through bitmasks of the assigned elements above and below
-them, and a generator's candidates against two bounds computed once per
-search node (see :class:`_Search`).  The tests check both against plain
-loops over all pairs and all total maps in ``tests/oracles.py``.
+The enumerator backtracks over the generators of the source, extends each
+partial assignment along the recipes of their span walk
+(:func:`semimod.core.span_walk`: O(|M|·|S|) sums, the same for free and
+other sources), prunes on pins, injectivity and order-monotonicity, and
+runs the same check on every completed map; nothing about extension
+well-definedness is assumed.  The pruning tests are bit operations: target
+values are compared by order keys, source elements through bitmasks of the
+assigned elements above and below them, and a generator's candidates
+against two bounds computed once per search node (see :class:`_Search`).
+The tests check both against plain loops over all pairs and all total maps
+in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -18,13 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import (
-    FinModule,
-    Flavor,
-    FlavorMismatchError,
-    irreducible_generators,
-)
-from . import free as freemod
+from .core import FinModule, Flavor, FlavorMismatchError, Recipe, span_walk
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -168,89 +164,32 @@ class HomConstraints:
 # ---------------------------------------------------------------------------
 # generating recipes
 
-# (element, op, a, b): op "zero" | "add" (element = a + b) | "neg"
-# (element = -a).  A layer lists the elements that its generator derives
-# from the earlier ones; the generator itself is assigned by the search.
-Recipe = tuple[int, str, int, int]
-
 
 @dataclass(frozen=True)
 class GeneratingBasis:
+    """The generators of a module and, per generator, the recipes of the
+    elements it adds to the span of the earlier ones (see
+    :func:`semimod.core.span_walk`); every operand of a recipe comes
+    earlier."""
+
     generators: tuple[int, ...]
-    prelayer: tuple[Recipe, ...]
     layers: tuple[tuple[Recipe, ...], ...]
 
 
-def _free_basis(m: FinModule) -> GeneratingBasis:
-    gens = freemod.generator_ids(m)
-    layers: list[list[Recipe]] = [[] for _ in gens]
-    prelayer: list[Recipe] = [(m.zero, "zero", -1, -1)]
-    for e in range(m.size):
-        supp = freemod.support_of(m, e)
-        if not supp:
-            continue
-        top = max(b for b, _ in supp)
-        if len(supp) == 1:
-            b, sign = supp[0]
-            if sign < 0:
-                layers[top].append((e, "neg", gens[b], -1))
-        else:
-            rest = freemod.element_of_support(m, supp[:-1])
-            last = freemod.element_of_support(m, supp[-1:])
-            layers[top].append((e, "add", rest, last))
-    # singletons precede larger supports because element ids sort by support size
-    return GeneratingBasis(gens, tuple(prelayer), tuple(tuple(l) for l in layers))
-
-
-def _closure_basis(m: FinModule) -> GeneratingBasis:
-    gens = irreducible_generators(m)
-    add = m.add_of
-    has_neg = m.flavor is Flavor.FINF
-    known = {m.zero}
-    members = [m.zero]
-    prelayer: list[Recipe] = [(m.zero, "zero", -1, -1)]
-    layers: list[tuple[Recipe, ...]] = []
-    for g in gens:
-        if g in known:
-            raise FlavorMismatchError(
-                "a generator is generated by the earlier ones; is the module valid?"
-            )
-        known.add(g)
-        members.append(g)
-        layer: list[Recipe] = []
-        frontier = [g]
-        while frontier:
-            fresh: list[int] = []
-            snapshot = list(members)
-            for b in frontier:
-                if has_neg:
-                    e = m.neg_of(b)
-                    if e not in known:
-                        known.add(e)
-                        members.append(e)
-                        fresh.append(e)
-                        layer.append((e, "neg", b, -1))
-                for a in snapshot:
-                    e = add(a, b)
-                    if e not in known:
-                        known.add(e)
-                        members.append(e)
-                        fresh.append(e)
-                        layer.append((e, "add", a, b))
-            frontier = fresh
-        layers.append(tuple(layer))
-    if len(known) != m.size:
+def generating_basis(m: FinModule) -> GeneratingBasis:
+    """Layered generation recipes over ``m.generators``: one span walk,
+    O(|M|·|S|) sums."""
+    gens = m.generators
+    members, layers = span_walk(m, gens)
+    if None in layers:
+        raise FlavorMismatchError(
+            "a generator is generated by the earlier ones; is the module valid?"
+        )
+    if len(members) != m.size:
         raise FlavorMismatchError(
             "generating set does not generate the module; is the module valid?"
         )
-    return GeneratingBasis(gens, tuple(prelayer), tuple(layers))
-
-
-def generating_basis(m: FinModule) -> GeneratingBasis:
-    """Layered generation recipes over a canonical generating set."""
-    if m.free_rank is not None:
-        return _free_basis(m)
-    return _closure_basis(m)
+    return GeneratingBasis(gens, layers)  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -270,10 +209,10 @@ def _bits(mask: int) -> list[int]:
 class _Search:
     """Depth-first search over the images of the generators of M in N.
 
-    Level ``d`` tries every allowed image of generator ``d`` in ascending id
-    order, then derives the elements of its layer by the recipes; a
-    completed map is verified by :func:`_hom_violation`.  Every check is a
-    bit operation.  Target values are compared by ``N.order.order_keys``
+    f(0) = 0 is placed first.  Level ``d`` tries every allowed image of
+    generator ``d`` in ascending id order, then derives the elements of its
+    layer by the recipes; a completed map is verified by
+    :func:`_hom_violation`.  Every check is a bit operation.  Target values are compared by ``N.order.order_keys``
     (``a <= b`` iff ``key(a) & ~key(b) == 0``), never by ``N.order.masks``,
     which a free cover would build in |F|^2 bits.  Source elements are
     compared through the strict up and down masks of ``M.order``, intersected
@@ -336,9 +275,9 @@ class _Search:
             f"hom search budget of {self.budget} exhausted", self.explored
         )
 
-    def _bounds(self, x: int) -> tuple[int, int]:
-        """Keys (lo, hi) such that f(x) = v is monotone on the assigned
-        elements exactly when lo is within key(v) and key(v) within hi."""
+    def _lower(self, x: int) -> int:
+        """OR of the keys of f(y) over the assigned y below x: f(x) = v is
+        monotone on those y exactly when this lies within key(v)."""
         keys, val = self.keys, self.val
         lo = 0
         bits = self.below[x] & self.assigned
@@ -346,32 +285,43 @@ class _Search:
             low = bits & -bits
             lo |= keys[val[low.bit_length() - 1]]
             bits ^= low
+        return lo
+
+    def _upper(self, x: int) -> int:
+        """AND of the keys of f(y) over the assigned y above x: f(x) = v is
+        monotone on those y exactly when key(v) lies within this."""
+        keys, val = self.keys, self.val
         hi = -1
         bits = self.above[x] & self.assigned
         while bits:
             low = bits & -bits
             hi &= keys[val[low.bit_length() - 1]]
             bits ^= low
-        return lo, hi
+        return hi
 
     def _run_recipes(self, recipes: Sequence[Recipe]) -> bool:
         """Assign the elements the recipes derive, in order, each after
         checking its allowed set, injectivity and monotonicity; False at the
-        first that fails.  The caller restores ``assigned`` and ``used``."""
+        first that fails.  The caller restores ``assigned`` and ``used``.
+
+        An element e = a + b is tested only against the assigned elements
+        below it.  The test against those above cannot fail: f is monotone
+        on the assigned elements, which include a and b, and every assigned
+        z above e lies above a and b; so f(a) + f(z) = f(z) = f(b) + f(z),
+        and f(e) + f(z) = f(a) + f(b) + f(z) = f(z) by associativity in N.
+        An element -a gets both tests.
+        """
         N = self.N
         val, keys, allowed = self.val, self.keys, self.allowed
         for e, op, a, b in recipes:
             if op == "add":
                 v = N.add_of(val[a], val[b])
-            elif op == "neg":
-                v = N.neg_of(val[a])
             else:
-                v = N.zero
+                v = N.neg_of(val[a])
             if not allowed[e] >> v & 1 or self.used >> v & 1:
                 return False
-            lo, hi = self._bounds(e)
             k = keys[v]
-            if lo & ~k or k & ~hi:
+            if self._lower(e) & ~k or op != "add" and k & ~self._upper(e):
                 return False
             val[e] = v
             self.assigned |= 1 << e
@@ -388,8 +338,13 @@ class _Search:
     def run(self) -> list[tuple[int, ...]]:
         if self.injective and self.M.size > self.N.size or not all(self.allowed):
             return []
-        if not self._run_recipes(self.basis.prelayer):
+        zero, v = self.M.zero, self.N.zero
+        if not self.allowed[zero] >> v & 1:
             return []
+        self.val[zero] = v
+        self.assigned = 1 << zero
+        if self.injective:
+            self.used = 1 << v
         self._dfs(0)
         return self.results
 
@@ -409,7 +364,7 @@ class _Search:
         keys, val = self.keys, self.val
         assigned, used = self.assigned, self.used
         placed = assigned | 1 << gen
-        lo, hi = self._bounds(gen)
+        lo, hi = self._lower(gen), self._upper(gen)
         first_only, results, budget = self.first_only, self.results, self.budget
         for cand in cands:
             if first_only and results:

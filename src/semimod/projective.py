@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import FinModule, Flavor, irreducible_generators, is_distributive_lattice
+from .core import FinModule, Flavor, is_distributive_lattice
 from .free import extend_from_generators, free_module
 from .homs import DEFAULT_BUDGET, Hom, compose, find_right_inverse
 
@@ -24,8 +24,8 @@ class ProjectivityCertificate:
 
 
 def canonical_free_cover(m: FinModule) -> Hom:
-    """Surjection onto m from the free module on its irreducible generators."""
-    gens = irreducible_generators(m)
+    """Surjection onto m from the free module on ``m.generators``."""
+    gens = m.generators
     free = free_module(m.flavor, len(gens))
     cover = Hom(free, m, extend_from_generators(free, m, list(gens)))
     if not cover.surjective:

@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
+import semimod as sm
 from semimod import FinModule, Flavor
+from semimod.serialize import resolve_module_ref
 
 
 def lattice_from_joins(names, joins, zero_name="0"):
@@ -27,9 +31,9 @@ def diamond_m3():
     return lattice_from_joins(names, joins)
 
 
-def pentagon_n5():
-    """0 < a < c < 1 with b incomparable; a|b = c|b = 1."""
-    names = ["0", "a", "b", "c", "1"]
+def pentagon_n5(names=("0", "a", "b", "c", "1")):
+    """0 < a < c < 1 with b incomparable; a|b = c|b = 1.  Element ids
+    follow the order of ``names``."""
     joins = {}
     for x in names:
         joins[(x, x)] = x
@@ -38,7 +42,7 @@ def pentagon_n5():
     joins[("a", "c")] = "c"
     joins[("a", "b")] = "1"
     joins[("b", "c")] = "1"
-    return lattice_from_joins(names, joins)
+    return lattice_from_joins(list(names), joins)
 
 
 def chain_module(k):
@@ -47,6 +51,23 @@ def chain_module(k):
     n = len(names)
     flat = [max(a, b) for a in range(n) for b in range(n)]
     return FinModule(Flavor.B, tuple(names), 0, tuple(flat))
+
+
+def assorted_modules():
+    """Both flavors, for comparisons with oracles: M3, N5, a chain, the
+    families, free modules and quotients of free modules by random
+    congruences."""
+    out = [diamond_m3(), pentagon_n5(), chain_module(4)]
+    out += [resolve_module_ref(r) for r in ("D0", "D2", "D3", "D4", "E0", "E2", "E3", "E4")]
+    out += [sm.free_module(Flavor.B, r) for r in range(0, 6)]
+    out += [sm.free_module(Flavor.FINF, r) for r in range(0, 4)]
+    rng = random.Random(29)
+    for flavor, rank in ((Flavor.B, 3), (Flavor.FINF, 2)):
+        free = sm.free_module(flavor, rank)
+        for _ in range(8):
+            pairs = [(rng.randrange(free.size), rng.randrange(free.size)) for _ in range(2)]
+            out.append(sm.quotient_by_congruence(free, sm.generated_congruence(free, pairs)))
+    return out
 
 
 @pytest.fixture

@@ -6,7 +6,9 @@ identities, and the product oracle closes the coordinate vectors inside a
 power of the scalars.  Both pin down what the free modules must be.  The
 axiom scan, the hom check and the hom filter below are the plain
 all-triples, all-pairs and all-maps loops that the library's vectorized
-scan, generator-set hom check and backtracking search must match.
+scan, generator-set hom check and backtracking search must match; the
+closure and the support sums are the breadth-first and per-element
+references for the library's span walk.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from semimod import (
     HomConstraints,
     Violation,
 )
+from semimod.free import generator_ids, support_of
 from semimod.homs import HomCheck
 
 ZERO = ("zero",)
@@ -334,3 +337,49 @@ def brute_force_homs(
         if ok:
             out.append(Hom(M, N, val))
     return out
+
+
+def closure_bfs(m: FinModule, start: Iterable[int]) -> set[int]:
+    """Breadth-first closure of ``start`` and zero under addition and (flavor
+    Finf) negation, summing each new element with everything seen: the
+    reference for generated_submodule."""
+    add = m.add_of
+    has_neg = m.flavor is Flavor.FINF
+    seen = set(start)
+    seen.add(m.zero)
+    frontier = list(seen)
+    while frontier:
+        fresh: list[int] = []
+        snapshot = list(seen)
+        for b in frontier:
+            if has_neg:
+                e = m.neg_of(b)
+                if e not in seen:
+                    seen.add(e)
+                    fresh.append(e)
+            for a in snapshot:
+                e = add(a, b)
+                if e not in seen:
+                    seen.add(e)
+                    fresh.append(e)
+        frontier = fresh
+    return seen
+
+
+def extend_by_support_sums(
+    free: FinModule, target: FinModule, images: list[int]
+) -> tuple[int, ...]:
+    """The map of a free module that sends each element to the target-side
+    sum of the signed images of its support: the reference for
+    extend_from_generators."""
+    gens = generator_ids(free)
+    if len(images) != len(gens):
+        raise ValueError("one image per free generator")
+    out = []
+    for e in range(free.size):
+        acc = None
+        for b, sign in support_of(free, e):
+            v = images[b] if sign > 0 else target.neg_of(images[b])
+            acc = v if acc is None else target.add_of(acc, v)
+        out.append(target.zero if acc is None else acc)
+    return tuple(out)

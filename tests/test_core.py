@@ -7,9 +7,10 @@ import semimod as sm
 from semimod import Flavor
 from semimod.serialize import resolve_module_ref
 
-from conftest import chain_module, diamond_m3, pentagon_n5
+from conftest import assorted_modules, chain_module, diamond_m3, pentagon_n5
 from oracles import (
     ZERO,
+    closure_bfs,
     distributivity_all_triples,
     meet_by_search,
     normalize,
@@ -131,6 +132,25 @@ def test_generated_submodule_closure_laws(data):
     assert small <= c_small                       # extensive
     assert c_small <= c_big                        # monotone
     assert sm.generated_submodule(m, c_small) == c_small  # idempotent
+
+
+def test_generated_submodule_agrees_with_bfs_oracle():
+    rng = random.Random(31)
+    proper = 0
+    for m in assorted_modules():
+        for _ in range(12):
+            seed = [rng.randrange(m.size) for _ in range(rng.randint(0, 4))]
+            got = sm.generated_submodule(m, seed)
+            assert got == frozenset(closure_bfs(m, seed)), (m.names, seed)
+            proper += len(got) < m.size
+    assert proper >= 100, proper
+
+
+def test_validate_module_refuses_modules_too_large_to_scan():
+    # the scan needs a dense table; these have more than DENSE_TABLE_LIMIT entries
+    for m in (sm.free_module(Flavor.B, 12), sm.free_module(Flavor.FINF, 8)):
+        with pytest.raises(sm.ModuleStructureError):
+            sm.validate_module(m)
 
 
 def test_congruence_partition_validation():

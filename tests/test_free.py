@@ -1,10 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import semimod as sm
 from semimod import Flavor
+from semimod.serialize import resolve_module_ref
 
-from oracles import brute_force_homs, product_closure_count, term_closure
+from oracles import brute_force_homs, extend_by_support_sums, product_closure_count, term_closure
 
 
 def test_free_b_counts():
@@ -90,6 +93,39 @@ def test_universal_property_extension_is_hom(flavor, rank):
             assert h.map[gid] == img
 
     run()
+
+
+@pytest.mark.parametrize("name", ["D2", "D3", "D4", "D5", "D6", "E2", "E3", "E4"])
+def test_cover_extension_agrees_with_support_sums(name):
+    m = resolve_module_ref(name)
+    gens = list(m.generators)
+    free = sm.free_module(m.flavor, len(gens))
+    got = sm.extend_from_generators(free, m, gens)
+    assert got == extend_by_support_sums(free, m, gens)
+
+
+def test_random_extensions_agree_with_support_sums():
+    # images x and -x, or zero, make sums collapse to the absorbing zero
+    rng = random.Random(41)
+    collapsed = 0
+    for flavor, targets, ranks in (
+        (Flavor.FINF, ("E0", "E2", "E3", "free:Finf:2"), (1, 2, 3, 4)),
+        (Flavor.B, ("D0", "D3", "free:B:3"), (1, 2, 3, 5)),
+    ):
+        for t in targets:
+            target = resolve_module_ref(t)
+            for rank in ranks:
+                free = sm.free_module(flavor, rank)
+                for _ in range(6):
+                    images = [rng.randrange(target.size) for _ in range(rank)]
+                    if flavor is Flavor.FINF and rank > 1 and rng.random() < 0.5:
+                        images[1] = target.neg_of(images[0])
+                    got = sm.extend_from_generators(free, target, images)
+                    assert got == extend_by_support_sums(free, target, images), (t, images)
+                    collapsed += sum(
+                        1 for e in range(1, free.size) if got[e] == target.zero
+                    )
+    assert collapsed > 0
 
 
 def test_universal_property_uniqueness_small():

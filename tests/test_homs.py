@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -6,9 +7,10 @@ import pytest
 import semimod as sm
 from semimod import Flavor
 from semimod.free import FreeOrder
+from semimod.homs import generating_basis
 from semimod.serialize import resolve_module_ref as ref
 
-from conftest import chain_module, diamond_m3, pentagon_n5
+from conftest import assorted_modules, chain_module, diamond_m3, pentagon_n5
 from oracles import brute_force_homs, check_hom_all_pairs
 
 
@@ -356,7 +358,12 @@ def test_allowed_ids_out_of_range_are_rejected(allowed):
 
 
 def _module(name):
-    return {"M3": diamond_m3, "N5": pentagon_n5}.get(name, lambda: ref(name))()
+    named = {
+        "M3": diamond_m3,
+        "N5": pentagon_n5,
+        "N5 c<b": lambda: pentagon_n5(("0", "a", "c", "b", "1")),
+    }
+    return named.get(name, lambda: ref(name))()
 
 
 def _inj(src, tgt):
@@ -377,7 +384,9 @@ def _cover_section(name):
 # (search, ticks it takes, maps it returns): one tick per generator
 # candidate scanned, rejected or not, and one per verified map.  In M3 and
 # N5 an element derived from earlier generators lies above a later one, so
-# only these cases prune a generator's image from above.
+# only these cases prune a generator's image from above.  In N5 with c
+# before b, 1 = a + b lies above c, which lies below neither a nor b, so a
+# derived sum is pruned from below.
 TICK_CASES = {
     "injective D4->D5": (_inj("D4", "D5"), 11_825, 10),
     "injective D0->D4": (_inj("D0", "D4"), 4_400, 32),
@@ -386,7 +395,10 @@ TICK_CASES = {
     "all D2->D3": (_all("D2", "D3"), 690, 240),
     "all E0->E2": (_all("E0", "E2"), 7_293, 525),
     "all M3->D3": (_all("M3", "D3"), 1_313, 132),
+    "all N5 c<b->D3": (_all("N5 c<b", "D3"), 628, 178),
     "section of the E4 cover": (_cover_section("E4"), 5_065, 1),
+    "all free:B:3->D3": (_all("free:B:3", "D3"), 1_548, 729),
+    "all free:Finf:2->E2": (_all("free:Finf:2", "E2"), 171, 81),
 }
 
 
@@ -412,3 +424,34 @@ def test_cover_section_never_reads_free_order_masks(name, monkeypatch):
     section = sm.find_right_inverse(cover)
     assert section is not None
     assert sm.compose(cover, section).is_identity()
+
+
+def test_generating_basis_derives_each_element_once_from_earlier_operands():
+    for m in assorted_modules():
+        basis = generating_basis(m)
+        assert basis.generators == m.generators
+        placed = [m.zero]
+        for g, layer in zip(basis.generators, basis.layers):
+            placed.append(g)
+            for e, op, a, b in layer:
+                if op == "add":
+                    assert a in placed and b in placed and m.add_of(a, b) == e
+                else:
+                    assert op == "neg" and m.flavor is Flavor.FINF
+                    assert a in placed and m.neg_of(a) == e
+                placed.append(e)
+        assert sorted(placed) == list(range(m.size)), m.names
+
+
+def test_generating_basis_rejects_generators_that_do_not_form_a_basis():
+    def with_generators(gens):
+        m = dataclasses.replace(ref("D3"))  # a fresh copy: ref() caches its modules
+        object.__setattr__(m, "generators", gens)  # as the cached attribute stores it
+        return m
+
+    gens = ref("D3").generators
+    redundant = ref("D3").add_of(gens[0], gens[1])
+    with pytest.raises(sm.FlavorMismatchError, match="generated by the earlier"):
+        generating_basis(with_generators(gens + (redundant,)))
+    with pytest.raises(sm.FlavorMismatchError, match="does not generate"):
+        generating_basis(with_generators(gens[:-1]))

@@ -1,0 +1,22 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_benchmark_scripts_import():
+    # the benchmark imports library names directly (irreducible_generators,
+    # induced_order, extend_from_generators, support_of, ...); importing its
+    # scripts runs no job but fails on a name the library no longer has
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import jobs, census"],
+        cwd=ROOT / "perfbench",
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
