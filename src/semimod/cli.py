@@ -2,8 +2,9 @@
 
 Exit codes: 0 success / property verified, 1 verified negative (for
 example: not projective, witness fails), 2 inconclusive because a search
-budget ran out, 3 input or usage error.  All output is deterministic for
-fixed inputs and budgets.
+budget ran out, 3 input or usage error, 141 standard output closed before
+the output was written (as for a process killed by SIGPIPE).  All output
+is deterministic for fixed inputs and budgets.
 """
 from __future__ import annotations
 
@@ -364,7 +365,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the unwritten rest to the null device so
+        # that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except BudgetExceededError as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")
         return 2

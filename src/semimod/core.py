@@ -109,10 +109,6 @@ class FinModule:
         return len(self.names)
 
     @property
-    def is_dense(self) -> bool:
-        return self.add_table is not None
-
-    @property
     def free_rank(self) -> Optional[int]:
         """Number of free generators of a free module, None for other modules."""
         return None if self.backend is None else self.backend.rank  # type: ignore[attr-defined]
@@ -160,6 +156,12 @@ class FinModule:
         if self.flavor is Flavor.FINF:
             gens = gens + tuple(self.neg_of(g) for g in gens)
         return tuple(sorted(set(gens)))
+
+    @_cached
+    def basis(self) -> "GeneratingBasis":
+        """:func:`generating_basis` of this module, built on first read; every
+        hom search from this module reads it."""
+        return generating_basis(self)
 
     @property
     def add_np(self) -> np.ndarray:
@@ -332,6 +334,23 @@ class PartialOrder:
         """
         return self.down_masks
 
+    @_cached
+    def counts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(down, up)``: per element x, |down(x)| and |up(x)|, the number of
+        elements below and above it, x included."""
+        return (
+            tuple(d.bit_count() for d in self.down_masks),
+            tuple(u.bit_count() for u in self.masks),
+        )
+
+    @_cached
+    def count_floors(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(down, up)``: entry t of each is the bitmask of the elements whose
+        count in :attr:`counts` is at least t, for t up to the largest count;
+        above it no element qualifies.  One mask per distinct count, shared
+        by the entries between two of them."""
+        return tuple(_floors(c, self.size) for c in self.counts)  # type: ignore[return-value]
+
     def covering_pairs(self) -> list[tuple[int, int]]:
         """All (lower, upper) pairs with nothing strictly in between."""
         out = []
@@ -359,6 +378,23 @@ class PartialOrder:
             if self.down_masks[a] == (1 << self.size) - 1:
                 return a
         return None
+
+
+def _floors(counts: Sequence[int], size: int) -> tuple[int, ...]:
+    """Entry t: the bitmask of the ids e with ``counts[e] >= t``, for t from
+    0 to ``max(counts)``; each mask is built once, from bytes."""
+    by_count: dict[int, list[int]] = {}
+    for e, c in enumerate(counts):
+        by_count.setdefault(c, []).append(e)
+    levels = sorted(by_count, reverse=True) + [-1]
+    out = [0] * (levels[0] + 1)
+    buf = bytearray((size + 7) // 8)
+    for c, below in zip(levels, levels[1:]):
+        for e in by_count[c]:
+            buf[e >> 3] |= 1 << (e & 7)
+        # every t in (below, c] admits exactly the elements counted c or more
+        out[below + 1 : c + 1] = [int.from_bytes(buf, "little")] * (c - below)
+    return tuple(out)
 
 
 def induced_order(m: FinModule) -> PartialOrder:
@@ -472,6 +508,32 @@ def span_walk(
                     layer.append((e, "add", a, h))
         layers.append(tuple(layer))
     return tuple(members), tuple(layers)
+
+
+@dataclass(frozen=True)
+class GeneratingBasis:
+    """The generators of a module and, per generator, the recipes of the
+    elements it adds to the span of the earlier ones (see
+    :func:`span_walk`); every operand of a recipe comes earlier."""
+
+    generators: tuple[int, ...]
+    layers: tuple[tuple[Recipe, ...], ...]
+
+
+def generating_basis(m: FinModule) -> GeneratingBasis:
+    """Layered generation recipes over ``m.generators``: one span walk,
+    O(|M|·|S|) sums.  ``m.basis`` caches it."""
+    gens = m.generators
+    members, layers = span_walk(m, gens)
+    if None in layers:
+        raise FlavorMismatchError(
+            "a generator is generated by the earlier ones; is the module valid?"
+        )
+    if len(members) != m.size:
+        raise FlavorMismatchError(
+            "generating set does not generate the module; is the module valid?"
+        )
+    return GeneratingBasis(gens, layers)  # type: ignore[arg-type]
 
 
 def generated_submodule(m: FinModule, seed: Iterable[int]) -> frozenset[int]:

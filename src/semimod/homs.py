@@ -11,8 +11,16 @@ well-definedness is assumed.  The pruning tests are bit operations: target
 values are compared by order keys, source elements through bitmasks of the
 assigned elements above and below them, and a generator's candidates
 against two bounds computed once per search node (see :class:`_Search`).
-The tests check both against plain loops over all pairs and all total maps
-in ``tests/oracles.py``.
+
+An injective hom between valid modules is an order embedding, in both
+flavors: f(a) <= f(b) gives f(a + b) = f(a) + f(b) = f(b), and injectivity
+gives a + b = b.  So f maps down(x) and up(x) injectively into down(f(x))
+and up(f(x)), and an injective search keeps only the values v of x with
+|down(v)| >= |down(x)| and |up(v)| >= |up(x)| (a static filter in the
+style of Ullmann, "An algorithm for subgraph isomorphism", JACM 23, 1976).
+The search data of a module (its recipes, order masks and counts) is built
+once and cached on the module.  The tests check the search against plain
+loops over all pairs and all total maps in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -20,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import FinModule, Flavor, FlavorMismatchError, Recipe, span_walk
+from .core import FinModule, Flavor, FlavorMismatchError, Recipe
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -48,9 +56,6 @@ class Hom:
         for v in self.map:
             if not (0 <= v < n):
                 raise ValueError(f"map value {v} is not a target element id")
-
-    def apply(self, e: int) -> int:
-        return self.map[e]
 
     @cached_property
     def check(self) -> "HomCheck":
@@ -162,48 +167,7 @@ class HomConstraints:
 
 
 # ---------------------------------------------------------------------------
-# generating recipes
-
-
-@dataclass(frozen=True)
-class GeneratingBasis:
-    """The generators of a module and, per generator, the recipes of the
-    elements it adds to the span of the earlier ones (see
-    :func:`semimod.core.span_walk`); every operand of a recipe comes
-    earlier."""
-
-    generators: tuple[int, ...]
-    layers: tuple[tuple[Recipe, ...], ...]
-
-
-def generating_basis(m: FinModule) -> GeneratingBasis:
-    """Layered generation recipes over ``m.generators``: one span walk,
-    O(|M|·|S|) sums."""
-    gens = m.generators
-    members, layers = span_walk(m, gens)
-    if None in layers:
-        raise FlavorMismatchError(
-            "a generator is generated by the earlier ones; is the module valid?"
-        )
-    if len(members) != m.size:
-        raise FlavorMismatchError(
-            "generating set does not generate the module; is the module valid?"
-        )
-    return GeneratingBasis(gens, layers)  # type: ignore[arg-type]
-
-
-# ---------------------------------------------------------------------------
 # backtracking engine
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 class _Search:
@@ -211,17 +175,30 @@ class _Search:
 
     f(0) = 0 is placed first.  Level ``d`` tries every allowed image of
     generator ``d`` in ascending id order, then derives the elements of its
-    layer by the recipes; a completed map is verified by
-    :func:`_hom_violation`.  Every check is a bit operation.  Target values are compared by ``N.order.order_keys``
-    (``a <= b`` iff ``key(a) & ~key(b) == 0``), never by ``N.order.masks``,
-    which a free cover would build in |F|^2 bits.  Source elements are
-    compared through the strict up and down masks of ``M.order``, intersected
-    with the bitmask ``assigned`` of elements that have a value, so placing
-    f(x) = v tests only the assigned elements comparable to x.  Injectivity
-    is the bitmask ``used`` of target values taken.
+    layer by the recipes of ``M.basis``; a completed map is verified by
+    :func:`_hom_violation`.  Every check is a bit operation.  Target values
+    are compared by ``N.order.order_keys`` (``a <= b`` iff
+    ``key(a) & ~key(b) == 0``), never by ``N.order.masks``, which a free
+    cover would build in |F|^2 bits.  Source elements are compared through
+    the up and down masks of ``M.order``, intersected with the bitmask
+    ``assigned`` of elements that have a value (never the element being
+    placed), so placing f(x) = v tests only the assigned elements
+    comparable to x.  Injectivity is the bitmask ``used`` of target values
+    taken.
 
-    Ticks: one per generator candidate scanned, whether or not it passes,
-    and one per verified map; the budget bounds their total.
+    An injective search ANDs the order-embedding filter into every
+    element's allowed set before it starts: f(x) = v needs
+    |down(v)| >= |down(x)| and |up(v)| >= |up(x)|, because an injective hom
+    is an order embedding (f(a) <= f(b) gives f(a + b) = f(b), so
+    a + b = b) and maps down(x) and up(x) injectively into down(v) and
+    up(v).  The counts of M and the threshold masks of N are cached on
+    their orders (:attr:`~semimod.core.PartialOrder.counts`,
+    :attr:`~semimod.core.PartialOrder.count_floors`), so the filter costs
+    two lookups and two ANDs per source element.
+
+    Ticks: one per generator candidate scanned (a value in its allowed
+    set), whether or not it passes, and one per verified map; the budget
+    bounds their total.
     """
 
     def __init__(
@@ -240,21 +217,20 @@ class _Search:
         self.first_only = first_only
         self.explored = 0
         self.results: list[tuple[int, ...]] = []
-        self.basis = generating_basis(M)
+        self.basis = M.basis
         self.allowed = self._allowed_masks(cons)
         self.keys = N.order.order_keys
-        ordM = M.order
-        self.below = tuple(d & ~(1 << x) for x, d in enumerate(ordM.down_masks))
-        self.above = tuple(u & ~(1 << x) for x, u in enumerate(ordM.masks))
+        self.below, self.above = M.order.down_masks, M.order.masks
         self.val = [-1] * M.size
         self.assigned = 0
         self.used = 0
 
     def _allowed_masks(self, cons: HomConstraints) -> list[int]:
-        """Per source element, the bitmask of target values it may take (-1:
-        any).  Element or value ids out of range raise ``ValueError``."""
+        """Per source element, the bitmask of target values it may take,
+        narrowed by the order-embedding filter for injective searches.
+        Element or value ids out of range raise ``ValueError``."""
         m, n = self.M.size, self.N.size
-        allowed = [-1] * m
+        allowed = [(1 << n) - 1] * m
         for x, vs in (cons.allowed or {}).items():
             if not 0 <= x < m:
                 raise ValueError(f"allowed set of element {x} out of range")
@@ -268,6 +244,15 @@ class _Search:
             if not (0 <= x < m and 0 <= v < n):
                 raise ValueError(f"pin ({x} -> {v}) out of range")
             allowed[x] &= 1 << v
+        if self.injective:
+            down, up = self.M.order.counts
+            down_at, up_at = self.N.order.count_floors
+            for x in range(m):
+                d, u = down[x], up[x]
+                if d < len(down_at) and u < len(up_at):
+                    allowed[x] &= down_at[d] & up_at[u]
+                else:  # no element of N has that many below or above it
+                    allowed[x] = 0
         return allowed
 
     def _exhausted(self) -> BudgetExceededError:
@@ -359,16 +344,18 @@ class _Search:
             return
         gen = basis.generators[depth]
         layer = basis.layers[depth]
-        want = self.allowed[gen]
-        cands = range(self.N.size) if want == -1 else _bits(want)
+        cands = self.allowed[gen]
         keys, val = self.keys, self.val
         assigned, used = self.assigned, self.used
         placed = assigned | 1 << gen
         lo, hi = self._lower(gen), self._upper(gen)
         first_only, results, budget = self.first_only, self.results, self.budget
-        for cand in cands:
+        while cands:
             if first_only and results:
                 return
+            low = cands & -cands
+            cands ^= low
+            cand = low.bit_length() - 1
             self.explored += 1
             if self.explored > budget:
                 raise self._exhausted()
@@ -434,8 +421,3 @@ def find_right_inverse(f: Hom, *, budget: int = DEFAULT_BUDGET) -> Optional[Hom]
         first_only=True,
     )
     return found[0] if found else None
-
-
-def quotient_projection_hom(m: FinModule, class_of: Sequence[int], q: FinModule) -> Hom:
-    """The canonical projection onto a quotient built from the same class map."""
-    return Hom(m, q, tuple(class_of))

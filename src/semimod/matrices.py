@@ -63,9 +63,6 @@ class BoolMatrix:
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def col(self, j: int) -> tuple[int, ...]:
-        return self.entries[j :: self.cols] if self.cols else ()
-
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 

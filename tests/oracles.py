@@ -8,7 +8,8 @@ axiom scan, the hom check and the hom filter below are the plain
 all-triples, all-pairs and all-maps loops that the library's vectorized
 scan, generator-set hom check and backtracking search must match; the
 closure and the support sums are the breadth-first and per-element
-references for the library's span walk.
+references for the library's span walk, and the order counts are a loop
+over all pairs.
 """
 from __future__ import annotations
 
@@ -337,6 +338,19 @@ def brute_force_homs(
         if ok:
             out.append(Hom(M, N, val))
     return out
+
+
+def order_counts(m: FinModule) -> tuple[list[int], list[int]]:
+    """|down(x)| and |up(x)| for every x, one test of the order's masks per
+    pair: the reference for ``PartialOrder.counts``."""
+    masks = m.order.masks
+    down, up = [0] * m.size, [0] * m.size
+    for a in range(m.size):
+        for b in range(m.size):
+            if masks[a] >> b & 1:  # a <= b
+                down[b] += 1
+                up[a] += 1
+    return down, up
 
 
 def closure_bfs(m: FinModule, start: Iterable[int]) -> set[int]:

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -322,6 +323,35 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "9 elements" in proc.stdout
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["construct", "D0", "--format", "text"], ["witness", "--flavor", "B", "--max-n", "2"]],
+    ids=["construct", "witness"],
+)
+def test_closed_output_pipe_is_neither_a_traceback_nor_a_negative(argv, unbuffered):
+    # the read end is closed before the CLI starts, so its first write (or,
+    # with buffered output, its first flush) fails
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "semimod.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.returncode == 141  # never 1, which means a verified negative
 
 
 def test_construct_refuses_modules_too_large_to_serialize(capsys):

@@ -14,6 +14,7 @@ from oracles import (
     distributivity_all_triples,
     meet_by_search,
     normalize,
+    order_counts,
     scan_violations,
     t_add,
     t_gen,
@@ -144,6 +145,18 @@ def test_generated_submodule_agrees_with_bfs_oracle():
             assert got == frozenset(closure_bfs(m, seed)), (m.names, seed)
             proper += len(got) < m.size
     assert proper >= 100, proper
+
+
+def test_order_counts_and_their_floors_agree_with_pair_loops():
+    # assorted_modules() holds free B ranks 0-5 and Finf ranks 0-3, whose
+    # counts have closed forms; the oracle reads their masks
+    for m in assorted_modules():
+        down, up = order_counts(m)
+        assert m.order.counts == (tuple(down), tuple(up)), m.names
+        for counts, floors in zip((down, up), m.order.count_floors):
+            assert len(floors) == max(counts) + 1
+            for t, mask in enumerate(floors):
+                assert mask == sum(1 << e for e, c in enumerate(counts) if c >= t), (m.names, t)
 
 
 def test_validate_module_refuses_modules_too_large_to_scan():

@@ -6,8 +6,8 @@ import pytest
 
 import semimod as sm
 from semimod import Flavor
+from semimod.core import generating_basis
 from semimod.free import FreeOrder
-from semimod.homs import generating_basis
 from semimod.serialize import resolve_module_ref as ref
 
 from conftest import assorted_modules, chain_module, diamond_m3, pentagon_n5
@@ -382,16 +382,18 @@ def _cover_section(name):
 
 
 # (search, ticks it takes, maps it returns): one tick per generator
-# candidate scanned, rejected or not, and one per verified map.  In M3 and
+# candidate scanned, rejected or not, and one per verified map.  The
+# candidates of an injective search are the values that pass its
+# order-embedding filter.  In M3 and
 # N5 an element derived from earlier generators lies above a later one, so
 # only these cases prune a generator's image from above.  In N5 with c
 # before b, 1 = a + b lies above c, which lies below neither a nor b, so a
 # derived sum is pruned from below.
 TICK_CASES = {
-    "injective D4->D5": (_inj("D4", "D5"), 11_825, 10),
-    "injective D0->D4": (_inj("D0", "D4"), 4_400, 32),
-    "injective E2->E3": (_inj("E2", "E3"), 669, 40),
-    "injective N5->D3": (_inj("N5", "D3"), 173, 2),
+    "injective D4->D5": (_inj("D4", "D5"), 622, 10),
+    "injective D0->D4": (_inj("D0", "D4"), 345, 32),
+    "injective E2->E3": (_inj("E2", "E3"), 356, 40),
+    "injective N5->D3": (_inj("N5", "D3"), 84, 2),
     "all D2->D3": (_all("D2", "D3"), 690, 240),
     "all E0->E2": (_all("E0", "E2"), 7_293, 525),
     "all M3->D3": (_all("M3", "D3"), 1_313, 132),
@@ -424,6 +426,57 @@ def test_cover_section_never_reads_free_order_masks(name, monkeypatch):
     section = sm.find_right_inverse(cover)
     assert section is not None
     assert sm.compose(cover, section).is_identity()
+
+
+def test_injective_searches_into_free_targets_agree_with_oracles(monkeypatch):
+    # the order-embedding filter reads the closed-form counts of a free
+    # target, never its |F|^2 masks
+    def refuse(self):
+        raise AssertionError("the search read the masks of a free order")
+
+    injective = sm.HomConstraints(require_injective=True)
+    B, F = Flavor.B, Flavor.FINF
+    cases = []
+    for M, N in (
+        (diamond_m3(), sm.free_module(B, 3)),
+        (pentagon_n5(), sm.free_module(B, 4)),
+        (D(2).module, sm.free_module(B, 4)),
+        (chain_module(4), sm.free_module(B, 4)),
+        (sm.scalar_module(F), sm.free_module(F, 3)),
+    ):
+        # the oracle pins f(0) = 0 to keep its space of total maps small
+        pins = sm.HomConstraints(pinned={M.zero: N.zero}, require_injective=True)
+        cases.append((M, N, [h.map for h in brute_force_homs(M, N, pins)]))
+    # too many total maps to filter: the injective maps among all homs,
+    # which the unfiltered search finds, are the reference
+    for M, N in ((D(3).module, sm.free_module(B, 4)), (ref("E2"), sm.free_module(F, 3))):
+        cases.append((M, N, [h.map for h in sm.enumerate_homs(M, N) if h.injective]))
+    monkeypatch.setattr(FreeOrder, "masks", property(refuse))
+    monkeypatch.setattr(FreeOrder, "down_masks", property(refuse))
+    for M, N, expected in cases:
+        assert [h.map for h in sm.enumerate_homs(M, N, injective)] == expected, N.size
+    assert sum(len(expected) for _, _, expected in cases) > 0
+    # an element of E2 has 5 elements above it, and no element of
+    # free:Finf:2 more than 4: the filter refutes the pair before any tick
+    e2, f2 = ref("E2"), sm.free_module(F, 2)
+    assert not any(h.injective for h in sm.enumerate_homs(e2, f2))
+    assert sm.enumerate_homs(e2, f2, injective, budget=1) == []
+
+
+def test_searches_from_one_module_walk_its_span_once(monkeypatch):
+    walks = []
+    real_walk = sm.core.span_walk
+
+    def counting_walk(m, gens):
+        walks.append(m)
+        return real_walk(m, gens)
+
+    monkeypatch.setattr(sm.core, "span_walk", counting_walk)
+    d3 = dataclasses.replace(ref("D3"))  # a fresh copy: ref() caches its modules
+    for cons in (sm.HomConstraints(), sm.HomConstraints(require_injective=True)):
+        for target in (D(3).module, D(4).module):
+            sm.enumerate_homs(d3, target, cons)
+    assert walks == [d3] and d3.basis == generating_basis(d3)
 
 
 def test_generating_basis_derives_each_element_once_from_earlier_operands():

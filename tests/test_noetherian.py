@@ -119,8 +119,16 @@ def test_witness_holds_for_finf_family():
 
 
 def test_witness_holds_at_depth():
-    # B 5 and Finf 4 are the sizes the benchmark's witness jobs run
-    for flavor, upto in ((Flavor.B, 4), (Flavor.FINF, 3), (Flavor.B, 5), (Flavor.FINF, 4)):
+    # B 5 and Finf 4 are the sizes the benchmark's witness jobs run; B 8 and
+    # Finf 6 take about 2 s and 1 s with the order-embedding filter
+    for flavor, upto in (
+        (Flavor.B, 4),
+        (Flavor.FINF, 3),
+        (Flavor.B, 5),
+        (Flavor.FINF, 4),
+        (Flavor.B, 8),
+        (Flavor.FINF, 6),
+    ):
         spec, x0, ys, fs = default_witness_family(flavor, upto)
         report = witness_verify(spec, x0, ys, fs)
         assert report.holds and not report.inconclusive, (flavor, upto)
