@@ -125,10 +125,14 @@ def factors_through(
     where f runs from the object named ``source`` to the one named ``target``.
 
     For the injection classes the q catalog is enumerated and each
-    injective q pins p pointwise.  For the all-homs class the cheaper
-    direction runs: each candidate p pins q on its image and the remainder
-    of q is searched.  Budget exhaustion anywhere yields an inconclusive
-    verdict.
+    injective q pins p pointwise.  For the all-homs class each candidate p
+    pins q on its image and the remainder of q is searched.  If q∘p = f,
+    then p(x) = p(y) gives f(x) = f(y), so when f is injective every p
+    that factors it is injective too: the p search then asks for
+    injective homs only and runs the order-embedding filter.  A
+    non-injective f takes every p, so the pins stay checked against f: a p
+    that identifies two elements f keeps apart is skipped.
+    Budget exhaustion anywhere yields an inconclusive verdict.
     """
     X, Yj = spec.module(source), spec.module(yj)
     if f.source != X or f.target != spec.module(target):
@@ -149,8 +153,9 @@ def factors_through(
                     raise AssertionError("pinned factorization failed recomposition")
                 return FactorizationResult(Verdict.FACTORS, (p, q))
             return FactorizationResult(Verdict.NO_FACTORIZATION)
-        for entry in hom_catalog(spec, source, yj):
-            p = entry.hom
+        for p in enumerate_homs(
+            X, Yj, HomConstraints(require_injective=f.injective), budget=spec.budget
+        ):
             pins: dict[int, int] = {}
             consistent = True
             for x in range(X.size):

@@ -8,8 +8,9 @@ axiom scan, the hom check and the hom filter below are the plain
 all-triples, all-pairs and all-maps loops that the library's vectorized
 scan, generator-set hom check and backtracking search must match; the
 closure and the support sums are the breadth-first and per-element
-references for the library's span walk, and the order counts are a loop
-over all pairs.
+references for the library's span walk, the order counts are a loop
+over all pairs, and the all-homs factorization walks the complete hom
+catalog.
 """
 from __future__ import annotations
 
@@ -26,9 +27,17 @@ from semimod import (
     Hom,
     HomConstraints,
     Violation,
+    enumerate_homs,
 )
 from semimod.free import generator_ids, support_of
 from semimod.homs import HomCheck
+from semimod.noetherian import (
+    CategorySpec,
+    FactorizationResult,
+    MorphismClass,
+    Verdict,
+    hom_catalog,
+)
 
 ZERO = ("zero",)
 
@@ -397,3 +406,32 @@ def extend_by_support_sums(
             acc = v if acc is None else target.add_of(acc, v)
         out.append(target.zero if acc is None else acc)
     return tuple(out)
+
+
+def factors_through_by_catalog(
+    spec: CategorySpec, f: Hom, yj: str, *, source: str, target: str
+) -> FactorizationResult:
+    """p: source -> yj and q: yj -> target with q∘p = f, over every hom p
+    of the catalog, injective or not: each p consistent with f pins q on
+    its image and the rest of q is searched.  The reference for
+    factors_through in the all-homs class."""
+    if spec.morphism_class is not MorphismClass.ALL:
+        raise ValueError("the catalog reference covers the all-homs class")
+    try:
+        for entry in hom_catalog(spec, source, yj):
+            p = entry.hom
+            pins = dict(zip(p.map, f.map))
+            if any(pins[w] != v for w, v in zip(p.map, f.map)):
+                continue  # p identifies two elements that f keeps apart
+            found = enumerate_homs(
+                spec.module(yj),
+                spec.module(target),
+                HomConstraints(pinned=pins),
+                budget=spec.budget,
+                first_only=True,
+            )
+            if found:
+                return FactorizationResult(Verdict.FACTORS, (p, found[0]))
+        return FactorizationResult(Verdict.NO_FACTORIZATION)
+    except BudgetExceededError:
+        return FactorizationResult(Verdict.INCONCLUSIVE)

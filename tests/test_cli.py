@@ -288,6 +288,18 @@ def test_witness_json_format(capsys):
     assert doc["holds"] is True
 
 
+def test_all_homs_witness_fails_at_depth(capsys):
+    code, out, _ = run_cli(
+        capsys, "witness", "--flavor", "Finf", "--max-n", "4", "--class", "all",
+        "--format", "json",
+    )
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["holds"] is False and doc["inconclusive"] is False
+    checks = [check for lv in doc["levels"] for check in lv["checks"]]
+    assert checks == [[f"E{j + 4}", "factors"] for i in range(4) for j in range(i)]
+
+
 def test_export_dot(capsys):
     code, out, _ = run_cli(capsys, "export-dot", "E2")
     assert code == 0

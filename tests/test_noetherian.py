@@ -15,6 +15,10 @@ from semimod.noetherian import (
     principal_projective_profile,
     witness_verify,
 )
+from semimod.serialize import resolve_module_ref as ref
+
+from conftest import chain_module, diamond_m3, pentagon_n5
+from oracles import factors_through_by_catalog
 
 
 def b_spec(morphism_class=MorphismClass.INJECTIONS, upto=2):
@@ -135,6 +139,66 @@ def test_witness_holds_at_depth():
         verdicts = [verdict for lv in report.levels for _, verdict in lv.checks]
         assert len(verdicts) == upto * (upto - 1) // 2, (flavor, upto)
         assert all(v is Verdict.NO_FACTORIZATION for v in verdicts), (flavor, upto)
+
+
+def _assert_factorization(res, f):
+    p, q = res.through
+    assert sm.check_hom(p).ok and sm.check_hom(q).ok
+    assert p.source == f.source and q.target == f.target
+    assert sm.compose(q, p).map == f.map
+
+
+def test_all_homs_witness_checks_agree_with_the_catalog_oracle():
+    # the corner embeddings are injective, so only injective p are searched
+    for flavor, upto in ((Flavor.B, 3), (Flavor.FINF, 2)):
+        spec, x0, ys, fs = default_witness_family(flavor, upto, MorphismClass.ALL)
+        oracle_spec, _, _, _ = default_witness_family(flavor, upto, MorphismClass.ALL)
+        for i, (yi, f) in enumerate(zip(ys, fs)):
+            for yj in ys[:i]:
+                res = factors_through(spec, f, yj, source=x0, target=yi)
+                want = factors_through_by_catalog(oracle_spec, f, yj, source=x0, target=yi)
+                assert res.verdict is want.verdict is Verdict.FACTORS, (flavor, yi, yj)
+                _assert_factorization(res, f)
+
+
+def test_all_homs_factorizations_of_non_injective_morphisms_agree_with_the_catalog_oracle():
+    # a non-injective f may need a non-injective p, as the zero map through
+    # the one-element module does
+    cases = (
+        ("D2", "D3", [("pt", sm.free_module(Flavor.B, 0)), ("C2", chain_module(2)),
+                      ("C3", chain_module(3)), ("M3", diamond_m3()), ("N5", pentagon_n5())]),
+        ("E2", "E3", [("pt", sm.free_module(Flavor.FINF, 0)),
+                      ("F1", sm.free_module(Flavor.FINF, 1)),
+                      ("F2", sm.free_module(Flavor.FINF, 2))]),
+    )
+    for x, y, middles in cases:
+        X, Y = ref(x), ref(y)
+        objects = ((x, X), (y, Y)) + tuple(middles)
+        spec = CategorySpec(X.flavor, objects, MorphismClass.ALL)
+        oracle_spec = CategorySpec(X.flavor, objects, MorphismClass.ALL)
+        seen = set()
+        for f in sm.enumerate_homs(X, Y):
+            if f.injective:
+                continue
+            for yj, _ in middles:
+                res = factors_through(spec, f, yj, source=x, target=y)
+                want = factors_through_by_catalog(oracle_spec, f, yj, source=x, target=y)
+                assert res.verdict is want.verdict, (x, y, f.map, yj)
+                if res.verdict is Verdict.FACTORS:
+                    _assert_factorization(res, f)
+                seen.add(res.verdict)
+        assert seen == {Verdict.FACTORS, Verdict.NO_FACTORIZATION}, x
+
+
+def test_all_homs_witness_factors_at_depth():
+    # the p search of an injective f scans injective homs only; the full
+    # catalog D0 -> D4 alone holds 23,648 homs
+    for flavor in (Flavor.B, Flavor.FINF):
+        spec, x0, ys, fs = default_witness_family(flavor, 4, MorphismClass.ALL)
+        report = witness_verify(spec, x0, ys, fs)
+        assert not report.holds and not report.inconclusive, flavor
+        verdicts = [verdict for lv in report.levels for _, verdict in lv.checks]
+        assert verdicts == [Verdict.FACTORS] * 6, flavor
 
 
 def test_witness_holds_in_split_injection_class():
