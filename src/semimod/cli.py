@@ -9,6 +9,7 @@ is deterministic for fixed inputs and budgets.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -278,7 +279,10 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing keeps no state
+    on it, and in-process callers run ``main`` many times."""
     parser = _Parser(prog="semimod", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     # only the subcommands that search take a budget

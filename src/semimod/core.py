@@ -10,8 +10,13 @@ Everything built from a generating set goes through one routine,
 :func:`span_walk`: it adds the generators one at a time and lists, with a
 recipe each, the elements every generator adds to the span of the earlier
 ones, in one pass over that span, so O(|M|·|S|) sums in all.  Generated
-submodules, the Finf irreducible generators, the hom search's recipes and
-the universal-property extension of free modules all use it.
+submodules, the hom search's recipes and the universal-property extension
+of free modules all use it.
+
+The axiom scan and the induced order read the addition table a row at a
+time with C-level loops (``map``, ``bytes``): each row a gives the
+bitmask of the elements above a, and associativity is decided on those
+masks in O(n^2) mask operations (:func:`_is_join`).
 
 Modules are immutable after construction; all operations are pure.
 """
@@ -19,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence
-
-import numpy as np
+from itertools import compress, count, repeat
+from operator import eq, getitem, itemgetter, ne
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 # Carriers above this size are refused outright (runaway constructions).
 CARRIER_CAP = 1 << 18
@@ -163,20 +168,6 @@ class FinModule:
         hom search from this module reads it."""
         return generating_basis(self)
 
-    @property
-    def add_np(self) -> np.ndarray:
-        if self.add_table is None:
-            if self.size * self.size > DENSE_TABLE_LIMIT:
-                raise ModuleStructureError(
-                    f"{self.size}-element module is too large to materialize a dense table"
-                )
-            n = self.size
-            flat = [self.add_of(a, b) for a in range(n) for b in range(n)]
-            return np.asarray(flat, dtype=np.int64).reshape(n, n)
-        arr = np.asarray(self.add_table, dtype=np.int64).reshape(self.size, self.size)
-        arr.setflags(write=False)
-        return arr
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -216,11 +207,11 @@ def _structural_check(m: FinModule) -> None:
             raise ModuleStructureError(
                 f"add table has {len(m.add_table)} entries, expected {n * n}"
             )
-        for pos, e in enumerate(m.add_table):
-            if not (0 <= e < n):
-                raise ModuleStructureError(
-                    f"add table entry {e} at position ({pos // n}, {pos % n}) is not an element id"
-                )
+        if not (0 <= min(m.add_table) and max(m.add_table) < n):
+            pos, e = next((p, e) for p, e in enumerate(m.add_table) if not (0 <= e < n))
+            raise ModuleStructureError(
+                f"add table entry {e} at position ({pos // n}, {pos % n}) is not an element id"
+            )
     if m.flavor is Flavor.B:
         if m.neg_table is not None:
             raise ModuleStructureError("flavor B modules carry no negation table")
@@ -237,55 +228,126 @@ def _structural_check(m: FinModule) -> None:
                     raise ModuleStructureError(f"neg table entry {e} at {a} is not an element id")
 
 
-def _scan_violations(m: FinModule) -> list[Violation]:
+def _rows(m: FinModule) -> Iterator[tuple[int, ...]]:
+    """Row a of the addition table, ``a + b`` over b, for each a in turn."""
     n = m.size
-    A = m.add_np
+    if m.add_table is not None:
+        t = m.add_table
+        return (tuple(t[i : i + n]) for i in range(0, n * n, n))
+    add = m.add_of
+    return (tuple(map(add, repeat(a, n), range(n))) for a in range(n))
+
+
+# byte 0 or 1 to the ASCII digit, so that int(..., 2) reads a bitmask
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _up_mask(row: Sequence[int]) -> int:
+    """The bitmask of the b with ``row[b] == b``: for row a of the addition
+    table, the elements above a in the induced order."""
+    return int(bytes(map(eq, row, range(len(row))))[::-1].translate(_DIGITS), 2)
+
+
+def _first_diff(xs: Iterable[int], ys: Iterable[int]) -> Optional[int]:
+    """The first position where two rows differ, or None."""
+    return next(compress(count(), map(ne, xs, ys)), None)
+
+
+def _first_row_diff(
+    lefts: Iterable[tuple[int, ...]], rights: Iterable[tuple[int, ...]]
+) -> Optional[tuple[int, int]]:
+    """``(i, j)``: the first row i where two sequences of rows differ and
+    the first position j in it, or None."""
+    for i, (x, y) in enumerate(zip(lefts, rights)):
+        if x != y:
+            return i, _first_diff(x, y)
+    return None
+
+
+def _is_join(rows: Sequence[Sequence[int]]) -> bool:
+    """Whether a commutative idempotent addition table is associative,
+    decided in O(n^2) mask operations on the induced order.
+
+    With up(x) = {c : x + c = c}, the table is associative iff
+    up(a + b) = up(a) ∩ up(b) for all a < b, i.e. iff a + b is the least
+    upper bound of a and b in the order a <= b iff a + b = b.  If + is
+    associative and (a + b) + c = c, then a + c = a + ((a + b) + c) =
+    ((a + a) + b) + c = c, and likewise b + c = c; if a + c = b + c = c,
+    then (a + b) + c = a + (b + c) = c.  Conversely, up is injective: x
+    lies in up(x) by idempotence, so up(x) = up(y) gives y + x = x and
+    x + y = y, hence x = y by commutativity.  And up((a + b) + c) =
+    up(a) ∩ up(b) ∩ up(c) = up(a + (b + c)).  Pairs with b < a follow by
+    commutativity, and b = a by idempotence.  The condition says at once
+    that <= is transitive, that a <= a + b, and that every common upper
+    bound of a and b lies above a + b.
+    """
+    up = [_up_mask(r) for r in rows]
+    for a, row in enumerate(rows):
+        ua = up[a]
+        if any(map(ne, map(ua.__and__, up[a + 1 :]), map(up.__getitem__, row[a + 1 :]))):
+            return False
+    return True
+
+
+def _scan_violations(m: FinModule) -> list[Violation]:
+    """Every axiom, with the first witness in row-major order.
+
+    Associativity is decided by :func:`_is_join` once commutativity and
+    idempotence hold; the O(n^3) witness search, one row comparison per
+    (a, b), runs only when that test fails or cannot be applied.
+    """
+    n = m.size
+    if m.add_table is None and n * n > DENSE_TABLE_LIMIT:
+        raise ModuleStructureError(
+            f"{n}-element module is too large to materialize a dense table"
+        )
+    rows = list(_rows(m))
+    ids = range(n)
     out: list[Violation] = []
 
-    comm = A != A.T
-    if comm.any():
-        a, b = np.argwhere(comm)[0]
-        out.append(Violation("add_commutative", (int(a), int(b))))
+    comm = _first_row_diff(rows, zip(*rows))
+    if comm:
+        out.append(Violation("add_commutative", comm))
+    idem = _first_diff(map(getitem, rows, ids), ids)
 
-    # a-blocks of at most about 4k entries (single rows once n > 45) keep the
-    # temporaries of the n^3 associativity scan, and so the peak memory, small
-    rows = max(1, (1 << 12) // (n * n))
-    for a0 in range(0, n, rows):
-        blk = A[a0 : a0 + rows]
-        left = A[blk, :]
-        right = A[np.arange(a0, min(a0 + rows, n))[:, None, None], A[None, :, :]]
-        bad = left != right
-        if bad.any():
-            r, b, c = np.argwhere(bad)[0]
-            out.append(Violation("add_associative", (a0 + int(r), int(b), int(c))))
-            break
+    if comm or idem is not None or not _is_join(rows):
+        # read_at[b](row a) is a + (b + c) over c, gathered at C level; each
+        # returns a tuple, as n >= 2 here (the one-element table passes)
+        read_at = [itemgetter(*r) for r in rows]
+        for a, ra in enumerate(rows):
+            # (a + b) + c against a + (b + c), over c
+            w = _first_row_diff((rows[s] for s in ra), (g(ra) for g in read_at))
+            if w:
+                out.append(Violation("add_associative", (a,) + w))
+                break
 
-    idem = np.diagonal(A) != np.arange(n)
-    if idem.any():
-        a = int(np.argwhere(idem)[0][0])
-        out.append(Violation("add_idempotent", (a,)))
+    if idem is not None:
+        out.append(Violation("add_idempotent", (idem,)))
 
     z = m.zero
     if m.flavor is Flavor.B:
-        bad = A[z] != np.arange(n)
-        if bad.any():
-            out.append(Violation("zero_neutral", (z, int(np.argwhere(bad)[0][0]))))
+        a = _first_diff(rows[z], ids)
+        if a is not None:
+            out.append(Violation("zero_neutral", (z, a)))
     else:
-        bad = A[z] != z
-        if bad.any():
-            out.append(Violation("zero_absorbing", (z, int(np.argwhere(bad)[0][0]))))
-        N = np.asarray([m.neg_of(a) for a in range(n)], dtype=np.int64)
-        bad = N[N] != np.arange(n)
-        if bad.any():
-            out.append(Violation("neg_involution", (int(np.argwhere(bad)[0][0]),)))
-        bad = A[np.arange(n), N] != z
-        if bad.any():
-            out.append(Violation("neg_cancels", (int(np.argwhere(bad)[0][0]),)))
-        bad = N[A] != A[N[:, None], N[None, :]]
-        if bad.any():
-            a, b = np.argwhere(bad)[0]
-            out.append(Violation("neg_distributes", (int(a), int(b))))
-        if m.neg_of(z) != z:
+        a = _first_diff(rows[z], repeat(z, n))
+        if a is not None:
+            out.append(Violation("zero_absorbing", (z, a)))
+        neg = [m.neg_of(a) for a in ids]
+        a = _first_diff(map(neg.__getitem__, neg), ids)
+        if a is not None:
+            out.append(Violation("neg_involution", (a,)))
+        a = _first_diff(map(getitem, rows, neg), repeat(z, n))
+        if a is not None:
+            out.append(Violation("neg_cancels", (a,)))
+        # -(a + b) against -a + -b: row a mapped by neg against row -a read at neg
+        w = _first_row_diff(
+            (tuple(map(neg.__getitem__, r)) for r in rows),
+            (tuple(map(rows[na].__getitem__, neg)) for na in neg),
+        )
+        if w:
+            out.append(Violation("neg_distributes", w))
+        if neg[z] != z:
             out.append(Violation("neg_fixes_zero", (z,)))
     return out
 
@@ -405,14 +467,7 @@ def induced_order(m: FinModule) -> PartialOrder:
     must be the minimum (flavor B) or the maximum (flavor Finf).
     """
     n = m.size
-    masks = [0] * n
-    add = m.add_of
-    for a in range(n):
-        acc = 0
-        for b in range(n):
-            if add(a, b) == b:
-                acc |= 1 << b
-        masks[a] = acc
+    masks = [_up_mask(r) for r in _rows(m)]
     order = PartialOrder(n, tuple(masks))
     for a in range(n):
         if not order.leq(a, a):
@@ -439,22 +494,36 @@ def induced_order(m: FinModule) -> PartialOrder:
 
 
 def join_irreducibles(m: FinModule) -> tuple[int, ...]:
-    """Nonzero elements that are not the join of their strict lower set."""
-    order = m.order
+    """Nonzero elements that are not the sum of the elements strictly below
+    them, i.e. that the other elements do not generate.
+
+    Every summand of a sum x lies below x, and in flavor Finf the zero is
+    the top, so it lies below no nonzero x; nor does -x, as x + -x = 0.  So
+    a nonzero x is generated by the elements other than x (and -x) iff the
+    sum of those below it is x.  The sum starts from its first summand, as
+    Finf has no neutral element; an x with nothing below it is irreducible.
+    """
+    down = m.order.down_masks
     add = m.add_of
     out = []
     for x in range(m.size):
         if x == m.zero:
             continue
-        acc = m.zero
-        b = order.down_masks[x] & ~(1 << x)
-        while b:
-            low = b & -b
-            acc = add(acc, low.bit_length() - 1)
-            b ^= low
+        summands = _bits(down[x] & ~(1 << x))
+        acc = next(summands, None)
+        for y in summands:
+            acc = add(acc, y)
         if acc != x:
             out.append(x)
     return tuple(out)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The ids of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # (element, op, a, b): the element is a + b for op "add" and -a for "neg"
@@ -546,26 +615,14 @@ def generated_submodule(m: FinModule, seed: Iterable[int]) -> frozenset[int]:
 
 
 def irreducible_generators(m: FinModule) -> tuple[int, ...]:
-    """A canonical minimal generating set.
-
-    Flavor B: the join-irreducibles.  Flavor Finf: one representative per
-    irreducible pair {x, -x} (elements not generated by the rest), taking
-    the smaller id, so family layouts with positives first yield the
-    positive irreducibles.
+    """A canonical minimal generating set: the :func:`join_irreducibles`,
+    with only the smaller id of each pair {x, -x} in flavor Finf, so family
+    layouts with positives first yield the positive irreducibles.
     """
+    irr = join_irreducibles(m)
     if m.flavor is Flavor.B:
-        return join_irreducibles(m)
-    gens = []
-    for x in range(m.size):
-        if x == m.zero:
-            continue
-        nx = m.neg_of(x)
-        if nx < x:
-            continue
-        others = [e for e in range(m.size) if e != x and e != nx]
-        if x not in span_walk(m, others)[0]:
-            gens.append(x)
-    return tuple(gens)
+        return irr
+    return tuple(x for x in irr if x <= m.neg_of(x))
 
 
 def submodule_on(m: FinModule, elements: Iterable[int]) -> tuple[FinModule, tuple[int, ...]]:

@@ -5,12 +5,13 @@ oracle normalizes formal expressions by rewriting with the defining
 identities, and the product oracle closes the coordinate vectors inside a
 power of the scalars.  Both pin down what the free modules must be.  The
 axiom scan, the hom check and the hom filter below are the plain
-all-triples, all-pairs and all-maps loops that the library's vectorized
+all-triples, all-pairs and all-maps loops that the library's order-mask
 scan, generator-set hom check and backtracking search must match; the
 closure and the support sums are the breadth-first and per-element
-references for the library's span walk, the order counts are a loop
-over all pairs, and the all-homs factorization walks the complete hom
-catalog.
+references for the library's span walk, the irreducibles take one closure
+per element where the library sums a down-set, the order counts are a
+loop over all pairs, and the all-homs factorization walks the complete
+hom catalog.
 """
 from __future__ import annotations
 
@@ -387,6 +388,23 @@ def closure_bfs(m: FinModule, start: Iterable[int]) -> set[int]:
                     fresh.append(e)
         frontier = fresh
     return seen
+
+
+def irreducibles_by_closure(m: FinModule) -> tuple[int, ...]:
+    """The nonzero elements that the other elements do not generate, by one
+    closure of the rest per element, keeping in flavor Finf the smaller id
+    of each pair {x, -x}: the reference for irreducible_generators."""
+    out = []
+    for x in range(m.size):
+        if x == m.zero:
+            continue
+        nx = m.neg_of(x) if m.flavor is Flavor.FINF else x
+        if nx < x:
+            continue
+        others = [e for e in range(m.size) if e != x and e != nx]
+        if x not in closure_bfs(m, others):
+            out.append(x)
+    return tuple(out)
 
 
 def extend_by_support_sums(

@@ -97,6 +97,17 @@ def test_homs_enumeration_stream(capsys):
     assert "2 morphisms" in err
 
 
+def test_back_to_back_calls_do_not_share_flags(capsys):
+    # main reuses one parser; a flag given in one call must not leak into the next
+    argv = ["homs", "--source", "D2", "--target", "D3"]
+    counts = []
+    for extra in (["--injective"], [], ["--injective"]):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert code == 0
+        counts.append(len(out.splitlines()))
+    assert counts == [20, 240, 20]
+
+
 def test_homs_with_pins_file(tmp_path, capsys):
     pins = {"pins": [["a_1_2", "a_2_2"]]}
     path = tmp_path / "pins.json"

@@ -12,6 +12,7 @@ from oracles import (
     ZERO,
     closure_bfs,
     distributivity_all_triples,
+    irreducibles_by_closure,
     meet_by_search,
     normalize,
     order_counts,
@@ -309,6 +310,12 @@ def test_scan_paths_agree_on_mutations(data):
     for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
         pos = data.draw(st.integers(min_value=0, max_value=n * n - 1))
         table[pos] = data.draw(st.integers(min_value=0, max_value=n - 1))
+    # symmetric off-diagonal mutations keep commutativity and idempotence,
+    # so that the order-mask associativity test decides
+    for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+        a = data.draw(st.integers(min_value=0, max_value=n - 1))
+        b = (a + data.draw(st.integers(min_value=1, max_value=n - 1))) % n
+        table[a * n + b] = table[b * n + a] = data.draw(st.integers(min_value=0, max_value=n - 1))
     if neg is not None and data.draw(st.booleans()):
         pos = data.draw(st.integers(min_value=0, max_value=n - 1))
         neg[pos] = data.draw(st.integers(min_value=0, max_value=n - 1))
@@ -317,6 +324,16 @@ def test_scan_paths_agree_on_mutations(data):
         neg_table=tuple(neg) if neg is not None else None,
     )
     assert list(sm.validate_module(mutant).violations) == scan_violations(mutant)
+
+
+def test_validate_module_agrees_with_oracle_scan_on_assorted_modules():
+    for m in assorted_modules():
+        assert list(sm.validate_module(m).violations) == scan_violations(m), m.names
+
+
+def test_irreducible_generators_agree_with_closure_oracle():
+    for m in assorted_modules():
+        assert sm.irreducible_generators(m) == irreducibles_by_closure(m), m.names
 
 
 def test_term_normalization_matches_axioms():

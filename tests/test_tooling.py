@@ -20,3 +20,17 @@ def test_benchmark_scripts_import():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_library_imports_without_numpy():
+    # the library and its command line need only the standard library
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, semimod, semimod.cli; print('numpy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
