@@ -79,13 +79,48 @@ def _module_arg(arg: str):
 
 
 def _hom_arg(path: str):
-    """A morphism document whose inline endpoint documents are valid modules."""
+    """A morphism document whose inline endpoint documents are valid modules
+    and whose map is a homomorphism."""
     doc = _load_json(path)
     f = serialize.hom_from_doc(doc)
     for end, mod in (("source", f.source), ("target", f.target)):
         if isinstance(doc[end], dict):
             _valid(mod)
+    chk = check_hom(f)
+    if not chk.ok:
+        raise ModuleStructureError(
+            f"input map is not a homomorphism ({chk.kind} at {chk.witness})"
+        )
     return f
+
+
+def _pins_arg(path: str, src, tgt) -> dict[int, int]:
+    """The pins of a ``{"pins": [[source, target], ...]}`` document; each
+    element is a name or an id."""
+    doc = _load_json(path)
+    pairs = doc.get("pins", []) if isinstance(doc, dict) else None
+    if not isinstance(pairs, list) or not all(
+        isinstance(p, list) and len(p) == 2 for p in pairs
+    ):
+        raise ModuleStructureError(
+            'a pins document is {"pins": [[source, target], ...]}'
+        )
+    pins: dict[int, int] = {}
+    for s, t in pairs:
+        s_id, t_id = _element_ref(src, s), _element_ref(tgt, t)
+        if pins.get(s_id, t_id) != t_id:
+            raise ModuleStructureError(f"conflicting pins for element {s!r}")
+        pins[s_id] = t_id
+    return pins
+
+
+def _element_ref(mod, ref) -> int:
+    """An element given by its name or its id."""
+    if isinstance(ref, str):
+        return mod.index_of_name[ref]
+    if isinstance(ref, int):
+        return ref
+    raise ModuleStructureError(f"pinned element {ref!r} is neither a name nor an id")
 
 
 def _positive_int(text: str) -> int:
@@ -139,15 +174,7 @@ def _cmd_validate(args) -> int:
 def _cmd_homs(args) -> int:
     src = _module_arg(args.source)
     tgt = _module_arg(args.target)
-    pins = {}
-    if args.pins:
-        doc = _load_json(args.pins)
-        for s, t in doc.get("pins", []):
-            s_id = src.index_of_name[s] if isinstance(s, str) else int(s)
-            t_id = tgt.index_of_name[t] if isinstance(t, str) else int(t)
-            if pins.get(s_id, t_id) != t_id:
-                raise ModuleStructureError(f"conflicting pins for element {s!r}")
-            pins[s_id] = t_id
+    pins = _pins_arg(args.pins, src, tgt) if args.pins else {}
     cons = HomConstraints(pinned=pins, require_injective=args.injective)
     homs = enumerate_homs(src, tgt, cons, budget=args.budget)
     for h in homs:
@@ -175,11 +202,6 @@ def _cmd_rigidity(args) -> int:
 
 def _cmd_split_check(args) -> int:
     f = _hom_arg(args.file)
-    chk = check_hom(f)
-    if not chk.ok:
-        raise ModuleStructureError(
-            f"input map is not a homomorphism ({chk.kind} at {chk.witness})"
-        )
     result = {
         "injective": f.injective,
         "surjective": f.surjective,

@@ -18,6 +18,10 @@ time with C-level loops (``map``, ``bytes``): each row a gives the
 bitmask of the elements above a, and associativity is decided on those
 masks in O(n^2) mask operations (:func:`_is_join`).
 
+Distributivity is decided on the irreducible generators alone: each must
+be join-prime (:func:`is_distributive_lattice`, O(|S|^2) sums), so no
+meet table is built.
+
 Modules are immutable after construction; all operations are pure.
 """
 from __future__ import annotations
@@ -787,68 +791,49 @@ def quotient_with_projection(
 @dataclass(frozen=True)
 class DistributivityReport:
     distributive: bool
-    meetless_pair: Optional[tuple[int, int]] = None
     witness_triple: Optional[tuple[int, int, int]] = None
 
 
-def meet_table(m: FinModule) -> tuple[int, ...]:
-    """Meets in the induced order (join of the common lower set).
-
-    Every finite flavor-B module has all meets; the computation checks the
-    candidate anyway and flags a pair whose common lower set has no
-    greatest element.
-    """
-    order = m.order
-    n = m.size
-    add = m.add_of
-    down = order.down_masks
-    flat = [0] * (n * n)
-    for a in range(n):
-        for b in range(a, n):
-            common = down[a] & down[b]
-            acc = m.zero
-            bits = common
-            while bits:
-                low = bits & -bits
-                acc = add(acc, low.bit_length() - 1)
-                bits ^= low
-            if not (order.leq(acc, a) and order.leq(acc, b)):
-                flat[a * n + b] = flat[b * n + a] = -1
-            else:
-                flat[a * n + b] = flat[b * n + a] = acc
-    return tuple(flat)
-
-
 def is_distributive_lattice(m: FinModule) -> DistributivityReport:
-    """Distributivity of meet over join, with a witness on failure.
+    """Distributivity of meet over join, decided by join-primality of the
+    irreducibles, with a witness on failure.
 
-    The identity a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c) is checked for all a, b
-    and for c in the generating set S = ``m.generating_set`` only: n^2·|S|
-    checks instead of n^3.  That suffices.  Every element is 0 or a join
-    c' ∨ s with s in S and c' shorter, so induct on c.  For c = 0 both
-    sides are a ∧ b, as 0 is the bottom.  For c = c' ∨ s, the check at
-    (a, b ∨ c', s), the induction hypothesis, and the check at (a, c', s)
-    give a ∧ (b ∨ c' ∨ s) = (a ∧ (b ∨ c')) ∨ (a ∧ s) =
-    (a ∧ b) ∨ (a ∧ c') ∨ (a ∧ s) = (a ∧ b) ∨ (a ∧ (c' ∨ s)).  A failure
-    reports the first violating (a, b, s).
+    A finite join-semilattice with a bottom has all meets, so a valid
+    flavor-B module is a lattice.  Let S = ``m.generating_set``, its
+    join-irreducibles (the free generators of a free module).  The lattice
+    is distributive iff every j in S is join-prime (j <= x + y implies
+    j <= x or j <= y), and j is join-prime iff j ≰ Σ{g in S : j ≰ g}:
+
+    - D = {x : j ≰ x} is a down-set, and each of its elements is the sum
+      of the irreducibles below it, which lie in D too.  So the sum of all
+      of D is that sum over S, and j is join-prime, i.e. D is closed under
+      +, iff that sum lies in D.
+    - (Birkhoff) x ↦ {j in S : j <= x} is injective and preserves meets; it
+      preserves joins exactly when every j is join-prime.  So the lattice
+      embeds in a powerset lattice, and is distributive, exactly when every
+      j is join-prime; and in a distributive lattice every irreducible is
+      join-prime.
+
+    The sum is folded one generator g at a time from ``m.zero``; the first
+    step where acc + g lands above j returns (j, acc, g).  That triple
+    violates j ∧ (acc ∨ g) = (j ∧ acc) ∨ (j ∧ g): the left side is j, and
+    the right side is a sum of two elements strictly below j, which is not
+    j as j is irreducible.  The cost is O(|S|^2) sums and ``leq`` tests, and
+    no order masks are read.
     """
     if m.flavor is not Flavor.B:
         raise FlavorMismatchError("distributivity check applies to flavor B modules")
-    n = m.size
-    meets = meet_table(m)
-    for a in range(n):
-        for b in range(n):
-            if meets[a * n + b] < 0:
-                return DistributivityReport(False, meetless_pair=(a, b))
-    add = m.add_of
+    add, leq = m.add_of, m.leq
     gens = m.generating_set
-    for a in range(n):
-        row = meets[a * n : (a + 1) * n]
-        for b in range(n):
-            ab = row[b]
-            for c in gens:
-                if row[add(b, c)] != add(ab, row[c]):
-                    return DistributivityReport(False, witness_triple=(a, b, c))
+    for j in gens:
+        acc = m.zero
+        for g in gens:
+            if leq(j, g):
+                continue
+            step = add(acc, g)
+            if leq(j, step):
+                return DistributivityReport(False, witness_triple=(j, acc, g))
+            acc = step
     return DistributivityReport(True)
 
 

@@ -186,6 +186,13 @@ class _Search:
     comparable to x.  Injectivity is the bitmask ``used`` of target values
     taken.
 
+    A free source reads no order masks (they take |F|^2 bits): its
+    ``below`` and ``above`` masks are all zero, so no monotonicity test
+    runs, and none could fail.  The assigned elements are the span of the
+    generators placed so far, a free submodule, and the recipes give each
+    the value of the universal extension of the generator images, a hom;
+    so every partial map is monotone on them.
+
     An injective search ANDs the order-embedding filter into every
     element's allowed set before it starts: f(x) = v needs
     |down(v)| >= |down(x)| and |up(v)| >= |up(x)|, because an injective hom
@@ -220,7 +227,10 @@ class _Search:
         self.basis = M.basis
         self.allowed = self._allowed_masks(cons)
         self.keys = N.order.order_keys
-        self.below, self.above = M.order.down_masks, M.order.masks
+        if M.free_rank is None:
+            self.below, self.above = M.order.down_masks, M.order.masks
+        else:
+            self.below = self.above = (0,) * M.size
         self.val = [-1] * M.size
         self.assigned = 0
         self.used = 0

@@ -146,28 +146,35 @@ def matrix_to_doc(mat: BoolMatrix) -> dict:
 
 def matrix_from_doc(doc: Union[dict, list]) -> BoolMatrix:
     """Accepts {"flavor", "entries"} or a bare array of rows (flavor inferred)."""
-    if isinstance(doc, list):
-        rows = doc
-        flavor = None
-    else:
-        try:
+    try:
+        if isinstance(doc, list):
+            rows = doc
+            flavor = None
+        else:
             rows = doc["entries"]
             flavor = _flavor_of(doc["flavor"]) if "flavor" in doc else None
-        except (KeyError, TypeError) as exc:
-            raise ModuleStructureError(f"malformed matrix document: {exc}") from exc
-    if flavor is None:
-        has_neg = any(int(x) < 0 for row in rows for x in row)
-        flavor = Flavor.FINF if has_neg else Flavor.B
-    if not rows:
-        return BoolMatrix(flavor, 0, 0, ())
-    try:
+        if flavor is None:
+            has_neg = any(int(x) < 0 for row in rows for x in row)
+            flavor = Flavor.FINF if has_neg else Flavor.B
+        if not rows:
+            return BoolMatrix(flavor, 0, 0, ())
         return BoolMatrix.from_rows(flavor, rows)
-    except ValueError as exc:
-        raise ModuleStructureError(str(exc)) from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModuleStructureError(f"malformed matrix document: {exc}") from exc
 
 
 def dot_hasse(m: FinModule) -> str:
-    """Hasse diagram of the induced order: one edge per covering relation."""
+    """Hasse diagram of the induced order: one edge per covering relation.
+
+    Finding the covers reads the order masks, n^2 bits, so modules above
+    ``DENSE_TABLE_LIMIT`` table entries are refused, as in
+    :func:`module_to_doc`.
+    """
+    n = m.size
+    if n * n > DENSE_TABLE_LIMIT:
+        raise ModuleStructureError(
+            f"a {n}-element module is too large to draw (its order has {n * n} pairs)"
+        )
     order = m.order
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for e in range(m.size):

@@ -119,6 +119,41 @@ def test_homs_with_pins_file(tmp_path, capsys):
     assert out.strip()
 
 
+_NOT_A_HOM = {"source": "free:B:2", "target": "free:B:2", "map": [0, 1, 2, 0]}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("homs", [["a_1_2", "a_2_2"]]),
+        ("homs", {"pins": 5}),
+        ("homs", {"pins": [1, 2]}),
+        ("homs", {"pins": [[None, "a_2_2"]]}),
+        ("factor-matrix", [1, 2]),
+        ("factor-matrix", {"entries": 5}),
+        ("factor-matrix", [[1, None]]),
+        ("dualize", _NOT_A_HOM),
+        ("split-check", _NOT_A_HOM),
+    ],
+    ids=[
+        "pins-as-list", "pins-not-a-list", "pins-not-pairs", "pin-of-null",
+        "matrix-of-numbers", "entries-not-rows", "null-entry",
+        "dualize-non-hom", "split-check-non-hom",
+    ],
+)
+def test_malformed_input_documents_are_input_errors(command, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    if command == "homs":
+        argv = ["homs", "--source", "D2", "--target", "D2", "--pins", str(path)]
+    else:
+        argv = [command, str(path)]
+    # an uncaught exception, which would exit 1 with a traceback, fails here
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and not out
+    assert err.startswith("error:")
+
+
 def test_homs_bad_reference_is_input_error(capsys):
     code, _, err = run_cli(capsys, "homs", "--source", "nonsense", "--target", "B")
     assert code == 3
@@ -386,6 +421,18 @@ def test_construct_refuses_modules_too_large_to_serialize(capsys):
     )
     assert code == 0
     assert "4096 elements" in out
+    # the Hasse diagram needs the n^2 order masks
+    for argv in (
+        ("construct", "free", "--rank", "12", "--format", "dot"),
+        ("export-dot", "free:B:12"),
+        ("export-dot", "free:Finf:8"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and not out
+        assert "too large to draw" in err
+    code, out, _ = run_cli(capsys, "export-dot", "free:B:11")
+    assert code == 0
+    assert out.count(" -> ") == 11 * 2**10
 
 
 def test_projective_d7_certifies(capsys):

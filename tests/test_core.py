@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import semimod as sm
 from semimod import Flavor
+from semimod.free import FreeOrder
 from semimod.serialize import resolve_module_ref
 
 from conftest import assorted_modules, chain_module, diamond_m3, pentagon_n5
@@ -12,6 +14,7 @@ from oracles import (
     ZERO,
     closure_bfs,
     distributivity_all_triples,
+    distributivity_by_meets,
     irreducibles_by_closure,
     meet_by_search,
     normalize,
@@ -246,20 +249,24 @@ def test_distributivity_of_families_and_counterexamples(m3, n5):
 def _lattices_to_check():
     """Named lattices plus random ones: sub-semilattices of the free module
     of rank 4 generated by a few random elements, and quotients of the free
-    module of rank 3 by random congruences; either kind is often not
-    distributive."""
-    out = [diamond_m3(), pentagon_n5()]
+    modules of rank 3 and 4 by random congruences; either kind is often not
+    distributive.  N5 comes in every labelling of a, b, c, so that its one
+    irreducible that is not join-prime, c, takes every position in id
+    order."""
+    out = [diamond_m3()]
+    out += [pentagon_n5(("0", *p, "1")) for p in itertools.permutations("abc")]
     out += [chain_module(k) for k in range(1, 7)]
-    out += [sm.construct_Dn(n).module for n in (2, 3, 4, 5)]
+    out += [sm.construct_Dn(n).module for n in range(2, 10)]
     out += [sm.free_module(Flavor.B, r) for r in range(0, 6)]
     rng = random.Random(13)
     free4, free3 = sm.free_module(Flavor.B, 4), sm.free_module(Flavor.B, 3)
     for _ in range(25):
         seed = rng.sample(range(1, free4.size), rng.randint(2, 5))
         out.append(sm.submodule_on(free4, sm.generated_submodule(free4, seed))[0])
-    for _ in range(15):
-        pairs = [(rng.randrange(free3.size), rng.randrange(free3.size)) for _ in range(2)]
-        out.append(sm.quotient_by_congruence(free3, sm.generated_congruence(free3, pairs)))
+    for free, count in ((free3, 15), (free4, 30)):
+        for _ in range(count):
+            pairs = [(rng.randrange(free.size), rng.randrange(free.size)) for _ in range(2)]
+            out.append(sm.quotient_by_congruence(free, sm.generated_congruence(free, pairs)))
     return out
 
 
@@ -267,8 +274,8 @@ def test_distributivity_on_generators_agrees_with_all_triples_oracle():
     verdicts = {True: 0, False: 0}
     for m in _lattices_to_check():
         rep = sm.is_distributive_lattice(m)
-        ref = distributivity_all_triples(m)
-        assert rep.distributive == ref.distributive, m.names
+        assert rep.distributive == distributivity_all_triples(m).distributive, m.names
+        assert rep.distributive == distributivity_by_meets(m).distributive, m.names
         verdicts[rep.distributive] += 1
         if not rep.distributive:
             a, b, c = rep.witness_triple
@@ -276,7 +283,17 @@ def test_distributivity_on_generators_agrees_with_all_triples_oracle():
             lhs = meet_by_search(m, a, m.add_of(b, c))
             rhs = m.add_of(meet_by_search(m, a, b), meet_by_search(m, a, c))
             assert lhs != rhs
-    assert verdicts[True] >= 15 and verdicts[False] >= 5, verdicts
+    assert verdicts[True] >= 50 and verdicts[False] >= 20, verdicts
+
+
+def test_distributivity_of_large_free_modules_reads_no_order_masks(monkeypatch):
+    # the masks of a free module take |F|^2 bits; join-primality reads none
+    def refuse(self):
+        raise AssertionError("the check read the masks of a free order")
+
+    monkeypatch.setattr(FreeOrder, "masks", property(refuse))
+    monkeypatch.setattr(FreeOrder, "down_masks", property(refuse))
+    assert sm.is_distributive_lattice(sm.free_module(Flavor.B, 16)).distributive
 
 
 def test_distributivity_rejects_finf():

@@ -414,18 +414,26 @@ def test_search_takes_the_pinned_number_of_ticks(case):
     assert exc.value.explored == ticks
 
 
-@pytest.mark.parametrize("name", ["D5", "E4"])
+@pytest.mark.parametrize("name", ["D5", "E4", "D5 section", "E3 section"])
 def test_cover_section_never_reads_free_order_masks(name, monkeypatch):
-    # the masks of a free cover take |F|^2 bits; the search compares order keys
+    # the masks of a free module take |F|^2 bits: a search into a free cover
+    # compares order keys, and one from a free source reads no masks at all
     def refuse(self):
         raise AssertionError("the search read the masks of a free order")
 
-    cover = sm.canonical_free_cover(ref(name))
+    if name.endswith(" section"):
+        # a left inverse of the section: a search from its free target
+        n, flavor = int(name[1]), Flavor.B if name[0] == "D" else Flavor.FINF
+        f = sm.canonical_section(n, flavor)[1]
+        find, split = sm.find_left_inverse, lambda w: sm.compose(w, f)
+    else:
+        f = sm.canonical_free_cover(ref(name))
+        find, split = sm.find_right_inverse, lambda h: sm.compose(f, h)
     monkeypatch.setattr(FreeOrder, "masks", property(refuse))
     monkeypatch.setattr(FreeOrder, "down_masks", property(refuse))
-    section = sm.find_right_inverse(cover)
-    assert section is not None
-    assert sm.compose(cover, section).is_identity()
+    inverse = find(f)
+    assert inverse is not None
+    assert split(inverse).is_identity()
 
 
 def test_injective_searches_into_free_targets_agree_with_oracles(monkeypatch):
