@@ -11,9 +11,10 @@ flavor B).  Every free module computes its addition, negation and order
 from these codes (:class:`FreeOps`) and never builds a table, so it takes
 O(|F|) memory instead of O(|F|^2).  The extension of a generator
 assignment follows the span walk of the free generators
-(:func:`semimod.core.span_walk`): O(|F|) sums on the free module, where
-each layer is one pass over the span of the earlier generators, and one
-target operation per element.
+(:func:`semimod.core.span_walk`, cached as ``FinModule.basis``): O(|F|)
+sums on the free module, where each layer is one pass over the span of the
+earlier generators, and one target operation per element.  Element names
+are built the same way, each from the name of a smaller element.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from .core import (
     ModuleStructureError,
     PartialOrder,
     _cached,
-    span_walk,
 )
 
 ZERO_CODE = (0, 0)
@@ -37,33 +37,43 @@ ZERO_CODE = (0, 0)
 
 def _codes(flavor: Flavor, rank: int) -> list[tuple[int, int]]:
     """All support codes in canonical order: zero, then by (size, support, signs)."""
+    # a stable sort of the ascending supports by size alone orders them by (size, support)
+    supports = sorted(range(1, 1 << rank), key=int.bit_count)
+    if flavor is Flavor.B:
+        return [ZERO_CODE] + [(supp, 0) for supp in supports]
     out = [ZERO_CODE]
-    supports = sorted(range(1, 1 << rank), key=lambda s: (s.bit_count(), s))
     for supp in supports:
         bits = [b for b in range(rank) if (supp >> b) & 1]
-        if flavor is Flavor.B:
-            out.append((supp, 0))
-        else:
-            for signs in range(1 << len(bits)):
-                neg = 0
-                for j, b in enumerate(bits):
-                    if (signs >> j) & 1:
-                        neg |= 1 << b
-                out.append((supp & ~neg, neg))
+        for signs in range(1 << len(bits)):
+            neg = 0
+            for j, b in enumerate(bits):
+                if (signs >> j) & 1:
+                    neg |= 1 << b
+            out.append((supp & ~neg, neg))
     return out
 
 
-def _name_of_code(code: tuple[int, int]) -> str:
-    pos, neg = code
-    if pos == 0 and neg == 0:
-        return "0"
-    parts = []
-    for b in range(max(pos, neg).bit_length()):
-        if (pos >> b) & 1:
-            parts.append(("+" if parts else "") + f"A{b + 1}")
-        elif (neg >> b) & 1:
-            parts.append(f"-A{b + 1}")
-    return "".join(parts)
+def _names(ops: "FreeOps") -> tuple[str, ...]:
+    """Element names such as ``A1+A3`` and ``-A1-A2+A4``: the signed
+    generators of the support in index order.
+
+    Each name is the name of its code minus the top generator (an earlier
+    element, as codes are ordered by support size) followed by that
+    generator's term, so each costs one dict lookup and one concatenation.
+    """
+    rank, id_of_key = ops.rank, ops.id_of_key
+    plus = [f"+A{b + 1}" for b in range(rank)]
+    minus = [f"-A{b + 1}" for b in range(rank)]
+    names = ["0"]
+    for (pos, neg), key in zip(ops.codes[1:], ops.order_keys[1:]):
+        top = (pos | neg).bit_length() - 1
+        rest = id_of_key[key & ~(1 << top | 1 << top + rank)]
+        term = plus[top] if pos >> top & 1 else minus[top]
+        if rest:
+            names.append(names[rest] + term)
+        else:  # a single generator: no leading "+"
+            names.append(term.removeprefix("+"))
+    return tuple(names)
 
 
 @dataclass(frozen=True)
@@ -179,8 +189,7 @@ def free_module(flavor: Flavor, rank: int) -> FinModule:
             f"free module of rank {rank} has {size} elements, above the cap of {CARRIER_CAP}"
         )
     ops = FreeOps(flavor, rank)
-    names = tuple(_name_of_code(c) for c in ops.codes)
-    return FinModule(flavor, names, 0, None, backend=ops)
+    return FinModule(flavor, _names(ops), 0, None, backend=ops)
 
 
 def _ops_of(m: FinModule) -> FreeOps:
@@ -233,7 +242,9 @@ def extend_from_generators(
     This is the universal property of the free module: zero goes to zero,
     generator i to ``images[i]``, and every other element to the value its
     recipe in the span walk of the generators derives (the target-side sum
-    of the signed images of its support), one target operation each.
+    of the signed images of its support), one target operation each.  The
+    recipes are the module's cached ``basis``, which the hom check and the
+    hom search read too, so a free module is walked once.
     """
     if free.flavor is not target.flavor:
         raise FlavorMismatchError("free source and target must share a flavor")
@@ -242,12 +253,12 @@ def extend_from_generators(
         raise FlavorMismatchError("source is not a free module")
     if len(images) != rank:
         raise ValueError(f"expected {rank} generator images, got {len(images)}")
-    gens = free.generators
+    basis = free.basis
     out = [target.zero] * free.size
-    for g, v in zip(gens, images):
+    for g, v in zip(basis.generators, images):
         out[g] = v
     add, neg = target.add_of, target.neg_of
-    for layer in span_walk(free, gens)[1]:
-        for e, op, a, b in layer:  # type: ignore[union-attr]
+    for layer in basis.layers:
+        for e, op, a, b in layer:
             out[e] = add(out[a], out[b]) if op == "add" else neg(out[a])
     return tuple(out)

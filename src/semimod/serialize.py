@@ -68,13 +68,28 @@ def module_to_doc(m: FinModule, canonical: bool = True) -> dict:
     return doc
 
 
+def _ints(xs: Any) -> tuple[int, ...]:
+    """The entries of a JSON array of integers.
+
+    Only ints are accepted (``type`` is ``int``, so not bool): reading with
+    ``int()`` would truncate 1.7, parse "1" and read true as 1, and a
+    document with such entries is malformed.  The check runs at C level
+    (``map(type, ...)``), as module tables have n^2 entries.
+    """
+    out = tuple(xs)
+    if not set(map(type, out)) <= {int}:
+        bad = next(x for x in out if type(x) is not int)
+        raise ValueError(f"{json.dumps(bad)} is not an integer")
+    return out
+
+
 def module_from_doc(doc: dict) -> FinModule:
     try:
         flavor = _flavor_of(doc["flavor"])
         names = tuple(str(x) for x in doc["elements"])
-        zero = int(doc["zero"])
-        add = tuple(int(x) for x in doc["add"])
-        neg = tuple(int(x) for x in doc["neg"]) if "neg" in doc and doc["neg"] is not None else None
+        (zero,) = _ints([doc["zero"]])
+        add = _ints(doc["add"])
+        neg = _ints(doc["neg"]) if "neg" in doc and doc["neg"] is not None else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ModuleStructureError(f"malformed module document: {exc}") from exc
     m = FinModule(flavor, names, zero, add, neg_table=neg)
@@ -134,7 +149,7 @@ def hom_from_doc(doc: dict) -> Hom:
     try:
         source = resolve_module_ref(doc["source"])
         target = resolve_module_ref(doc["target"])
-        mp = tuple(int(x) for x in doc["map"])
+        mp = _ints(doc["map"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModuleStructureError(f"malformed morphism document: {exc}") from exc
     return Hom(source, target, mp)
@@ -153,8 +168,9 @@ def matrix_from_doc(doc: Union[dict, list]) -> BoolMatrix:
         else:
             rows = doc["entries"]
             flavor = _flavor_of(doc["flavor"]) if "flavor" in doc else None
+        rows = [_ints(row) for row in rows]
         if flavor is None:
-            has_neg = any(int(x) < 0 for row in rows for x in row)
+            has_neg = any(x < 0 for row in rows for x in row)
             flavor = Flavor.FINF if has_neg else Flavor.B
         if not rows:
             return BoolMatrix(flavor, 0, 0, ())

@@ -134,11 +134,17 @@ _NOT_A_HOM = {"source": "free:B:2", "target": "free:B:2", "map": [0, 1, 2, 0]}
         ("factor-matrix", [[1, None]]),
         ("dualize", _NOT_A_HOM),
         ("split-check", _NOT_A_HOM),
+        ("factor-matrix", [[1.7, 0], ["1", 1]]),
+        ("factor-matrix", [[True, 0], [0, 1]]),
+        ("split-check", {"source": "free:B:1", "target": "free:B:1", "map": [0, 1.9]}),
+        ("validate", {"flavor": "B", "elements": ["0"], "zero": "0", "add": [0]}),
     ],
     ids=[
         "pins-as-list", "pins-not-a-list", "pins-not-pairs", "pin-of-null",
         "matrix-of-numbers", "entries-not-rows", "null-entry",
         "dualize-non-hom", "split-check-non-hom",
+        "matrix-float-and-string-entries", "matrix-bool-entry", "map-float-entry",
+        "module-string-zero",
     ],
 )
 def test_malformed_input_documents_are_input_errors(command, doc, tmp_path, capsys):

@@ -7,7 +7,13 @@ import semimod as sm
 from semimod import Flavor
 from semimod.serialize import resolve_module_ref
 
-from oracles import brute_force_homs, extend_by_support_sums, product_closure_count, term_closure
+from oracles import (
+    _name_of_code,
+    brute_force_homs,
+    extend_by_support_sums,
+    product_closure_count,
+    term_closure,
+)
 
 
 def test_free_b_counts():
@@ -18,6 +24,19 @@ def test_free_b_counts():
 def test_free_finf_counts():
     for k in range(0, 6):
         assert sm.free_module(Flavor.FINF, k).size == 3 ** k
+
+
+@pytest.mark.parametrize("flavor,top", [(Flavor.B, 8), (Flavor.FINF, 5)])
+def test_free_names_match_term_by_term_formatting(flavor, top):
+    for rank in range(top + 1):
+        free = sm.free_module(flavor, rank)
+        codes = free.backend.codes
+        # zero, then by support size, support and signs
+        assert codes == tuple(
+            sorted(codes, key=lambda c: ((c[0] | c[1]).bit_count(), c[0] | c[1], c[1]))
+        )
+        assert len(set(codes)) == free.size
+        assert free.names == tuple(_name_of_code(c) for c in codes)
 
 
 def test_free_small_modules_are_valid():

@@ -11,7 +11,12 @@ from semimod.free import FreeOrder
 from semimod.serialize import resolve_module_ref as ref
 
 from conftest import assorted_modules, chain_module, diamond_m3, pentagon_n5
-from oracles import brute_force_homs, check_hom_all_pairs
+from oracles import (
+    brute_force_homs,
+    check_hom_all_pairs,
+    check_hom_on_generating_set,
+    extend_by_support_sums,
+)
 
 
 def D(n):
@@ -346,6 +351,42 @@ def test_check_hom_agrees_with_all_pairs_oracle_on_mutations():
     assert verdicts[True] > 0 and verdicts[False] > 0
 
 
+def test_free_source_check_agrees_with_both_pair_scans():
+    # the extensions of random generator images and their single-entry
+    # mutants: a map is a hom exactly when it is the extension of its own
+    # generator images, and the check names the witness of the
+    # generating-set scan
+    rng = random.Random(17)
+    verdicts = {True: 0, False: 0}
+    for flavor, ranks, targets in (
+        (Flavor.B, range(5), ("D2", "D3", "D4", "B", "free:B:2", "free:B:3")),
+        (Flavor.FINF, range(4), ("E0", "E2", "E3", "Finf", "free:Finf:2")),
+    ):
+        for rank in ranks:
+            M = sm.free_module(flavor, rank)
+            for t in targets:
+                N = ref(t)
+                for _ in range(3):
+                    images = [rng.randrange(N.size) for _ in range(rank)]
+                    if flavor is Flavor.FINF and rank > 1 and rng.random() < 0.5:
+                        images[1] = N.neg_of(images[0])  # a sign conflict in the target
+                    ext = sm.extend_from_generators(M, N, images)
+                    maps = [ext]
+                    for x in range(M.size):
+                        others = [v for v in range(N.size) if v != ext[x]]
+                        if others:
+                            maps.append(ext[:x] + (rng.choice(others),) + ext[x + 1 :])
+                    for mp in maps:
+                        f = sm.Hom(M, N, mp)
+                        chk = sm.check_hom(f)
+                        assert chk.ok == check_hom_all_pairs(f).ok, (rank, t, mp)
+                        assert chk == check_hom_on_generating_set(f), (rank, t, mp)
+                        images = [mp[g] for g in M.generators]
+                        assert chk.ok == (mp == extend_by_support_sums(M, N, images))
+                        verdicts[chk.ok] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
 @pytest.mark.parametrize(
     "allowed",
     [{1: [-1]}, {1: [99]}, {42: [0]}, {-1: [0]}],
@@ -412,6 +453,18 @@ def test_search_takes_the_pinned_number_of_ticks(case):
     with pytest.raises(sm.BudgetExceededError) as exc:
         search(ticks - 1)
     assert exc.value.explored == ticks
+
+
+@pytest.mark.parametrize("case", ["all free:B:3->D3", "all free:Finf:2->E2"])
+def test_free_source_leaves_skip_the_generating_set_scan(case, monkeypatch):
+    # every completed map of a search from a free source is the extension of
+    # its generator images, so the check never falls back to the scan
+    def refuse(self):
+        raise AssertionError("the hom check scanned the generating set")
+
+    search, ticks, found = TICK_CASES[case]
+    monkeypatch.setattr(sm.FinModule, "generating_set", property(refuse))
+    assert len(search(ticks)) == found
 
 
 @pytest.mark.parametrize("name", ["D5", "E4", "D5 section", "E3 section"])

@@ -88,6 +88,23 @@ def test_malformed_module_docs_raise():
         module_from_doc({"flavor": "X", "elements": ["0"], "zero": 0, "add": [0]})
 
 
+@pytest.mark.parametrize("entry", [1.0, 1.7, "1", True, None, [1]])
+def test_document_entries_must_be_json_integers(entry):
+    # int() would truncate 1.7, parse "1" and read true as 1
+    with pytest.raises(sm.ModuleStructureError, match="malformed module document"):
+        module_from_doc({"flavor": "B", "elements": ["0", "a"], "zero": 0, "add": [0, 1, 1, entry]})
+    with pytest.raises(sm.ModuleStructureError, match="malformed module document"):
+        module_from_doc({"flavor": "B", "elements": ["0"], "zero": entry, "add": [0]})
+    finf = {"flavor": "Finf", "elements": ["0"], "zero": 0, "add": [0], "neg": [entry]}
+    with pytest.raises(sm.ModuleStructureError, match="malformed module document"):
+        module_from_doc(finf)
+    with pytest.raises(sm.ModuleStructureError, match="malformed morphism document"):
+        hom_from_doc({"source": "free:B:1", "target": "free:B:1", "map": [0, entry]})
+    for doc in ([[1, entry]], {"flavor": "B", "entries": [[entry, 0]]}):
+        with pytest.raises(sm.ModuleStructureError, match="malformed matrix document"):
+            matrix_from_doc(doc)
+
+
 def test_module_refs():
     assert resolve_module_ref("B").size == 2
     assert resolve_module_ref("Finf").size == 3
