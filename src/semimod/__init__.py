@@ -42,6 +42,7 @@ from .homs import (
     find_left_inverse,
     find_right_inverse,
     identity_hom,
+    iter_homs,
 )
 from .families import (
     CornerSpec,

@@ -263,13 +263,18 @@ def _cmd_dualize(args) -> int:
 
 def _cmd_witness(args) -> int:
     if args.spec:
+        flags = {"--flavor": args.flavor, "--max-n": args.max_n,
+                 "--class": args.morphism_class, "--budget": args.budget}
+        given = [flag for flag, value in flags.items() if value is not None]
+        if given:
+            raise ModuleStructureError(f"--spec describes the whole run; drop {', '.join(given)}")
         spec, x0, ys, fs = witness_family_from_doc(_load_json(args.spec))
     else:
         if args.flavor is None or args.max_n is None:
             raise ModuleStructureError("witness needs either --spec or --flavor/--max-n")
+        mclass = MorphismClass(args.morphism_class or MorphismClass.INJECTIONS.value)
         spec, x0, ys, fs = default_witness_family(
-            Flavor(args.flavor), args.max_n, MorphismClass(args.morphism_class),
-            budget=args.budget,
+            Flavor(args.flavor), args.max_n, mclass, budget=args.budget or DEFAULT_BUDGET
         )
     report = witness_verify(spec, x0, ys, fs)
     if args.format == "json":
@@ -362,9 +367,11 @@ def build_parser() -> _Parser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_dualize)
 
-    p = sub.add_parser(
-        "witness", help="run the corner-embedding witness family", parents=[searches]
-    )
+    # the run flags default to None, so that --spec can refuse them; witness
+    # has its own --budget, as a default set on the shared one would reach
+    # every subcommand that searches
+    p = sub.add_parser("witness", help="run the corner-embedding witness family")
+    p.add_argument("--budget", type=_positive_int, default=None, help="search budget")
     p.add_argument("--flavor", choices=["B", "Finf"], default=None)
     p.add_argument("--max-n", type=_positive_int, default=None, dest="max_n")
     p.add_argument("--spec", default=None, help="JSON witness description file")
@@ -372,7 +379,8 @@ def build_parser() -> _Parser:
         "--class",
         dest="morphism_class",
         choices=[c.value for c in MorphismClass],
-        default=MorphismClass.INJECTIONS.value,
+        default=None,
+        help=f"morphism class (default {MorphismClass.INJECTIONS.value})",
     )
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.set_defaults(func=_cmd_witness)

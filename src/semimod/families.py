@@ -190,8 +190,7 @@ def _section_generator_pairs(flavor: Flavor, n: int) -> list[Pair]:
             out.append((i + 1, i))
     else:
         # A_2, A_3 follow the general mirrored pattern at i=1 (second index
-        # clamped into range); the hand-written low-index values conflict
-        # with the accumulation formulas and the split identity below
+        # clamped into range); the split identity in canonical_section
         # verifies the pattern-derived choice.
         out = [(n, n), (n - 1, n), (n, n - 1)]
         for i in range(2, n):
@@ -200,20 +199,13 @@ def _section_generator_pairs(flavor: Flavor, n: int) -> list[Pair]:
     return out
 
 
-def _section_supports(n: int) -> list[int]:
-    """Accumulated generator sets for the irreducibles, as bitmasks (A_j = bit j-1)."""
-    first = 0b1
-    out = [first, 0b11, 0b101]
-    for i in range(2, n):
-        low = (1 << (2 * i - 2)) - 1  # A_1 .. A_{2i-2}
-        out.append(low | (1 << (2 * i - 1)))  # .. + A_{2i}
-        out.append((low | (1 << (2 * i - 2))) | (1 << (2 * i)))  # A_1..A_{2i-1} + A_{2i+1}
-    return out
-
-
 def canonical_section(n: int, flavor: Flavor) -> tuple[Hom, Hom]:
     """The splitting pair (g, h): g from the rank 2n-1 free module onto the
-    family, h the section with g∘h = id, both verified element-wise."""
+    family, h the section with g∘h = id, both verified element-wise.
+
+    g sends A_j to the j-th printed irreducible g_j, and h sends each
+    positive element e to the sum of the A_j with g_j <= e in the induced
+    order (and -e to its negation)."""
     if n < 2:
         raise ValueError("canonical sections need n >= 2")
     lat = family(flavor, n)
@@ -227,19 +219,11 @@ def canonical_section(n: int, flavor: Flavor) -> tuple[Hom, Hom]:
     if not g.surjective:
         raise ModuleStructureError("canonical surjection misses elements")
 
-    supports = _section_supports(n)
-    mask_of = dict(zip(gen_ids, supports))
     leq = mod.leq
     hmap = [F.zero] * mod.size
     for p in lat.index_pairs:
         e = lat.label(*p)
-        mask = 0
-        for gid, gmask in mask_of.items():
-            if leq(gid, e):
-                mask |= gmask
-        if e in mask_of and mask != mask_of[e]:
-            raise ModuleStructureError("printed accumulation disagrees with the order")
-        bits = [(b, 1) for b in range(mask.bit_length()) if (mask >> b) & 1]
+        bits = [(j, 1) for j, gid in enumerate(gen_ids) if leq(gid, e)]
         hmap[e] = element_of_support(F, bits)
         if flavor is Flavor.FINF:
             hmap[mod.neg_of(e)] = F.neg_of(hmap[e])

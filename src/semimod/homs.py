@@ -11,10 +11,13 @@ partial assignment along the recipes of their span walk
 (:func:`semimod.core.span_walk`: O(|M|·|S|) sums, the same for free and
 other sources), prunes on pins, injectivity and order-monotonicity, and
 runs the same check on every completed map; nothing about extension
-well-definedness is assumed.  The pruning tests are bit operations: target
-values are compared by order keys, source elements through bitmasks of the
-assigned elements above and below them, and a generator's candidates
-against two bounds computed once per search node (see :class:`_Search`).
+well-definedness is assumed.  The search is lazy (:func:`iter_homs`): it
+yields homs in search order and works only as far as its caller reads, so
+a caller that needs one hom stops at the first.  The pruning tests are bit
+operations: target values are compared by order keys, source elements
+through bitmasks of the assigned elements above and below them, and a
+generator's candidates against two bounds computed once per search node
+(see :class:`_Search`).
 
 An injective hom between valid modules is an order embedding, in both
 flavors: f(a) <= f(b) gives f(a + b) = f(a) + f(b) = f(b), and injectivity
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import FinModule, Flavor, FlavorMismatchError, Recipe
 from .free import extend_from_generators
@@ -233,25 +236,17 @@ class _Search:
 
     Ticks: one per generator candidate scanned (a value in its allowed
     set), whether or not it passes, and one per verified map; the budget
-    bounds their total.
+    bounds their total.  :meth:`run` is a generator, so a caller that
+    stops after k maps spends exactly the ticks up to the k-th.
     """
 
-    def __init__(
-        self,
-        M: FinModule,
-        N: FinModule,
-        cons: HomConstraints,
-        budget: int,
-        first_only: bool,
-    ):
+    def __init__(self, M: FinModule, N: FinModule, cons: HomConstraints, budget: int):
         if M.flavor is not N.flavor:
             raise FlavorMismatchError("hom search requires matching flavors")
         self.M, self.N = M, N
         self.injective = cons.require_injective
         self.budget = budget
-        self.first_only = first_only
         self.explored = 0
-        self.results: list[tuple[int, ...]] = []
         self.basis = M.basis
         self.allowed = self._allowed_masks(cons)
         self.keys = N.order.order_keys
@@ -358,27 +353,28 @@ class _Search:
             raise self._exhausted()
         return _hom_violation(self.M, self.N, self.val).ok
 
-    def run(self) -> list[tuple[int, ...]]:
+    def run(self) -> Iterator[tuple[int, ...]]:
+        """The maps of the homs, in search order, ticking only as far as
+        the caller consumes them."""
         if self.injective and self.M.size > self.N.size or not all(self.allowed):
-            return []
+            return
         zero, v = self.M.zero, self.N.zero
         if not self.allowed[zero] >> v & 1:
-            return []
+            return
         self.val[zero] = v
         self.assigned = 1 << zero
         if self.injective:
             self.used = 1 << v
-        self._dfs(0)
-        return self.results
+        yield from self._dfs(0)
 
-    def _dfs(self, depth: int) -> None:
+    def _dfs(self, depth: int) -> Iterator[tuple[int, ...]]:
         basis = self.basis
         if depth == len(basis.generators):
             assert self.assigned == (1 << self.M.size) - 1, (
                 "generation recipes left elements unassigned"
             )
             if self._verify():
-                self.results.append(tuple(self.val))
+                yield tuple(self.val)
             return
         gen = basis.generators[depth]
         layer = basis.layers[depth]
@@ -387,10 +383,8 @@ class _Search:
         assigned, used = self.assigned, self.used
         placed = assigned | 1 << gen
         lo, hi = self._lower(gen), self._upper(gen)
-        first_only, results, budget = self.first_only, self.results, self.budget
+        budget = self.budget
         while cands:
-            if first_only and results:
-                return
             low = cands & -cands
             cands ^= low
             cand = low.bit_length() - 1
@@ -405,8 +399,26 @@ class _Search:
             if self.injective:
                 self.used = used | 1 << cand
             if self._run_recipes(layer):
-                self._dfs(depth + 1)
+                yield from self._dfs(depth + 1)
             self.assigned, self.used = assigned, used
+
+
+def iter_homs(
+    M: FinModule,
+    N: FinModule,
+    constraints: Optional[HomConstraints] = None,
+    *,
+    budget: int = DEFAULT_BUDGET,
+) -> Iterator[Hom]:
+    """The homs M -> N meeting the constraints, in search order.
+
+    The search ticks only as far as the caller reads, so the first hom
+    costs only the ticks that lead to it; ``BudgetExceededError`` is raised
+    at the first tick past the budget.  Every map passes the hom check
+    before it is yielded.
+    """
+    search = _Search(M, N, constraints or HomConstraints(), budget)
+    return (Hom(M, N, mp) for mp in search.run())
 
 
 def enumerate_homs(
@@ -415,18 +427,9 @@ def enumerate_homs(
     constraints: Optional[HomConstraints] = None,
     *,
     budget: int = DEFAULT_BUDGET,
-    first_only: bool = False,
 ) -> list[Hom]:
-    """All homs M -> N meeting the constraints, sorted by map table.
-
-    Backtracks over a generating set; every completed extension is
-    verified by the hom check before being reported.
-    """
-    cons = constraints or HomConstraints()
-    search = _Search(M, N, cons, budget, first_only)
-    maps = search.run()
-    maps.sort()
-    return [Hom(M, N, mp) for mp in maps]
+    """All homs M -> N meeting the constraints, sorted by map table."""
+    return sorted(iter_homs(M, N, constraints, budget=budget), key=lambda h: h.map)
 
 
 def find_left_inverse(f: Hom, *, budget: int = DEFAULT_BUDGET) -> Optional[Hom]:
@@ -436,10 +439,8 @@ def find_left_inverse(f: Hom, *, budget: int = DEFAULT_BUDGET) -> Optional[Hom]:
     if not f.injective:
         return None
     pins = {f.map[x]: x for x in range(f.source.size)}
-    found = enumerate_homs(
-        f.target, f.source, HomConstraints(pinned=pins), budget=budget, first_only=True
-    )
-    return found[0] if found else None
+    cons = HomConstraints(pinned=pins)
+    return next(iter_homs(f.target, f.source, cons, budget=budget), None)
 
 
 def find_right_inverse(f: Hom, *, budget: int = DEFAULT_BUDGET) -> Optional[Hom]:
@@ -451,11 +452,5 @@ def find_right_inverse(f: Hom, *, budget: int = DEFAULT_BUDGET) -> Optional[Hom]
     fibers: dict[int, list[int]] = {y: [] for y in range(f.target.size)}
     for x, y in enumerate(f.map):
         fibers[y].append(x)
-    found = enumerate_homs(
-        f.target,
-        f.source,
-        HomConstraints(allowed=fibers),
-        budget=budget,
-        first_only=True,
-    )
-    return found[0] if found else None
+    cons = HomConstraints(allowed=fibers)
+    return next(iter_homs(f.target, f.source, cons, budget=budget), None)

@@ -5,8 +5,11 @@ witness checker.
 Generation questions about a principal projective reduce to morphism
 factorization: the basis vector of f lies in the span of the earlier levels
 exactly when f factors through an earlier object, so no coefficient ring is
-ever materialized.  Budget exhaustion yields an explicit inconclusive
-verdict, never a silent "no factorization".
+ever materialized.  The factorization check builds no catalog: it streams
+one side of the triangle from the lazy hom search
+(:func:`semimod.homs.iter_homs`), derives or searches the other, and stops
+at the first factorization.  Budget exhaustion yields an explicit
+inconclusive verdict, never a silent "no factorization".
 """
 from __future__ import annotations
 
@@ -24,7 +27,9 @@ from .homs import (
     compose,
     enumerate_homs,
     find_left_inverse,
+    iter_homs,
 )
+from .serialize import _ints
 
 
 class MorphismClass(Enum):
@@ -47,7 +52,7 @@ class CategorySpec:
     objects: tuple[tuple[str, FinModule], ...]
     morphism_class: MorphismClass
     budget: int = DEFAULT_BUDGET
-    _catalog: dict = field(default_factory=dict, compare=False, repr=False)
+    _catalog: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _by_name: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -77,21 +82,26 @@ def hom_catalog(spec: CategorySpec, x: str, y: str) -> tuple[CatalogEntry, ...]:
     cons = HomConstraints(
         require_injective=spec.morphism_class is not MorphismClass.ALL
     )
-    homs = enumerate_homs(X, Y, cons, budget=spec.budget)
     entries = []
-    for h in homs:
+    for h in enumerate_homs(X, Y, cons, budget=spec.budget):
         if spec.morphism_class is MorphismClass.SPLIT_INJECTIONS:
-            cert = find_left_inverse(h, budget=spec.budget)
-            if cert is None:
-                continue
-            if not compose(cert, h).is_identity():
-                raise AssertionError("catalog certificate failed verification")
-            entries.append(CatalogEntry(h, cert))
+            cert = _left_inverse(spec, h)
+            if cert is not None:
+                entries.append(CatalogEntry(h, cert))
         else:
             entries.append(CatalogEntry(h))
     result = tuple(entries)
     spec._catalog[key] = result
     return result
+
+
+def _left_inverse(spec: CategorySpec, h: Hom) -> Optional[Hom]:
+    """A left inverse w of the hom h, checked to give w∘h = id, or None
+    when h does not split."""
+    w = find_left_inverse(h, budget=spec.budget)
+    if w is not None and not compose(w, h).is_identity():
+        raise AssertionError("left inverse failed verification")
+    return w
 
 
 def in_class(spec: CategorySpec, f: Hom) -> bool:
@@ -103,7 +113,7 @@ def in_class(spec: CategorySpec, f: Hom) -> bool:
         return False
     if spec.morphism_class is MorphismClass.INJECTIONS:
         return True
-    return find_left_inverse(f, budget=spec.budget) is not None
+    return _left_inverse(spec, f) is not None
 
 
 class Verdict(Enum):
@@ -124,14 +134,32 @@ def factors_through(
     """Search for p: X -> Y_j and q: Y_j -> Y_i in the class with q∘p = f,
     where f runs from the object named ``source`` to the one named ``target``.
 
-    For the injection classes the q catalog is enumerated and each
-    injective q pins p pointwise.  For the all-homs class each candidate p
-    pins q on its image and the remainder of q is searched.  If q∘p = f,
-    then p(x) = p(y) gives f(x) = f(y), so when f is injective every p
-    that factors it is injective too: the p search then asks for
-    injective homs only and runs the order-embedding filter.  A
-    non-injective f takes every p, so the pins stay checked against f: a p
-    that identifies two elements f keeps apart is skipped.
+    One side is streamed from :func:`semimod.homs.iter_homs` and the search
+    stops at the first factorization (the first in search order).
+
+    Injection classes: stream the injective q.  A q whose image misses a
+    value of f factors nothing; otherwise p = q⁻¹∘f, read through a dict
+    inverse of q, is the only map with q∘p = f.  It is a hom, as q is an
+    injective hom: q(p(x + y)) = f(x) + f(y) = q(p(x) + p(y)) gives
+    p(x + y) = p(x) + p(y), and likewise q(p(0)) = 0 = q(0) and (flavor
+    Finf) q(p(-x)) = -q(p(x)) = q(-p(x)) give p(0) = 0 and p(-x) = -p(x).
+    And p is injective exactly when f is, so a non-injective f factors
+    through no p in the class.  The split class also asks that p and q
+    split, which is searched only for a q that pins a p.
+
+    All-homs class: stream p, pin q on its image and take the first
+    completion of q.  If q∘p = f, then p(x) = p(y) gives f(x) = f(y), so
+    for an injective f the p search asks for injective homs only.  A
+    non-injective f takes every p, and a p that identifies two elements
+    f keeps apart is skipped.
+
+    Each class streams the side that is cheaper to stream (timed on a
+    2-vCPU host, Python 3.11).  For the injections, streaming p and
+    searching an injective q pinned on its image is slower: witness B N=5
+    takes 0.67 s instead of 0.12 s, and B N=8 17 s instead of 1.7 s.  For
+    the all-homs class, streaming q is out of reach: there are 840,832
+    homs D4 -> D5, and streaming them takes 37 s.
+
     Budget exhaustion anywhere yields an inconclusive verdict.
     """
     X, Yj = spec.module(source), spec.module(yj)
@@ -139,60 +167,38 @@ def factors_through(
         raise ValueError(f"morphism does not run {source} -> {target}")
     try:
         if spec.morphism_class is not MorphismClass.ALL:
-            for entry in hom_catalog(spec, yj, target):
-                q = entry.hom
-                pmap = _pin_through_injection(q, f)
-                if pmap is None:
+            if not f.injective:
+                return FactorizationResult(Verdict.NO_FACTORIZATION)
+            split = spec.morphism_class is MorphismClass.SPLIT_INJECTIONS
+            injective = HomConstraints(require_injective=True)
+            for q in iter_homs(Yj, f.target, injective, budget=spec.budget):
+                inverse = {v: w for w, v in enumerate(q.map)}
+                pmap = tuple(inverse.get(v) for v in f.map)
+                if None in pmap:
                     continue
                 p = Hom(X, Yj, pmap)
-                if not p.is_hom:
+                if split and not (in_class(spec, p) and in_class(spec, q)):
                     continue
-                if not in_class(spec, p):
-                    continue
-                if compose(q, p).map != f.map:
-                    raise AssertionError("pinned factorization failed recomposition")
-                return FactorizationResult(Verdict.FACTORS, (p, q))
+                return _factorization(f, p, q)
             return FactorizationResult(Verdict.NO_FACTORIZATION)
-        for p in enumerate_homs(
-            X, Yj, HomConstraints(require_injective=f.injective), budget=spec.budget
-        ):
-            pins: dict[int, int] = {}
-            consistent = True
-            for x in range(X.size):
-                w, v = p.map[x], f.map[x]
-                if pins.get(w, v) != v:
-                    consistent = False
-                    break
-                pins[w] = v
-            if not consistent:
+        cons = HomConstraints(require_injective=f.injective)
+        for p in iter_homs(X, Yj, cons, budget=spec.budget):
+            pins = dict(zip(p.map, f.map))
+            if any(pins[w] != v for w, v in zip(p.map, f.map)):
                 continue
-            found = enumerate_homs(
-                Yj,
-                f.target,
-                HomConstraints(pinned=pins),
-                budget=spec.budget,
-                first_only=True,
-            )
-            if found:
-                q = found[0]
-                if compose(q, p).map != f.map:
-                    raise AssertionError("constrained factorization failed recomposition")
-                return FactorizationResult(Verdict.FACTORS, (p, q))
+            pinned = HomConstraints(pinned=pins)
+            q = next(iter_homs(Yj, f.target, pinned, budget=spec.budget), None)
+            if q is not None:
+                return _factorization(f, p, q)
         return FactorizationResult(Verdict.NO_FACTORIZATION)
     except BudgetExceededError:
         return FactorizationResult(Verdict.INCONCLUSIVE)
 
 
-def _pin_through_injection(q: Hom, f: Hom) -> Optional[tuple[int, ...]]:
-    """p with q∘p = f when q is injective; None when the image misses f."""
-    inverse = {v: w for w, v in enumerate(q.map)}
-    out = []
-    for v in f.map:
-        w = inverse.get(v)
-        if w is None:
-            return None
-        out.append(w)
-    return tuple(out)
+def _factorization(f: Hom, p: Hom, q: Hom) -> FactorizationResult:
+    if compose(q, p).map != f.map:
+        raise AssertionError("factorization failed recomposition")
+    return FactorizationResult(Verdict.FACTORS, (p, q))
 
 
 @dataclass(frozen=True)
@@ -313,9 +319,8 @@ def witness_family_from_doc(doc: dict) -> tuple[CategorySpec, str, list[str], li
     """Witness run description: {"flavor", "max_n", "class"?, "budget"?}."""
     try:
         flavor = Flavor(doc["flavor"])
-        upto = int(doc["max_n"])
+        upto, budget = _ints([doc["max_n"], doc.get("budget", DEFAULT_BUDGET)])
         mclass = MorphismClass(doc.get("class", MorphismClass.INJECTIONS.value))
-        budget = int(doc.get("budget", DEFAULT_BUDGET))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed witness description: {exc}") from exc
     if upto < 1 or budget < 1:

@@ -14,7 +14,7 @@ where the library extends shorter names.  The closure and the support
 sums are the breadth-first and per-element references for the library's
 span walk, the irreducibles take one closure per element where the
 library sums a down-set, the order counts are a loop over all pairs, the
-all-homs factorization walks the complete hom catalog, and the two
+factorization walks the complete hom catalog of one side, and the two
 distributivity checks compute meets where the library tests the
 irreducibles for join-primality.
 """
@@ -33,7 +33,7 @@ from semimod import (
     Hom,
     HomConstraints,
     Violation,
-    enumerate_homs,
+    iter_homs,
 )
 from semimod.free import generator_ids, support_of
 from semimod.homs import HomCheck
@@ -43,6 +43,7 @@ from semimod.noetherian import (
     MorphismClass,
     Verdict,
     hom_catalog,
+    in_class,
 )
 
 ZERO = ("zero",)
@@ -504,27 +505,37 @@ def extend_by_support_sums(
 def factors_through_by_catalog(
     spec: CategorySpec, f: Hom, yj: str, *, source: str, target: str
 ) -> FactorizationResult:
-    """p: source -> yj and q: yj -> target with q∘p = f, over every hom p
-    of the catalog, injective or not: each p consistent with f pins q on
-    its image and the rest of q is searched.  The reference for
-    factors_through in the all-homs class."""
-    if spec.morphism_class is not MorphismClass.ALL:
-        raise ValueError("the catalog reference covers the all-homs class")
+    """p: source -> yj and q: yj -> target in the class with q∘p = f, by
+    walking a complete, sorted hom catalog: the reference for
+    factors_through, which streams one side and builds no catalog.
+
+    Injection classes: every q of the catalog Hom(yj, target), each with a
+    verified left inverse in the split class, pins p = q⁻¹∘f where its
+    image holds the values of f, and p is kept if it is a hom in the
+    class.  All-homs class: every p of the catalog Hom(source, yj),
+    injective or not, that is consistent with f pins q on its image, and
+    the rest of q is searched."""
+    X, Yj = spec.module(source), spec.module(yj)
     try:
+        if spec.morphism_class is not MorphismClass.ALL:
+            for entry in hom_catalog(spec, yj, target):
+                q = entry.hom
+                inverse = {v: w for w, v in enumerate(q.map)}
+                if not all(v in inverse for v in f.map):
+                    continue  # the image of q misses a value of f
+                p = Hom(X, Yj, tuple(inverse[v] for v in f.map))
+                if p.is_hom and in_class(spec, p):
+                    return FactorizationResult(Verdict.FACTORS, (p, q))
+            return FactorizationResult(Verdict.NO_FACTORIZATION)
         for entry in hom_catalog(spec, source, yj):
             p = entry.hom
             pins = dict(zip(p.map, f.map))
             if any(pins[w] != v for w, v in zip(p.map, f.map)):
                 continue  # p identifies two elements that f keeps apart
-            found = enumerate_homs(
-                spec.module(yj),
-                spec.module(target),
-                HomConstraints(pinned=pins),
-                budget=spec.budget,
-                first_only=True,
-            )
-            if found:
-                return FactorizationResult(Verdict.FACTORS, (p, found[0]))
+            pinned = HomConstraints(pinned=pins)
+            q = next(iter_homs(Yj, spec.module(target), pinned, budget=spec.budget), None)
+            if q is not None:
+                return FactorizationResult(Verdict.FACTORS, (p, q))
         return FactorizationResult(Verdict.NO_FACTORIZATION)
     except BudgetExceededError:
         return FactorizationResult(Verdict.INCONCLUSIVE)

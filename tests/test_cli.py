@@ -7,7 +7,7 @@ import pytest
 
 import semimod as sm
 from semimod import Flavor
-from semimod.cli import main
+from semimod.cli import build_parser, main
 from semimod.serialize import hom_to_doc, module_from_doc, module_to_doc, resolve_module_ref
 
 from conftest import diamond_m3
@@ -324,6 +324,49 @@ def test_witness_from_spec_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "witness", "--spec", str(path))
     assert code == 0
     assert "witness holds up to N=2" in out
+
+
+@pytest.mark.parametrize(
+    "entries, bad",
+    [
+        ({"max_n": 2.9}, "2.9"),
+        ({"max_n": True}, "true"),
+        ({"max_n": "3"}, '"3"'),
+        ({"max_n": 2, "budget": 7.5}, "7.5"),
+    ],
+)
+def test_witness_spec_numbers_must_be_json_integers(entries, bad, tmp_path, capsys):
+    # int() would run N=2 for 2.9, N=1 for true, N=3 for "3" and budget 7
+    # for 7.5
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps({"flavor": "B", **entries}))
+    code, out, err = run_cli(capsys, "witness", "--spec", str(path))
+    assert code == 3
+    assert out == ""
+    assert f"{bad} is not an integer" in err
+
+
+@pytest.mark.parametrize(
+    "flag", [["--budget", "5"], ["--flavor", "B"], ["--max-n", "2"], ["--class", "all"]]
+)
+def test_witness_spec_refuses_run_flags(flag, tmp_path, capsys):
+    # the spec file describes the whole run; a flag next to it used to be
+    # ignored without a word
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps({"flavor": "B", "max_n": 2}))
+    code, out, err = run_cli(capsys, "witness", "--spec", str(path), *flag)
+    assert code == 3
+    assert out == ""
+    assert f"drop {flag[0]}" in err
+
+
+def test_witness_budget_leaves_other_defaults_alone():
+    # witness has its own --budget, None when not given so that --spec can
+    # refuse it; the other searching subcommands keep the shared default
+    parser = build_parser()
+    assert parser.parse_args(["witness"]).budget is None
+    for argv in (["projective", "D2"], ["homs", "--source", "D2", "--target", "D3"]):
+        assert parser.parse_args(argv).budget == sm.DEFAULT_BUDGET
 
 
 def test_witness_needs_parameters(capsys):

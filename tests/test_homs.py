@@ -455,6 +455,35 @@ def test_search_takes_the_pinned_number_of_ticks(case):
     assert exc.value.explored == ticks
 
 
+@pytest.mark.parametrize("src, tgt, injective", [("D4", "D5", True), ("D2", "D3", False)])
+def test_iter_homs_ticks_only_as_far_as_it_is_read(src, tgt, injective):
+    # reading k homs takes the ticks up to the k-th: the least budget that
+    # reads k of them grows with k, and asking for one more than there are
+    # runs the search to its end, at the count pinned in TICK_CASES
+    M, N = _module(src), _module(tgt)
+    cons = sm.HomConstraints(require_injective=injective)
+    stream = [h.map for h in sm.iter_homs(M, N, cons)]
+    assert sorted(stream) == [h.map for h in sm.enumerate_homs(M, N, cons)]
+
+    def least_budget(k):
+        lo, hi = 1, 10_000
+        while lo < hi:
+            mid = (lo + hi) // 2
+            try:
+                read = list(itertools.islice(sm.iter_homs(M, N, cons, budget=mid), k))
+            except sm.BudgetExceededError:
+                lo = mid + 1
+            else:
+                assert [h.map for h in read] == stream[:k]
+                hi = mid
+        return lo
+
+    budgets = [least_budget(k) for k in sorted({1, 2, len(stream) // 2, len(stream)})]
+    assert budgets == sorted(set(budgets))
+    kind = "injective" if injective else "all"
+    assert least_budget(len(stream) + 1) == TICK_CASES[f"{kind} {src}->{tgt}"][1]
+
+
 @pytest.mark.parametrize("case", ["all free:B:3->D3", "all free:Finf:2->E2"])
 def test_free_source_leaves_skip_the_generating_set_scan(case, monkeypatch):
     # every completed map of a search from a free source is the extension of

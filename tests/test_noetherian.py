@@ -1,9 +1,12 @@
+import dataclasses
 import itertools
+import random
 
 import pytest
 
 import semimod as sm
 from semimod import Flavor
+from semimod import noetherian
 from semimod.noetherian import (
     CategorySpec,
     MorphismClass,
@@ -146,6 +149,144 @@ def _assert_factorization(res, f):
     assert sm.check_hom(p).ok and sm.check_hom(q).ok
     assert p.source == f.source and q.target == f.target
     assert sm.compose(q, p).map == f.map
+
+
+def _assert_in_class(spec, res, f):
+    """A factorization of f whose maps both lie in the class of spec, with
+    every split map checked for a left inverse here."""
+    _assert_factorization(res, f)
+    p, q = res.through
+    assert in_class(spec, p) and in_class(spec, q)
+    if spec.morphism_class is not MorphismClass.ALL:
+        assert p.injective and q.injective
+    if spec.morphism_class is MorphismClass.SPLIT_INJECTIONS:
+        for h in (p, q):
+            w = sm.find_left_inverse(h)
+            assert w is not None and sm.compose(w, h).is_identity()
+
+
+@pytest.mark.parametrize(
+    "morphism_class, flavor, upto",
+    [
+        (MorphismClass.INJECTIONS, Flavor.B, 5),
+        (MorphismClass.INJECTIONS, Flavor.FINF, 4),
+        (MorphismClass.SPLIT_INJECTIONS, Flavor.B, 4),
+        (MorphismClass.SPLIT_INJECTIONS, Flavor.FINF, 4),
+    ],
+)
+def test_injection_class_checks_agree_with_the_catalog_oracle(morphism_class, flavor, upto):
+    # every pair of the witness, and every f_i through its own target, where
+    # p = f_i and q = id factor it
+    spec, x0, ys, fs = default_witness_family(flavor, upto, morphism_class)
+    for i, (yi, f) in enumerate(zip(ys, fs)):
+        for yj in ys[: i + 1]:
+            res = factors_through(spec, f, yj, source=x0, target=yi)
+            want = factors_through_by_catalog(spec, f, yj, source=x0, target=yi)
+            assert res.verdict is want.verdict, (yi, yj)
+            assert res.verdict is (Verdict.FACTORS if yj == yi else Verdict.NO_FACTORIZATION)
+            if res.verdict is Verdict.FACTORS:
+                _assert_in_class(spec, res, f)
+
+
+@pytest.mark.parametrize(
+    "morphism_class, names",
+    [
+        (MorphismClass.INJECTIONS, ("D0", "D4", "D5")),
+        (MorphismClass.INJECTIONS, ("E0", "E4", "E5")),
+        (MorphismClass.SPLIT_INJECTIONS, ("D0", "D4", "D5")),
+        (MorphismClass.SPLIT_INJECTIONS, ("E0", "E4", "E5")),
+        (MorphismClass.ALL, ("D2", "D3", "D4")),
+        (MorphismClass.ALL, ("E0", "E2", "E3")),
+    ],
+)
+def test_compositions_factor_and_agree_with_the_catalog_oracle(morphism_class, names):
+    # q∘p with p and q drawn from the class factors through the middle object
+    x, yj, yi = names
+    spec = CategorySpec(ref(x).flavor, tuple((n, ref(n)) for n in names), morphism_class)
+    rng = random.Random(11)
+    ps, qs = hom_catalog(spec, x, yj), hom_catalog(spec, yj, yi)
+    assert ps and qs
+    for _ in range(12):
+        f = sm.compose(rng.choice(qs).hom, rng.choice(ps).hom)
+        res = factors_through(spec, f, yj, source=x, target=yi)
+        want = factors_through_by_catalog(spec, f, yj, source=x, target=yi)
+        assert res.verdict is want.verdict is Verdict.FACTORS, f.map
+        _assert_in_class(spec, res, f)
+
+
+@pytest.mark.parametrize("through", ["M3", "F3"])
+def test_split_class_needs_both_maps_to_split(through):
+    # M3 embeds in the free module of rank 3 by a, b, c -> A1+A2, A2+A3,
+    # A1+A3, and no embedding of M3 splits, as retracts of distributive
+    # lattices are distributive.  Through M3 the embedding factors as
+    # q∘automorphism with q an embedding of M3, and through a second copy of
+    # the free module as automorphism∘p with p one.
+    m3, free = diamond_m3(), sm.free_module(Flavor.B, 3)
+    img = {
+        "0": [],
+        "a": [(0, 1), (1, 1)],
+        "b": [(1, 1), (2, 1)],
+        "c": [(0, 1), (2, 1)],
+        "1": [(0, 1), (1, 1), (2, 1)],
+    }
+    emb = sm.Hom(
+        m3, free, tuple(sm.element_of_support(free, img[m3.name(e)]) for e in range(m3.size))
+    )
+    assert emb.is_hom and emb.injective and sm.find_left_inverse(emb) is None
+    objects = (("M3", m3), ("F3", free), ("F3b", free))
+    target = "F3" if through == "M3" else "F3b"
+    for morphism_class, verdict in (
+        (MorphismClass.INJECTIONS, Verdict.FACTORS),
+        (MorphismClass.SPLIT_INJECTIONS, Verdict.NO_FACTORIZATION),
+    ):
+        spec = CategorySpec(Flavor.B, objects, morphism_class)
+        res = factors_through(spec, emb, through, source="M3", target=target)
+        want = factors_through_by_catalog(spec, emb, through, source="M3", target=target)
+        assert res.verdict is want.verdict is verdict, morphism_class
+        if verdict is Verdict.FACTORS:
+            _assert_in_class(spec, res, emb)
+
+
+@pytest.mark.parametrize(
+    "morphism_class", [MorphismClass.INJECTIONS, MorphismClass.SPLIT_INJECTIONS]
+)
+def test_non_injective_morphisms_factor_through_no_injections(morphism_class):
+    # q∘p = f with q injective makes p exactly as injective as f; the
+    # identity of D4 would pin the zero map as p
+    spec, x0, ys, _ = default_witness_family(Flavor.B, 1, morphism_class)
+    X, Y = spec.module(x0), spec.module(ys[0])
+    zero = sm.Hom(X, Y, (Y.zero,) * X.size)
+    res = factors_through(spec, zero, ys[0], source=x0, target=ys[0])
+    want = factors_through_by_catalog(spec, zero, ys[0], source=x0, target=ys[0])
+    assert res.verdict is want.verdict is Verdict.NO_FACTORIZATION
+
+
+@pytest.mark.parametrize("morphism_class", list(MorphismClass))
+def test_factorization_reads_no_catalog(morphism_class, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the factorization check read a hom catalog")
+
+    monkeypatch.setattr(noetherian, "hom_catalog", refuse)
+    spec, x0, ys, fs = default_witness_family(Flavor.B, 3, morphism_class)
+    report = witness_verify(spec, x0, ys, fs)
+    assert report.holds is (morphism_class is not MorphismClass.ALL)
+    assert not report.inconclusive
+    res = factors_through(spec, fs[0], ys[0], source=x0, target=ys[0])
+    assert res.verdict is Verdict.FACTORS
+    _assert_in_class(spec, res, fs[0])
+
+
+def test_replaced_specs_do_not_share_the_catalog_cache():
+    d2, d3 = ref("D2"), ref("D3")
+    spec = CategorySpec(Flavor.B, (("D2", d2), ("D3", d3)), MorphismClass.INJECTIONS)
+    injective = hom_catalog(spec, "D2", "D3")
+    all_spec = dataclasses.replace(spec, morphism_class=MorphismClass.ALL)
+    assert len(hom_catalog(all_spec, "D2", "D3")) == len(sm.enumerate_homs(d2, d3)) == 240
+    assert len(injective) < 240
+    with pytest.raises(sm.BudgetExceededError):
+        hom_catalog(dataclasses.replace(spec, budget=5), "D2", "D3")
+    with pytest.raises(TypeError):
+        CategorySpec(Flavor.B, spec.objects, MorphismClass.ALL, _catalog={})
 
 
 def test_all_homs_witness_checks_agree_with_the_catalog_oracle():
