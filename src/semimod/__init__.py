@@ -45,7 +45,6 @@ from .homs import (
     iter_homs,
 )
 from .families import (
-    CornerSpec,
     IndexedLattice,
     canonical_section,
     construct_D0,

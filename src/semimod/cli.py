@@ -410,14 +410,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceededError as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")
         return 2
-    except (ModuleStructureError, ValueError, KeyError) as exc:
+    except (ModuleStructureError, ValueError, KeyError, OSError) as exc:
+        # after BrokenPipeError, an OSError that must still give 141; bad
+        # JSON is a ValueError, an unreadable input file an OSError
         sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except json.JSONDecodeError as exc:
-        sys.stderr.write(f"error: invalid JSON input ({exc})\n")
         return 3
 
 

@@ -36,8 +36,9 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 CARRIER_CAP = 1 << 18
 
 # Above this many table entries a module's addition table is never
-# materialized: the axiom scan and serialization refuse it.  Only free
-# modules, which compute their operations, can be that large.
+# materialized: the axiom scan, serialization and the family constructors
+# refuse it.  Only free modules, which compute their operations, can be
+# that large.
 DENSE_TABLE_LIMIT = 1 << 23
 
 
@@ -301,7 +302,7 @@ def _scan_violations(m: FinModule) -> list[Violation]:
     (a, b), runs only when that test fails or cannot be applied.
     """
     n = m.size
-    if m.add_table is None and n * n > DENSE_TABLE_LIMIT:
+    if n * n > DENSE_TABLE_LIMIT:
         raise ModuleStructureError(
             f"{n}-element module is too large to materialize a dense table"
         )

@@ -3,11 +3,13 @@
 D_n is the diamond-chain distributive lattice of size 4n-3 on index pairs
 (i,k); joins act componentwise by max.  E_n is its signed mirror of size
 8n-7: positives add by componentwise min, negatives mirror, mixed-sign sums
-collapse to the absorbing zero.  The fixed corner witnesses (size 9 and 17)
-are the same constructions on the eight-index corner set.
+collapse to the absorbing zero.  The corner witnesses D0 and E0 (size 9 and
+17) are the same constructions on the corners {1,2}^2 and {3,4}^2 of D_4.
 
-Each constructor validates its module and asserts the advertised size; the
-section and retraction builders verify their splitting identities
+Each constructor validates its module and asserts the advertised size; a
+member whose table would exceed ``DENSE_TABLE_LIMIT`` entries is refused
+before it is built.  The section and the corner retraction (the lower
+adjoint of the corner embedding) verify their splitting identities
 element-wise before returning.
 """
 from __future__ import annotations
@@ -15,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .core import (
+    DENSE_TABLE_LIMIT,
     FinModule,
     Flavor,
     ModuleStructureError,
@@ -36,9 +39,14 @@ from .homs import (
 
 Pair = tuple[int, int]
 
-CORNER_SET: tuple[Pair, ...] = (
-    (1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (3, 4), (4, 3), (4, 4),
-)
+
+def _corners(k: int) -> tuple[Pair, ...]:
+    """The corners {1,2}^2 and then {k-1,k}^2 of the k-th family member,
+    each block in lexicographic order."""
+    return tuple((a + i, a + j) for a in (0, k - 2) for i in (1, 2) for j in (1, 2))
+
+
+CORNER_SET: tuple[Pair, ...] = _corners(4)
 
 
 @dataclass(frozen=True)
@@ -129,28 +137,33 @@ def _wrap(n: int, flavor: Flavor, module: FinModule, pairs: tuple[Pair, ...]) ->
     return IndexedLattice(n, flavor, module, pairs, MappingProxyType(labels))
 
 
+def _member(letter: str, flavor: Flavor, n: int, size: int) -> IndexedLattice:
+    """The n-th member of a family, refused before its index pairs are
+    listed when its table would exceed ``DENSE_TABLE_LIMIT`` entries."""
+    if n < 2:
+        raise ValueError(f"{letter}_n needs n >= 2")
+    if size * size > DENSE_TABLE_LIMIT:
+        raise ModuleStructureError(f"{letter}_{n} has {size} elements, too many for a dense table")
+    pairs = family_index_pairs(n)
+    if flavor is Flavor.B:
+        lat = _wrap(n, flavor, _join_lattice(pairs, "a", "O"), pairs)
+    else:
+        lat = _wrap(n, flavor, _signed_lattice(pairs, "a"), pairs)
+    if lat.module.size != size:
+        raise ModuleStructureError(f"{letter}_{n} has {lat.module.size} elements, expected {size}")
+    return lat
+
+
 @lru_cache(maxsize=None)
 def construct_Dn(n: int) -> IndexedLattice:
-    """The size 4n-3 distributive lattice D_n (n >= 2)."""
-    if n < 2:
-        raise ValueError("D_n needs n >= 2")
-    pairs = family_index_pairs(n)
-    lat = _wrap(n, Flavor.B, _join_lattice(pairs, "a", "O"), pairs)
-    if lat.module.size != 4 * n - 3:
-        raise ModuleStructureError(f"D_{n} has {lat.module.size} elements, expected {4 * n - 3}")
-    return lat
+    """The size 4n-3 distributive lattice D_n (2 <= n <= 724)."""
+    return _member("D", Flavor.B, n, 4 * n - 3)
 
 
 @lru_cache(maxsize=None)
 def construct_En(n: int) -> IndexedLattice:
-    """The size 8n-7 signed mirror E_n (n >= 2)."""
-    if n < 2:
-        raise ValueError("E_n needs n >= 2")
-    pairs = family_index_pairs(n)
-    lat = _wrap(n, Flavor.FINF, _signed_lattice(pairs, "a"), pairs)
-    if lat.module.size != 8 * n - 7:
-        raise ModuleStructureError(f"E_{n} has {lat.module.size} elements, expected {8 * n - 7}")
-    return lat
+    """The size 8n-7 signed mirror E_n (2 <= n <= 362)."""
+    return _member("E", Flavor.FINF, n, 8 * n - 7)
 
 
 @lru_cache(maxsize=None)
@@ -181,39 +194,26 @@ def corner_witness(flavor: Flavor) -> IndexedLattice:
 # canonical sections
 
 
-def _section_generator_pairs(flavor: Flavor, n: int) -> list[Pair]:
-    """Images of A_1..A_{2n-1}: the family's irreducibles in the printed order."""
-    if flavor is Flavor.B:
-        out = [(1, 1), (1, 2), (2, 1)]
-        for i in range(2, n):
-            out.append((i - 1, i + 1))
-            out.append((i + 1, i))
-    else:
-        # A_2, A_3 follow the general mirrored pattern at i=1 (second index
-        # clamped into range); the split identity in canonical_section
-        # verifies the pattern-derived choice.
-        out = [(n, n), (n - 1, n), (n, n - 1)]
-        for i in range(2, n):
-            out.append((n - i, n - i + 2))
-            out.append((n - i + 1, n - i))
-    return out
-
-
 def canonical_section(n: int, flavor: Flavor) -> tuple[Hom, Hom]:
     """The splitting pair (g, h): g from the rank 2n-1 free module onto the
     family, h the section with g∘h = id, both verified element-wise.
 
-    g sends A_j to the j-th printed irreducible g_j, and h sends each
-    positive element e to the sum of the A_j with g_j <= e in the induced
-    order (and -e to its negation)."""
+    g sends A_j to the j-th irreducible g_j, in the order of the key
+    (max(i,k), i) of the index pair (i,k) for flavor B, from the bottom of
+    the chain up, and (-min(i,k), i) for flavor Finf, from its top down.
+    h sends each positive element e to the sum of the A_j with g_j <= e in
+    the induced order (and -e to its negation)."""
     if n < 2:
         raise ValueError("canonical sections need n >= 2")
     lat = family(flavor, n)
     mod = lat.module
-    gen_pairs = _section_generator_pairs(flavor, n)
-    gen_ids = [lat.label(i, k) for (i, k) in gen_pairs]
-    if set(gen_ids) != set(irreducible_generators(mod)):
-        raise ModuleStructureError("printed generator list is not the irreducible set")
+    pair_of = {e: p for p, e in lat.label_ids.items()}
+
+    def key(e: int) -> Pair:
+        i, k = pair_of[e]
+        return (max(i, k) if flavor is Flavor.B else -min(i, k), i)
+
+    gen_ids = sorted(irreducible_generators(mod), key=key)
     F = free_module(flavor, 2 * n - 1)
     g = Hom(F, mod, extend_from_generators(F, mod, gen_ids))
     if not g.surjective:
@@ -241,21 +241,15 @@ def canonical_section(n: int, flavor: Flavor) -> tuple[Hom, Hom]:
 # corner embeddings, retractions, rigidity
 
 
-def _corner_assignment(n: int) -> dict[Pair, Pair]:
-    top = {(3, 3): (n - 1, n - 1), (3, 4): (n - 1, n), (4, 3): (n, n - 1), (4, 4): (n, n)}
-    bottom = {(1, 1): (1, 1), (1, 2): (1, 2), (2, 1): (2, 1), (2, 2): (2, 2)}
-    return {**bottom, **top}
-
-
 def corner_embedding(n: int, flavor: Flavor) -> Hom:
-    """The eight-corner embedding of the fixed witness into the n-th family member."""
+    """The embedding of the corner witness into the n-th family member that
+    sends the corners of D_4 (or E_4) to the corners of the member."""
     if n <= 3:
         raise ValueError("corner embeddings need n > 3")
     src = corner_witness(flavor)
     dst = family(flavor, n)
-    assign = _corner_assignment(n)
     emap = [0] * src.module.size
-    for p, q in assign.items():
+    for p, q in zip(CORNER_SET, _corners(n)):
         emap[src.label(*p)] = dst.label(*q)
         if flavor is Flavor.FINF:
             emap[src.neg_label(*p)] = dst.neg_label(*q)
@@ -268,109 +262,61 @@ def corner_embedding(n: int, flavor: Flavor) -> Hom:
     return emb
 
 
-def _retraction_pair_b(n: int, dst: IndexedLattice, k: int, l: int) -> Pair:
-    leq = dst.module.leq
-    e = dst.label(k, l)
-    a12, a22, top = dst.label(1, 2), dst.label(2, 2), dst.label(n - 1, n - 1)
-    if k <= 2 and l <= 2:
-        return (k, l)
-    if leq(a12, e) and e != a12 and leq(e, top) and e != a22:
-        return (3, 3)
-    if (k, l) == (n - 1, n) or (k, l) == (n - 2, n):
-        return (3, 4)
-    if (k, l) == (n, n - 1):
-        return (4, 3)
-    if (k, l) == (n, n):
-        return (4, 4)
-    raise ModuleStructureError(f"retraction case formula does not cover a_{k}_{l}")
-
-
-def _retraction_pair_f(n: int, k: int, l: int) -> Pair:
-    if (k, l) == (1, 1):
-        return (1, 1)
-    if (k, l) in {(1, 2), (1, 3)}:
-        return (1, 2)
-    if (k, l) == (2, 1):
-        return (2, 1)
-    if (k, l) == (n - 1, n - 1):
-        return (3, 3)
-    if (k, l) == (n - 1, n):
-        return (3, 4)
-    if (k, l) == (n, n - 1):
-        return (4, 3)
-    if (k, l) == (n, n):
-        return (4, 4)
-    return (2, 2)
-
-
 def corner_retraction(n: int, flavor: Flavor) -> Hom:
-    """The case-formula retraction; the mirrored variant serves flavor Finf.
+    """The retraction r of the corner embedding e, computed as the lower
+    adjoint of e: r(y) is the least c in the corner witness with y <= e(c)
+    in the induced order.
 
-    Verified to be a hom with retraction ∘ embedding = id before returning.
+    Lemma: let e be an injective hom between valid modules such that every
+    U(y) = {c : y <= e(c)} has a least element r(y).  Then r is a hom and
+    r∘e = id.  Proof: homs are monotone, and an injective hom reflects the
+    order (e(c) <= e(d) gives e(c + d) = e(d), so c + d = d).  So
+    r(e(c)) = c, and r(y) <= c holds exactly when y <= e(c) (a Galois
+    connection).  As + is the join of the induced order, y + y' <= e(c)
+    iff y <= e(c) and y' <= e(c), iff r(y) + r(y') <= c, so r(y + y') and
+    r(y) + r(y') are the least element of the same set.  r(0) = 0 in both
+    flavors: in B, 0 is the bottom; in Finf, 0 is the top, so
+    U(0) = {0} by injectivity.  In Finf, negation is an order automorphism,
+    so U(-y) = -U(y) and r(-y) = -r(y).
+
+    A y whose U(y) has no least element raises ModuleStructureError; the
+    map is still checked to be a hom with r∘e = id before returning.
     """
-    if n <= 3:
-        raise ValueError("corner retractions need n > 3")
-    src = family(flavor, n)
-    dst = corner_witness(flavor)
-    rmap = [0] * src.module.size
-    for (k, l) in src.index_pairs:
-        if flavor is Flavor.B:
-            p = _retraction_pair_b(n, src, k, l)
-            rmap[src.label(k, l)] = dst.label(*p)
-        else:
-            p = _retraction_pair_f(n, k, l)
-            rmap[src.label(k, l)] = dst.label(*p)
-            rmap[src.neg_label(k, l)] = dst.neg_label(*p)
-    ret = Hom(src.module, dst.module, tuple(rmap))
+    emb = corner_embedding(n, flavor)
+    src, dst = emb.target, emb.source
+    rmap = []
+    for y in range(src.size):
+        above = [c for c, ec in enumerate(emb.map) if src.leq(y, ec)]
+        least = [c for c in above if all(dst.leq(c, d) for d in above)]
+        if not least:
+            raise ModuleStructureError(f"no least corner lies above {src.name(y)}")
+        rmap.append(least[0])
+    ret = Hom(src, dst, tuple(rmap))
     rc = check_hom(ret)
     if not rc.ok:
         raise ModuleStructureError(f"corner retraction is not a hom: {rc.kind} at {rc.witness}")
-    if not compose(ret, corner_embedding(n, flavor)).is_identity():
+    if not compose(ret, emb).is_identity():
         raise ModuleStructureError("retraction ∘ embedding is not the identity")
     return ret
-
-
-@dataclass(frozen=True)
-class CornerSpec:
-    """The eight corner pins between two family members."""
-
-    source_corners: tuple[Pair, ...]
-    target_corners: tuple[Pair, ...]
-
-    @staticmethod
-    def between(n: int, m: int) -> "CornerSpec":
-        def corners(k: int) -> tuple[Pair, ...]:
-            return (
-                (1, 1), (1, 2), (2, 1), (2, 2),
-                (k - 1, k - 1), (k - 1, k), (k, k - 1), (k, k),
-            )
-
-        return CornerSpec(corners(n), corners(m))
-
-    def pins(self, src: IndexedLattice, dst: IndexedLattice) -> Optional[dict[int, int]]:
-        """Merged pin map, or None when the eight conditions conflict."""
-        out: dict[int, int] = {}
-        for sp, tp in zip(self.source_corners, self.target_corners):
-            s, t = src.label(*sp), dst.label(*tp)
-            if out.get(s, t) != t:
-                return None
-            out[s] = t
-        return out
 
 
 def rigidity_check(
     n: int, m: int, flavor: Flavor, *, budget: int = DEFAULT_BUDGET
 ) -> list[Hom]:
-    """All injective corner-pinned homs between family members n and m.
+    """All injective homs between family members n and m that send each
+    corner of member n to the matching corner of member m.
 
     Exhaustive search; the expected outcome is exactly the identity for
-    n = m and nothing otherwise.
+    n = m and nothing otherwise.  For n or m below 4 the corner blocks
+    overlap, and pins that send one element to two give no morphism.
     """
     if n < 2 or m < 2:
         raise ValueError("rigidity checks need parameters >= 2")
     src, dst = family(flavor, n), family(flavor, m)
-    pins = CornerSpec.between(n, m).pins(src, dst)
-    if pins is None:
-        return []
+    pins: dict[int, int] = {}
+    for p, q in zip(_corners(n), _corners(m)):
+        s, t = src.label(*p), dst.label(*q)
+        if pins.setdefault(s, t) != t:
+            return []
     cons = HomConstraints(pinned=pins, require_injective=True)
     return enumerate_homs(src.module, dst.module, cons, budget=budget)

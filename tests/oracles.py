@@ -16,7 +16,10 @@ span walk, the irreducibles take one closure per element where the
 library sums a down-set, the order counts are a loop over all pairs, the
 factorization walks the complete hom catalog of one side, and the two
 distributivity checks compute meets where the library tests the
-irreducibles for join-primality.
+irreducibles for join-primality.  The corner retractions are the case
+formulas per flavor where the library takes the lower adjoint of the
+corner embedding, and the section's generator order is the printed table
+where the library sorts the irreducibles by a key.
 """
 from __future__ import annotations
 
@@ -33,6 +36,10 @@ from semimod import (
     Hom,
     HomConstraints,
     Violation,
+    construct_D0,
+    construct_Dn,
+    construct_E0,
+    construct_En,
     iter_homs,
 )
 from semimod.free import generator_ids, support_of
@@ -539,3 +546,73 @@ def factors_through_by_catalog(
         return FactorizationResult(Verdict.NO_FACTORIZATION)
     except BudgetExceededError:
         return FactorizationResult(Verdict.INCONCLUSIVE)
+
+
+def retraction_pair_b(n: int, lat, k: int, l: int) -> tuple[int, int]:
+    """The corner of D0 that the retraction D_n -> D0 sends a_k_l to, by
+    case formula."""
+    leq = lat.module.leq
+    e = lat.label(k, l)
+    a12, a22, top = lat.label(1, 2), lat.label(2, 2), lat.label(n - 1, n - 1)
+    if k <= 2 and l <= 2:
+        return (k, l)
+    if leq(a12, e) and e != a12 and leq(e, top) and e != a22:
+        return (3, 3)
+    if (k, l) == (n - 1, n) or (k, l) == (n - 2, n):
+        return (3, 4)
+    if (k, l) == (n, n - 1):
+        return (4, 3)
+    if (k, l) == (n, n):
+        return (4, 4)
+    raise AssertionError(f"retraction case formula does not cover a_{k}_{l}")
+
+
+def retraction_pair_f(n: int, k: int, l: int) -> tuple[int, int]:
+    """The corner of E0 that the retraction E_n -> E0 sends a_k_l to, by
+    case formula (-a_k_l goes to the negated corner)."""
+    if (k, l) == (1, 1):
+        return (1, 1)
+    if (k, l) in {(1, 2), (1, 3)}:
+        return (1, 2)
+    if (k, l) == (2, 1):
+        return (2, 1)
+    if (k, l) == (n - 1, n - 1):
+        return (3, 3)
+    if (k, l) == (n - 1, n):
+        return (3, 4)
+    if (k, l) == (n, n - 1):
+        return (4, 3)
+    if (k, l) == (n, n):
+        return (4, 4)
+    return (2, 2)
+
+
+def retraction_by_case_formula(n: int, flavor: Flavor) -> tuple[int, ...]:
+    """The map of the corner retraction X_n -> X0, from the case formulas."""
+    src = construct_Dn(n) if flavor is Flavor.B else construct_En(n)
+    dst = construct_D0() if flavor is Flavor.B else construct_E0()
+    rmap = [0] * src.module.size
+    for (k, l) in src.index_pairs:
+        if flavor is Flavor.B:
+            rmap[src.label(k, l)] = dst.label(*retraction_pair_b(n, src, k, l))
+        else:
+            p = retraction_pair_f(n, k, l)
+            rmap[src.label(k, l)] = dst.label(*p)
+            rmap[src.neg_label(k, l)] = dst.neg_label(*p)
+    return tuple(rmap)
+
+
+def section_generator_pairs(flavor: Flavor, n: int) -> list[tuple[int, int]]:
+    """The index pairs of the canonical section's generator images
+    g(A_1), ..., g(A_{2n-1}), as printed."""
+    if flavor is Flavor.B:
+        out = [(1, 1), (1, 2), (2, 1)]
+        for i in range(2, n):
+            out.append((i - 1, i + 1))
+            out.append((i + 1, i))
+    else:
+        out = [(n, n), (n - 1, n), (n, n - 1)]
+        for i in range(2, n):
+            out.append((n - i, n - i + 2))
+            out.append((n - i + 1, n - i))
+    return out

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -158,6 +159,29 @@ def test_malformed_input_documents_are_input_errors(command, doc, tmp_path, caps
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and not out
     assert err.startswith("error:")
+
+
+def test_unreadable_input_is_an_input_error(tmp_path, capsys):
+    # a directory and malformed JSON; exit 1 would read as a verified negative
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    for path in (tmp_path, bad):
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert code == 3 and not out
+        assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("construct", "Dn", "--n", "725"), ("construct", "En", "--n", "363"), ("projective", "D100000")],
+)
+def test_family_members_too_large_for_a_table_are_refused_at_once(argv, capsys):
+    # 2897 elements is the least size whose table exceeds DENSE_TABLE_LIMIT
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and not out
+    assert "too many for a dense table" in err
 
 
 def test_homs_bad_reference_is_input_error(capsys):

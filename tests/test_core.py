@@ -164,8 +164,12 @@ def test_order_counts_and_their_floors_agree_with_pair_loops():
 
 
 def test_validate_module_refuses_modules_too_large_to_scan():
-    # the scan needs a dense table; these have more than DENSE_TABLE_LIMIT entries
-    for m in (sm.free_module(Flavor.B, 12), sm.free_module(Flavor.FINF, 8)):
+    # the scan needs a dense table; these have more than DENSE_TABLE_LIMIT
+    # entries, whether the module computes them or carries them (here as
+    # bytes, an 8 MB table)
+    n = 2897
+    tabled = sm.FinModule(Flavor.B, tuple(map(str, range(n))), 0, bytes(n * n))
+    for m in (sm.free_module(Flavor.B, 12), sm.free_module(Flavor.FINF, 8), tabled):
         with pytest.raises(sm.ModuleStructureError):
             sm.validate_module(m)
 

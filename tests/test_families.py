@@ -1,7 +1,9 @@
 import pytest
 
 import semimod as sm
-from semimod import Flavor
+from semimod import Flavor, families
+
+from oracles import retraction_by_case_formula, section_generator_pairs
 
 
 def test_family_sizes():
@@ -133,6 +135,39 @@ def test_corner_split_identity_range(flavor):
         assert sm.compose(ret, emb).is_identity()
 
 
+@pytest.mark.parametrize("flavor", [Flavor.B, Flavor.FINF])
+def test_corner_retraction_agrees_with_the_case_formulas(flavor):
+    for n in range(4, 21):
+        assert sm.corner_retraction(n, flavor).map == retraction_by_case_formula(n, flavor)
+
+
+def test_corner_retraction_needs_a_least_corner_above_each_element(monkeypatch):
+    # only 0 lies below the image of the zero map, so U(y) is empty for y != 0
+    d0, d4 = sm.construct_D0().module, sm.construct_Dn(4).module
+    zero = sm.Hom(d0, d4, (d4.zero,) * d0.size)
+    monkeypatch.setattr(families, "corner_embedding", lambda n, flavor: zero)
+    with pytest.raises(sm.ModuleStructureError, match="no least corner"):
+        sm.corner_retraction(4, Flavor.B)
+
+
+@pytest.mark.parametrize("listed", ["ascending", "reversed"])
+@pytest.mark.parametrize("flavor,top", [(Flavor.B, 9), (Flavor.FINF, 6)])
+def test_section_generator_order_agrees_with_the_printed_table(flavor, top, listed, monkeypatch):
+    # the sort key has no ties, so the order of the irreducibles as listed
+    # does not reach the section
+    if listed == "reversed":
+        monkeypatch.setattr(
+            families,
+            "irreducible_generators",
+            lambda m: tuple(reversed(sm.irreducible_generators(m))),
+        )
+    for n in range(2, top + 1):
+        g, _ = sm.canonical_section(n, flavor)
+        lat = sm.construct_Dn(n) if flavor is Flavor.B else sm.construct_En(n)
+        images = [g.map[a] for a in sm.generator_ids(g.source)]
+        assert images == [lat.label(*p) for p in section_generator_pairs(flavor, n)], n
+
+
 def test_corner_embedding_rejects_small_n():
     for n in (2, 3):
         with pytest.raises(ValueError):
@@ -185,12 +220,6 @@ def test_rigidity(flavor, n, m, expected):
     assert len(found) == expected
     if expected:
         assert found[0].is_identity()
-
-
-def test_corner_spec_pins_conflict_for_small_pairs():
-    spec = sm.CornerSpec.between(2, 3)
-    src, dst = sm.construct_Dn(2), sm.construct_Dn(3)
-    assert spec.pins(src, dst) is None
 
 
 @pytest.mark.parametrize("flavor", [Flavor.B, Flavor.FINF])
