@@ -25,6 +25,13 @@ gives a + b = b.  So f maps down(x) and up(x) injectively into down(f(x))
 and up(f(x)), and an injective search keeps only the values v of x with
 |down(v)| >= |down(x)| and |up(v)| >= |up(x)| (a static filter in the
 style of Ullmann, "An algorithm for subgraph isomorphism", JACM 23, 1976).
+An injective search can also be asked to cover a set T of target values
+(``HomConstraints.covers``): it yields only the homs whose image contains
+T, in the same order as without T, and prunes a node once the values of T
+not yet taken cannot all be placed, because one lies outside the allowed
+sets of the elements still unassigned or because more are needed than
+elements are left (the lemma is in :class:`_Search`).  The factorization
+check of :mod:`semimod.noetherian` asks for the q with im(q) ⊇ im(f).
 The search data of a module (its recipes, order masks and counts) is built
 once and cached on the module.  The tests check the search against plain
 loops over all pairs and all total maps in ``tests/oracles.py``.
@@ -186,15 +193,26 @@ def compose(g: Hom, f: Hom) -> Hom:
 
 @dataclass(frozen=True)
 class HomConstraints:
-    """Pins, injectivity, and optional per-element candidate restrictions.
+    """Pins, injectivity, optional per-element candidate restrictions, and
+    an optional covering set.
+
+    ``covers`` is a set T of target values that the image must contain;
+    it is off (None) by default.  It needs ``require_injective=True``: the
+    search prunes a node once the values of T not yet taken cannot all be
+    placed on the elements still unassigned (see :class:`_Search` for the
+    lemma), and only an injective search knows the values taken.  The
+    covered search yields exactly the homs of the uncovered one whose
+    image contains T, in the same order.
 
     Element ids index the source and value ids the target; the search
-    raises ``ValueError`` for one out of range.
+    raises ``ValueError`` for one out of range, and for ``covers`` given
+    without ``require_injective``.
     """
 
     pinned: Mapping[int, int] = field(default_factory=dict)
     require_injective: bool = False
     allowed: Optional[Mapping[int, Iterable[int]]] = None
+    covers: Optional[Iterable[int]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +252,26 @@ class _Search:
     :attr:`~semimod.core.PartialOrder.count_floors`), so the filter costs
     two lookups and two ANDs per source element.
 
+    A covering search (``covers`` = T, injective only) prunes a node at
+    depth d, before it scans a candidate, when need = T & ~used cannot be
+    placed: when need & ~reach[d] != 0, or when |need| > left[d].  Here
+    reach[d] is the OR of the allowed masks of the elements still
+    unassigned at depth d (generators d, d+1, ... and their layers) and
+    left[d] is how many there are; the assignment order is fixed by
+    ``M.basis``, so both are computed once per search, in O(|M|).
+    Lemma: no map below a pruned node has an image containing T.  Proof:
+    in an injective search ``used`` is exactly the set of values of the
+    assigned elements, and every completion gives each unassigned element
+    one value from its allowed mask (generator candidates are drawn from
+    it, and derived elements are tested against it).  So the image of a
+    completion is ``used`` together with at most left[d] values, all in
+    reach[d]; it contains T only if need lies within reach[d] and has at
+    most left[d] elements.  The pruning drops no map that the uncovered
+    search would yield with an image containing T, and leaves the search
+    order alone; at the leaves reach and left are 0, so every yielded map
+    covers T.  In a search that is not injective ``used`` stays 0 and the
+    count test would prune sound branches, hence the ``ValueError``.
+
     Ticks: one per generator candidate scanned (a value in its allowed
     set), whether or not it passes, and one per verified map; the budget
     bounds their total.  :meth:`run` is a generator, so a caller that
@@ -257,6 +295,35 @@ class _Search:
         self.val = [-1] * M.size
         self.assigned = 0
         self.used = 0
+        self.cover = self._cover_mask(cons)
+        if self.cover:
+            self.reach, self.left = self._unassigned_reach()
+
+    def _cover_mask(self, cons: HomConstraints) -> int:
+        """The bitmask of the values the image must contain, 0 when off."""
+        if cons.covers is None:
+            return 0
+        if not self.injective:
+            raise ValueError("a covering search needs require_injective=True")
+        mask = 0
+        for v in cons.covers:
+            if not 0 <= v < self.N.size:
+                raise ValueError(f"covered value {v} out of range")
+            mask |= 1 << v
+        return mask
+
+    def _unassigned_reach(self) -> tuple[list[int], list[int]]:
+        """Per depth d, the OR of the allowed masks of the elements still
+        unassigned on entering depth d, and how many there are."""
+        basis, allowed = self.basis, self.allowed
+        reach, left = [0], [0]
+        for gen, layer in zip(reversed(basis.generators), reversed(basis.layers)):
+            mask = reach[-1] | allowed[gen]
+            for recipe in layer:
+                mask |= allowed[recipe[0]]
+            reach.append(mask)
+            left.append(left[-1] + 1 + len(layer))
+        return reach[::-1], left[::-1]
 
     def _allowed_masks(self, cons: HomConstraints) -> list[int]:
         """Per source element, the bitmask of target values it may take,
@@ -368,6 +435,10 @@ class _Search:
         yield from self._dfs(0)
 
     def _dfs(self, depth: int) -> Iterator[tuple[int, ...]]:
+        if self.cover:
+            need = self.cover & ~self.used
+            if need & ~self.reach[depth] or need.bit_count() > self.left[depth]:
+                return
         basis = self.basis
         if depth == len(basis.generators):
             assert self.assigned == (1 << self.M.size) - 1, (

@@ -403,6 +403,8 @@ def brute_force_homs(
             continue
         if cons.require_injective and len(set(val)) != n:
             continue
+        if cons.covers is not None and not set(cons.covers) <= set(val):
+            continue
         ok = True
         for a, b in pairs:
             if val[addM(a, b)] != addN(val[a], val[b]):

@@ -398,6 +398,80 @@ def test_allowed_ids_out_of_range_are_rejected(allowed):
         sm.enumerate_homs(d2, d2, sm.HomConstraints(allowed=allowed))
 
 
+@pytest.mark.parametrize("src, tgt", [("D4", "D5"), ("D0", "D4"), ("E2", "E3"), ("N5", "D3")])
+def test_covering_search_filters_the_injective_stream(src, tgt):
+    # covers=T yields the injective homs whose image contains T, in search
+    # order: T from images of homs, random subsets, and infeasible sets
+    M, N = _module(src), _module(tgt)
+    rng = random.Random(src + tgt)
+    stream = [h.map for h in sm.iter_homs(M, N, sm.HomConstraints(require_injective=True))]
+    some_homs = [h.map for h in itertools.islice(sm.iter_homs(M, N), 200)]
+    covers = [set()]
+    for _ in range(6):
+        image = set(rng.choice(stream))
+        covers += [image, set(rng.sample(sorted(image), rng.randint(1, len(image))))]
+        covers.append(set(rng.choice(some_homs)))
+        covers.append(set(rng.sample(range(N.size), rng.randint(1, M.size))))
+    covers.append(set(rng.sample(range(N.size), M.size + 1)))
+    found = []
+    for T in covers:
+        cons = sm.HomConstraints(require_injective=True, covers=T)
+        expected = [mp for mp in stream if T <= set(mp)]
+        assert [h.map for h in sm.iter_homs(M, N, cons)] == expected, sorted(T)
+        found.append(len(expected))
+    assert found[-1] == 0 and max(found) > 0 and 0 in found[:-1]
+
+
+def test_infeasible_covers_are_refuted_before_any_tick():
+    # more values than source elements, or a value no element may take,
+    # prunes the root: a budget of one tick is never reached
+    M, N = _module("D4"), _module("D5")
+    v = N.size - 1
+    too_many = sm.HomConstraints(require_injective=True, covers=range(M.size + 1))
+    unreachable = sm.HomConstraints(
+        require_injective=True,
+        allowed={x: [w for w in range(N.size) if w != v] for x in range(M.size)},
+        covers={v},
+    )
+    for cons in (too_many, unreachable):
+        assert sm.enumerate_homs(M, N, cons, budget=1) == []
+
+
+def test_covering_search_agrees_with_brute_force():
+    rng = random.Random(13)
+    checked = 0
+    for M, N in _oracle_pairs():
+        if M.size > N.size:
+            continue
+        injective = sm.HomConstraints(require_injective=True)
+        images = [h.map for h in sm.enumerate_homs(M, N, injective)]
+        if not images:
+            continue
+        image = set(rng.choice(images))
+        for T in (image, set(rng.sample(sorted(image), rng.randint(1, len(image))))):
+            cons = sm.HomConstraints(require_injective=True, covers=T)
+            fast = [h.map for h in sm.enumerate_homs(M, N, cons)]
+            assert fast == [h.map for h in brute_force_homs(M, N, cons)], (M.names, N.names)
+            checked += 1
+    assert checked >= 10
+
+
+@pytest.mark.parametrize(
+    "cons, match",
+    [
+        (sm.HomConstraints(require_injective=True, covers={99}), "out of range"),
+        (sm.HomConstraints(require_injective=True, covers={-1}), "out of range"),
+        (sm.HomConstraints(covers={1}), "require_injective"),
+        (sm.HomConstraints(covers=set()), "require_injective"),
+    ],
+    ids=["value-too-large", "negative-value", "not-injective", "empty-not-injective"],
+)
+def test_bad_covers_are_rejected(cons, match):
+    d2 = D(2).module
+    with pytest.raises(ValueError, match=match):
+        sm.enumerate_homs(d2, d2, cons)
+
+
 def _module(name):
     named = {
         "M3": diamond_m3,
@@ -411,6 +485,12 @@ def _inj(src, tgt):
     return lambda budget: sm.enumerate_homs(
         _module(src), _module(tgt), sm.HomConstraints(require_injective=True), budget=budget
     )
+
+
+def _covering(src, tgt, f):
+    # the witness check of f through src: injective src -> tgt covering im(f)
+    cons = sm.HomConstraints(require_injective=True, covers=set(f.map))
+    return lambda budget: sm.enumerate_homs(_module(src), _module(tgt), cons, budget=budget)
 
 
 def _all(src, tgt):
@@ -429,12 +509,16 @@ def _cover_section(name):
 # N5 an element derived from earlier generators lies above a later one, so
 # only these cases prune a generator's image from above.  In N5 with c
 # before b, 1 = a + b lies above c, which lies below neither a nor b, so a
-# derived sum is pruned from below.
+# derived sum is pruned from below.  The covering case prunes nodes both
+# because a needed value lies outside every unassigned element's allowed
+# set and because more values are needed than elements are left; without
+# either test it takes more ticks.
 TICK_CASES = {
     "injective D4->D5": (_inj("D4", "D5"), 622, 10),
     "injective D0->D4": (_inj("D0", "D4"), 345, 32),
     "injective E2->E3": (_inj("E2", "E3"), 356, 40),
     "injective N5->D3": (_inj("N5", "D3"), 84, 2),
+    "covering D4->D5 im(f_2)": (_covering("D4", "D5", sm.corner_embedding(5, Flavor.B)), 201, 0),
     "all D2->D3": (_all("D2", "D3"), 690, 240),
     "all E0->E2": (_all("E0", "E2"), 7_293, 525),
     "all M3->D3": (_all("M3", "D3"), 1_313, 132),

@@ -126,8 +126,9 @@ def test_witness_holds_for_finf_family():
 
 
 def test_witness_holds_at_depth():
-    # B 5 and Finf 4 are the sizes the benchmark's witness jobs run; B 8 and
-    # Finf 6 take about 2 s and 1 s with the order-embedding filter
+    # B 5 and Finf 4 are the sizes the benchmark's witness jobs run; with the
+    # covering search B 8 and Finf 6 take about 0.15 s and 0.1 s, and B 12
+    # and Finf 8 about 0.8 s and 0.3 s (2-vCPU host, Python 3.11)
     for flavor, upto in (
         (Flavor.B, 4),
         (Flavor.FINF, 3),
@@ -135,6 +136,8 @@ def test_witness_holds_at_depth():
         (Flavor.FINF, 4),
         (Flavor.B, 8),
         (Flavor.FINF, 6),
+        (Flavor.B, 12),
+        (Flavor.FINF, 8),
     ):
         spec, x0, ys, fs = default_witness_family(flavor, upto)
         report = witness_verify(spec, x0, ys, fs)
@@ -274,6 +277,25 @@ def test_factorization_reads_no_catalog(morphism_class, monkeypatch):
     res = factors_through(spec, fs[0], ys[0], source=x0, target=ys[0])
     assert res.verdict is Verdict.FACTORS
     _assert_in_class(spec, res, fs[0])
+
+
+@pytest.mark.parametrize(
+    "morphism_class", [MorphismClass.INJECTIONS, MorphismClass.SPLIT_INJECTIONS]
+)
+def test_a_streamed_q_missing_im_f_fails_loudly(morphism_class, monkeypatch):
+    # the covering search yields only q with im(q) ⊇ im(f); a search that
+    # ignores the covering set breaks that contract, which must not pass
+    # for a missed factorization
+    def uncovered(M, N, cons, **kwargs):
+        return sm.iter_homs(M, N, dataclasses.replace(cons, covers=None), **kwargs)
+
+    spec, x0, ys, fs = default_witness_family(Flavor.B, 2, morphism_class)
+    assert factors_through(spec, fs[1], ys[0], source=x0, target=ys[1]).verdict is (
+        Verdict.NO_FACTORIZATION
+    )
+    monkeypatch.setattr(noetherian, "iter_homs", uncovered)
+    with pytest.raises(AssertionError, match="im\\(f\\)"):
+        factors_through(spec, fs[1], ys[0], source=x0, target=ys[1])
 
 
 def test_replaced_specs_do_not_share_the_catalog_cache():
