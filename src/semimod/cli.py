@@ -5,6 +5,13 @@ example: not projective, witness fails), 2 inconclusive because a search
 budget ran out, 3 input or usage error, 141 standard output closed before
 the output was written (as for a process killed by SIGPIPE).  All output
 is deterministic for fixed inputs and budgets.
+
+Each subcommand is one entry of ``_COMMANDS``: its help text, whether it
+takes the searches' ``--budget``, the function that adds its other
+arguments and the function that runs it.  A run builds the parser of its
+own subcommand only.  With no arguments, top-level help or an unknown name
+it builds the parser of every subcommand, which also reports arguments
+left over, so the usage and help text list all of them.
 """
 from __future__ import annotations
 
@@ -115,10 +122,10 @@ def _pins_arg(path: str, src, tgt) -> dict[int, int]:
 
 
 def _element_ref(mod, ref) -> int:
-    """An element given by its name or its id."""
+    """An element given by its name or its id, a JSON integer (not ``true``)."""
     if isinstance(ref, str):
         return mod.index_of_name[ref]
-    if isinstance(ref, int):
+    if type(ref) is int:
         return ref
     raise ModuleStructureError(f"pinned element {ref!r} is neither a name nor an id")
 
@@ -306,71 +313,39 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser() -> _Parser:
-    """The argument parser, built once per process: parsing keeps no state
-    on it, and in-process callers run ``main`` many times."""
-    parser = _Parser(prog="semimod", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    # only the subcommands that search take a budget
-    searches = argparse.ArgumentParser(add_help=False)
-    searches.add_argument(
-        "--budget", type=_positive_int, default=DEFAULT_BUDGET, help="search budget"
-    )
-
-    p = sub.add_parser("construct", help="build a family member or free module")
+def _construct_args(p) -> None:
     p.add_argument("family", choices=["Dn", "En", "D0", "E0", "free"])
     p.add_argument("--n", type=int, default=None, help="family parameter (Dn/En)")
     p.add_argument("--flavor", choices=["B", "Finf"], default="B")
     p.add_argument("--rank", type=int, default=None, help="free module rank")
     p.add_argument("--format", choices=["json", "dot", "text"], default="json")
-    p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("validate", help="check the axioms of a module file")
+
+def _file_arg(p) -> None:
     p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser(
-        "homs", help="enumerate morphisms between two modules", parents=[searches]
-    )
+
+def _module_ref_arg(p) -> None:
+    p.add_argument("module", help="module reference or file")
+
+
+def _homs_args(p) -> None:
     p.add_argument("--source", required=True, help="module reference or file")
     p.add_argument("--target", required=True, help="module reference or file")
     p.add_argument("--pins", default=None, help="JSON file with pinned element pairs")
     p.add_argument("--injective", action="store_true")
-    p.set_defaults(func=_cmd_homs)
 
-    p = sub.add_parser(
-        "rigidity", help="count injective corner-pinned morphisms", parents=[searches]
-    )
+
+def _rigidity_args(p) -> None:
     p.add_argument("--flavor", choices=["B", "Finf"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.set_defaults(func=_cmd_rigidity)
 
-    p = sub.add_parser(
-        "split-check", help="search one-sided inverses of a morphism file", parents=[searches]
-    )
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_split_check)
 
-    p = sub.add_parser(
-        "projective", help="certify (non-)projectivity of a module", parents=[searches]
-    )
-    p.add_argument("module", help="module reference or file")
-    p.set_defaults(func=_cmd_projective)
-
-    p = sub.add_parser("factor-matrix", help="distinct-rows factorization of a matrix file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_factor_matrix)
-
-    p = sub.add_parser("dualize", help="dualize a morphism between free modules")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_dualize)
-
-    # the run flags default to None, so that --spec can refuse them; witness
-    # has its own --budget, as a default set on the shared one would reach
-    # every subcommand that searches
-    p = sub.add_parser("witness", help="run the corner-embedding witness family")
+def _witness_args(p) -> None:
+    # the run flags default to None, so that --spec can refuse them: witness
+    # adds its own --budget rather than the searches' one, whose default is
+    # DEFAULT_BUDGET
     p.add_argument("--budget", type=_positive_int, default=None, help="search budget")
     p.add_argument("--flavor", choices=["B", "Finf"], default=None)
     p.add_argument("--max-n", type=_positive_int, default=None, dest="max_n")
@@ -383,19 +358,65 @@ def build_parser() -> _Parser:
         help=f"morphism class (default {MorphismClass.INJECTIONS.value})",
     )
     p.add_argument("--format", choices=["json", "text"], default="text")
-    p.set_defaults(func=_cmd_witness)
 
-    p = sub.add_parser("export-dot", help="Hasse diagram of a module as DOT")
-    p.add_argument("module", help="module reference or file")
-    p.set_defaults(func=_cmd_export_dot)
 
+# name: (help, takes --budget, adds the other arguments, runs the command)
+_COMMANDS = {
+    "construct": ("build a family member or free module", False, _construct_args, _cmd_construct),
+    "validate": ("check the axioms of a module file", False, _file_arg, _cmd_validate),
+    "homs": ("enumerate morphisms between two modules", True, _homs_args, _cmd_homs),
+    "rigidity": ("count injective corner-pinned morphisms", True, _rigidity_args, _cmd_rigidity),
+    "split-check": (
+        "search one-sided inverses of a morphism file", True, _file_arg, _cmd_split_check
+    ),
+    "projective": (
+        "certify (non-)projectivity of a module", True, _module_ref_arg, _cmd_projective
+    ),
+    "factor-matrix": (
+        "distinct-rows factorization of a matrix file", False, _file_arg, _cmd_factor_matrix
+    ),
+    "dualize": ("dualize a morphism between free modules", False, _file_arg, _cmd_dualize),
+    "witness": ("run the corner-embedding witness family", False, _witness_args, _cmd_witness),
+    "export-dot": ("Hasse diagram of a module as DOT", False, _module_ref_arg, _cmd_export_dot),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """The argument parser of every subcommand, or of ``command`` alone.
+
+    Both read ``_COMMANDS``, so a subcommand parses the same either way;
+    a cold run builds only the one it runs, as building all ten costs a
+    few milliseconds.  Each parser is built once per process: parsing keeps
+    no state on it, and in-process callers run ``main`` many times.
+    """
+    # the top-level help shows the first two paragraphs of the module
+    # docstring (which python -OO strips)
+    description = "\n\n".join((__doc__ or "").split("\n\n")[:2])
+    parser = _Parser(prog="semimod", description=description)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name in _COMMANDS if command is None else (command,):
+        help_text, searches, add_arguments, run = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        if searches:  # only the subcommands that search take a budget
+            p.add_argument(
+                "--budget", type=_positive_int, default=DEFAULT_BUDGET, help="search budget"
+            )
+        add_arguments(p)
+        p.set_defaults(func=run)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # no arguments, top-level help and an unknown name go to the full
+    # parser, whose usage and help list every subcommand
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args, extras = build_parser(command).parse_known_args(argv)
+        if extras:
+            # the full parser reports them, with its own usage line
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -6,18 +6,23 @@ D_n is the diamond-chain distributive lattice of size 4n-3 on index pairs
 collapse to the absorbing zero.  The corner witnesses D0 and E0 (size 9 and
 17) are the same constructions on the corners {1,2}^2 and {3,4}^2 of D_4.
 
-Each constructor validates its module and asserts the advertised size; a
-member whose table would exceed ``DENSE_TABLE_LIMIT`` entries is refused
-before it is built.  The section and the corner retraction (the lower
-adjoint of the corner embedding) verify their splitting identities
-element-wise before returning.
+Each table is built a row at a time at C level: a B row is the
+componentwise max of one index pair with all of them, a Finf row the min,
+and a result outside the index set (a set not closed under the flavor's
+operation) raises ``ModuleStructureError``.  Each constructor then
+validates its module and asserts the advertised size; a member whose table
+would exceed ``DENSE_TABLE_LIMIT`` entries is refused before it is built.
+The section and the corner retraction (the lower adjoint of the corner
+embedding) verify their splitting identities element-wise before
+returning.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, repeat
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .core import (
     DENSE_TABLE_LIMIT,
@@ -83,50 +88,64 @@ def family_index_pairs(n: int) -> tuple[Pair, ...]:
     return tuple(sorted(pairs))
 
 
-def _assert_componentwise_closed(pairs: tuple[Pair, ...]) -> None:
-    have = set(pairs)
-    for (a, b) in pairs:
-        for (c, d) in pairs:
-            if (max(a, c), max(b, d)) not in have:
-                raise ModuleStructureError(f"index set not max-closed at {(a, b)}, {(c, d)}")
-            if (min(a, c), min(b, d)) not in have:
-                raise ModuleStructureError(f"index set not min-closed at {(a, b)}, {(c, d)}")
+def _table_rows(pairs: tuple[Pair, ...], op) -> Iterator[list[int]]:
+    """Row p of the componentwise ``op`` (max or min) on the index set, one
+    at a time: the position (from 1) of ``op(p, q)`` for each q, built at C
+    level.
+
+    Row (a, b) zips op(a, -) over the first coordinates with op(b, -) over
+    the second; each of these columns depends on one coordinate value, so
+    it is computed once per value.  A result outside the index set means
+    the set is not closed under ``op``.
+    """
+    pos = {p: idx + 1 for idx, p in enumerate(pairs)}
+    firsts = [a for a, _ in pairs]
+    seconds = [b for _, b in pairs]
+    by_first = {a: list(map(op, repeat(a), firsts)) for a in set(firsts)}
+    by_second = {b: list(map(op, repeat(b), seconds)) for b in set(seconds)}
+    for a, b in pairs:
+        try:
+            yield list(map(pos.__getitem__, zip(by_first[a], by_second[b])))
+        except KeyError as exc:
+            raise ModuleStructureError(
+                f"index set not {op.__name__}-closed at {(a, b)}: {exc.args[0]} is missing"
+            ) from None
 
 
 def _join_lattice(pairs: tuple[Pair, ...], label: str, bottom: str) -> FinModule:
     """Flavor B module on a max-closed index set plus a neutral bottom."""
-    _assert_componentwise_closed(pairs)
-    pos = {p: idx + 1 for idx, p in enumerate(pairs)}
     size = len(pairs) + 1
     names = (bottom,) + tuple(f"{label}_{i}_{k}" for (i, k) in pairs)
-    flat = [0] * (size * size)
-    for p, ip in pos.items():
-        flat[ip] = ip  # bottom + p
-        flat[ip * size] = ip
-        for q, iq in pos.items():
-            flat[ip * size + iq] = pos[(max(p[0], q[0]), max(p[1], q[1]))]
-    return FinModule(Flavor.B, names, 0, tuple(flat))
+    # the bottom row is the identity, and every other row starts with
+    # bottom + p = p; rows are made one at a time, so the table is the only
+    # copy held
+    rows = chain(
+        [range(size)], ([ip, *row] for ip, row in enumerate(_table_rows(pairs, max), 1))
+    )
+    return FinModule(Flavor.B, names, 0, tuple(chain.from_iterable(rows)))
 
 
 def _signed_lattice(pairs: tuple[Pair, ...], label: str) -> FinModule:
     """Flavor Finf module: signed copies of the index set around an absorbing zero."""
-    _assert_componentwise_closed(pairs)
     k = len(pairs)
-    pos = {p: idx + 1 for idx, p in enumerate(pairs)}
     size = 2 * k + 1
     names = (
         ("0",)
         + tuple(f"{label}_{i}_{j}" for (i, j) in pairs)
         + tuple(f"-{label}_{i}_{j}" for (i, j) in pairs)
     )
-    flat = [0] * (size * size)
-    for p, ip in pos.items():
-        for q, iq in pos.items():
-            m = pos[(min(p[0], q[0]), min(p[1], q[1]))]
-            flat[ip * size + iq] = m
-            flat[(ip + k) * size + (iq + k)] = m + k
+    mins = list(_table_rows(pairs, min))
+    # 0 absorbs and mixed signs sum to 0; the negatives mirror the positives
+    zeros = [0] * k
+    rows = chain(
+        [[0] * size],
+        ([0, *row, *zeros] for row in mins),
+        ([0, *zeros, *map(k.__add__, row)] for row in mins),
+    )
     neg = [0] + [ip + k for ip in range(1, k + 1)] + [ip for ip in range(1, k + 1)]
-    return FinModule(Flavor.FINF, names, 0, tuple(flat), neg_table=tuple(neg))
+    return FinModule(
+        Flavor.FINF, names, 0, tuple(chain.from_iterable(rows)), neg_table=tuple(neg)
+    )
 
 
 def _wrap(n: int, flavor: Flavor, module: FinModule, pairs: tuple[Pair, ...]) -> IndexedLattice:

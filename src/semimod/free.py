@@ -43,13 +43,14 @@ def _codes(flavor: Flavor, rank: int) -> list[tuple[int, int]]:
         return [ZERO_CODE] + [(supp, 0) for supp in supports]
     out = [ZERO_CODE]
     for supp in supports:
-        bits = [b for b in range(rank) if (supp >> b) & 1]
-        for signs in range(1 << len(bits)):
-            neg = 0
-            for j, b in enumerate(bits):
-                if (signs >> j) & 1:
-                    neg |= 1 << b
+        # the negative parts are the submasks of the support in increasing
+        # order; (neg - supp) & supp steps to the next one and wraps to 0
+        neg = 0
+        while True:
             out.append((supp & ~neg, neg))
+            neg = (neg - supp) & supp
+            if not neg:
+                break
     return out
 
 

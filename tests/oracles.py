@@ -19,7 +19,11 @@ distributivity checks compute meets where the library tests the
 irreducibles for join-primality.  The corner retractions are the case
 formulas per flavor where the library takes the lower adjoint of the
 corner embedding, and the section's generator order is the printed table
-where the library sorts the irreducibles by a key.
+where the library sorts the irreducibles by a key.  The family tables are
+filled one entry at a time after a separate max- and min-closure pass,
+where the library builds each row at C level and checks closure as it
+goes, and the Finf support codes deposit each sign pattern bit by bit,
+where the library steps through the submasks of the support.
 """
 from __future__ import annotations
 
@@ -35,6 +39,7 @@ from semimod import (
     FlavorMismatchError,
     Hom,
     HomConstraints,
+    ModuleStructureError,
     Violation,
     construct_D0,
     construct_Dn,
@@ -548,6 +553,76 @@ def factors_through_by_catalog(
         return FactorizationResult(Verdict.NO_FACTORIZATION)
     except BudgetExceededError:
         return FactorizationResult(Verdict.INCONCLUSIVE)
+
+
+def assert_componentwise_closed(pairs) -> None:
+    """Both the max- and the min-closure of an index set, pair by pair: the
+    reference for the closure that the family tables check as they go."""
+    have = set(pairs)
+    for (a, b) in pairs:
+        for (c, d) in pairs:
+            if (max(a, c), max(b, d)) not in have:
+                raise ModuleStructureError(f"index set not max-closed at {(a, b)}, {(c, d)}")
+            if (min(a, c), min(b, d)) not in have:
+                raise ModuleStructureError(f"index set not min-closed at {(a, b)}, {(c, d)}")
+
+
+def join_lattice_by_pairs(pairs, label: str, bottom: str) -> FinModule:
+    """Flavor B module on a max-closed index set plus a neutral bottom, one
+    table entry at a time: the reference for families._join_lattice."""
+    assert_componentwise_closed(pairs)
+    pos = {p: idx + 1 for idx, p in enumerate(pairs)}
+    size = len(pairs) + 1
+    names = (bottom,) + tuple(f"{label}_{i}_{k}" for (i, k) in pairs)
+    flat = [0] * (size * size)
+    for p, ip in pos.items():
+        flat[ip] = ip  # bottom + p
+        flat[ip * size] = ip
+        for q, iq in pos.items():
+            flat[ip * size + iq] = pos[(max(p[0], q[0]), max(p[1], q[1]))]
+    return FinModule(Flavor.B, names, 0, tuple(flat))
+
+
+def signed_lattice_by_pairs(pairs, label: str) -> FinModule:
+    """Flavor Finf module: signed copies of the index set around an absorbing
+    zero, one table entry at a time: the reference for
+    families._signed_lattice."""
+    assert_componentwise_closed(pairs)
+    k = len(pairs)
+    pos = {p: idx + 1 for idx, p in enumerate(pairs)}
+    size = 2 * k + 1
+    names = (
+        ("0",)
+        + tuple(f"{label}_{i}_{j}" for (i, j) in pairs)
+        + tuple(f"-{label}_{i}_{j}" for (i, j) in pairs)
+    )
+    flat = [0] * (size * size)
+    for p, ip in pos.items():
+        for q, iq in pos.items():
+            m = pos[(min(p[0], q[0]), min(p[1], q[1]))]
+            flat[ip * size + iq] = m
+            flat[(ip + k) * size + (iq + k)] = m + k
+    neg = [0] + [ip + k for ip in range(1, k + 1)] + [ip for ip in range(1, k + 1)]
+    return FinModule(Flavor.FINF, names, 0, tuple(flat), neg_table=tuple(neg))
+
+
+def codes_by_sign_bits(flavor: Flavor, rank: int) -> list[tuple[int, int]]:
+    """The support codes of a free module, zero and then by (size, support,
+    signs), each sign pattern deposited into the support bit by bit: the
+    reference for free._codes, which steps through the submasks."""
+    supports = sorted(range(1, 1 << rank), key=lambda s: (bin(s).count("1"), s))
+    if flavor is Flavor.B:
+        return [(0, 0)] + [(supp, 0) for supp in supports]
+    out = [(0, 0)]
+    for supp in supports:
+        bits = [b for b in range(rank) if (supp >> b) & 1]
+        for signs in range(1 << len(bits)):
+            neg = 0
+            for j, b in enumerate(bits):
+                if (signs >> j) & 1:
+                    neg |= 1 << b
+            out.append((supp & ~neg, neg))
+    return out
 
 
 def retraction_pair_b(n: int, lat, k: int, l: int) -> tuple[int, int]:

@@ -130,6 +130,7 @@ _NOT_A_HOM = {"source": "free:B:2", "target": "free:B:2", "map": [0, 1, 2, 0]}
         ("homs", {"pins": 5}),
         ("homs", {"pins": [1, 2]}),
         ("homs", {"pins": [[None, "a_2_2"]]}),
+        ("homs", {"pins": [[True, 1]]}),
         ("factor-matrix", [1, 2]),
         ("factor-matrix", {"entries": 5}),
         ("factor-matrix", [[1, None]]),
@@ -141,7 +142,7 @@ _NOT_A_HOM = {"source": "free:B:2", "target": "free:B:2", "map": [0, 1, 2, 0]}
         ("validate", {"flavor": "B", "elements": ["0"], "zero": "0", "add": [0]}),
     ],
     ids=[
-        "pins-as-list", "pins-not-a-list", "pins-not-pairs", "pin-of-null",
+        "pins-as-list", "pins-not-a-list", "pins-not-pairs", "pin-of-null", "pin-of-bool",
         "matrix-of-numbers", "entries-not-rows", "null-entry",
         "dualize-non-hom", "split-check-non-hom",
         "matrix-float-and-string-entries", "matrix-bool-entry", "map-float-entry",
@@ -391,6 +392,110 @@ def test_witness_budget_leaves_other_defaults_alone():
     assert parser.parse_args(["witness"]).budget is None
     for argv in (["projective", "D2"], ["homs", "--source", "D2", "--target", "D3"]):
         assert parser.parse_args(argv).budget == sm.DEFAULT_BUDGET
+
+
+SUBCOMMANDS = (
+    "construct", "validate", "homs", "rigidity", "split-check",
+    "projective", "factor-matrix", "dualize", "witness", "export-dot",
+)
+
+# representative command lines of each subcommand, defaults included
+PARSE_CASES = {
+    "construct": [
+        ["construct", "D0"],
+        ["construct", "free", "--flavor", "Finf", "--rank", "2", "--format", "text"],
+    ],
+    "validate": [["validate", "mod.json"]],
+    "homs": [
+        ["homs", "--source", "D2", "--target", "D3"],
+        ["homs", "--source", "D2", "--target", "D2", "--pins", "p.json", "--injective",
+         "--budget", "9"],
+    ],
+    "rigidity": [
+        ["rigidity", "--flavor", "B", "--n", "3", "--m", "4"],
+        ["rigidity", "--flavor", "Finf", "--n", "2", "--m", "2", "--budget", "5"],
+    ],
+    "split-check": [["split-check", "f.json"], ["split-check", "f.json", "--budget", "3"]],
+    "projective": [["projective", "D2"], ["projective", "E4", "--budget", "10"]],
+    "factor-matrix": [["factor-matrix", "mat.json"]],
+    "dualize": [["dualize", "f.json"]],
+    "witness": [
+        ["witness"],
+        ["witness", "--spec", "s.json"],
+        ["witness", "--flavor", "B", "--max-n", "8", "--budget", "10", "--class", "all",
+         "--format", "json"],
+    ],
+    "export-dot": [["export-dot", "E2"]],
+}
+
+USAGE_ERRORS = [
+    ["projective"], ["projective", "D2", "--zzz", "1"], ["projective", "D2", "extra"],
+    ["projective", "--budget", "0", "D2"], ["rigidity", "--flavor", "X", "--n", "3", "--m", "3"],
+    ["rigidity", "--n", "3"], ["construct", "D0", "--budget", "5"], ["construct", "Q"],
+    ["construct", "Dn", "--n", "x"], ["witness", "--max-n", "0"], ["witness", "--class", "bogus"],
+    ["homs", "--source", "D2"], ["export-dot", "E2", "E3"], ["validate"], ["dualize"],
+    ["split-check"], ["factor-matrix", "a", "b"],
+]
+
+
+def _full_parser_run(capsys, argv):
+    """Exit code, stdout and stderr of the full parser alone on argv."""
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    return int(exc.value.code or 0), captured.out, captured.err
+
+
+def test_parse_cases_cover_every_subcommand():
+    assert set(PARSE_CASES) == set(SUBCOMMANDS)
+    assert {argv[0] for argv in USAGE_ERRORS} == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_one_subcommand_parser_parses_as_the_full_parser(command):
+    for argv in PARSE_CASES[command]:
+        assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_subcommand_help_is_the_full_parsers(command, capsys):
+    for flag in ("--help", "-h"):
+        expected = _full_parser_run(capsys, [command, flag])
+        assert expected[0] == 0 and expected[1].startswith(f"usage: semimod {command}")
+        assert run_cli(capsys, command, flag) == expected
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+def test_usage_errors_are_the_full_parsers(argv, capsys):
+    expected = _full_parser_run(capsys, argv)
+    assert expected[0] == 3 and not expected[1]
+    assert run_cli(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["frobnicate"], ["-h", "projective"]])
+def test_top_level_output_lists_every_subcommand(argv, capsys):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == _full_parser_run(capsys, argv)
+    assert code == (0 if "-h" in argv or "--help" in argv else 3)
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in out + err
+
+
+def test_cold_run_registers_one_subparser():
+    script = (
+        "import argparse\n"
+        "registered = []\n"
+        "add_parser = argparse._SubParsersAction.add_parser\n"
+        "def counting(self, name, **kwargs):\n"
+        "    registered.append(name)\n"
+        "    return add_parser(self, name, **kwargs)\n"
+        "argparse._SubParsersAction.add_parser = counting\n"
+        "from semimod.cli import main\n"
+        "code = main(['projective', 'D2'])\n"
+        "print(code, registered)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 ['projective']"
 
 
 def test_witness_needs_parameters(capsys):

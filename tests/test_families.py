@@ -3,7 +3,12 @@ import pytest
 import semimod as sm
 from semimod import Flavor, families
 
-from oracles import retraction_by_case_formula, section_generator_pairs
+from oracles import (
+    join_lattice_by_pairs,
+    retraction_by_case_formula,
+    section_generator_pairs,
+    signed_lattice_by_pairs,
+)
 
 
 def test_family_sizes():
@@ -41,6 +46,33 @@ def test_en_addition_rules():
             assert mod.add_of(lat.label(*p), lat.label(*q)) == lat.label(*met)
             assert mod.add_of(lat.neg_label(*p), lat.neg_label(*q)) == lat.neg_label(*met)
             assert mod.add_of(lat.label(*p), lat.neg_label(*q)) == mod.zero
+
+
+def _tables(mod):
+    return mod.names, mod.zero, mod.add_table, mod.neg_table
+
+
+def test_family_tables_equal_the_entry_by_entry_references():
+    for n in range(2, 41):
+        pairs = families.family_index_pairs(n)
+        assert _tables(sm.construct_Dn(n).module) == _tables(join_lattice_by_pairs(pairs, "a", "O"))
+        assert _tables(sm.construct_En(n).module) == _tables(signed_lattice_by_pairs(pairs, "a"))
+    corners = families.CORNER_SET
+    assert _tables(sm.construct_D0().module) == _tables(join_lattice_by_pairs(corners, "A", "O"))
+    assert _tables(sm.construct_E0().module) == _tables(signed_lattice_by_pairs(corners, "A"))
+
+
+def test_family_tables_need_only_their_own_closure():
+    # B reads the componentwise max, Finf the min; a set missing a value of
+    # its flavor's operation is a structure error, not a KeyError
+    max_only = ((1, 2), (2, 1), (2, 2))
+    min_only = ((1, 1), (1, 2), (2, 1))
+    with pytest.raises(sm.ModuleStructureError, match=r"not max-closed at \(1, 2\): \(2, 2\)"):
+        families._join_lattice(min_only, "a", "O")
+    with pytest.raises(sm.ModuleStructureError, match=r"not min-closed at \(1, 2\): \(1, 1\)"):
+        families._signed_lattice(max_only, "a")
+    assert sm.validate_module(families._join_lattice(max_only, "a", "O")).ok
+    assert sm.validate_module(families._signed_lattice(min_only, "a")).ok
 
 
 def test_d0_hasse_relations():

@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 import semimod as sm
 from semimod import Flavor
+from semimod.free import _codes
 from semimod.serialize import resolve_module_ref
 
 from oracles import (
     _name_of_code,
     brute_force_homs,
+    codes_by_sign_bits,
     extend_by_support_sums,
     product_closure_count,
     term_closure,
@@ -208,6 +210,12 @@ def test_free_order_from_codes_matches_induced_order():
                 for a in range(free.size)
                 for b in range(free.size)
             )
+
+
+@pytest.mark.parametrize("flavor, top", [(Flavor.B, 11), (Flavor.FINF, 9)])
+def test_support_codes_equal_the_bit_by_bit_reference(flavor, top):
+    for rank in range(top + 1):
+        assert _codes(flavor, rank) == codes_by_sign_bits(flavor, rank)
 
 
 def test_free_rank_cap():
