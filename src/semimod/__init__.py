@@ -71,7 +71,6 @@ from .matrices import (
 from .projective import (
     ProjectivityCertificate,
     canonical_free_cover,
-    projectivity_agrees_with_distributivity,
     projectivity_certificate,
 )
 from .noetherian import (

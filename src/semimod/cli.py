@@ -35,7 +35,6 @@ from .homs import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     HomConstraints,
-    check_hom,
     enumerate_homs,
     find_left_inverse,
     find_right_inverse,
@@ -93,7 +92,7 @@ def _hom_arg(path: str):
     for end, mod in (("source", f.source), ("target", f.target)):
         if isinstance(doc[end], dict):
             _valid(mod)
-    chk = check_hom(f)
+    chk = f.check
     if not chk.ok:
         raise ModuleStructureError(
             f"input map is not a homomorphism ({chk.kind} at {chk.witness})"
@@ -124,6 +123,8 @@ def _pins_arg(path: str, src, tgt) -> dict[int, int]:
 def _element_ref(mod, ref) -> int:
     """An element given by its name or its id, a JSON integer (not ``true``)."""
     if isinstance(ref, str):
+        if ref not in mod.index_of_name:
+            raise ModuleStructureError(f"pinned element {ref!r} is not in the module")
         return mod.index_of_name[ref]
     if type(ref) is int:
         return ref

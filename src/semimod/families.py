@@ -12,9 +12,9 @@ and a result outside the index set (a set not closed under the flavor's
 operation) raises ``ModuleStructureError``.  Each constructor then
 validates its module and asserts the advertised size; a member whose table
 would exceed ``DENSE_TABLE_LIMIT`` entries is refused before it is built.
-The section and the corner retraction (the lower adjoint of the corner
-embedding) verify their splitting identities element-wise before
-returning.
+The section, the corner embedding and its retraction (the lower adjoint)
+pass the hom check before returning; the section and the retraction also
+check their splitting identities.
 """
 from __future__ import annotations
 
@@ -33,14 +33,7 @@ from .core import (
     validate_module,
 )
 from .free import element_of_support, free_module, extend_from_generators
-from .homs import (
-    DEFAULT_BUDGET,
-    Hom,
-    HomConstraints,
-    check_hom,
-    compose,
-    enumerate_homs,
-)
+from .homs import DEFAULT_BUDGET, Hom, HomConstraints, compose, enumerate_homs
 
 Pair = tuple[int, int]
 
@@ -213,6 +206,15 @@ def corner_witness(flavor: Flavor) -> IndexedLattice:
 # canonical sections
 
 
+def _checked(f: Hom, what: str) -> Hom:
+    """f, once its hom check passes; ModuleStructureError naming the failed
+    identity and its witness otherwise."""
+    chk = f.check
+    if not chk.ok:
+        raise ModuleStructureError(f"{what} is not a hom: {chk.kind} at {chk.witness}")
+    return f
+
+
 def canonical_section(n: int, flavor: Flavor) -> tuple[Hom, Hom]:
     """The splitting pair (g, h): g from the rank 2n-1 free module onto the
     family, h the section with g∘h = id, both verified element-wise.
@@ -246,12 +248,8 @@ def canonical_section(n: int, flavor: Flavor) -> tuple[Hom, Hom]:
         hmap[e] = element_of_support(F, bits)
         if flavor is Flavor.FINF:
             hmap[mod.neg_of(e)] = F.neg_of(hmap[e])
-    h = Hom(mod, F, tuple(hmap))
-    hc = check_hom(h)
-    if not hc.ok:
-        raise ModuleStructureError(f"section fails to be a hom: {hc.kind} at {hc.witness}")
-    gh = compose(g, h)
-    if not gh.is_identity():
+    h = _checked(Hom(mod, F, tuple(hmap)), "section")
+    if not compose(g, h).is_identity():
         raise ModuleStructureError("g∘h is not the identity")
     return g, h
 
@@ -272,10 +270,7 @@ def corner_embedding(n: int, flavor: Flavor) -> Hom:
         emap[src.label(*p)] = dst.label(*q)
         if flavor is Flavor.FINF:
             emap[src.neg_label(*p)] = dst.neg_label(*q)
-    emb = Hom(src.module, dst.module, tuple(emap))
-    ec = check_hom(emb)
-    if not ec.ok:
-        raise ModuleStructureError(f"corner embedding is not a hom: {ec.kind} at {ec.witness}")
+    emb = _checked(Hom(src.module, dst.module, tuple(emap)), "corner embedding")
     if not emb.injective:
         raise ModuleStructureError("corner embedding is not injective")
     return emb
@@ -310,10 +305,7 @@ def corner_retraction(n: int, flavor: Flavor) -> Hom:
         if not least:
             raise ModuleStructureError(f"no least corner lies above {src.name(y)}")
         rmap.append(least[0])
-    ret = Hom(src, dst, tuple(rmap))
-    rc = check_hom(ret)
-    if not rc.ok:
-        raise ModuleStructureError(f"corner retraction is not a hom: {rc.kind} at {rc.witness}")
+    ret = _checked(Hom(src, dst, tuple(rmap)), "corner retraction")
     if not compose(ret, emb).is_identity():
         raise ModuleStructureError("retraction ∘ embedding is not the identity")
     return ret

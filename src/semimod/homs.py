@@ -34,15 +34,17 @@ elements are left (the lemma is in :class:`_Search`).  The factorization
 check of :mod:`semimod.noetherian` asks for the q with im(q) ⊇ im(f).
 The search data of a module (its recipes, order masks and counts) is built
 once and cached on the module.  The tests check the search against plain
-loops over all pairs and all total maps in ``tests/oracles.py``.
+loops over all pairs and all total maps in ``tests/oracles.py``.  Each
+check runs once, where its object is made: a ``Hom`` keeps its hom check
+(``Hom.check``), a searched hom carries the check the search ran, and the
+inverse searches check w∘f = id or f∘h = id before they return.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .core import FinModule, Flavor, FlavorMismatchError, Recipe
+from .core import FinModule, Flavor, FlavorMismatchError, Recipe, _cached
 from .free import extend_from_generators
 
 DEFAULT_BUDGET = 10_000_000
@@ -58,7 +60,7 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass(frozen=True)
 class Hom:
-    """A total map between module carriers, with cached morphism flags."""
+    """A total map between module carriers, with a cached hom check and flags."""
 
     source: FinModule
     target: FinModule
@@ -72,19 +74,21 @@ class Hom:
             if not (0 <= v < n):
                 raise ValueError(f"map value {v} is not a target element id")
 
-    @cached_property
+    @_cached
     def check(self) -> "HomCheck":
-        return check_hom(self)
+        if self.source.flavor is not self.target.flavor:
+            raise FlavorMismatchError("source and target flavors differ")
+        return _hom_violation(self.source, self.target, self.map)
 
     @property
     def is_hom(self) -> bool:
         return self.check.ok
 
-    @cached_property
+    @_cached
     def injective(self) -> bool:
         return len(set(self.map)) == len(self.map)
 
-    @cached_property
+    @_cached
     def surjective(self) -> bool:
         return len(set(self.map)) == self.target.size
 
@@ -103,6 +107,9 @@ class HomCheck:
     ok: bool
     kind: Optional[str] = None  # "zero" | "add" | "neg"
     witness: tuple[int, ...] = ()
+
+
+_PASSED = HomCheck(True)
 
 
 def _hom_violation(M: FinModule, N: FinModule, val: Sequence[int]) -> HomCheck:
@@ -171,12 +178,9 @@ def _hom_violation(M: FinModule, N: FinModule, val: Sequence[int]) -> HomCheck:
 
 
 def check_hom(f: Hom) -> HomCheck:
-    """Verify the morphism identities on valid modules; on failure report a
-    violating pair (see :func:`_hom_violation`)."""
-    M, N = f.source, f.target
-    if M.flavor is not N.flavor:
-        raise FlavorMismatchError("source and target flavors differ")
-    return _hom_violation(M, N, f.map)
+    """``f.check``: the morphism identities on valid modules, verified once
+    per ``Hom``, with a violating pair on failure (see :func:`_hom_violation`)."""
+    return f.check
 
 
 def identity_hom(m: FinModule) -> Hom:
@@ -486,10 +490,17 @@ def iter_homs(
     The search ticks only as far as the caller reads, so the first hom
     costs only the ticks that lead to it; ``BudgetExceededError`` is raised
     at the first tick past the budget.  Every map passes the hom check
-    before it is yielded.
+    before it is yielded, and its ``Hom`` carries that check.
     """
     search = _Search(M, N, constraints or HomConstraints(), budget)
-    return (Hom(M, N, mp) for mp in search.run())
+    return (_searched(M, N, mp) for mp in search.run())
+
+
+def _searched(M: FinModule, N: FinModule, mp: tuple[int, ...]) -> Hom:
+    """The ``Hom`` of a map that passed the search's check, keeping it."""
+    f = Hom(M, N, mp)
+    object.__setattr__(f, "check", _PASSED)
+    return f
 
 
 def enumerate_homs(
@@ -504,18 +515,22 @@ def enumerate_homs(
 
 
 def find_left_inverse(f: Hom, *, budget: int = DEFAULT_BUDGET) -> Optional[Hom]:
-    """A hom w with w∘f = id on the source, or None after exhausting the space."""
+    """A hom w with w∘f = id on the source, checked to be one, or None after
+    exhausting the space."""
     if not f.is_hom:
         raise ValueError("find_left_inverse expects a hom")
     if not f.injective:
         return None
-    pins = {f.map[x]: x for x in range(f.source.size)}
-    cons = HomConstraints(pinned=pins)
-    return next(iter_homs(f.target, f.source, cons, budget=budget), None)
+    pins = HomConstraints(pinned={v: x for x, v in enumerate(f.map)})
+    w = next(iter_homs(f.target, f.source, pins, budget=budget), None)
+    if w is not None and not compose(w, f).is_identity():
+        raise AssertionError("left inverse failed verification")
+    return w
 
 
 def find_right_inverse(f: Hom, *, budget: int = DEFAULT_BUDGET) -> Optional[Hom]:
-    """A hom h with f∘h = id on the target, or None after exhausting the space."""
+    """A hom h with f∘h = id on the target, checked to be one, or None after
+    exhausting the space."""
     if not f.is_hom:
         raise ValueError("find_right_inverse expects a hom")
     if not f.surjective:
@@ -523,5 +538,7 @@ def find_right_inverse(f: Hom, *, budget: int = DEFAULT_BUDGET) -> Optional[Hom]
     fibers: dict[int, list[int]] = {y: [] for y in range(f.target.size)}
     for x, y in enumerate(f.map):
         fibers[y].append(x)
-    cons = HomConstraints(allowed=fibers)
-    return next(iter_homs(f.target, f.source, cons, budget=budget), None)
+    h = next(iter_homs(f.target, f.source, HomConstraints(allowed=fibers), budget=budget), None)
+    if h is not None and not compose(f, h).is_identity():
+        raise AssertionError("right inverse failed verification")
+    return h

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .core import FinModule, Flavor, FlavorMismatchError
+from .core import FinModule, Flavor, FlavorMismatchError, _cached
 from .free import element_of_support, extend_from_generators, free_module, generator_ids, support_of
 from .homs import DEFAULT_BUDGET, Hom, compose, find_left_inverse
 
@@ -150,8 +150,9 @@ def hom_of_matrix(
 class DistinctRowFactorization:
     """original = duplicator · reduced, with a verified split certificate.
 
-    ``row_class[i]`` names the distinct row that row i duplicates;
-    ``split_certificate`` is a left inverse of the duplicator's hom.
+    ``row_class[i]`` names the distinct row that row i duplicates.  The homs
+    over free modules of rank ``original.rows`` are built and checked on
+    first read: ``split_certificate`` is a left inverse of ``duplicator_hom``.
     """
 
     original: BoolMatrix
@@ -159,8 +160,20 @@ class DistinctRowFactorization:
     duplicator: BoolMatrix
     certificate: BoolMatrix
     row_class: tuple[int, ...]
-    duplicator_hom: Hom
-    split_certificate: Hom
+
+    @_cached
+    def duplicator_hom(self) -> Hom:
+        dup = hom_of_matrix(self.duplicator)
+        if not dup.injective:
+            raise AssertionError("duplicator hom is not injective")
+        return dup
+
+    @_cached
+    def split_certificate(self) -> Hom:
+        cert = hom_of_matrix(self.certificate)
+        if not compose(cert, self.duplicator_hom).is_identity():
+            raise AssertionError("certificate hom is not a left inverse")
+        return cert
 
 
 def _row_classes(mat: BoolMatrix) -> tuple[list[int], list[int]]:
@@ -209,15 +222,7 @@ def distinct_row_factorization(mat: BoolMatrix) -> DistinctRowFactorization:
         raise AssertionError("duplicator · reduced does not recover the input")
     if mat_mul(certificate, duplicator) != BoolMatrix.identity(mat.flavor, l):
         raise AssertionError("certificate is not a left inverse of the duplicator")
-    dup_hom = hom_of_matrix(duplicator)
-    cert_hom = hom_of_matrix(certificate)
-    if not dup_hom.injective:
-        raise AssertionError("duplicator hom is not injective")
-    if not compose(cert_hom, dup_hom).is_identity():
-        raise AssertionError("certificate hom is not a left inverse")
-    return DistinctRowFactorization(
-        mat, reduced, duplicator, certificate, tuple(row_class), dup_hom, cert_hom
-    )
+    return DistinctRowFactorization(mat, reduced, duplicator, certificate, tuple(row_class))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +270,7 @@ def dual_factorization(
     S-basis vectors with equal images under f* are merged; the first map is
     induced by that surjection of finite sets and the residual completes
     f*.  Raises when f is not a splittable injection (certificate neither
-    supplied nor found).
+    supplied nor found).  Only a supplied certificate is checked here.
     """
     if f.source.flavor is not Flavor.B:
         raise FlavorMismatchError("dual factorization is defined for flavor B")
@@ -277,7 +282,7 @@ def dual_factorization(
         certificate = find_left_inverse(f, budget=budget)
         if certificate is None:
             raise ValueError("f is not a splittable injection: no left inverse exists")
-    if not compose(certificate, f).is_identity():
+    elif not compose(certificate, f).is_identity():
         raise ValueError("supplied certificate is not a left inverse of f")
 
     mat = matrix_of_hom(f)  # s x n

@@ -16,7 +16,8 @@ span walk, the irreducibles take one closure per element where the
 library sums a down-set, the order counts are a loop over all pairs, the
 factorization walks the complete hom catalog of one side, and the two
 distributivity checks compute meets where the library tests the
-irreducibles for join-primality.  The corner retractions are the case
+irreducibles for join-primality; for flavor B the splitting search must
+agree with the distributivity test.  The corner retractions are the case
 formulas per flavor where the library takes the lower adjoint of the
 corner embedding, and the section's generator order is the printed table
 where the library sorts the irreducibles by a key.  The family tables are
@@ -45,7 +46,9 @@ from semimod import (
     construct_Dn,
     construct_E0,
     construct_En,
+    is_distributive_lattice,
     iter_homs,
+    projectivity_certificate,
 )
 from semimod.free import generator_ids, support_of
 from semimod.homs import HomCheck
@@ -318,6 +321,15 @@ def distributivity_by_meets(m: FinModule) -> DistributivityReport:
                 if row[add(b, c)] != add(row[b], row[c]):
                     return DistributivityReport(False, witness_triple=(a, b, c))
     return DistributivityReport(True)
+
+
+def projectivity_agrees_with_distributivity(m: FinModule, *, budget: int = DEFAULT_BUDGET) -> bool:
+    """For flavor B, projectivity coincides with being a distributive
+    lattice: the splitting search and the distributivity test must agree."""
+    if m.flavor is not Flavor.B:
+        raise ValueError("the distributivity comparison applies to flavor B")
+    cert = projectivity_certificate(m, budget=budget)
+    return cert.projective == is_distributive_lattice(m).distributive
 
 
 def check_hom_all_pairs(f: Hom) -> HomCheck:

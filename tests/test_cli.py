@@ -120,6 +120,17 @@ def test_homs_with_pins_file(tmp_path, capsys):
     assert out.strip()
 
 
+@pytest.mark.parametrize("pair", [["nope", "a_2_2"], ["a_1_2", "nope"]])
+def test_unknown_pin_name_is_an_input_error(pair, tmp_path, capsys):
+    path = tmp_path / "pins.json"
+    path.write_text(json.dumps({"pins": [pair]}))
+    code, out, err = run_cli(
+        capsys, "homs", "--source", "D2", "--target", "D3", "--pins", str(path)
+    )
+    assert code == 3 and not out
+    assert err == "error: pinned element 'nope' is not in the module\n"
+
+
 _NOT_A_HOM = {"source": "free:B:2", "target": "free:B:2", "map": [0, 1, 2, 0]}
 
 
@@ -307,6 +318,22 @@ def test_factor_matrix_worked_example(tmp_path, capsys):
     assert res["reduced"]["entries"] == [[1, 1], [0, 1]]
     assert res["duplicator"]["entries"] == [[1, 0], [1, 0], [0, 1]]
     assert res["row_class"] == [0, 0, 1]
+
+
+@pytest.mark.parametrize(
+    "flavor, rows", [("B", [[1, 0, 1], [0, 1, 1]]), ("Finf", [[1, -1, 0], [0, 1, 1]])]
+)
+def test_factor_matrix_of_a_tall_matrix(flavor, rows, tmp_path, capsys):
+    # the factorization is checked on the matrices: no free module of rank
+    # 20, above the carrier cap, is built
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps({"flavor": flavor, "entries": rows * 10}))
+    code, out, _ = run_cli(capsys, "factor-matrix", str(path))
+    assert code == 0
+    res = json.loads(out)
+    assert sorted(res) == ["certificate", "duplicator", "reduced", "row_class"]
+    assert res["reduced"]["entries"] == rows
+    assert res["row_class"] == [0, 1] * 10
 
 
 def test_dualize(tmp_path, capsys):
@@ -685,3 +712,34 @@ def test_document_modules_must_pass_the_axiom_scan(tmp_path, capsys):
         assert code == 3, argv
         assert out == ""
         assert "fails the module axioms: add_associative" in err
+
+
+def test_each_hom_and_certificate_is_checked_once(tmp_path, capsys, monkeypatch):
+    # each Hom keeps its hom check, and each certificate is checked by the
+    # function that makes it, so no reader checks it again
+    checked = []
+    real = sm.homs._hom_violation
+
+    def counting(M, N, val):
+        checked.append(tuple(val))
+        return real(M, N, val)
+
+    monkeypatch.setattr(sm.homs, "_hom_violation", counting)
+    emb = sm.corner_embedding(5, Flavor.B)
+    path = tmp_path / "emb.json"
+    path.write_text(json.dumps(hom_to_doc(emb, source_ref="D0", target_ref="D5")))
+    checked.clear()
+    # the five corner embeddings; their class test reads the kept check, and
+    # the covering searches reach no complete map
+    assert run_cli(capsys, "witness", "--flavor", "B", "--max-n", "5")[0] == 0
+    assert len(checked) == 5 == len(set(checked))
+    checked.clear()
+    # the input map, then the left inverse the search checks as a hom
+    code, out, _ = run_cli(capsys, "split-check", str(path))
+    assert code == 0
+    assert checked == [emb.map, tuple(json.loads(out)["left_inverse"])]
+    checked.clear()
+    # the cover, then the section the search checks as a hom
+    code, out, _ = run_cli(capsys, "projective", "E4")
+    assert code == 0
+    assert len(checked) == 2 and checked[1] == tuple(json.loads(out)["section"])

@@ -300,6 +300,21 @@ def test_find_left_inverse_of_noninjective_is_none():
     assert sm.find_left_inverse(zmap) is None
 
 
+@pytest.mark.parametrize("find", ["find_left_inverse", "find_right_inverse"])
+def test_inverse_searches_refuse_a_found_hom_that_is_no_inverse(find, monkeypatch):
+    # a broken search yields the zero map, a hom but no inverse: the search
+    # for a certificate checks it before returning it
+    if find == "find_left_inverse":
+        f = sm.corner_embedding(4, Flavor.B)
+    else:
+        f = sm.canonical_free_cover(ref("D3"))
+    zero = (f.source.zero,) * f.target.size
+    monkeypatch.setattr(sm.homs._Search, "run", lambda self: iter([zero]))
+    assert sm.Hom(f.target, f.source, zero).is_hom
+    with pytest.raises(AssertionError, match="inverse failed verification"):
+        getattr(sm, find)(f)
+
+
 def test_split_witnesses_imply_flags():
     g, h = sm.canonical_section(2, Flavor.B)
     assert g.surjective  # has a right inverse h

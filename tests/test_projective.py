@@ -4,6 +4,7 @@ import semimod as sm
 from semimod import Flavor
 
 from conftest import chain_module
+from oracles import projectivity_agrees_with_distributivity
 
 
 def test_dn_projective_with_found_splitting():
@@ -32,14 +33,14 @@ def test_m3_not_projective_and_not_distributive(m3):
     assert not cert.projective and cert.section is None
     report = sm.is_distributive_lattice(m3)
     assert not report.distributive
-    assert sm.projectivity_agrees_with_distributivity(m3) is True
+    assert projectivity_agrees_with_distributivity(m3) is True
 
 
 def test_n5_not_projective_and_not_distributive(n5):
     cert = sm.projectivity_certificate(n5)
     assert not cert.projective
     assert not sm.is_distributive_lattice(n5).distributive
-    assert sm.projectivity_agrees_with_distributivity(n5) is True
+    assert projectivity_agrees_with_distributivity(n5) is True
 
 
 def test_chains_projective_and_distributive():
@@ -47,7 +48,7 @@ def test_chains_projective_and_distributive():
         ch = chain_module(k)
         assert sm.projectivity_certificate(ch).projective
         assert sm.is_distributive_lattice(ch).distributive
-        assert sm.projectivity_agrees_with_distributivity(ch) is True
+        assert projectivity_agrees_with_distributivity(ch) is True
 
 
 def test_cover_has_expected_rank():
@@ -60,4 +61,4 @@ def test_cover_has_expected_rank():
 
 def test_distributivity_comparison_rejects_finf():
     with pytest.raises(ValueError):
-        sm.projectivity_agrees_with_distributivity(sm.scalar_module(Flavor.FINF))
+        projectivity_agrees_with_distributivity(sm.scalar_module(Flavor.FINF))
