@@ -39,6 +39,7 @@ from .homs import (
     check_hom,
     compose,
     enumerate_homs,
+    extension_hom,
     find_left_inverse,
     find_right_inverse,
     identity_hom,

@@ -92,6 +92,9 @@ class FinModule:
     modules carry no tables: their ``backend`` is the
     :class:`semimod.free.FreeOps` of the free module, which computes
     addition, negation, the order and the free generators from support codes.
+    A module with a backend may pass ``names=None``: its ``size`` is then the
+    backend's, and its names are read from the backend on first use, so a
+    caller that prints no element names never builds them.
     """
 
     flavor: Flavor
@@ -102,10 +105,20 @@ class FinModule:
     backend: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if len(self.names) > CARRIER_CAP:
+        if self.names is not None:
+            n = len(self.names)
+        elif self.backend is not None:
+            n = self.backend.size  # type: ignore[attr-defined]
+            # unset, so that the first read builds them (``_backend_names``)
+            object.__delattr__(self, "names")
+        else:
+            raise ModuleStructureError("module needs element names or a backend")
+        if n > CARRIER_CAP:
             raise ModuleStructureError(
-                f"carrier of {len(self.names)} elements exceeds the cap of {CARRIER_CAP}"
+                f"carrier of {n} elements exceeds the cap of {CARRIER_CAP}"
             )
+        # a plain attribute, not a property: ``add_of`` reads it per sum
+        object.__setattr__(self, "size", n)
         if self.add_table is None and self.backend is None:
             raise ModuleStructureError("module needs either a flat add table or a backend")
         if self.backend is not None:
@@ -115,16 +128,12 @@ class FinModule:
                 object.__setattr__(self, "neg_of", self.backend.neg)  # type: ignore[attr-defined]
 
     @property
-    def size(self) -> int:
-        return len(self.names)
-
-    @property
     def free_rank(self) -> Optional[int]:
         """Number of free generators of a free module, None for other modules."""
         return None if self.backend is None else self.backend.rank  # type: ignore[attr-defined]
 
     def add_of(self, a: int, b: int) -> int:
-        return self.add_table[a * len(self.names) + b]  # type: ignore[index]
+        return self.add_table[a * self.size + b]  # type: ignore[index]
 
     def neg_of(self, a: int) -> int:
         if self.neg_table is None:
@@ -172,6 +181,18 @@ class FinModule:
         """:func:`generating_basis` of this module, built on first read; every
         hom search from this module reads it."""
         return generating_basis(self)
+
+
+def _backend_names(m: FinModule) -> tuple[str, ...]:
+    return m.backend.names  # type: ignore[union-attr]
+
+
+# Set after the class is made: in the class body a descriptor would be taken
+# as the default of the ``names`` field.  ``_cached`` is a non-data
+# descriptor, so names stored by ``__init__`` are read directly, and only a
+# module whose ``__post_init__`` left them unset reaches its backend.
+FinModule.names = _cached(_backend_names)  # type: ignore[assignment]
+FinModule.names.__set_name__(FinModule, "names")
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,8 @@ from .core import (
     irreducible_generators,
     validate_module,
 )
-from .free import element_of_support, free_module, extend_from_generators
-from .homs import DEFAULT_BUDGET, Hom, HomConstraints, compose, enumerate_homs
+from .free import element_of_support, free_module
+from .homs import DEFAULT_BUDGET, Hom, HomConstraints, compose, enumerate_homs, extension_hom
 
 Pair = tuple[int, int]
 
@@ -217,7 +217,9 @@ def _checked(f: Hom, what: str) -> Hom:
 
 def canonical_section(n: int, flavor: Flavor) -> tuple[Hom, Hom]:
     """The splitting pair (g, h): g from the rank 2n-1 free module onto the
-    family, h the section with g∘h = id, both verified element-wise.
+    family, h the section with g∘h = id.  g is the extension of its
+    generator images, a hom by construction (:func:`extension_hom`); h is
+    checked to be a hom, and g∘h = id element-wise.
 
     g sends A_j to the j-th irreducible g_j, in the order of the key
     (max(i,k), i) of the index pair (i,k) for flavor B, from the bottom of
@@ -236,7 +238,7 @@ def canonical_section(n: int, flavor: Flavor) -> tuple[Hom, Hom]:
 
     gen_ids = sorted(irreducible_generators(mod), key=key)
     F = free_module(flavor, 2 * n - 1)
-    g = Hom(F, mod, extend_from_generators(F, mod, gen_ids))
+    g = extension_hom(F, mod, gen_ids)
     if not g.surjective:
         raise ModuleStructureError("canonical surjection misses elements")
 

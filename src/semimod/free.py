@@ -7,14 +7,18 @@ supports, collapsing the whole sum to zero on any sign conflict or zero
 summand; negation flips every sign (3^k elements).
 
 Supports are encoded as bitmask pairs ``(pos, neg)`` (``neg`` empty for
-flavor B).  Every free module computes its addition, negation and order
-from these codes (:class:`FreeOps`) and never builds a table, so it takes
-O(|F|) memory instead of O(|F|^2).  The extension of a generator
+flavor B), packed into one integer key ``pos | neg << rank``.  Every free
+module computes its addition, negation and order from these keys
+(:class:`FreeOps`) and never builds a table, so it takes O(|F|) memory
+instead of O(|F|^2).  The extension of a generator
 assignment follows the span walk of the free generators
 (:func:`semimod.core.span_walk`, cached as ``FinModule.basis``): O(|F|)
 sums on the free module, where each layer is one pass over the span of the
 earlier generators, and one target operation per element.  Element names
-are built the same way, each from the name of a smaller element.
+are built on first read only (``FreeOps.names``), each from the name of a
+smaller element: a caller that prints element ids, as ``projective`` does,
+never builds the |F| strings, while ``construct``, ``export-dot``,
+serialization and name lookups build them once per free module.
 """
 from __future__ import annotations
 
@@ -32,25 +36,42 @@ from .core import (
     _cached,
 )
 
-ZERO_CODE = (0, 0)
 
+def _keys(flavor: Flavor, rank: int) -> list[int]:
+    """The order keys ``pos | neg << rank`` of all support codes in canonical
+    order: zero, then by (size, support, signs).
 
-def _codes(flavor: Flavor, rank: int) -> list[tuple[int, int]]:
-    """All support codes in canonical order: zero, then by (size, support, signs)."""
+    The codes of one support form a block, its negative parts the submasks
+    of the support in increasing order.  For neg ⊆ supp the key is
+    supp + neg·(2^rank − 1), as pos = supp − neg.
+    """
     # a stable sort of the ascending supports by size alone orders them by (size, support)
     supports = sorted(range(1, 1 << rank), key=int.bit_count)
     if flavor is Flavor.B:
-        return [ZERO_CODE] + [(supp, 0) for supp in supports]
-    out = [ZERO_CODE]
+        return [0] + supports
+    low = (1 << rank) - 1
+    out = [0]
     for supp in supports:
-        # the negative parts are the submasks of the support in increasing
-        # order; (neg - supp) & supp steps to the next one and wraps to 0
+        # (neg - supp) & supp steps to the next submask and wraps to 0
         neg = 0
         while True:
-            out.append((supp & ~neg, neg))
+            out.append(supp + neg * low)
             neg = (neg - supp) & supp
             if not neg:
                 break
+    return out
+
+
+def _block_reversals(rank: int) -> list[int]:
+    """The id of -e for each id e of a Finf free module, zero first.
+
+    Negation keeps the support and sends the negative part neg to
+    supp − neg, which reverses the increasing order of the submasks, so it
+    reverses each support's block of ids (see :func:`_keys`)."""
+    out = [0]
+    for supp in sorted(range(1, 1 << rank), key=int.bit_count):
+        start = len(out)
+        out += range(start + (1 << supp.bit_count()) - 1, start - 1, -1)
     return out
 
 
@@ -66,7 +87,7 @@ def _names(ops: "FreeOps") -> tuple[str, ...]:
     plus = [f"+A{b + 1}" for b in range(rank)]
     minus = [f"-A{b + 1}" for b in range(rank)]
     names = ["0"]
-    for (pos, neg), key in zip(ops.codes[1:], ops.order_keys[1:]):
+    for (pos, neg), key in zip(ops.codes[1:], ops.keys[1:]):
         top = (pos | neg).bit_length() - 1
         rest = id_of_key[key & ~(1 << top | 1 << top + rank)]
         term = plus[top] if pos >> top & 1 else minus[top]
@@ -82,10 +103,12 @@ class FreeOps:
     """Addition, negation and order of a free module, read off the support codes.
 
     Element ``i`` has code ``codes[i] = (pos, neg)`` and key
-    ``pos | neg << rank``; the zero has id 0 and key 0.  ``add`` and (flavor
+    ``keys[i] = pos | neg << rank``; the zero has id 0 and key 0.  The keys
+    are built first and the codes split off them on first read, as the
+    operations read keys only.  ``add`` and (flavor
     Finf) ``neg`` are plain functions of element ids that cost a few integer
     operations each; no table is built, so a free module takes O(|F|)
-    memory however large it is.
+    memory however large it is.  ``names`` are built on first read.
     """
 
     flavor: Flavor
@@ -93,9 +116,8 @@ class FreeOps:
 
     def __post_init__(self) -> None:
         rank = self.rank
-        codes = tuple(_codes(self.flavor, rank))
-        keys = tuple(p | (n << rank) for p, n in codes)
-        id_of_key = {k: i for i, k in enumerate(keys)}
+        keys = tuple(_keys(self.flavor, rank))
+        id_of_key = dict(zip(keys, range(len(keys))))
         if self.flavor is Flavor.B:
 
             def add(a: int, b: int) -> int:
@@ -104,8 +126,8 @@ class FreeOps:
             neg = None
             top = 0
         else:
-            neg_ids = tuple(id_of_key[n | (p << rank)] for p, n in codes)
-            flips = tuple(keys[i] for i in neg_ids)
+            neg_ids = tuple(_block_reversals(rank))
+            flips = tuple(map(keys.__getitem__, neg_ids))
 
             def add(a: int, b: int) -> int:
                 if a == 0 or b == 0 or keys[a] & flips[b]:
@@ -116,7 +138,8 @@ class FreeOps:
             # every bit: inclusion of order keys then puts the zero on top
             top = (1 << (2 * rank)) - 1
         for name, value in (
-            ("codes", codes),
+            ("size", len(keys)),
+            ("keys", keys),
             ("id_of_key", id_of_key),
             ("add", add),
             ("neg", neg),
@@ -126,8 +149,18 @@ class FreeOps:
             object.__setattr__(self, name, value)
 
     @_cached
+    def codes(self) -> tuple[tuple[int, int], ...]:
+        """``(pos, neg)`` of each element, split off its key on first read."""
+        low = (1 << self.rank) - 1
+        return tuple((k & low, k >> self.rank) for k in self.keys)
+
+    @_cached
     def order(self) -> "FreeOrder":
         return FreeOrder(self.order_keys, self.flavor, self.rank)
+
+    @_cached
+    def names(self) -> tuple[str, ...]:
+        return _names(self)
 
 
 class FreeOrder(PartialOrder):
@@ -190,7 +223,7 @@ def free_module(flavor: Flavor, rank: int) -> FinModule:
             f"free module of rank {rank} has {size} elements, above the cap of {CARRIER_CAP}"
         )
     ops = FreeOps(flavor, rank)
-    return FinModule(flavor, _names(ops), 0, None, backend=ops)
+    return FinModule(flavor, None, 0, None, backend=ops)
 
 
 def _ops_of(m: FinModule) -> FreeOps:

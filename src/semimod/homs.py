@@ -36,8 +36,10 @@ The search data of a module (its recipes, order masks and counts) is built
 once and cached on the module.  The tests check the search against plain
 loops over all pairs and all total maps in ``tests/oracles.py``.  Each
 check runs once, where its object is made: a ``Hom`` keeps its hom check
-(``Hom.check``), a searched hom carries the check the search ran, and the
-inverse searches check w∘f = id or f∘h = id before they return.
+(``Hom.check``), a searched hom carries the check the search ran, the
+extension of a generator assignment out of a free module carries the check
+its construction decides (:func:`extension_hom`), and the inverse searches
+check w∘f = id or f∘h = id before they return.
 """
 from __future__ import annotations
 
@@ -93,7 +95,9 @@ class Hom:
         return len(set(self.map)) == self.target.size
 
     def is_identity(self) -> bool:
-        return self.source == self.target and all(v == i for i, v in enumerate(self.map))
+        # ``is`` first: module equality reads every field, a free module's names too
+        same = self.source is self.target or self.source == self.target
+        return same and self.map == tuple(range(len(self.map)))
 
     def describe(self) -> str:
         pairs = ", ".join(
@@ -181,6 +185,21 @@ def check_hom(f: Hom) -> HomCheck:
     """``f.check``: the morphism identities on valid modules, verified once
     per ``Hom``, with a violating pair on failure (see :func:`_hom_violation`)."""
     return f.check
+
+
+def extension_hom(free: FinModule, target: FinModule, images: Sequence[int]) -> Hom:
+    """The hom out of a free module that sends generator i to ``images[i]``,
+    with its hom check kept.
+
+    Its map is :func:`semimod.free.extend_from_generators` of the images.
+    :func:`_hom_violation` on such a map finds f(0) = 0 and then recomputes
+    the same extension from the same generator images and compares it with
+    itself (its free-source lemma), so the kept passing check is exactly
+    what it would return, and the second O(|F|) walk is skipped.
+    """
+    f = Hom(free, target, extend_from_generators(free, target, images))
+    object.__setattr__(f, "check", _PASSED)
+    return f
 
 
 def identity_hom(m: FinModule) -> Hom:

@@ -17,8 +17,8 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import FinModule, Flavor, FlavorMismatchError, _cached
-from .free import element_of_support, extend_from_generators, free_module, generator_ids, support_of
-from .homs import DEFAULT_BUDGET, Hom, compose, find_left_inverse
+from .free import element_of_support, free_module, generator_ids, support_of
+from .homs import DEFAULT_BUDGET, Hom, compose, extension_hom, find_left_inverse
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ def hom_of_matrix(
     for j in range(mat.cols):
         supp = [(i, mat.entry(i, j)) for i in range(mat.rows) if mat.entry(i, j)]
         images.append(element_of_support(tgt, supp))
-    return Hom(src, tgt, extend_from_generators(src, tgt, images))
+    return extension_hom(src, tgt, images)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,8 @@ def dual_factorization(
     S-basis vectors with equal images under f* are merged; the first map is
     induced by that surjection of finite sets and the residual completes
     f*.  Raises when f is not a splittable injection (certificate neither
-    supplied nor found).  Only a supplied certificate is checked here.
+    supplied nor found).  A supplied certificate is checked here to be a
+    hom w with w∘f = id; a found one was checked by the search.
     """
     if f.source.flavor is not Flavor.B:
         raise FlavorMismatchError("dual factorization is defined for flavor B")
@@ -282,7 +283,7 @@ def dual_factorization(
         certificate = find_left_inverse(f, budget=budget)
         if certificate is None:
             raise ValueError("f is not a splittable injection: no left inverse exists")
-    elif not compose(certificate, f).is_identity():
+    elif not (compose(certificate, f).is_identity() and certificate.is_hom):
         raise ValueError("supplied certificate is not a left inverse of f")
 
     mat = matrix_of_hom(f)  # s x n

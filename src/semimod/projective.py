@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import FinModule
-from .free import extend_from_generators, free_module
-from .homs import DEFAULT_BUDGET, Hom, find_right_inverse
+from .free import free_module
+from .homs import DEFAULT_BUDGET, Hom, extension_hom, find_right_inverse
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,16 @@ class ProjectivityCertificate:
 
 
 def canonical_free_cover(m: FinModule) -> Hom:
-    """Surjection onto m from the free module on ``m.generators``."""
+    """Surjection onto m from the free module on ``m.generators``.
+
+    It is the extension of the generator assignment A_i ↦ g_i, built once
+    by :func:`semimod.homs.extension_hom` with its hom check kept, so
+    ``find_right_inverse`` reads ``is_hom`` without a second walk of the
+    free module.  The free module's element names are never built here.
+    """
     gens = m.generators
     free = free_module(m.flavor, len(gens))
-    cover = Hom(free, m, extend_from_generators(free, m, list(gens)))
+    cover = extension_hom(free, m, gens)
     if not cover.surjective:
         raise AssertionError("irreducible generators failed to generate")
     return cover

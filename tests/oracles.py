@@ -621,7 +621,8 @@ def signed_lattice_by_pairs(pairs, label: str) -> FinModule:
 def codes_by_sign_bits(flavor: Flavor, rank: int) -> list[tuple[int, int]]:
     """The support codes of a free module, zero and then by (size, support,
     signs), each sign pattern deposited into the support bit by bit: the
-    reference for free._codes, which steps through the submasks."""
+    reference for the codes of free.FreeOps, whose keys step through the
+    submasks."""
     supports = sorted(range(1, 1 << rank), key=lambda s: (bin(s).count("1"), s))
     if flavor is Flavor.B:
         return [(0, 0)] + [(supp, 0) for supp in supports]

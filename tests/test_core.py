@@ -310,6 +310,21 @@ def test_carrier_cap():
         sm.FinModule(Flavor.B, tuple(str(i) for i in range(sm.CARRIER_CAP + 1)), 0, None)
 
 
+def test_a_module_without_names_reads_them_from_its_backend(monkeypatch):
+    with pytest.raises(sm.ModuleStructureError, match="names or a backend"):
+        sm.FinModule(Flavor.B, None, 0, (0,))
+
+    def refuse(ops):
+        raise AssertionError("names built before they were read")
+
+    monkeypatch.setattr(sm.free, "_names", refuse)
+    free = sm.FinModule(Flavor.B, None, 0, None, backend=sm.free.FreeOps(Flavor.B, 2))
+    assert free.size == 4 and free.add_of(1, 2) == 3
+    monkeypatch.undo()
+    assert free.names == ("0", "A1", "A2", "A1+A2")
+    assert free.name(3) == "A1+A2" and free.index_of_name["A2"] == 2
+
+
 def test_submodule_on_requires_closure(m3):
     one = m3.index_of_name["1"]
     a, b = m3.index_of_name["a"], m3.index_of_name["b"]

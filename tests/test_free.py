@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import semimod as sm
 from semimod import Flavor
-from semimod.free import _codes
+from semimod.free import FreeOps
 from semimod.serialize import resolve_module_ref
 
 from oracles import (
@@ -215,7 +215,16 @@ def test_free_order_from_codes_matches_induced_order():
 @pytest.mark.parametrize("flavor, top", [(Flavor.B, 11), (Flavor.FINF, 9)])
 def test_support_codes_equal_the_bit_by_bit_reference(flavor, top):
     for rank in range(top + 1):
-        assert _codes(flavor, rank) == codes_by_sign_bits(flavor, rank)
+        ops = FreeOps(flavor, rank)
+        ref = codes_by_sign_bits(flavor, rank)
+        assert list(ops.codes) == ref
+        assert ops.keys == tuple(pos | neg << rank for pos, neg in ref)
+        if flavor is Flavor.FINF:
+            # negation swaps the signs of the support
+            id_of_code = {c: i for i, c in enumerate(ref)}
+            assert [ops.neg(i) for i in range(len(ref))] == [
+                id_of_code[neg, pos] for pos, neg in ref
+            ]
 
 
 def test_free_rank_cap():

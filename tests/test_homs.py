@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+import json
 import random
 
 import pytest
 
 import semimod as sm
 from semimod import Flavor
+from semimod.cli import main
 from semimod.core import generating_basis
 from semimod.free import FreeOrder
 from semimod.serialize import resolve_module_ref as ref
@@ -615,6 +617,89 @@ def test_cover_section_never_reads_free_order_masks(name, monkeypatch):
     inverse = find(f)
     assert inverse is not None
     assert split(inverse).is_identity()
+
+
+def refuse_free_names(monkeypatch):
+    """Make building the names of a free module fail, and clear the cache of
+    free modules so that the ones the test reads are built under the patch."""
+
+    def refuse(ops):
+        raise AssertionError("the names of a free module were built")
+
+    monkeypatch.setattr(sm.free, "_names", refuse)
+    sm.free_module.cache_clear()
+
+
+@pytest.mark.parametrize("name", ["D6", "E4"])
+def test_projective_reads_no_free_module_names(name, capsys, monkeypatch):
+    # projective prints element ids, so the |F| names of its cover are never built
+    refuse_free_names(monkeypatch)
+    assert main(["projective", name]) == 0
+    assert json.loads(capsys.readouterr().out)["projective"] is True
+
+
+def test_identity_test_reads_no_free_module_names(monkeypatch):
+    # a module is its own source and target: no field comparison, no names
+    refuse_free_names(monkeypatch)
+    F = sm.free_module(Flavor.FINF, 3)
+    assert sm.identity_hom(F).is_identity()
+    assert not sm.Hom(F, F, (0,) * F.size).is_identity()
+
+
+@pytest.fixture
+def hom_checks(monkeypatch):
+    """The (source, target, map) of every ``_hom_violation`` call while the
+    test runs, by module identity, and the unpatched function."""
+    checked = []
+    real = sm.homs._hom_violation
+
+    def recording(M, N, val):
+        checked.append((id(M), id(N), tuple(val)))
+        return real(M, N, val)
+
+    monkeypatch.setattr(sm.homs, "_hom_violation", recording)
+    return checked, real
+
+
+def assert_kept_extension(f, hom_checks):
+    """f carries a hom check that no ``_hom_violation`` call made, it equals
+    a fresh one, and f is the support-sum extension of its generator images."""
+    checked, real = hom_checks
+    kept = f.check
+    assert (id(f.source), id(f.target), f.map) not in checked
+    assert kept == real(f.source, f.target, f.map)
+    images = [f.map[g] for g in sm.generator_ids(f.source)]
+    assert f.map == extend_by_support_sums(f.source, f.target, images)
+
+
+@pytest.mark.parametrize(
+    "name", ["D0", "D2", "D3", "D4", "D5", "D6", "E0", "E2", "E3", "E4"]
+)
+def test_canonical_covers_keep_the_check_a_fresh_one_gives(name, hom_checks):
+    m = ref(name)
+    cover = sm.canonical_free_cover(m)
+    assert_kept_extension(cover, hom_checks)
+    assert [cover.map[g] for g in sm.generator_ids(cover.source)] == list(m.generators)
+
+
+@pytest.mark.parametrize("flavor", [Flavor.B, Flavor.FINF])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_canonical_section_surjection_keeps_the_check_a_fresh_one_gives(n, flavor, hom_checks):
+    g, h = sm.canonical_section(n, flavor)
+    assert_kept_extension(g, hom_checks)
+    assert sm.compose(g, h).is_identity()
+
+
+@pytest.mark.parametrize("flavor, top", [(Flavor.B, 5), (Flavor.FINF, 3)])
+def test_matrix_homs_keep_the_check_a_fresh_one_gives(flavor, top, hom_checks):
+    rng = random.Random(16)
+    vals = (0, 1) if flavor is Flavor.B else (-1, 0, 1)
+    for _ in range(40):
+        rows, cols = rng.randint(0, top), rng.randint(0, top)
+        mat = sm.BoolMatrix(flavor, rows, cols, tuple(rng.choice(vals) for _ in range(rows * cols)))
+        f = sm.hom_of_matrix(mat)
+        assert_kept_extension(f, hom_checks)
+        assert sm.matrix_of_hom(f) == mat
 
 
 def test_injective_searches_into_free_targets_agree_with_oracles(monkeypatch):

@@ -264,6 +264,22 @@ def test_dual_factorization_random_duplicators():
     assert checked == 100
 
 
+def test_dual_factorization_rejects_a_non_hom_certificate():
+    # a left inverse on im(f) that is changed at one element outside im(f)
+    dup = BoolMatrix.from_rows(Flavor.B, [[1, 0], [1, 0], [0, 1]])
+    fact = sm.distinct_row_factorization(dup)
+    assert fact.duplicator == dup
+    f, w = fact.duplicator_hom, fact.split_certificate
+    outside = next(y for y in range(f.target.size) if y not in f.map)
+    changed = list(w.map)
+    changed[outside] = next(v for v in range(w.target.size) if v != w.map[outside])
+    bad = sm.Hom(w.source, w.target, tuple(changed))
+    assert sm.compose(bad, f).is_identity() and not bad.is_hom
+    assert sm.dual_factorization(f, certificate=w).certificate is w
+    with pytest.raises(ValueError, match="not a left inverse"):
+        sm.dual_factorization(f, certificate=bad)
+
+
 def test_dual_factorization_rejects_nonsplittable():
     mat = BoolMatrix.from_rows(Flavor.B, [[1, 1]])
     f = sm.hom_of_matrix(mat)  # B^2 -> B^1 cannot be injective
