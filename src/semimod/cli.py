@@ -22,7 +22,13 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .core import Flavor, ModuleStructureError, is_distributive_lattice, validate_module
+from .core import (
+    Flavor,
+    ModuleStructureError,
+    is_distributive_lattice,
+    require_valid,
+    validate_module,
+)
 from .families import (
     construct_D0,
     construct_Dn,
@@ -63,24 +69,13 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _valid(mod):
-    """The module itself, once it passes the axiom scan.
-
-    Hom checks and searches assume valid modules (``homs._hom_violation``),
-    so modules read from documents are scanned before anything uses them.
-    """
-    report = validate_module(mod)
-    if not report.ok:
-        raise ModuleStructureError(
-            "module document fails the module axioms: " + ", ".join(report.axioms())
-        )
-    return mod
-
-
 def _module_arg(arg: str):
-    """A module reference string, or a path to a valid module document."""
+    """A module reference string, or a path to a module document, which is
+    refused as a document error unless it passes the axiom scan."""
     if os.path.exists(arg):
-        return _valid(serialize.module_from_doc(_load_json(arg)))
+        mod = serialize.module_from_doc(_load_json(arg))
+        require_valid(mod, "module document")
+        return mod
     return serialize.resolve_module_ref(arg)
 
 
@@ -91,7 +86,7 @@ def _hom_arg(path: str):
     f = serialize.hom_from_doc(doc)
     for end, mod in (("source", f.source), ("target", f.target)):
         if isinstance(doc[end], dict):
-            _valid(mod)
+            require_valid(mod, "module document")
     chk = f.check
     if not chk.ok:
         raise ModuleStructureError(

@@ -13,10 +13,12 @@ ones, in one pass over that span, so O(|M|·|S|) sums in all.  Generated
 submodules, the hom search's recipes and the universal-property extension
 of free modules all use it.
 
-The axiom scan and the induced order read the addition table a row at a
-time with C-level loops (``map``, ``bytes``): each row a gives the
-bitmask of the elements above a, and associativity is decided on those
-masks in O(n^2) mask operations (:func:`_is_join`).
+The axiom scan and the induced order read one cached pass per module
+(``FinModule._scan``) over the addition table, a row at a time with
+C-level loops (``map``, ``bytes``): each row a gives the bitmask of the
+elements above a, associativity is decided on those masks in O(n^2) mask
+operations (:func:`_is_join`), and the same masks are the order of a
+valid module.  Reading the order of an invalid module raises.
 
 Distributivity is decided on the irreducible generators alone: each must
 be join-prime (:func:`is_distributive_lattice`, O(|S|^2) sums), so no
@@ -29,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count, repeat
-from operator import eq, getitem, itemgetter, ne
+from operator import and_, eq, getitem, itemgetter, ne
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 # Carriers above this size are refused outright (runaway constructions).
@@ -74,7 +76,8 @@ class Flavor(str, Enum):
 class ModuleStructureError(ValueError):
     """Malformed module data: bad table shape, unknown IDs, duplicate names.
 
-    Distinct from axiom violations, which are reported, not raised.
+    Distinct from axiom violations, which are reported, not raised, until
+    the order of a module that fails an axiom is read (:func:`induced_order`).
     """
 
 
@@ -158,6 +161,14 @@ class FinModule:
         return induced_order(self)
 
     @_cached
+    def _scan(self) -> tuple["ValidationReport", Optional["PartialOrder"]]:
+        """The axiom report and, for a valid module, the induced order."""
+        _structural_check(self)
+        violations, up = _scan_violations(self)
+        report = ValidationReport(tuple(violations))
+        return report, (PartialOrder(self.size, tuple(up)) if report.ok else None)
+
+    @_cached
     def generators(self) -> tuple[int, ...]:
         """A minimal generating set: the free generators of a free module,
         otherwise :func:`irreducible_generators`."""
@@ -233,8 +244,9 @@ def _structural_check(m: FinModule) -> None:
             raise ModuleStructureError(
                 f"add table has {len(m.add_table)} entries, expected {n * n}"
             )
-        if not (0 <= min(m.add_table) and max(m.add_table) < n):
-            pos, e = next((p, e) for p, e in enumerate(m.add_table) if not (0 <= e < n))
+        ids = range(n)
+        if not set(ids).issuperset(m.add_table):
+            pos, e = next((p, e) for p, e in enumerate(m.add_table) if e not in ids)
             raise ModuleStructureError(
                 f"add table entry {e} at position ({pos // n}, {pos % n}) is not an element id"
             )
@@ -290,9 +302,10 @@ def _first_row_diff(
     return None
 
 
-def _is_join(rows: Sequence[Sequence[int]]) -> bool:
+def _is_join(rows: Sequence[Sequence[int]], up: Sequence[int]) -> bool:
     """Whether a commutative idempotent addition table is associative,
-    decided in O(n^2) mask operations on the induced order.
+    decided in O(n^2) mask operations on the induced order; ``up[x]`` is
+    :func:`_up_mask` of row x.
 
     With up(x) = {c : x + c = c}, the table is associative iff
     up(a + b) = up(a) ∩ up(b) for all a < b, i.e. iff a + b is the least
@@ -305,18 +318,21 @@ def _is_join(rows: Sequence[Sequence[int]]) -> bool:
     up(a) ∩ up(b) ∩ up(c) = up(a + (b + c)).  Pairs with b < a follow by
     commutativity, and b = a by idempotence.  The condition says at once
     that <= is transitive, that a <= a + b, and that every common upper
-    bound of a and b lies above a + b.
+    bound of a and b lies above a + b.  The other order laws need no test:
+    a <= a is idempotence; a <= b and b <= a give a = b + a = a + b = b by
+    commutativity; the zero law 0 + a = a puts 0 below every a (flavor B),
+    and 0 + a = 0 puts every a below 0, as a + 0 = 0 + a (flavor Finf).
     """
-    up = [_up_mask(r) for r in rows]
     for a, row in enumerate(rows):
         ua = up[a]
-        if any(map(ne, map(ua.__and__, up[a + 1 :]), map(up.__getitem__, row[a + 1 :]))):
+        if any(map(ne, map(and_, repeat(ua), up[a + 1 :]), map(up.__getitem__, row[a + 1 :]))):
             return False
     return True
 
 
-def _scan_violations(m: FinModule) -> list[Violation]:
-    """Every axiom, with the first witness in row-major order.
+def _scan_violations(m: FinModule) -> tuple[list[Violation], Optional[list[int]]]:
+    """Every axiom, with the first witness in row-major order, and the up
+    masks of the rows, None unless commutativity and idempotence hold.
 
     Associativity is decided by :func:`_is_join` once commutativity and
     idempotence hold; the O(n^3) witness search, one row comparison per
@@ -335,8 +351,9 @@ def _scan_violations(m: FinModule) -> list[Violation]:
     if comm:
         out.append(Violation("add_commutative", comm))
     idem = _first_diff(map(getitem, rows, ids), ids)
+    up = None if comm or idem is not None else [_up_mask(r) for r in rows]
 
-    if comm or idem is not None or not _is_join(rows):
+    if up is None or not _is_join(rows, up):
         # read_at[b](row a) is a + (b + c) over c, gathered at C level; each
         # returns a tuple, as n >= 2 here (the one-element table passes)
         read_at = [itemgetter(*r) for r in rows]
@@ -375,7 +392,7 @@ def _scan_violations(m: FinModule) -> list[Violation]:
             out.append(Violation("neg_distributes", w))
         if neg[z] != z:
             out.append(Violation("neg_fixes_zero", (z,)))
-    return out
+    return out, up
 
 
 def validate_module(m: FinModule) -> ValidationReport:
@@ -385,8 +402,17 @@ def validate_module(m: FinModule) -> ValidationReport:
     unclosed tables, duplicate names): structural defects are errors, not
     violations.
     """
-    _structural_check(m)
-    return ValidationReport(tuple(_scan_violations(m)))
+    return m._scan[0]
+
+
+def require_valid(m: FinModule, what: str) -> PartialOrder:
+    """The induced order of ``m``; raises :class:`ModuleStructureError`,
+    "<what> fails the module axioms: ...", when ``m`` fails any axiom."""
+    report, order = m._scan
+    if order is None:
+        failed = ", ".join(report.axioms())
+        raise ModuleStructureError(f"{what} fails the module axioms: {failed}")
+    return order
 
 
 @dataclass(frozen=True)
@@ -454,19 +480,6 @@ class PartialOrder:
                 b ^= low
         return out
 
-    def minimum(self) -> Optional[int]:
-        full = (1 << self.size) - 1
-        for a in range(self.size):
-            if self.masks[a] == full:
-                return a
-        return None
-
-    def maximum(self) -> Optional[int]:
-        for a in range(self.size):
-            if self.down_masks[a] == (1 << self.size) - 1:
-                return a
-        return None
-
 
 def _floors(counts: Sequence[int], size: int) -> tuple[int, ...]:
     """Entry t: the bitmask of the ids e with ``counts[e] >= t``, for t from
@@ -486,37 +499,13 @@ def _floors(counts: Sequence[int], size: int) -> tuple[int, ...]:
 
 
 def induced_order(m: FinModule) -> PartialOrder:
-    """Compute the induced partial order and assert it is one.
+    """The induced partial order, a <= b iff a + b = b: the up masks of the
+    module's axiom scan, whose axioms make it a partial order with the zero
+    at the bottom (flavor B) or on top (flavor Finf); see :func:`_is_join`.
 
-    Reflexivity, antisymmetry and transitivity are theorems for valid
-    modules; they are asserted anyway to catch table corruption.  The zero
-    must be the minimum (flavor B) or the maximum (flavor Finf).
+    Raises :class:`ModuleStructureError` for a module that fails an axiom.
     """
-    n = m.size
-    masks = [_up_mask(r) for r in _rows(m)]
-    order = PartialOrder(n, tuple(masks))
-    for a in range(n):
-        if not order.leq(a, a):
-            raise ModuleStructureError(f"induced relation not reflexive at {m.name(a)}")
-        ms = masks[a]
-        b = ms & ~(1 << a)
-        while b:
-            low = b & -b
-            u = low.bit_length() - 1
-            if order.leq(u, a):
-                raise ModuleStructureError(
-                    f"induced relation not antisymmetric on ({m.name(a)}, {m.name(u)})"
-                )
-            if masks[u] & ~ms:
-                raise ModuleStructureError(
-                    f"induced relation not transitive through ({m.name(a)}, {m.name(u)})"
-                )
-            b ^= low
-    if m.flavor is Flavor.B and order.minimum() != m.zero:
-        raise ModuleStructureError("zero is not the minimum of the induced order")
-    if m.flavor is Flavor.FINF and order.maximum() != m.zero:
-        raise ModuleStructureError("zero is not the maximum of the induced order")
-    return order
+    return require_valid(m, "module")
 
 
 def join_irreducibles(m: FinModule) -> tuple[int, ...]:
@@ -804,9 +793,7 @@ def quotient_with_projection(
         add_table=add,
         neg_table=neg,
     )
-    report = validate_module(q)
-    if not report.ok:
-        raise ModuleStructureError(f"quotient fails axioms: {report.axioms()}")
+    require_valid(q, "quotient")
     return q, cls
 
 

@@ -30,7 +30,7 @@ from .core import (
     Flavor,
     ModuleStructureError,
     irreducible_generators,
-    validate_module,
+    require_valid,
 )
 from .free import element_of_support, free_module
 from .homs import DEFAULT_BUDGET, Hom, HomConstraints, compose, enumerate_homs, extension_hom
@@ -143,9 +143,7 @@ def _signed_lattice(pairs: tuple[Pair, ...], label: str) -> FinModule:
 
 def _wrap(n: int, flavor: Flavor, module: FinModule, pairs: tuple[Pair, ...]) -> IndexedLattice:
     labels = {p: idx + 1 for idx, p in enumerate(pairs)}
-    report = validate_module(module)
-    if not report.ok:
-        raise ModuleStructureError(f"family module fails axioms: {report.axioms()}")
+    require_valid(module, "family module")
     return IndexedLattice(n, flavor, module, pairs, MappingProxyType(labels))
 
 

@@ -83,9 +83,9 @@ def _names(ops: "FreeOps") -> tuple[str, ...]:
     element, as codes are ordered by support size) followed by that
     generator's term, so each costs one dict lookup and one concatenation.
     """
-    rank, id_of_key = ops.rank, ops.id_of_key
-    plus = [f"+A{b + 1}" for b in range(rank)]
-    minus = [f"-A{b + 1}" for b in range(rank)]
+    rank, id_of_key, letter = ops.rank, ops.id_of_key, ops.letter
+    plus = [f"+{letter}{b + 1}" for b in range(rank)]
+    minus = [f"-{letter}{b + 1}" for b in range(rank)]
     names = ["0"]
     for (pos, neg), key in zip(ops.codes[1:], ops.keys[1:]):
         top = (pos | neg).bit_length() - 1
@@ -108,11 +108,13 @@ class FreeOps:
     operations read keys only.  ``add`` and (flavor
     Finf) ``neg`` are plain functions of element ids that cost a few integer
     operations each; no table is built, so a free module takes O(|F|)
-    memory however large it is.  ``names`` are built on first read.
+    memory however large it is.  ``names`` are built on first read, with
+    generators named ``letter`` and their index.
     """
 
     flavor: Flavor
     rank: int
+    letter = "A"  # a class attribute, not a field
 
     def __post_init__(self) -> None:
         rank = self.rank

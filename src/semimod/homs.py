@@ -157,9 +157,11 @@ def _hom_violation(M: FinModule, N: FinModule, val: Sequence[int]) -> HomCheck:
 
     The proofs use the axioms of M and N (associativity, the zero law, and
     for flavor Finf that negation distributes and fixes zero, and that
-    a + -a = 0), so the check assumes valid modules: validate modules of
-    unknown origin first.  On failure the witness is the first violating
-    (x, s), or (s,) for negation.
+    a + -a = 0), so the check holds for valid modules.  A tabled M that
+    fails an axiom never reaches it: its generating set is read off its
+    order, which then raises (:func:`semimod.core.induced_order`); validate
+    a target of unknown origin first.  On failure the witness is the first
+    violating (x, s), or (s,) for negation.
     """
     if val[M.zero] != N.zero:
         return HomCheck(False, "zero", (M.zero,))

@@ -12,12 +12,12 @@ its distinct rows; dualization realizes transposition as precomposition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import FinModule, Flavor, FlavorMismatchError, _cached
-from .free import element_of_support, free_module, generator_ids, support_of
+from .free import FreeOps, element_of_support, free_module, generator_ids, support_of
 from .homs import DEFAULT_BUDGET, Hom, compose, extension_hom, find_left_inverse
 
 
@@ -229,17 +229,23 @@ def distinct_row_factorization(mat: BoolMatrix) -> DistinctRowFactorization:
 # duality (flavor B)
 
 
+class _DualOps(FreeOps):
+    """The operations of a free B-module whose generators are named E1, E2, ..."""
+
+    letter = "E"
+
+
 @lru_cache(maxsize=None)
 def dualize_free(n: int) -> FinModule:
     """The dual of the rank-n free B-module: all homs to B under pointwise or.
 
     Realized as the free module on the coordinate evaluations (the hom
     sending T to [S ∩ T nonempty] is the sum of the evaluations over T), so
-    elements are renamed E1, E2, ... to keep the two sides apart.
+    its generators are named E1, E2, ... to keep the two sides apart; like
+    any free module's, its names are built on first read only.
     """
-    base = free_module(Flavor.B, n)
-    names = tuple(nm.replace("A", "E") for nm in base.names)
-    return replace(base, names=names)
+    free_module(Flavor.B, n)  # refuses a rank above the carrier cap
+    return FinModule(Flavor.B, None, 0, None, backend=_DualOps(Flavor.B, n))
 
 
 def dualize_hom(f: Hom) -> Hom:
@@ -312,6 +318,4 @@ def dual_factorization(
     )
     if compose(residual, induced).map != fstar.map:
         raise AssertionError("residual ∘ induced does not recover the dual map")
-    if l > 2 ** n:
-        raise AssertionError("distinct dual images exceed the size of (B^n)*")
     return DualFactorization(fstar, tuple(surj), induced, residual, certificate)

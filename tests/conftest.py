@@ -70,6 +70,19 @@ def assorted_modules():
     return out
 
 
+def refuse_free_names(monkeypatch):
+    """Make building the names of a free module fail, and clear the caches
+    of free modules and their duals so that the ones the test reads are
+    built under the patch."""
+
+    def refuse(ops):
+        raise AssertionError("the names of a free module were built")
+
+    monkeypatch.setattr(sm.free, "_names", refuse)
+    sm.free_module.cache_clear()
+    sm.dualize_free.cache_clear()
+
+
 @pytest.fixture
 def m3():
     return diamond_m3()

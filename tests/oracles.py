@@ -13,7 +13,8 @@ extension of its generator images.  The names are formatted term by term,
 where the library extends shorter names.  The closure and the support
 sums are the breadth-first and per-element references for the library's
 span walk, the irreducibles take one closure per element where the
-library sums a down-set, the order counts are a loop over all pairs, the
+library sums a down-set, the order masks and counts are loops over all
+pairs where the library reads the masks off its axiom scan, the
 factorization walks the complete hom catalog of one side, and the two
 distributivity checks compute meets where the library tests the
 irreducibles for join-primality; for flavor B the splitting search must
@@ -437,10 +438,17 @@ def brute_force_homs(
     return out
 
 
+def order_masks_by_pairs(m: FinModule) -> list[int]:
+    """Bit b of entry a is set iff a + b = b, one sum per pair: the reference
+    for the masks of the induced order."""
+    add = m.add_of
+    return [sum(1 << b for b in range(m.size) if add(a, b) == b) for a in range(m.size)]
+
+
 def order_counts(m: FinModule) -> tuple[list[int], list[int]]:
-    """|down(x)| and |up(x)| for every x, one test of the order's masks per
-    pair: the reference for ``PartialOrder.counts``."""
-    masks = m.order.masks
+    """|down(x)| and |up(x)| for every x, one test of the pair-loop masks
+    per pair: the reference for ``PartialOrder.counts``."""
+    masks = order_masks_by_pairs(m)
     down, up = [0] * m.size, [0] * m.size
     for a in range(m.size):
         for b in range(m.size):

@@ -685,16 +685,19 @@ NON_ASSOCIATIVE = {
         5, 3, 4, 3, 4, 5,
     ],
 }
-# f(c + d) = f(b) = 0 but f(c) + f(d) = 1: not a hom, yet it passes every
-# check on the generating set {a, b, e}, where the lemma behind the check
-# would need associativity.
+# f(c + d) = f(b) = 0 but f(c) + f(d) = 1: not a hom, yet it would pass
+# every check on the generating set {a, b, e}, where the lemma behind the
+# check needs associativity; the check reads the source's order, which
+# refuses the module.
 NON_HOM_MAP = [0, 1, 0, 1, 1, 1]
 
 
 def test_document_modules_must_pass_the_axiom_scan(tmp_path, capsys):
     mod = module_from_doc(NON_ASSOCIATIVE)
     f = sm.Hom(mod, sm.scalar_module(Flavor.B), tuple(NON_HOM_MAP))
-    assert sm.check_hom(f).ok and not check_hom_all_pairs(f).ok
+    with pytest.raises(sm.ModuleStructureError, match="add_associative"):
+        sm.check_hom(f)
+    assert not check_hom_all_pairs(f).ok
 
     module_path = tmp_path / "mod.json"
     module_path.write_text(json.dumps(NON_ASSOCIATIVE))

@@ -19,6 +19,7 @@ from oracles import (
     meet_by_search,
     normalize,
     order_counts,
+    order_masks_by_pairs,
     scan_violations,
     t_add,
     t_gen,
@@ -77,14 +78,16 @@ def test_induced_order_on_scalars():
     order = sm.induced_order(b)
     zero, one = b.index_of_name["0"], b.index_of_name["1"]
     assert order.leq(zero, one) and not order.leq(one, zero)
-    assert order.minimum() == zero
+    # the zero lies below every element
+    assert order.masks[zero] == (1 << b.size) - 1
 
     f = sm.scalar_module(Flavor.FINF)
     order = sm.induced_order(f)
     z, one, mone = (f.index_of_name[k] for k in ("0", "1", "-1"))
     assert order.leq(one, z) and order.leq(mone, z)
     assert not order.leq(one, mone) and not order.leq(mone, one)
-    assert order.maximum() == z
+    # every element lies below the zero
+    assert order.down_masks[z] == (1 << f.size) - 1
 
 
 def test_induced_order_on_d3_matches_index_domination():
@@ -153,7 +156,7 @@ def test_generated_submodule_agrees_with_bfs_oracle():
 
 def test_order_counts_and_their_floors_agree_with_pair_loops():
     # assorted_modules() holds free B ranks 0-5 and Finf ranks 0-3, whose
-    # counts have closed forms; the oracle reads their masks
+    # counts have closed forms; the oracle sums over all pairs
     for m in assorted_modules():
         down, up = order_counts(m)
         assert m.order.counts == (tuple(down), tuple(up)), m.names
@@ -161,6 +164,102 @@ def test_order_counts_and_their_floors_agree_with_pair_loops():
             assert len(floors) == max(counts) + 1
             for t, mask in enumerate(floors):
                 assert mask == sum(1 << e for e, c in enumerate(counts) if c >= t), (m.names, t)
+
+
+def test_induced_order_agrees_with_the_pair_loop():
+    rng = random.Random(41)
+    quotients = []
+    for base in ("D3", "D5", "E2", "E3"):
+        m = resolve_module_ref(base)
+        for _ in range(6):
+            pairs = [(rng.randrange(m.size), rng.randrange(m.size)) for _ in range(2)]
+            quotients.append(sm.quotient_by_congruence(m, sm.generated_congruence(m, pairs)))
+    # assorted_modules() holds D0, D2-D4, E0, E2-E4 and free modules too
+    larger = [resolve_module_ref(r) for r in ("D5", "D6")]
+    for m in assorted_modules() + larger + quotients:
+        assert list(sm.induced_order(m).masks) == order_masks_by_pairs(m), m.names
+    for flavor, top in ((Flavor.B, 4), (Flavor.FINF, 3)):
+        for rank in range(top + 1):
+            free = sm.free_module(flavor, rank)
+            ref = order_masks_by_pairs(free)
+            assert isinstance(free.order, FreeOrder)
+            assert list(free.order.masks) == ref and list(sm.induced_order(free).masks) == ref
+
+
+@pytest.mark.parametrize("construct, n", [(sm.construct_Dn, 5), (sm.construct_En, 3)])
+def test_each_module_is_scanned_once(construct, n, monkeypatch):
+    scanned = []
+    real = sm.core._scan_violations
+
+    def counting(m):
+        scanned.append(m)
+        return real(m)
+
+    monkeypatch.setattr(sm.core, "_scan_violations", counting)
+    # built anew, past the constructor's cache; the constructor validates it
+    m = construct.__wrapped__(n).module
+    report = sm.validate_module(m)
+    order = sm.induced_order(m)
+    assert report.ok and sm.validate_module(m) is report
+    assert m.order is order and sm.induced_order(m) is order
+    sm.irreducible_generators(m)
+    assert sm.projectivity_certificate(m).projective
+    assert [x for x in scanned if x is m] == [m]
+    assert all(x.free_rank is not None for x in scanned if x is not m)
+
+
+def finf_module_with(neg_of):
+    """The free Finf module on two generators, with its addition as a table
+    and the negation ``neg_of`` given by signed supports."""
+    free = sm.free_module(Flavor.FINF, 2)
+    ids = range(free.size)
+    add = tuple(free.add_of(a, b) for a in ids for b in ids)
+    support = {sm.support_of(free, e): e for e in ids}
+    neg = tuple(support[neg_of(sm.support_of(free, e))] for e in ids)
+    return sm.FinModule(Flavor.FINF, free.names, free.zero, add, neg_table=neg)
+
+
+def _identity(supp):
+    return supp
+
+
+def _twisted(supp):
+    # an involution with a + -a = 0 that fixes zero, but -(A1 + A2) = -A1
+    # while -A1 + -A2 = (-A1+A2) + -A2 = 0
+    swaps = {
+        ((0, 1),): ((0, -1), (1, 1)),
+        ((0, -1),): ((0, 1), (1, 1)),
+        ((0, 1), (1, -1)): ((0, -1), (1, -1)),
+        ((1, 1),): ((1, -1),),
+    }
+    swaps.update({v: k for k, v in swaps.items()})
+    return swaps.get(supp, supp)
+
+
+@pytest.mark.parametrize(
+    "neg_of, axiom", [(_identity, "neg_cancels"), (_twisted, "neg_distributes")]
+)
+def test_reading_the_order_of_an_invalid_module_raises(neg_of, axiom):
+    # the addition is the free module's, so the induced order is a partial
+    # order with the zero on top; only the negation is wrong
+    m = finf_module_with(neg_of)
+    assert sm.validate_module(m).axioms() == (axiom,)
+    # reflexive with the zero on top, antisymmetric and transitive
+    up = order_masks_by_pairs(m)
+    for a in range(m.size):
+        assert up[a] >> a & 1 and up[a] >> m.zero & 1
+        for b in range(m.size):
+            if b != a and up[a] >> b & 1:
+                assert not up[b] >> a & 1 and not up[b] & ~up[a]
+    scalars = sm.scalar_module(Flavor.FINF)
+    for read in (
+        lambda: m.order,
+        lambda: sm.induced_order(m),
+        lambda: sm.check_hom(sm.Hom(m, scalars, (0,) * m.size)),
+        lambda: next(sm.iter_homs(m, scalars)),
+    ):
+        with pytest.raises(sm.ModuleStructureError, match=f"fails the module axioms: {axiom}"):
+            read()
 
 
 def test_validate_module_refuses_modules_too_large_to_scan():
@@ -359,7 +458,13 @@ def test_scan_paths_agree_on_mutations(data):
         base.flavor, base.names, base.zero, tuple(table),
         neg_table=tuple(neg) if neg is not None else None,
     )
-    assert list(sm.validate_module(mutant).violations) == scan_violations(mutant)
+    violations = scan_violations(mutant)
+    assert list(sm.validate_module(mutant).violations) == violations
+    if violations:
+        with pytest.raises(sm.ModuleStructureError, match=violations[0].axiom):
+            sm.induced_order(mutant)
+    else:
+        assert list(sm.induced_order(mutant).masks) == order_masks_by_pairs(mutant)
 
 
 def test_validate_module_agrees_with_oracle_scan_on_assorted_modules():

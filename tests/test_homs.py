@@ -12,7 +12,13 @@ from semimod.core import generating_basis
 from semimod.free import FreeOrder
 from semimod.serialize import resolve_module_ref as ref
 
-from conftest import assorted_modules, chain_module, diamond_m3, pentagon_n5
+from conftest import (
+    assorted_modules,
+    chain_module,
+    diamond_m3,
+    pentagon_n5,
+    refuse_free_names,
+)
 from oracles import (
     brute_force_homs,
     check_hom_all_pairs,
@@ -617,17 +623,6 @@ def test_cover_section_never_reads_free_order_masks(name, monkeypatch):
     inverse = find(f)
     assert inverse is not None
     assert split(inverse).is_identity()
-
-
-def refuse_free_names(monkeypatch):
-    """Make building the names of a free module fail, and clear the cache of
-    free modules so that the ones the test reads are built under the patch."""
-
-    def refuse(ops):
-        raise AssertionError("the names of a free module were built")
-
-    monkeypatch.setattr(sm.free, "_names", refuse)
-    sm.free_module.cache_clear()
 
 
 @pytest.mark.parametrize("name", ["D6", "E4"])

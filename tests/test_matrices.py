@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 import semimod as sm
 from semimod import BoolMatrix, Flavor
 
+from conftest import refuse_free_names
 from oracles import brute_force_homs, hom_table_module
 
 
@@ -278,6 +279,22 @@ def test_dual_factorization_rejects_a_non_hom_certificate():
     assert sm.dual_factorization(f, certificate=w).certificate is w
     with pytest.raises(ValueError, match="not a left inverse"):
         sm.dual_factorization(f, certificate=bad)
+
+
+def test_duals_build_their_names_on_first_read(monkeypatch):
+    # a dual free module names its generators E1, E2, ... itself, on first
+    # read; it does not rename the names of the free module it mirrors
+    refuse_free_names(monkeypatch)
+    fact = sm.distinct_row_factorization(BoolMatrix.from_rows(Flavor.B, [[1, 0], [1, 0], [0, 1]]))
+    res = sm.dual_factorization(fact.duplicator_hom, fact.split_certificate)
+    dual = sm.dualize_hom(fact.duplicator_hom)
+    assert sm.compose(res.residual, res.induced).map == res.dual_map.map
+    assert sm.matrix_of_hom(dual) == fact.duplicator.transpose()
+    monkeypatch.undo()
+    assert dual.target.names == ("0", "E1", "E2", "E1+E2")
+    assert dual.source.names[1:4] == ("E1", "E2", "E3")
+    assert dual.source.names[-1] == "E1+E2+E3"
+    assert res.dual_map.target is sm.dualize_free(2)
 
 
 def test_dual_factorization_rejects_nonsplittable():
