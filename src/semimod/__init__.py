@@ -78,13 +78,11 @@ from .noetherian import (
     CategorySpec,
     FactorizationResult,
     MorphismClass,
-    PrincipalProjective,
     Verdict,
     WitnessReport,
     default_witness_family,
     factors_through,
     hom_catalog,
-    principal_projective_profile,
     witness_verify,
 )
 

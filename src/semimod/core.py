@@ -4,7 +4,9 @@ Flavor B is a commutative idempotent monoid with a neutral zero, i.e. a
 join-semilattice with bottom.  Flavor Finf carries a negation and an
 *absorbing* zero: ``0 + a = 0`` and ``a + (-a) = 0``.  Everything here is
 finite and table-driven: a module is an element list, a distinguished zero,
-a flat addition table and (for Finf) a negation table.
+a flat addition table and (for Finf) a negation table, checked for structure
+once, when the module is made.  Free modules (:class:`semimod.free.FreeModule`)
+compute their operations from support keys instead.
 
 Everything built from a generating set goes through one routine,
 :func:`span_walk`: it adds the generators one at a time and lists, with a
@@ -91,13 +93,11 @@ class FinModule:
 
     ``names`` double as display labels and as the canonical sort key for
     serialization, so they must be unique.  ``add_table`` is row-major of
-    size ``n*n``; ``neg_table`` is present exactly for flavor Finf.  Free
-    modules carry no tables: their ``backend`` is the
-    :class:`semimod.free.FreeOps` of the free module, which computes
-    addition, negation, the order and the free generators from support codes.
-    A module with a backend may pass ``names=None``: its ``size`` is then the
-    backend's, and its names are read from the backend on first use, so a
-    caller that prints no element names never builds them.
+    size ``n*n``; ``neg_table`` is present exactly for flavor Finf.  The
+    tables are checked for structure when the module is made
+    (:func:`_structural_check`), so a malformed module is never built.
+    Free modules are the subclass :class:`semimod.free.FreeModule`, which
+    carries no tables and computes its operations from support keys.
     """
 
     flavor: Flavor
@@ -105,35 +105,20 @@ class FinModule:
     zero: int
     add_table: Optional[tuple[int, ...]]
     neg_table: Optional[tuple[int, ...]] = None
-    backend: Optional[object] = None
+
+    # number of free generators of a free module, None for other modules; a
+    # class attribute, not a field, which ``FreeModule`` overrides
+    free_rank = None
 
     def __post_init__(self) -> None:
-        if self.names is not None:
-            n = len(self.names)
-        elif self.backend is not None:
-            n = self.backend.size  # type: ignore[attr-defined]
-            # unset, so that the first read builds them (``_backend_names``)
-            object.__delattr__(self, "names")
-        else:
-            raise ModuleStructureError("module needs element names or a backend")
+        n = len(self.names)
         if n > CARRIER_CAP:
             raise ModuleStructureError(
                 f"carrier of {n} elements exceeds the cap of {CARRIER_CAP}"
             )
         # a plain attribute, not a property: ``add_of`` reads it per sum
         object.__setattr__(self, "size", n)
-        if self.add_table is None and self.backend is None:
-            raise ModuleStructureError("module needs either a flat add table or a backend")
-        if self.backend is not None:
-            # the free module's own functions, so that a sum is one call
-            object.__setattr__(self, "add_of", self.backend.add)  # type: ignore[attr-defined]
-            if self.flavor is Flavor.FINF:
-                object.__setattr__(self, "neg_of", self.backend.neg)  # type: ignore[attr-defined]
-
-    @property
-    def free_rank(self) -> Optional[int]:
-        """Number of free generators of a free module, None for other modules."""
-        return None if self.backend is None else self.backend.rank  # type: ignore[attr-defined]
+        _structural_check(self)
 
     def add_of(self, a: int, b: int) -> int:
         return self.add_table[a * self.size + b]  # type: ignore[index]
@@ -156,24 +141,19 @@ class FinModule:
 
     @_cached
     def order(self) -> "PartialOrder":
-        if self.backend is not None:
-            return self.backend.order  # type: ignore[attr-defined]
         return induced_order(self)
 
     @_cached
     def _scan(self) -> tuple["ValidationReport", Optional["PartialOrder"]]:
         """The axiom report and, for a valid module, the induced order."""
-        _structural_check(self)
         violations, up = _scan_violations(self)
         report = ValidationReport(tuple(violations))
         return report, (PartialOrder(self.size, tuple(up)) if report.ok else None)
 
     @_cached
     def generators(self) -> tuple[int, ...]:
-        """A minimal generating set: the free generators of a free module,
-        otherwise :func:`irreducible_generators`."""
-        if self.backend is not None:
-            return self.backend.generators  # type: ignore[attr-defined]
+        """A minimal generating set: :func:`irreducible_generators` (a free
+        module stores its free generators instead)."""
         return irreducible_generators(self)
 
     @_cached
@@ -192,18 +172,6 @@ class FinModule:
         """:func:`generating_basis` of this module, built on first read; every
         hom search from this module reads it."""
         return generating_basis(self)
-
-
-def _backend_names(m: FinModule) -> tuple[str, ...]:
-    return m.backend.names  # type: ignore[union-attr]
-
-
-# Set after the class is made: in the class body a descriptor would be taken
-# as the default of the ``names`` field.  ``_cached`` is a non-data
-# descriptor, so names stored by ``__init__`` are read directly, and only a
-# module whose ``__post_init__`` left them unset reaches its backend.
-FinModule.names = _cached(_backend_names)  # type: ignore[assignment]
-FinModule.names.__set_name__(FinModule, "names")
 
 
 @dataclass(frozen=True)
@@ -234,36 +202,39 @@ class ValidationReport:
 
 
 def _structural_check(m: FinModule) -> None:
+    """Raise :class:`ModuleStructureError` unless the names are unique, the
+    zero is an element and the tables are total and closed; run once, by
+    ``FinModule.__post_init__``, on every tabled module."""
     n = m.size
     if len(set(m.names)) != n:
         raise ModuleStructureError("element names are not unique")
     if not (0 <= m.zero < n):
         raise ModuleStructureError(f"zero id {m.zero} out of range")
-    if m.add_table is not None:
-        if len(m.add_table) != n * n:
-            raise ModuleStructureError(
-                f"add table has {len(m.add_table)} entries, expected {n * n}"
-            )
-        ids = range(n)
-        if not set(ids).issuperset(m.add_table):
-            pos, e = next((p, e) for p, e in enumerate(m.add_table) if e not in ids)
-            raise ModuleStructureError(
-                f"add table entry {e} at position ({pos // n}, {pos % n}) is not an element id"
-            )
+    if m.add_table is None:
+        raise ModuleStructureError("module needs a flat add table")
+    if len(m.add_table) != n * n:
+        raise ModuleStructureError(
+            f"add table has {len(m.add_table)} entries, expected {n * n}"
+        )
+    ids = range(n)
+    if not set(ids).issuperset(m.add_table):
+        pos, e = next((p, e) for p, e in enumerate(m.add_table) if e not in ids)
+        raise ModuleStructureError(
+            f"add table entry {e} at position ({pos // n}, {pos % n}) is not an element id"
+        )
     if m.flavor is Flavor.B:
         if m.neg_table is not None:
             raise ModuleStructureError("flavor B modules carry no negation table")
     else:
-        if m.neg_table is None and m.backend is None:
+        if m.neg_table is None:
             raise ModuleStructureError("flavor Finf modules need a negation table")
-        if m.neg_table is not None:
-            if len(m.neg_table) != n:
-                raise ModuleStructureError(
-                    f"neg table has {len(m.neg_table)} entries, expected {n}"
-                )
-            for a, e in enumerate(m.neg_table):
-                if not (0 <= e < n):
-                    raise ModuleStructureError(f"neg table entry {e} at {a} is not an element id")
+        if len(m.neg_table) != n:
+            raise ModuleStructureError(
+                f"neg table has {len(m.neg_table)} entries, expected {n}"
+            )
+        for a, e in enumerate(m.neg_table):
+            if not (0 <= e < n):
+                raise ModuleStructureError(f"neg table entry {e} at {a} is not an element id")
 
 
 def _rows(m: FinModule) -> Iterator[tuple[int, ...]]:
@@ -398,9 +369,9 @@ def _scan_violations(m: FinModule) -> tuple[list[Violation], Optional[list[int]]
 def validate_module(m: FinModule) -> ValidationReport:
     """Check every flavor-appropriate axiom; report one witness per axiom.
 
-    Raises :class:`ModuleStructureError` for malformed data (non-total or
-    unclosed tables, duplicate names): structural defects are errors, not
-    violations.
+    Structural defects (non-total or unclosed tables, duplicate names) are
+    errors, not violations: :class:`ModuleStructureError` is raised when
+    the module is built.  A module too large for a dense table is refused.
     """
     return m._scan[0]
 

@@ -6,25 +6,25 @@ assignments on nonempty generator subsets plus a zero; addition unions
 supports, collapsing the whole sum to zero on any sign conflict or zero
 summand; negation flips every sign (3^k elements).
 
-Supports are encoded as bitmask pairs ``(pos, neg)`` (``neg`` empty for
-flavor B), packed into one integer key ``pos | neg << rank``.  Every free
-module computes its addition, negation and order from these keys
-(:class:`FreeOps`) and never builds a table, so it takes O(|F|) memory
-instead of O(|F|^2).  The extension of a generator
-assignment follows the span walk of the free generators
+An element is encoded by one integer, its key ``pos | neg << rank``, where
+``pos`` and ``neg`` are the bitmasks of the generators with sign + and -
+(``neg`` empty for flavor B).  A free module (:class:`FreeModule`)
+computes its addition, negation and order from these keys and never builds
+a table, so it takes O(|F|) memory instead of O(|F|^2); the matrix layer
+reads a column as the key of its signed support.  The extension of a
+generator assignment follows the span walk of the free generators
 (:func:`semimod.core.span_walk`, cached as ``FinModule.basis``): O(|F|)
 sums on the free module, where each layer is one pass over the span of the
 earlier generators, and one target operation per element.  Element names
-are built on first read only (``FreeOps.names``), each from the name of a
-smaller element: a caller that prints element ids, as ``projective`` does,
-never builds the |F| strings, while ``construct``, ``export-dot``,
+are built on first read only (``FreeModule.names``), each from the name of
+a smaller element: a caller that prints element ids, as ``projective``
+does, never builds the |F| strings, while ``construct``, ``export-dot``,
 serialization and name lookups build them once per free module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     CARRIER_CAP,
@@ -38,10 +38,10 @@ from .core import (
 
 
 def _keys(flavor: Flavor, rank: int) -> list[int]:
-    """The order keys ``pos | neg << rank`` of all support codes in canonical
-    order: zero, then by (size, support, signs).
+    """The keys ``pos | neg << rank`` of all elements in canonical order:
+    zero, then by (size, support, signs).
 
-    The codes of one support form a block, its negative parts the submasks
+    The keys of one support form a block, its negative parts the submasks
     of the support in increasing order.  For neg ⊆ supp the key is
     supp + neg·(2^rank − 1), as pos = supp − neg.
     """
@@ -62,35 +62,45 @@ def _keys(flavor: Flavor, rank: int) -> list[int]:
     return out
 
 
-def _block_reversals(rank: int) -> list[int]:
-    """The id of -e for each id e of a Finf free module, zero first.
+def _key_neg(key: int, rank: int) -> int:
+    """The key of -e from the key of e: its two halves swapped."""
+    return key >> rank | (key & ((1 << rank) - 1)) << rank
 
-    Negation keeps the support and sends the negative part neg to
-    supp − neg, which reverses the increasing order of the submasks, so it
-    reverses each support's block of ids (see :func:`_keys`)."""
-    out = [0]
-    for supp in sorted(range(1, 1 << rank), key=int.bit_count):
-        start = len(out)
-        out += range(start + (1 << supp.bit_count()) - 1, start - 1, -1)
+
+def _key_sum(flavor: Flavor, rank: int, keys: Iterable[int]) -> int:
+    """The key of the sum of the elements with these keys, zero for none.
+
+    Flavor B: the union.  Flavor Finf: zero on a zero summand or a sign
+    conflict, else the union."""
+    out = 0
+    if flavor is Flavor.B:
+        for key in keys:
+            out |= key
+        return out
+    for key in keys:
+        if not key or out & _key_neg(key, rank):
+            return 0
+        out |= key
     return out
 
 
-def _names(ops: "FreeOps") -> tuple[str, ...]:
+def _names(m: "FreeModule") -> tuple[str, ...]:
     """Element names such as ``A1+A3`` and ``-A1-A2+A4``: the signed
     generators of the support in index order.
 
-    Each name is the name of its code minus the top generator (an earlier
-    element, as codes are ordered by support size) followed by that
+    Each name is the name of its key minus the top generator (an earlier
+    element, as keys are ordered by support size) followed by that
     generator's term, so each costs one dict lookup and one concatenation.
     """
-    rank, id_of_key, letter = ops.rank, ops.id_of_key, ops.letter
+    rank, id_of_key, letter = m.free_rank, m.id_of_key, m.letter
+    low = (1 << rank) - 1
     plus = [f"+{letter}{b + 1}" for b in range(rank)]
     minus = [f"-{letter}{b + 1}" for b in range(rank)]
     names = ["0"]
-    for (pos, neg), key in zip(ops.codes[1:], ops.keys[1:]):
-        top = (pos | neg).bit_length() - 1
+    for key in m.keys[1:]:
+        top = (key & low | key >> rank).bit_length() - 1
         rest = id_of_key[key & ~(1 << top | 1 << top + rank)]
-        term = plus[top] if pos >> top & 1 else minus[top]
+        term = plus[top] if key >> top & 1 else minus[top]
         if rest:
             names.append(names[rest] + term)
         else:  # a single generator: no leading "+"
@@ -98,67 +108,66 @@ def _names(ops: "FreeOps") -> tuple[str, ...]:
     return tuple(names)
 
 
-@dataclass(frozen=True)
-class FreeOps:
-    """Addition, negation and order of a free module, read off the support codes.
+class FreeModule(FinModule):
+    """The free module on ``rank`` generators, computed from support keys.
 
-    Element ``i`` has code ``codes[i] = (pos, neg)`` and key
-    ``keys[i] = pos | neg << rank``; the zero has id 0 and key 0.  The keys
-    are built first and the codes split off them on first read, as the
-    operations read keys only.  ``add`` and (flavor
-    Finf) ``neg`` are plain functions of element ids that cost a few integer
-    operations each; no table is built, so a free module takes O(|F|)
-    memory however large it is.  ``names`` are built on first read, with
-    generators named ``letter`` and their index.
+    Element ``i`` has key ``keys[i] = pos | neg << rank``, the bitmasks of
+    the generators with sign + and - in its support; the zero has id 0 and
+    key 0.  ``add_of`` and (flavor Finf) ``neg_of`` are plain functions of
+    element ids that cost a few integer operations each; no table is built,
+    so a free module takes O(|F|) memory however large it is.  ``names``
+    are built on first read, with generators named ``letter`` and their
+    index.  No structural check runs: the keys are correct by construction.
     """
 
-    flavor: Flavor
-    rank: int
-    letter = "A"  # a class attribute, not a field
+    letter = "A"
 
-    def __post_init__(self) -> None:
-        rank = self.rank
-        keys = tuple(_keys(self.flavor, rank))
-        id_of_key = dict(zip(keys, range(len(keys))))
-        if self.flavor is Flavor.B:
+    def __init__(self, flavor: Flavor, rank: int):
+        if rank < 0:
+            raise ValueError("rank must be nonnegative")
+        size = (2 if flavor is Flavor.B else 3) ** rank
+        if size > CARRIER_CAP:
+            raise ModuleStructureError(
+                f"free module of rank {rank} has {size} elements, above the cap of {CARRIER_CAP}"
+            )
+        keys = tuple(_keys(flavor, rank))
+        id_of_key = dict(zip(keys, range(size)))
+        if flavor is Flavor.B:
 
             def add(a: int, b: int) -> int:
                 return id_of_key[keys[a] | keys[b]]
 
-            neg = None
             top = 0
         else:
-            neg_ids = tuple(_block_reversals(rank))
-            flips = tuple(map(keys.__getitem__, neg_ids))
+            flips = tuple(_key_neg(key, rank) for key in keys)
 
             def add(a: int, b: int) -> int:
                 if a == 0 or b == 0 or keys[a] & flips[b]:
                     return 0  # zero summand or sign conflict
                 return id_of_key[keys[a] | keys[b]]
 
-            neg = neg_ids.__getitem__
+            # the ids of -e, so that a negation is one call
+            object.__setattr__(self, "neg_of", tuple(map(id_of_key.__getitem__, flips)).__getitem__)
             # every bit: inclusion of order keys then puts the zero on top
             top = (1 << (2 * rank)) - 1
         for name, value in (
-            ("size", len(keys)),
+            ("flavor", flavor),
+            ("zero", 0),
+            ("add_table", None),
+            ("neg_table", None),
+            ("free_rank", rank),
+            ("size", size),
             ("keys", keys),
             ("id_of_key", id_of_key),
-            ("add", add),
-            ("neg", neg),
             ("order_keys", (top,) + keys[1:]),
             ("generators", tuple(id_of_key[1 << b] for b in range(rank))),
+            ("add_of", add),
         ):
             object.__setattr__(self, name, value)
 
     @_cached
-    def codes(self) -> tuple[tuple[int, int], ...]:
-        """``(pos, neg)`` of each element, split off its key on first read."""
-        low = (1 << self.rank) - 1
-        return tuple((k & low, k >> self.rank) for k in self.keys)
-
-    @_cached
     def order(self) -> "FreeOrder":
-        return FreeOrder(self.order_keys, self.flavor, self.rank)
+        return FreeOrder(self.order_keys, self.flavor, self.free_rank)
 
     @_cached
     def names(self) -> tuple[str, ...]:
@@ -215,34 +224,27 @@ class FreeOrder(PartialOrder):
 
 
 @lru_cache(maxsize=None)
-def free_module(flavor: Flavor, rank: int) -> FinModule:
+def free_module(flavor: Flavor, rank: int) -> FreeModule:
     """The free module on ``rank`` generators; generator i has id ``generator_ids()[i]``."""
-    if rank < 0:
-        raise ValueError("rank must be nonnegative")
-    size = (2 if flavor is Flavor.B else 3) ** rank
-    if size > CARRIER_CAP:
-        raise ModuleStructureError(
-            f"free module of rank {rank} has {size} elements, above the cap of {CARRIER_CAP}"
-        )
-    ops = FreeOps(flavor, rank)
-    return FinModule(flavor, None, 0, None, backend=ops)
+    return FreeModule(flavor, rank)
 
 
-def _ops_of(m: FinModule) -> FreeOps:
-    if m.backend is None:
+def _free(m: FinModule) -> FreeModule:
+    if not isinstance(m, FreeModule):
         raise FlavorMismatchError("module is not a free module built by free_module()")
-    return m.backend
+    return m
 
 
 def generator_ids(m: FinModule) -> tuple[int, ...]:
     """Ids of the free generators A_1 .. A_k."""
-    return _ops_of(m).generators
+    return _free(m).generators
 
 
 def support_of(m: FinModule, e: int) -> tuple[tuple[int, int], ...]:
     """Signed support of element ``e`` as (generator index, sign) pairs."""
-    ops = _ops_of(m)
-    pos, neg = ops.codes[e]
+    rank = _free(m).free_rank
+    key = m.keys[e]
+    pos, neg = key & ((1 << rank) - 1), key >> rank
     out = []
     for b in range(max(pos, neg).bit_length()):
         if (pos >> b) & 1:
@@ -254,7 +256,7 @@ def support_of(m: FinModule, e: int) -> tuple[tuple[int, int], ...]:
 
 def element_of_support(m: FinModule, items: Sequence[tuple[int, int]]) -> int:
     """Element id for a signed support; conflicting or empty input gives zero."""
-    ops = _ops_of(m)
+    rank = _free(m).free_rank
     pos = neg = 0
     for b, sign in items:
         if sign > 0:
@@ -265,9 +267,7 @@ def element_of_support(m: FinModule, items: Sequence[tuple[int, int]]) -> int:
         raise FlavorMismatchError("flavor B free module has no negative supports")
     if pos & neg:
         return 0
-    if pos == 0 and neg == 0:
-        return 0
-    return ops.id_of_key[pos | (neg << ops.rank)]
+    return m.id_of_key[pos | neg << rank]
 
 
 def extend_from_generators(

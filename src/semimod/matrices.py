@@ -1,11 +1,12 @@
 """Matrix semantics for homs between free modules, and the duality layer.
 
 A hom f from the free rank-n module to the free rank-m module is an m-by-n
-matrix whose column j is the signed support of the image of generator j.
-The flavor B product is the usual or/and product.  The flavor Finf product
-is computed columnwise through free-module evaluation: a sign conflict or
-an all-zero summand column collapses the whole output column to zero
-(addition there is absorbing, not coordinatewise).
+matrix whose column j is the signed support of the image of generator j,
+read and written as that element's key (see :mod:`semimod.free`).  The
+product sums keys as the free module does: the usual or/and product for
+flavor B, while for flavor Finf a sign conflict or an all-zero summand
+column collapses the whole output column to zero (addition there is
+absorbing, not coordinatewise).
 
 The distinct-rows factorization splits any matrix map through the module on
 its distinct rows; dualization realizes transposition as precomposition.
@@ -17,7 +18,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .core import FinModule, Flavor, FlavorMismatchError, _cached
-from .free import FreeOps, element_of_support, free_module, generator_ids, support_of
+from .free import FreeModule, _key_neg, _key_sum, free_module
 from .homs import DEFAULT_BUDGET, Hom, compose, extension_hom, find_left_inverse
 
 
@@ -71,58 +72,56 @@ class BoolMatrix:
         return BoolMatrix(self.flavor, self.cols, self.rows, flat)
 
 
+def _column_keys(mat: BoolMatrix) -> list[int]:
+    """The key of each column's signed support, as a free-module element:
+    bit i for an entry 1 in row i, bit ``rows + i`` for an entry -1."""
+    m, n = mat.rows, mat.cols
+    keys = [0] * n
+    for p, e in enumerate(mat.entries):
+        if e:
+            i, j = divmod(p, n)
+            keys[j] |= 1 << (i if e > 0 else i + m)
+    return keys
+
+
+def _of_column_keys(flavor: Flavor, rows: int, keys: Sequence[int]) -> BoolMatrix:
+    """The matrix whose columns have these keys (see :func:`_column_keys`)."""
+    return BoolMatrix(
+        flavor,
+        rows,
+        len(keys),
+        tuple((k >> i & 1) - (k >> i + rows & 1) for i in range(rows) for k in keys),
+    )
+
+
 def mat_mul(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
-    """Semiring product; corresponds exactly to hom composition."""
+    """Semiring product; corresponds exactly to hom composition.
+
+    Column j of a·b is the free-module sum of the columns of a, read as
+    keys and signed by column j of b: the or/and product for flavor B, and
+    for flavor Finf a column that collapses to zero on a zero summand or a
+    sign conflict, as addition there is absorbing, not coordinatewise.
+    """
     if a.flavor is not b.flavor:
         raise FlavorMismatchError("matrix flavors differ")
     if a.cols != b.rows:
         raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    m, n = a.rows, b.cols
-    out = [0] * (m * n)
-    if a.flavor is Flavor.B:
-        for i in range(m):
-            arow = a.row(i)
-            for j in range(n):
-                out[i * n + j] = int(any(arow[t] and b.entry(t, j) for t in range(a.cols)))
-        return BoolMatrix(Flavor.B, m, n, tuple(out))
-    for j in range(n):
-        terms = [(t, b.entry(t, j)) for t in range(b.rows) if b.entry(t, j)]
-        if not terms:
-            continue
-        acc = [0] * m
-        dead = False
-        for t, sign in terms:
-            colv = [sign * a.entry(i, t) for i in range(m)]
-            if not any(colv):
-                dead = True  # zero summand absorbs the whole column
-                break
-            for i in range(m):
-                if colv[i] == 0:
-                    continue
-                if acc[i] == 0:
-                    acc[i] = colv[i]
-                elif acc[i] != colv[i]:
-                    dead = True  # sign conflict collapses the column
-                    break
-            if dead:
-                break
-        if not dead:
-            for i in range(m):
-                out[i * n + j] = acc[i]
-    return BoolMatrix(Flavor.FINF, m, n, tuple(out))
+    m = a.rows
+    cols = _column_keys(a)
+    out = [
+        _key_sum(a.flavor, m, (k if s > 0 else _key_neg(k, m) for k, s in zip(cols, bcol) if s))
+        for bcol in (b.entries[j :: b.cols] for j in range(b.cols))
+    ]
+    return _of_column_keys(a.flavor, m, out)
 
 
 def matrix_of_hom(f: Hom) -> BoolMatrix:
-    """Columns are the signed supports of the generator images; free endpoints only."""
+    """Columns are the keys of the generator images; free endpoints only."""
     src, tgt = f.source, f.target
     if src.free_rank is None or tgt.free_rank is None:
         raise FlavorMismatchError("matrix semantics require free endpoints")
-    n, m = src.free_rank, tgt.free_rank
-    flat = [0] * (m * n)
-    for j, gen in enumerate(generator_ids(src)):
-        for b, sign in support_of(tgt, f.map[gen]):
-            flat[b * n + j] = sign
-    return BoolMatrix(src.flavor, m, n, tuple(flat))
+    keys = [tgt.keys[f.map[gen]] for gen in src.generators]
+    return _of_column_keys(src.flavor, tgt.free_rank, keys)
 
 
 def hom_of_matrix(
@@ -130,15 +129,14 @@ def hom_of_matrix(
     source: Optional[FinModule] = None,
     target: Optional[FinModule] = None,
 ) -> Hom:
-    """The hom whose generator images are the matrix columns."""
+    """The hom whose generator images are the elements keyed by the matrix columns."""
     src = source if source is not None else free_module(mat.flavor, mat.cols)
     tgt = target if target is not None else free_module(mat.flavor, mat.rows)
     if src.free_rank != mat.cols or tgt.free_rank != mat.rows:
         raise FlavorMismatchError("matrix shape does not match the free endpoints")
-    images = []
-    for j in range(mat.cols):
-        supp = [(i, mat.entry(i, j)) for i in range(mat.rows) if mat.entry(i, j)]
-        images.append(element_of_support(tgt, supp))
+    if tgt.flavor is not mat.flavor:
+        raise FlavorMismatchError("matrix flavor does not match the free endpoints")
+    images = [tgt.id_of_key[k] for k in _column_keys(mat)]
     return extension_hom(src, tgt, images)
 
 
@@ -229,8 +227,8 @@ def distinct_row_factorization(mat: BoolMatrix) -> DistinctRowFactorization:
 # duality (flavor B)
 
 
-class _DualOps(FreeOps):
-    """The operations of a free B-module whose generators are named E1, E2, ..."""
+class _DualModule(FreeModule):
+    """A free B-module whose generators are named E1, E2, ..."""
 
     letter = "E"
 
@@ -244,8 +242,7 @@ def dualize_free(n: int) -> FinModule:
     its generators are named E1, E2, ... to keep the two sides apart; like
     any free module's, its names are built on first read only.
     """
-    free_module(Flavor.B, n)  # refuses a rank above the carrier cap
-    return FinModule(Flavor.B, None, 0, None, backend=_DualOps(Flavor.B, n))
+    return _DualModule(Flavor.B, n)
 
 
 def dualize_hom(f: Hom) -> Hom:

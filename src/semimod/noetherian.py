@@ -1,6 +1,6 @@
 """Desk-scale representation-category layer: hom catalogs under a morphism
-class, principal projective rank profiles, and the factorization-obstruction
-witness checker.
+class (the bases of the principal projectives) and the
+factorization-obstruction witness checker.
 
 Generation questions about a principal projective reduce to morphism
 factorization: the basis vector of f lies in the span of the earlier levels
@@ -200,36 +200,6 @@ def _factorization(f: Hom, p: Hom, q: Hom) -> FactorizationResult:
 
 
 @dataclass(frozen=True)
-class PrincipalProjective:
-    """The functor Y -> free coefficient module on Hom(X, Y).
-
-    Coefficients are never materialized: a basis element is just the
-    morphism indexing it, and the action of g: Y -> Z sends the basis
-    element of f to the basis element of g∘f, which stays in the class.
-    """
-
-    spec: CategorySpec
-    base: str
-
-    def basis(self, y: str) -> tuple[CatalogEntry, ...]:
-        return hom_catalog(self.spec, self.base, y)
-
-    def act(self, g: Hom, f: Hom, target: str) -> Hom:
-        """The basis element g∘f of Hom(base, target), for g ending at ``target``."""
-        if g.target != self.spec.module(target):
-            raise ValueError(f"acting morphism does not end at {target}")
-        if not in_class(self.spec, g):
-            raise ValueError("acting morphism is not in the class")
-        moved = compose(g, f)
-        if moved.map not in {e.hom.map for e in self.basis(target)}:
-            raise AssertionError("action left the catalog basis")
-        return moved
-
-    def rank_profile(self) -> dict[str, int]:
-        return {nm: len(self.basis(nm)) for nm, _ in self.spec.objects}
-
-
-@dataclass(frozen=True)
 class WitnessLevel:
     index: int
     morphism: Hom
@@ -281,11 +251,6 @@ def witness_verify(
         levels.append(WitnessLevel(i, f, tuple(checks)))
     holds = not any_factor and not any_inconclusive
     return WitnessReport(tuple(levels), holds, any_inconclusive and not any_factor)
-
-
-def principal_projective_profile(spec: CategorySpec, x: str) -> dict[str, int]:
-    """Ranks |Hom(x, Y)| of the principal projective at each object."""
-    return PrincipalProjective(spec, x).rank_profile()
 
 
 def default_witness_family(

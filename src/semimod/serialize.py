@@ -19,7 +19,6 @@ from .core import (
     FinModule,
     Flavor,
     ModuleStructureError,
-    _structural_check,
 )
 from .families import construct_D0, construct_E0, construct_Dn, construct_En
 from .free import free_module
@@ -92,9 +91,7 @@ def module_from_doc(doc: dict) -> FinModule:
         neg = _ints(doc["neg"]) if "neg" in doc and doc["neg"] is not None else None
     except (KeyError, TypeError, ValueError) as exc:
         raise ModuleStructureError(f"malformed module document: {exc}") from exc
-    m = FinModule(flavor, names, zero, add, neg_table=neg)
-    _structural_check(m)
-    return m
+    return FinModule(flavor, names, zero, add, neg_table=neg)
 
 
 def module_to_json(m: FinModule, canonical: bool = True) -> str:

@@ -25,15 +25,20 @@ where the library sorts the irreducibles by a key.  The family tables are
 filled one entry at a time after a separate max- and min-closure pass,
 where the library builds each row at C level and checks closure as it
 goes, and the Finf support codes deposit each sign pattern bit by bit,
-where the library steps through the submasks of the support.
+where the library steps through the submasks of the support.  The matrix
+product combines the entry lists row by row, where the library sums column
+keys as the free module does.  The principal projective and its rank
+profile read the hom catalog that the library exposes.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from semimod import (
     DEFAULT_BUDGET,
+    BoolMatrix,
     BudgetExceededError,
     DistributivityReport,
     FinModule,
@@ -43,6 +48,7 @@ from semimod import (
     HomConstraints,
     ModuleStructureError,
     Violation,
+    compose,
     construct_D0,
     construct_Dn,
     construct_E0,
@@ -54,6 +60,7 @@ from semimod import (
 from semimod.free import generator_ids, support_of
 from semimod.homs import HomCheck
 from semimod.noetherian import (
+    CatalogEntry,
     CategorySpec,
     FactorizationResult,
     MorphismClass,
@@ -714,3 +721,81 @@ def section_generator_pairs(flavor: Flavor, n: int) -> list[tuple[int, int]]:
             out.append((n - i, n - i + 2))
             out.append((n - i + 1, n - i))
     return out
+
+
+def mat_mul_by_entries(a: BoolMatrix, b: BoolMatrix) -> BoolMatrix:
+    """The semiring product on entry lists: or/and for flavor B; for flavor
+    Finf, column by column, a zero summand column or a sign conflict
+    collapses the whole column to zero.  The reference for mat_mul."""
+    if a.flavor is not b.flavor:
+        raise FlavorMismatchError("matrix flavors differ")
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    m, n = a.rows, b.cols
+    out = [0] * (m * n)
+    if a.flavor is Flavor.B:
+        for i in range(m):
+            arow = a.row(i)
+            for j in range(n):
+                out[i * n + j] = int(any(arow[t] and b.entry(t, j) for t in range(a.cols)))
+        return BoolMatrix(Flavor.B, m, n, tuple(out))
+    for j in range(n):
+        terms = [(t, b.entry(t, j)) for t in range(b.rows) if b.entry(t, j)]
+        if not terms:
+            continue
+        acc = [0] * m
+        dead = False
+        for t, sign in terms:
+            colv = [sign * a.entry(i, t) for i in range(m)]
+            if not any(colv):
+                dead = True  # zero summand absorbs the whole column
+                break
+            for i in range(m):
+                if colv[i] == 0:
+                    continue
+                if acc[i] == 0:
+                    acc[i] = colv[i]
+                elif acc[i] != colv[i]:
+                    dead = True  # sign conflict collapses the column
+                    break
+            if dead:
+                break
+        if not dead:
+            for i in range(m):
+                out[i * n + j] = acc[i]
+    return BoolMatrix(Flavor.FINF, m, n, tuple(out))
+
+
+@dataclass(frozen=True)
+class PrincipalProjective:
+    """The functor Y -> free coefficient module on Hom(X, Y).
+
+    Coefficients are never materialized: a basis element is just the
+    morphism indexing it, and the action of g: Y -> Z sends the basis
+    element of f to the basis element of g∘f, which stays in the class.
+    """
+
+    spec: CategorySpec
+    base: str
+
+    def basis(self, y: str) -> tuple[CatalogEntry, ...]:
+        return hom_catalog(self.spec, self.base, y)
+
+    def act(self, g: Hom, f: Hom, target: str) -> Hom:
+        """The basis element g∘f of Hom(base, target), for g ending at ``target``."""
+        if g.target != self.spec.module(target):
+            raise ValueError(f"acting morphism does not end at {target}")
+        if not in_class(self.spec, g):
+            raise ValueError("acting morphism is not in the class")
+        moved = compose(g, f)
+        if moved.map not in {e.hom.map for e in self.basis(target)}:
+            raise AssertionError("action left the catalog basis")
+        return moved
+
+    def rank_profile(self) -> dict[str, int]:
+        return {nm: len(self.basis(nm)) for nm, _ in self.spec.objects}
+
+
+def principal_projective_profile(spec: CategorySpec, x: str) -> dict[str, int]:
+    """Ranks |Hom(x, Y)| of the principal projective at each object."""
+    return PrincipalProjective(spec, x).rank_profile()

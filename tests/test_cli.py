@@ -747,3 +747,19 @@ def test_each_hom_and_certificate_is_checked_once(tmp_path, capsys, monkeypatch)
     code, out, _ = run_cli(capsys, "projective", "E4")
     assert code == 0
     assert checked == [tuple(json.loads(out)["section"])]
+
+
+def test_a_module_document_is_checked_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = sm.core._structural_check
+
+    def counting(m):
+        calls.append(m)
+        real(m)
+
+    monkeypatch.setattr(sm.core, "_structural_check", counting)
+    path = tmp_path / "d3.json"
+    path.write_text(json.dumps(module_to_doc(resolve_module_ref("D3"))))
+    calls.clear()
+    assert run_cli(capsys, "projective", str(path))[0] == 0
+    assert len(calls) == 1

