@@ -95,9 +95,9 @@ def _hom_arg(path: str):
     return f
 
 
-def _pins_arg(path: str, src, tgt) -> dict[int, int]:
-    """The pins of a ``{"pins": [[source, target], ...]}`` document; each
-    element is a name or an id."""
+def _pins_arg(path: str, src, tgt) -> dict[int, tuple[int]]:
+    """The pins of a ``{"pins": [[source, target], ...]}`` document, as
+    allowed sets of one value; each element is a name or an id."""
     doc = _load_json(path)
     pairs = doc.get("pins", []) if isinstance(doc, dict) else None
     if not isinstance(pairs, list) or not all(
@@ -106,12 +106,11 @@ def _pins_arg(path: str, src, tgt) -> dict[int, int]:
         raise ModuleStructureError(
             'a pins document is {"pins": [[source, target], ...]}'
         )
-    pins: dict[int, int] = {}
+    pins: dict[int, tuple[int]] = {}
     for s, t in pairs:
         s_id, t_id = _element_ref(src, s), _element_ref(tgt, t)
-        if pins.get(s_id, t_id) != t_id:
+        if pins.setdefault(s_id, (t_id,)) != (t_id,):
             raise ModuleStructureError(f"conflicting pins for element {s!r}")
-        pins[s_id] = t_id
     return pins
 
 
@@ -122,6 +121,8 @@ def _element_ref(mod, ref) -> int:
             raise ModuleStructureError(f"pinned element {ref!r} is not in the module")
         return mod.index_of_name[ref]
     if type(ref) is int:
+        if not 0 <= ref < mod.size:
+            raise ModuleStructureError(f"pinned element {ref} is not an element id")
         return ref
     raise ModuleStructureError(f"pinned element {ref!r} is neither a name nor an id")
 
@@ -178,7 +179,7 @@ def _cmd_homs(args) -> int:
     src = _module_arg(args.source)
     tgt = _module_arg(args.target)
     pins = _pins_arg(args.pins, src, tgt) if args.pins else {}
-    cons = HomConstraints(pinned=pins, require_injective=args.injective)
+    cons = HomConstraints(require_injective=args.injective, allowed=pins)
     homs = enumerate_homs(src, tgt, cons, budget=args.budget)
     for h in homs:
         sys.stdout.write(json.dumps({"map": list(h.map)}) + "\n")

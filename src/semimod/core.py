@@ -591,12 +591,16 @@ def generating_basis(m: FinModule) -> GeneratingBasis:
     return GeneratingBasis(gens, layers)  # type: ignore[arg-type]
 
 
+def _check_element_ids(m: FinModule, ids: Sequence[int], what: str) -> None:
+    for e in ids:
+        if not 0 <= e < m.size:
+            raise ModuleStructureError(f"{what} {e} is not an element id")
+
+
 def generated_submodule(m: FinModule, seed: Iterable[int]) -> frozenset[int]:
     """Least subset containing the seed and zero, closed under the operations."""
     seed = list(seed)
-    for e in seed:
-        if not (0 <= e < m.size):
-            raise ModuleStructureError(f"seed element {e} is not an element id")
+    _check_element_ids(m, seed, "seed element")
     return frozenset(span_walk(m, seed)[0])
 
 
@@ -614,6 +618,7 @@ def irreducible_generators(m: FinModule) -> tuple[int, ...]:
 def submodule_on(m: FinModule, elements: Iterable[int]) -> tuple[FinModule, tuple[int, ...]]:
     """Restrict to a closed subset; returns the module and the id embedding."""
     ids = sorted(set(elements) | {m.zero})
+    _check_element_ids(m, ids, "subset element")
     pos = {e: i for i, e in enumerate(ids)}
     for a in ids:
         for b in ids:
@@ -713,6 +718,7 @@ def generated_congruence(m: FinModule, pairs: Iterable[tuple[int, int]]) -> Cong
         return x
 
     queue = [(a, b) for a, b in pairs]
+    _check_element_ids(m, [e for pair in queue for e in pair], "paired element")
     while queue:
         a, b = queue.pop()
         ra, rb = find(a), find(b)

@@ -324,10 +324,10 @@ def rigidity_check(
     if n < 2 or m < 2:
         raise ValueError("rigidity checks need parameters >= 2")
     src, dst = family(flavor, n), family(flavor, m)
-    pins: dict[int, int] = {}
+    pins: dict[int, tuple[int]] = {}
     for p, q in zip(_corners(n), _corners(m)):
         s, t = src.label(*p), dst.label(*q)
-        if pins.setdefault(s, t) != t:
+        if pins.setdefault(s, (t,)) != (t,):
             return []
-    cons = HomConstraints(pinned=pins, require_injective=True)
+    cons = HomConstraints(require_injective=True, allowed=pins)
     return enumerate_homs(src.module, dst.module, cons, budget=budget)

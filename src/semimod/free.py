@@ -255,10 +255,13 @@ def support_of(m: FinModule, e: int) -> tuple[tuple[int, int], ...]:
 
 
 def element_of_support(m: FinModule, items: Sequence[tuple[int, int]]) -> int:
-    """Element id for a signed support; conflicting or empty input gives zero."""
+    """Element id for a signed support, a list of (generator index, sign)
+    pairs with sign 1 or -1; conflicting or empty input gives zero."""
     rank = _free(m).free_rank
     pos = neg = 0
     for b, sign in items:
+        if not (0 <= b < rank and sign in (1, -1)):
+            raise ModuleStructureError(f"support item ({b}, {sign}) is out of range")
         if sign > 0:
             pos |= 1 << b
         else:

@@ -9,41 +9,30 @@ checked in one target operation per element.
 The enumerator backtracks over the generators of the source, extends each
 partial assignment along the recipes of their span walk
 (:func:`semimod.core.span_walk`: O(|M|·|S|) sums, the same for free and
-other sources), prunes on pins, injectivity and order-monotonicity, and
-runs the same check on every completed map; nothing about extension
-well-definedness is assumed.  The search is lazy (:func:`iter_homs`): it
-yields homs in search order and works only as far as its caller reads, so
-a caller that needs one hom stops at the first.  The pruning tests are bit
-operations: target values are compared by order keys, source elements
-through bitmasks of the assigned elements above and below them, and a
-generator's candidates against two bounds computed once per search node
-(see :class:`_Search`).
+other sources), prunes on allowed sets, injectivity and order-monotonicity,
+and runs the same check on every completed map; nothing about extension
+well-definedness is assumed.  Every prune is a bit operation with a lemma
+in :class:`_Search`.  The search is lazy (:func:`iter_homs`): it yields
+homs in search order and works only as far as its caller reads, so a
+caller that needs one hom stops at the first.
 
-An injective hom between valid modules is an order embedding, in both
-flavors: f(a) <= f(b) gives f(a + b) = f(a) + f(b) = f(b), and injectivity
-gives a + b = b.  So f maps down(x) and up(x) injectively into down(f(x))
-and up(f(x)), and an injective search keeps only the values v of x with
-|down(v)| >= |down(x)| and |up(v)| >= |up(x)| (a static filter in the
-style of Ullmann, "An algorithm for subgraph isomorphism", JACM 23, 1976).
-An injective search can also be asked to cover a set T of target values
-(``HomConstraints.covers``): it yields only the homs whose image contains
-T, in the same order as without T, and prunes a node once the values of T
-not yet taken cannot all be placed, because one lies outside the allowed
-sets of the elements still unassigned or because more are needed than
-elements are left (the lemma is in :class:`_Search`).  The factorization
-check of :mod:`semimod.noetherian` asks for the q with im(q) ⊇ im(f).
+An injective search keeps only the values that pass an order-embedding
+filter (a static filter in the style of Ullmann, "An algorithm for
+subgraph isomorphism", JACM 23, 1976), and can be asked to cover a set T
+of target values (``HomConstraints.covers``): it then yields only the homs
+whose image contains T, in the same order as without T (the factorization
+check of :mod:`semimod.noetherian` asks for the q with im(q) ⊇ im(f)).
 The search data of a module (its recipes, order masks and counts) is built
 once and cached on the module.  The tests check the search against plain
 loops over all pairs and all total maps in ``tests/oracles.py``.  Each
 check runs once, where its object is made: a ``Hom`` keeps its hom check
-(``Hom.check``), a searched hom carries the check the search ran, the
-extension of a generator assignment out of a free module carries the check
-its construction decides (:func:`extension_hom`), and the inverse searches
-check w∘f = id or f∘h = id before they return.
+(``Hom.check``), a searched hom or an extension out of a free module
+(:func:`extension_hom`) carries the check its making decided, and the
+inverse searches check w∘f = id or f∘h = id before they return.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import FinModule, Flavor, FlavorMismatchError, Recipe, _cached
@@ -199,9 +188,7 @@ def extension_hom(free: FinModule, target: FinModule, images: Sequence[int]) -> 
     itself (its free-source lemma), so the kept passing check is exactly
     what it would return, and the second O(|F|) walk is skipped.
     """
-    f = Hom(free, target, extend_from_generators(free, target, images))
-    object.__setattr__(f, "check", _PASSED)
-    return f
+    return _searched(free, target, extend_from_generators(free, target, images))
 
 
 def identity_hom(m: FinModule) -> Hom:
@@ -218,8 +205,8 @@ def compose(g: Hom, f: Hom) -> Hom:
 
 @dataclass(frozen=True)
 class HomConstraints:
-    """Pins, injectivity, optional per-element candidate restrictions, and
-    an optional covering set.
+    """Injectivity, optional allowed sets (source element -> target
+    values; a pin x -> v is ``{x: (v,)}``), and an optional covering set.
 
     ``covers`` is a set T of target values that the image must contain;
     it is off (None) by default.  It needs ``require_injective=True``: the
@@ -234,7 +221,6 @@ class HomConstraints:
     without ``require_injective``.
     """
 
-    pinned: Mapping[int, int] = field(default_factory=dict)
     require_injective: bool = False
     allowed: Optional[Mapping[int, Iterable[int]]] = None
     covers: Optional[Iterable[int]] = None
@@ -247,18 +233,20 @@ class HomConstraints:
 class _Search:
     """Depth-first search over the images of the generators of M in N.
 
-    f(0) = 0 is placed first.  Level ``d`` tries every allowed image of
-    generator ``d`` in ascending id order, then derives the elements of its
-    layer by the recipes of ``M.basis``; a completed map is verified by
-    :func:`_hom_violation`.  Every check is a bit operation.  Target values
-    are compared by ``N.order.order_keys`` (``a <= b`` iff
-    ``key(a) & ~key(b) == 0``), never by ``N.order.masks``, which a free
-    cover would build in |F|^2 bits.  Source elements are compared through
-    the up and down masks of ``M.order``, intersected with the bitmask
-    ``assigned`` of elements that have a value (never the element being
-    placed), so placing f(x) = v tests only the assigned elements
-    comparable to x.  Injectivity is the bitmask ``used`` of target values
-    taken.
+    f(0) = 0 is placed first: the zero's allowed mask holds N's zero at
+    most, and a search with an empty allowed mask yields nothing.  Level
+    ``d`` tries every allowed image of generator ``d`` in ascending id
+    order, then derives the elements of its layer by the recipes of
+    ``M.basis``; a completed map is verified by :func:`_hom_violation`.
+    Every check is a bit operation.  Target values are compared by
+    ``N.order.order_keys`` (``a <= b`` iff ``key(a) & ~key(b) == 0``),
+    never by ``N.order.masks``, which a free cover would build in |F|^2
+    bits.  Source elements are compared through the up and down masks of
+    ``M.order``, intersected with the bitmask ``assigned`` of elements that
+    have a value (never the element being placed), so placing f(x) = v
+    tests only the assigned elements comparable to x; :meth:`_run_recipes`
+    proves the tests it skips implied.  Injectivity is the bitmask ``used``
+    of target values taken.
 
     A free source reads no order masks (they take |F|^2 bits): its
     ``below`` and ``above`` masks are all zero, so no monotonicity test
@@ -351,9 +339,9 @@ class _Search:
         return reach[::-1], left[::-1]
 
     def _allowed_masks(self, cons: HomConstraints) -> list[int]:
-        """Per source element, the bitmask of target values it may take,
-        narrowed by the order-embedding filter for injective searches.
-        Element or value ids out of range raise ``ValueError``."""
+        """Per source element, the bitmask of target values it may take
+        (the zero's holds N's zero at most), narrowed by the order-embedding
+        filter for injective searches.  Ids out of range raise ``ValueError``."""
         m, n = self.M.size, self.N.size
         allowed = [(1 << n) - 1] * m
         for x, vs in (cons.allowed or {}).items():
@@ -365,10 +353,7 @@ class _Search:
                     raise ValueError(f"allowed value ({x} -> {v}) out of range")
                 mask |= 1 << v
             allowed[x] = mask
-        for x, v in cons.pinned.items():
-            if not (0 <= x < m and 0 <= v < n):
-                raise ValueError(f"pin ({x} -> {v}) out of range")
-            allowed[x] &= 1 << v
+        allowed[self.M.zero] &= 1 << self.N.zero
         if self.injective:
             down, up = self.M.order.counts
             down_at, up_at = self.N.order.count_floors
@@ -411,15 +396,35 @@ class _Search:
 
     def _run_recipes(self, recipes: Sequence[Recipe]) -> bool:
         """Assign the elements the recipes derive, in order, each after
-        checking its allowed set, injectivity and monotonicity; False at the
-        first that fails.  The caller restores ``assigned`` and ``used``.
+        checking its allowed set, injectivity and (sums only) monotonicity;
+        False at the first that fails.  The caller restores ``assigned`` and
+        ``used``.
 
         An element e = a + b is tested only against the assigned elements
         below it.  The test against those above cannot fail: f is monotone
         on the assigned elements, which include a and b, and every assigned
         z above e lies above a and b; so f(a) + f(z) = f(z) = f(b) + f(z),
         and f(e) + f(z) = f(a) + f(b) + f(z) = f(z) by associativity in N.
-        An element -a gets both tests.
+
+        An element -g gets no order test: both are implied.  Negation is an
+        order automorphism of a valid Finf module, and 0 is its top.
+        Invariant: on a tabled Finf source, every partial map the search
+        keeps has f(-x) = -f(x) on its assigned elements.  Proof, by
+        induction over the layers from f(0) = 0: for the next generator h,
+        the recipe gives f(-h) = -f(h).  Any other y of h's layer has -y in
+        it too (-y in the earlier span S' would put y in S'), and not both
+        y, -y >= h (else y >= h + -h = 0); so the span walk, which lists
+        S' + h before S' + -h, derives y = a + h and later -y = a' + -h,
+        with a, a' in S'.  The lower test at y, against -a' <= y, gives
+        f(-a') = -f(a') <= f(y); with f(h) <= f(y), this makes
+        f(-y) = f(a') + f(-h) <= -f(y).  The one at -y, against -a <= -y,
+        gives -f(a) <= f(-y), so -f(y) = -f(a) + f(-h) <= f(-y).
+        Consequence: -g is placed first in its layer, after S' and g.  A
+        y <= -g there is not g (g <= -g would make -g = g + -g = 0), so
+        -y <= g lies in S', and the lower bound of g gave f(-y) <= f(g),
+        that is f(y) <= -f(g); y >= -g works the same way with the upper
+        bound.  A free source runs no order tests, and flavor B has no
+        negation recipe.
         """
         N = self.N
         val, keys, allowed = self.val, self.keys, self.allowed
@@ -430,8 +435,7 @@ class _Search:
                 v = N.neg_of(val[a])
             if not allowed[e] >> v & 1 or self.used >> v & 1:
                 return False
-            k = keys[v]
-            if self._lower(e) & ~k or op != "add" and k & ~self._upper(e):
+            if op == "add" and self._lower(e) & ~keys[v]:
                 return False
             val[e] = v
             self.assigned |= 1 << e
@@ -451,8 +455,6 @@ class _Search:
         if self.injective and self.M.size > self.N.size or not all(self.allowed):
             return
         zero, v = self.M.zero, self.N.zero
-        if not self.allowed[zero] >> v & 1:
-            return
         self.val[zero] = v
         self.assigned = 1 << zero
         if self.injective:
@@ -518,7 +520,7 @@ def iter_homs(
 
 
 def _searched(M: FinModule, N: FinModule, mp: tuple[int, ...]) -> Hom:
-    """The ``Hom`` of a map that passed the search's check, keeping it."""
+    """The ``Hom`` of a map whose hom check passed, keeping that check."""
     f = Hom(M, N, mp)
     object.__setattr__(f, "check", _PASSED)
     return f
@@ -542,7 +544,7 @@ def find_left_inverse(f: Hom, *, budget: int = DEFAULT_BUDGET) -> Optional[Hom]:
         raise ValueError("find_left_inverse expects a hom")
     if not f.injective:
         return None
-    pins = HomConstraints(pinned={v: x for x, v in enumerate(f.map)})
+    pins = HomConstraints(allowed={v: (x,) for x, v in enumerate(f.map)})
     w = next(iter_homs(f.target, f.source, pins, budget=budget), None)
     if w is not None and not compose(w, f).is_identity():
         raise AssertionError("left inverse failed verification")

@@ -122,11 +122,9 @@ class FactorizationResult:
     through: Optional[tuple[Hom, Hom]] = None  # (p, q) with q ∘ p = f
 
 
-def factors_through(
-    spec: CategorySpec, f: Hom, yj: str, *, source: str, target: str
-) -> FactorizationResult:
+def factors_through(spec: CategorySpec, f: Hom, yj: str) -> FactorizationResult:
     """Search for p: X -> Y_j and q: Y_j -> Y_i in the class with q∘p = f,
-    where f runs from the object named ``source`` to the one named ``target``.
+    for f: X -> Y_i (its endpoints, checked by the caller) and Y_j named ``yj``.
 
     One side is streamed from :func:`semimod.homs.iter_homs` and the search
     stops at the first factorization (the first in search order).
@@ -145,11 +143,11 @@ def factors_through(
     through no p in the class.  The split class also asks that p and q
     split, which is searched only for a q that pins a p.
 
-    All-homs class: stream p, pin q on its image and take the first
-    completion of q.  If q∘p = f, then p(x) = p(y) gives f(x) = f(y), so
-    for an injective f the p search asks for injective homs only.  A
-    non-injective f takes every p, and a p that identifies two elements
-    f keeps apart is skipped.
+    All-homs class: stream p, pin q on its image (allowed sets of one
+    value) and take the first completion of q.  If q∘p = f, then
+    p(x) = p(y) gives f(x) = f(y), so for an injective f the p search asks
+    for injective homs only.  A non-injective f takes every p, and a p
+    that identifies two elements f keeps apart is skipped.
 
     Each class streams the side that is cheaper to stream (timed on a
     2-vCPU host, Python 3.11).  For the injections, streaming p and
@@ -160,9 +158,7 @@ def factors_through(
 
     Budget exhaustion anywhere yields an inconclusive verdict.
     """
-    X, Yj = spec.module(source), spec.module(yj)
-    if f.source != X or f.target != spec.module(target):
-        raise ValueError(f"morphism does not run {source} -> {target}")
+    X, Yj = f.source, spec.module(yj)
     try:
         if spec.morphism_class is not MorphismClass.ALL:
             if not f.injective:
@@ -184,7 +180,7 @@ def factors_through(
             pins = dict(zip(p.map, f.map))
             if any(pins[w] != v for w, v in zip(p.map, f.map)):
                 continue
-            pinned = HomConstraints(pinned=pins)
+            pinned = HomConstraints(allowed={w: (v,) for w, v in pins.items()})
             q = next(iter_homs(Yj, f.target, pinned, budget=spec.budget), None)
             if q is not None:
                 return _factorization(f, p, q)
@@ -208,11 +204,20 @@ class WitnessLevel:
 
 @dataclass(frozen=True)
 class WitnessReport:
-    """Per-index factorization verdicts for a witness family."""
+    """Per-index factorization verdicts for a witness family.  It holds
+    when every check finds no factorization, and is inconclusive when some
+    check ran out of budget and none factors."""
 
     levels: tuple[WitnessLevel, ...]
-    holds: bool
-    inconclusive: bool
+
+    @property
+    def holds(self) -> bool:
+        return all(v is Verdict.NO_FACTORIZATION for lv in self.levels for _, v in lv.checks)
+
+    @property
+    def inconclusive(self) -> bool:
+        verdicts = {v for lv in self.levels for _, v in lv.checks}
+        return Verdict.INCONCLUSIVE in verdicts and Verdict.FACTORS not in verdicts
 
     def summary(self) -> str:
         if self.holds:
@@ -233,24 +238,14 @@ def witness_verify(
         raise ValueError("one morphism per family object is required")
     X0 = spec.module(x0)
     levels = []
-    any_factor = False
-    any_inconclusive = False
     for i, (yn, f) in enumerate(zip(y_names, morphisms), start=1):
         if f.source != X0 or f.target != spec.module(yn):
             raise ValueError(f"morphism {i} does not run X0 -> {yn}")
         if not in_class(spec, f):
             raise ValueError(f"morphism {i} is not in the morphism class")
-        checks = []
-        for yj in y_names[: i - 1]:
-            res = factors_through(spec, f, yj, source=x0, target=yn)
-            checks.append((yj, res.verdict))
-            if res.verdict is Verdict.FACTORS:
-                any_factor = True
-            elif res.verdict is Verdict.INCONCLUSIVE:
-                any_inconclusive = True
-        levels.append(WitnessLevel(i, f, tuple(checks)))
-    holds = not any_factor and not any_inconclusive
-    return WitnessReport(tuple(levels), holds, any_inconclusive and not any_factor)
+        checks = tuple((yj, factors_through(spec, f, yj).verdict) for yj in y_names[: i - 1])
+        levels.append(WitnessLevel(i, f, checks))
+    return WitnessReport(tuple(levels))
 
 
 def default_witness_family(
@@ -262,20 +257,13 @@ def default_witness_family(
 ) -> tuple[CategorySpec, str, list[str], list[Hom]]:
     """X_0 = the corner witness, Y_i the (i+3)-rd family member, f_i the
     corner embeddings."""
-    witness = corner_witness(flavor)
-    x0 = "D0" if flavor is Flavor.B else "E0"
-    objects = [(x0, witness.module)]
-    y_names = []
-    fs = []
     prefix = "D" if flavor is Flavor.B else "E"
-    for i in range(1, upto + 1):
-        n = i + 3
-        name = f"{prefix}{n}"
-        objects.append((name, family(flavor, n).module))
-        y_names.append(name)
-        fs.append(corner_embedding(n, flavor))
+    ns = range(4, upto + 4)
+    y_names = [f"{prefix}{n}" for n in ns]
+    objects = [(prefix + "0", corner_witness(flavor).module)]
+    objects += [(name, family(flavor, n).module) for name, n in zip(y_names, ns)]
     spec = CategorySpec(flavor, tuple(objects), morphism_class, budget)
-    return spec, x0, y_names, fs
+    return spec, prefix + "0", y_names, [corner_embedding(n, flavor) for n in ns]
 
 
 def witness_family_from_doc(doc: dict) -> tuple[CategorySpec, str, list[str], list[Hom]]:

@@ -177,7 +177,8 @@ def matrix_from_doc(doc: Union[dict, list]) -> BoolMatrix:
 
 
 def dot_hasse(m: FinModule) -> str:
-    """Hasse diagram of the induced order: one edge per covering relation.
+    """Hasse diagram of the induced order: one edge per covering relation,
+    between names quoted as DOT IDs (with backslash and double quote escaped).
 
     Finding the covers reads the order masks, n^2 bits, so modules above
     ``DENSE_TABLE_LIMIT`` table entries are refused, as in
@@ -188,11 +189,9 @@ def dot_hasse(m: FinModule) -> str:
         raise ModuleStructureError(
             f"a {n}-element module is too large to draw (its order has {n * n} pairs)"
         )
-    order = m.order
-    lines = ["digraph hasse {", "  rankdir=BT;"]
-    for e in range(m.size):
-        lines.append(f'  "{m.name(e)}";')
-    for lower, upper in sorted(order.covering_pairs()):
-        lines.append(f'  "{m.name(lower)}" -> "{m.name(upper)}";')
+    ids = [m.name(e).replace("\\", "\\\\").replace('"', '\\"') for e in range(n)]
+    lines = ["digraph hasse {", "  rankdir=BT;"] + [f'  "{i}";' for i in ids]
+    for lower, upper in sorted(m.order.covering_pairs()):
+        lines.append(f'  "{ids[lower]}" -> "{ids[upper]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

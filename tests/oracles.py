@@ -392,19 +392,13 @@ def brute_force_homs(
     """Filter every total map: the reference for enumerate_homs, with the
     same contract.
 
-    The candidate space is narrowed by pins before the budget precheck, so
-    heavily pinned searches on larger carriers stay admissible.
+    The candidate space is narrowed by the allowed sets before the budget
+    precheck, so heavily pinned searches on larger carriers stay admissible.
     """
     if M.flavor is not N.flavor:
         raise FlavorMismatchError("hom search requires matching flavors")
     cons = constraints or HomConstraints()
-    allowed: dict[int, frozenset[int]] = {}
-    if cons.allowed:
-        for x, vs in cons.allowed.items():
-            allowed[x] = frozenset(vs)
-    for x, v in cons.pinned.items():
-        prev = allowed.get(x)
-        allowed[x] = frozenset({v}) if prev is None else prev & {v}
+    allowed = {x: frozenset(vs) for x, vs in (cons.allowed or {}).items()}
     cand_lists = []
     total = 1
     for x in range(M.size):
@@ -547,15 +541,16 @@ def factors_through_by_catalog(
     spec: CategorySpec, f: Hom, yj: str, *, source: str, target: str
 ) -> FactorizationResult:
     """p: source -> yj and q: yj -> target in the class with q∘p = f, by
-    walking a complete, sorted hom catalog: the reference for
-    factors_through, which streams one side and builds no catalog.
+    walking every map of one side with none of the pruning of
+    factors_through (no covering set, no injective p): its reference.
 
-    Injection classes: every q of the catalog Hom(yj, target), each with a
-    verified left inverse in the split class, pins p = q⁻¹∘f where its
-    image holds the values of f, and p is kept if it is a hom in the
-    class.  All-homs class: every p of the catalog Hom(source, yj),
-    injective or not, that is consistent with f pins q on its image, and
-    the rest of q is searched."""
+    Injection classes: every q of the complete, sorted catalog
+    Hom(yj, target), each with a verified left inverse in the split class,
+    pins p = q⁻¹∘f where its image holds the values of f, and p is kept if
+    it is a hom in the class.  All-homs class: every p: source -> yj,
+    injective or not, in search order, that is consistent with f pins q on
+    its image, and the rest of q is searched; p is streamed, so a
+    "factors" verdict stops at its first p."""
     X, Yj = spec.module(source), spec.module(yj)
     try:
         if spec.morphism_class is not MorphismClass.ALL:
@@ -568,12 +563,11 @@ def factors_through_by_catalog(
                 if p.is_hom and in_class(spec, p):
                     return FactorizationResult(Verdict.FACTORS, (p, q))
             return FactorizationResult(Verdict.NO_FACTORIZATION)
-        for entry in hom_catalog(spec, source, yj):
-            p = entry.hom
+        for p in iter_homs(X, Yj, budget=spec.budget):
             pins = dict(zip(p.map, f.map))
             if any(pins[w] != v for w, v in zip(p.map, f.map)):
                 continue  # p identifies two elements that f keeps apart
-            pinned = HomConstraints(pinned=pins)
+            pinned = HomConstraints(allowed={w: (v,) for w, v in pins.items()})
             q = next(iter_homs(Yj, spec.module(target), pinned, budget=spec.budget), None)
             if q is not None:
                 return FactorizationResult(Verdict.FACTORS, (p, q))

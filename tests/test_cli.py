@@ -131,6 +131,17 @@ def test_unknown_pin_name_is_an_input_error(pair, tmp_path, capsys):
     assert err == "error: pinned element 'nope' is not in the module\n"
 
 
+@pytest.mark.parametrize("pair, bad", [([99, 0], 99), ([0, 99], 99), ([-1, 0], -1), ([0, -1], -1)])
+def test_pin_id_outside_the_module_is_an_input_error(pair, bad, tmp_path, capsys):
+    path = tmp_path / "pins.json"
+    path.write_text(json.dumps({"pins": [pair]}))
+    code, out, err = run_cli(
+        capsys, "homs", "--source", "D2", "--target", "D3", "--pins", str(path)
+    )
+    assert code == 3 and not out
+    assert err == f"error: pinned element {bad} is not an element id\n"
+
+
 _NOT_A_HOM = {"source": "free:B:2", "target": "free:B:2", "map": [0, 1, 2, 0]}
 
 
@@ -555,6 +566,20 @@ def test_export_dot(capsys):
     code, out, _ = run_cli(capsys, "export-dot", "E2")
     assert code == 0
     assert out.startswith("digraph")
+
+
+def test_export_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    # each name stays one quoted DOT ID: \ and " are escaped inside it
+    chain = sm.FinModule(
+        flavor=Flavor.B, names=("0", 'a"b', "c\\"), zero=0, add_table=(0, 1, 2, 1, 1, 2, 2, 2, 2)
+    )
+    path = tmp_path / "mod.json"
+    path.write_text(json.dumps(module_to_doc(chain)))
+    code, out, _ = run_cli(capsys, "export-dot", str(path))
+    assert code == 0
+    assert out.splitlines()[2:] == [
+        '  "0";', '  "a\\"b";', '  "c\\\\";', '  "0" -> "a\\"b";', '  "a\\"b" -> "c\\\\";', "}"
+    ]
 
 
 def test_unknown_subcommand_exits_3(capsys):

@@ -115,6 +115,21 @@ def test_generated_submodule_on_d3():
     assert got == frozenset(expected)
 
 
+@pytest.mark.parametrize("bad", [-1, 9])
+def test_element_ids_outside_the_carrier_are_refused(bad):
+    # -1 would index the top of D3 (9 elements) and 9 nothing
+    m = sm.construct_Dn(3).module
+    calls = (
+        lambda: sm.generated_submodule(m, [bad]),
+        lambda: sm.submodule_on(m, [bad]),
+        lambda: sm.generated_congruence(m, [(bad, 0)]),
+        lambda: sm.generated_congruence(m, [(0, bad)]),
+    )
+    for call in calls:
+        with pytest.raises(sm.ModuleStructureError, match=f"element {bad} is not an element id"):
+            call()
+
+
 def test_generated_submodule_whole_carrier():
     m = diamond_m3()
     assert sm.generated_submodule(m, range(m.size)) == frozenset(range(m.size))

@@ -183,6 +183,21 @@ def test_support_round_trip():
         assert sm.element_of_support(free, supp) == e
 
 
+@pytest.mark.parametrize(
+    "flavor, items, match",
+    [
+        (Flavor.B, [(5, 1)], "\\(5, 1\\) is out of range"),
+        (Flavor.B, [(-1, 1)], "\\(-1, 1\\) is out of range"),
+        (Flavor.B, [(2, 1)], "\\(2, 1\\) is out of range"),
+        (Flavor.FINF, [(0, 0)], "\\(0, 0\\) is out of range"),
+        (Flavor.FINF, [(0, 1), (1, 2)], "\\(1, 2\\) is out of range"),
+    ],
+)
+def test_malformed_supports_are_refused(flavor, items, match):
+    with pytest.raises(sm.ModuleStructureError, match=match):
+        sm.element_of_support(sm.free_module(flavor, 2), items)
+
+
 def test_free_modules_use_computed_backend():
     for rank in (1, 2, 9):
         free = sm.free_module(Flavor.FINF, rank)

@@ -113,8 +113,8 @@ def test_hom_b_scalars_has_two_maps():
 
 def test_fully_pinned_e2_brute_force_within_budget():
     e2 = sm.construct_En(2).module
-    pins = {e: e2.zero for e in range(e2.size)}
-    homs = brute_force_homs(e2, e2, sm.HomConstraints(pinned=pins))
+    pins = {e: (e2.zero,) for e in range(e2.size)}
+    homs = brute_force_homs(e2, e2, sm.HomConstraints(allowed=pins))
     assert len(homs) == 1  # the constant zero map is the only candidate
 
 
@@ -204,8 +204,7 @@ def test_enumerate_agrees_on_random_quotients(flavor):
 def test_enumerate_with_pins_agrees_with_brute_force():
     d2 = D(2).module
     lat = D(2)
-    pins = {lat.label(1, 2): lat.label(2, 2)}
-    cons = sm.HomConstraints(pinned=pins)
+    cons = sm.HomConstraints(allowed={lat.label(1, 2): (lat.label(2, 2),)})
     fast = sm.enumerate_homs(d2, d2, cons)
     slow = brute_force_homs(d2, d2, cons)
     assert [h.map for h in fast] == [h.map for h in slow]
@@ -562,6 +561,40 @@ def test_search_takes_the_pinned_number_of_ticks(case):
     assert exc.value.explored == ticks
 
 
+def test_negation_recipes_pass_the_order_tests_they_no_longer_run(monkeypatch):
+    # _Search._run_recipes proves that f(-g) = -f(g) passes both order tests
+    # on a tabled Finf source; here they are evaluated before every negation
+    # recipe of the Finf searches the suite runs, and none may fail
+    outcomes = []
+    real = sm.homs._Search._run_recipes
+
+    def testing(self, recipes):
+        tabled_finf = self.M.flavor is Flavor.FINF and self.M.free_rank is None
+        for recipe in recipes:
+            e, op, a, _ = recipe
+            if tabled_finf and op == "neg":
+                k = self.keys[self.N.neg_of(self.val[a])]
+                outcomes.append(not (self._lower(e) & ~k or k & ~self._upper(e)))
+            if not real(self, (recipe,)):
+                return False
+        return True
+
+    monkeypatch.setattr(sm.homs._Search, "_run_recipes", testing)
+    for case in ("injective E2->E3", "all E0->E2", "section of the E4 cover"):
+        search, ticks, found = TICK_CASES[case]
+        assert len(search(ticks)) == found, case
+    for morphism_class in sm.MorphismClass:
+        sm.witness_verify(*sm.default_witness_family(Flavor.FINF, 4, morphism_class))
+    for name in ("E2", "E3", "E4"):
+        assert sm.find_right_inverse(sm.canonical_free_cover(ref(name))) is not None
+    quotients = assorted_modules()[-8:]  # of free:Finf:2
+    assert all(q.flavor is Flavor.FINF and q.free_rank is None for q in quotients)
+    for q in quotients:
+        for target in (ref("E2"), ref("E3")):
+            sm.enumerate_homs(q, target)
+    assert len(outcomes) > 1000 and all(outcomes)
+
+
 @pytest.mark.parametrize("src, tgt, injective", [("D4", "D5", True), ("D2", "D3", False)])
 def test_iter_homs_ticks_only_as_far_as_it_is_read(src, tgt, injective):
     # reading k homs takes the ticks up to the k-th: the least budget that
@@ -714,7 +747,7 @@ def test_injective_searches_into_free_targets_agree_with_oracles(monkeypatch):
         (sm.scalar_module(F), sm.free_module(F, 3)),
     ):
         # the oracle pins f(0) = 0 to keep its space of total maps small
-        pins = sm.HomConstraints(pinned={M.zero: N.zero}, require_injective=True)
+        pins = sm.HomConstraints(require_injective=True, allowed={M.zero: (N.zero,)})
         cases.append((M, N, [h.map for h in brute_force_homs(M, N, pins)]))
     # too many total maps to filter: the injective maps among all homs,
     # which the unfiltered search finds, are the reference

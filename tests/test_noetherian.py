@@ -83,9 +83,7 @@ def test_factors_trivially_through_itself():
     withx0 = CategorySpec(
         Flavor.B, spec.objects, MorphismClass.INJECTIONS
     )
-    res = factors_through(
-        withx0, sm.identity_hom(spec.module("D0")), "D0", source="D0", target="D0"
-    )
+    res = factors_through(withx0, sm.identity_hom(spec.module("D0")), "D0")
     assert res.verdict is Verdict.FACTORS
     p, q = res.through
     assert p.is_identity() and q.is_identity()
@@ -93,13 +91,13 @@ def test_factors_trivially_through_itself():
 
 def test_corner_embedding_does_not_factor_injectively():
     spec, x0, ys, fs = b_spec()
-    res = factors_through(spec, fs[1], "D4", source="D0", target="D5")
+    res = factors_through(spec, fs[1], "D4")
     assert res.verdict is Verdict.NO_FACTORIZATION
 
 
 def test_corner_embedding_factors_through_all_homs():
     spec, x0, ys, fs = b_spec(MorphismClass.ALL)
-    res = factors_through(spec, fs[1], "D4", source="D0", target="D5")
+    res = factors_through(spec, fs[1], "D4")
     # with arbitrary homs a non-injective q completes the triangle
     assert res.verdict is Verdict.FACTORS
     p, q = res.through
@@ -182,7 +180,7 @@ def test_injection_class_checks_agree_with_the_catalog_oracle(morphism_class, fl
     spec, x0, ys, fs = default_witness_family(flavor, upto, morphism_class)
     for i, (yi, f) in enumerate(zip(ys, fs)):
         for yj in ys[: i + 1]:
-            res = factors_through(spec, f, yj, source=x0, target=yi)
+            res = factors_through(spec, f, yj)
             want = factors_through_by_catalog(spec, f, yj, source=x0, target=yi)
             assert res.verdict is want.verdict, (yi, yj)
             assert res.verdict is (Verdict.FACTORS if yj == yi else Verdict.NO_FACTORIZATION)
@@ -210,7 +208,7 @@ def test_compositions_factor_and_agree_with_the_catalog_oracle(morphism_class, n
     assert ps and qs
     for _ in range(12):
         f = sm.compose(rng.choice(qs).hom, rng.choice(ps).hom)
-        res = factors_through(spec, f, yj, source=x, target=yi)
+        res = factors_through(spec, f, yj)
         want = factors_through_by_catalog(spec, f, yj, source=x, target=yi)
         assert res.verdict is want.verdict is Verdict.FACTORS, f.map
         _assert_in_class(spec, res, f)
@@ -242,7 +240,7 @@ def test_split_class_needs_both_maps_to_split(through):
         (MorphismClass.SPLIT_INJECTIONS, Verdict.NO_FACTORIZATION),
     ):
         spec = CategorySpec(Flavor.B, objects, morphism_class)
-        res = factors_through(spec, emb, through, source="M3", target=target)
+        res = factors_through(spec, emb, through)
         want = factors_through_by_catalog(spec, emb, through, source="M3", target=target)
         assert res.verdict is want.verdict is verdict, morphism_class
         if verdict is Verdict.FACTORS:
@@ -258,7 +256,7 @@ def test_non_injective_morphisms_factor_through_no_injections(morphism_class):
     spec, x0, ys, _ = default_witness_family(Flavor.B, 1, morphism_class)
     X, Y = spec.module(x0), spec.module(ys[0])
     zero = sm.Hom(X, Y, (Y.zero,) * X.size)
-    res = factors_through(spec, zero, ys[0], source=x0, target=ys[0])
+    res = factors_through(spec, zero, ys[0])
     want = factors_through_by_catalog(spec, zero, ys[0], source=x0, target=ys[0])
     assert res.verdict is want.verdict is Verdict.NO_FACTORIZATION
 
@@ -273,7 +271,7 @@ def test_factorization_reads_no_catalog(morphism_class, monkeypatch):
     report = witness_verify(spec, x0, ys, fs)
     assert report.holds is (morphism_class is not MorphismClass.ALL)
     assert not report.inconclusive
-    res = factors_through(spec, fs[0], ys[0], source=x0, target=ys[0])
+    res = factors_through(spec, fs[0], ys[0])
     assert res.verdict is Verdict.FACTORS
     _assert_in_class(spec, res, fs[0])
 
@@ -289,12 +287,10 @@ def test_a_streamed_q_missing_im_f_fails_loudly(morphism_class, monkeypatch):
         return sm.iter_homs(M, N, dataclasses.replace(cons, covers=None), **kwargs)
 
     spec, x0, ys, fs = default_witness_family(Flavor.B, 2, morphism_class)
-    assert factors_through(spec, fs[1], ys[0], source=x0, target=ys[1]).verdict is (
-        Verdict.NO_FACTORIZATION
-    )
+    assert factors_through(spec, fs[1], ys[0]).verdict is Verdict.NO_FACTORIZATION
     monkeypatch.setattr(noetherian, "iter_homs", uncovered)
     with pytest.raises(AssertionError, match="im\\(f\\)"):
-        factors_through(spec, fs[1], ys[0], source=x0, target=ys[1])
+        factors_through(spec, fs[1], ys[0])
 
 
 def test_replaced_specs_do_not_share_the_catalog_cache():
@@ -317,7 +313,7 @@ def test_all_homs_witness_checks_agree_with_the_catalog_oracle():
         oracle_spec, _, _, _ = default_witness_family(flavor, upto, MorphismClass.ALL)
         for i, (yi, f) in enumerate(zip(ys, fs)):
             for yj in ys[:i]:
-                res = factors_through(spec, f, yj, source=x0, target=yi)
+                res = factors_through(spec, f, yj)
                 want = factors_through_by_catalog(oracle_spec, f, yj, source=x0, target=yi)
                 assert res.verdict is want.verdict is Verdict.FACTORS, (flavor, yi, yj)
                 _assert_factorization(res, f)
@@ -343,7 +339,7 @@ def test_all_homs_factorizations_of_non_injective_morphisms_agree_with_the_catal
             if f.injective:
                 continue
             for yj, _ in middles:
-                res = factors_through(spec, f, yj, source=x, target=y)
+                res = factors_through(spec, f, yj)
                 want = factors_through_by_catalog(oracle_spec, f, yj, source=x, target=y)
                 assert res.verdict is want.verdict, (x, y, f.map, yj)
                 if res.verdict is Verdict.FACTORS:
@@ -450,8 +446,6 @@ def test_principal_projective_action():
 
 def test_endpoint_names_must_match_the_morphism():
     spec, _, _, fs = b_spec()
-    with pytest.raises(ValueError):
-        factors_through(spec, fs[1], "D4", source="D0", target="D4")  # fs[1] ends at D5
     proj = PrincipalProjective(spec, "D0")
     g = hom_catalog(spec, "D4", "D5")[0].hom
     with pytest.raises(ValueError):
