@@ -35,7 +35,6 @@ from .homs import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     Hom,
-    HomConstraints,
     check_hom,
     compose,
     enumerate_homs,

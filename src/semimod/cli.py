@@ -40,7 +40,6 @@ from .free import free_module
 from .homs import (
     DEFAULT_BUDGET,
     BudgetExceededError,
-    HomConstraints,
     enumerate_homs,
     find_left_inverse,
     find_right_inverse,
@@ -179,8 +178,7 @@ def _cmd_homs(args) -> int:
     src = _module_arg(args.source)
     tgt = _module_arg(args.target)
     pins = _pins_arg(args.pins, src, tgt) if args.pins else {}
-    cons = HomConstraints(require_injective=args.injective, allowed=pins)
-    homs = enumerate_homs(src, tgt, cons, budget=args.budget)
+    homs = enumerate_homs(src, tgt, injective=args.injective, allowed=pins, budget=args.budget)
     for h in homs:
         sys.stdout.write(json.dumps({"map": list(h.map)}) + "\n")
     sys.stderr.write(f"{len(homs)} morphisms\n")

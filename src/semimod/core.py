@@ -524,14 +524,20 @@ def span_walk(
     Returns ``(members, layers)``.  ``members`` lists the span in walk
     order: zero, then each generator followed by the elements it adds.
     ``layers[i]`` lists the elements other than g = ``gens[i]`` that g adds
-    to the span S of the earlier generators, each with its recipe: -g, or
-    a + h with a in S and h = g or (flavor Finf) h = -g.  It is None when
-    g already lies in S.
+    to the span S' of the earlier generators, each with its recipe: a + g
+    with a in S', and then (flavor Finf) -x for x = g and for each such sum.
+    It is None when g already lies in S'.
 
-    One pass over S per h suffices.  Addition is idempotent, commutative
-    and associative, and in flavor Finf -S = S, g + -g = 0 and 0 absorbs;
-    so span(S ∪ {g}) is S ∪ (S + g), together with {g, -g} ∪ (S + -g) for
-    flavor Finf.  The walk costs O(|M|·|gens|) sums.
+    Let P = {g} ∪ (S' + g), less S'.  Addition is idempotent, commutative
+    and associative, so span(S' ∪ {g}) is S' ∪ P in flavor B.  In flavor
+    Finf, S' is closed under negation, so -(a + g) = -a + -g gives
+    S' + -g = -(S' + g), and the layer of g is P ∪ -P (g + -g = 0 and 0
+    absorbs).  Lemma: in a valid Finf module, P and -P are disjoint and no
+    x in P is comparable with any y in -P.  Proof: every element of P lies
+    above g and every element of -P above -g, so an x in both, or x <= y,
+    or y <= x, would lie above g + -g = 0, the top, and be 0, which lies in
+    S'.  So the walk runs one pass over S' and negates what it added, and
+    lists each element once: O(|M|·|gens|) sums.
     """
     add = m.add_of
     finf = m.flavor is Flavor.FINF
@@ -546,21 +552,18 @@ def span_walk(
         known.add(g)
         members.append(g)
         layer: list[Recipe] = []
-        steps = [g]
+        for a in span:
+            e = add(a, g)
+            if e not in known:
+                known.add(e)
+                members.append(e)
+                layer.append((e, "add", a, g))
         if finf:
-            ng = m.neg_of(g)
-            if ng not in known:
-                known.add(ng)
-                members.append(ng)
-                layer.append((ng, "neg", g, -1))
-            steps.append(ng)
-        for h in steps:
-            for a in span:
-                e = add(a, h)
-                if e not in known:
-                    known.add(e)
-                    members.append(e)
-                    layer.append((e, "add", a, h))
+            for x in [g] + [e for e, _, _, _ in layer]:
+                nx = m.neg_of(x)
+                known.add(nx)
+                members.append(nx)
+                layer.append((nx, "neg", x, -1))
         layers.append(tuple(layer))
     return tuple(members), tuple(layers)
 

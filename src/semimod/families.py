@@ -33,7 +33,7 @@ from .core import (
     require_valid,
 )
 from .free import element_of_support, free_module
-from .homs import DEFAULT_BUDGET, Hom, HomConstraints, compose, enumerate_homs, extension_hom
+from .homs import DEFAULT_BUDGET, Hom, compose, enumerate_homs, extension_hom
 
 Pair = tuple[int, int]
 
@@ -329,5 +329,4 @@ def rigidity_check(
         s, t = src.label(*p), dst.label(*q)
         if pins.setdefault(s, (t,)) != (t,):
             return []
-    cons = HomConstraints(require_injective=True, allowed=pins)
-    return enumerate_homs(src.module, dst.module, cons, budget=budget)
+    return enumerate_homs(src.module, dst.module, injective=True, allowed=pins, budget=budget)

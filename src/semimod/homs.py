@@ -19,9 +19,10 @@ caller that needs one hom stops at the first.
 An injective search keeps only the values that pass an order-embedding
 filter (a static filter in the style of Ullmann, "An algorithm for
 subgraph isomorphism", JACM 23, 1976), and can be asked to cover a set T
-of target values (``HomConstraints.covers``): it then yields only the homs
-whose image contains T, in the same order as without T (the factorization
-check of :mod:`semimod.noetherian` asks for the q with im(q) ⊇ im(f)).
+of target values (``covers`` of :func:`iter_homs`): it then yields only
+the homs whose image contains T, in the same order as without T (the
+factorization check of :mod:`semimod.noetherian` asks for the q with
+im(q) ⊇ im(f)).
 The search data of a module (its recipes, order masks and counts) is built
 once and cached on the module.  The tests check the search against plain
 loops over all pairs and all total maps in ``tests/oracles.py``.  Each
@@ -203,29 +204,6 @@ def compose(g: Hom, f: Hom) -> Hom:
     return Hom(f.source, g.target, tuple(gm[v] for v in f.map))
 
 
-@dataclass(frozen=True)
-class HomConstraints:
-    """Injectivity, optional allowed sets (source element -> target
-    values; a pin x -> v is ``{x: (v,)}``), and an optional covering set.
-
-    ``covers`` is a set T of target values that the image must contain;
-    it is off (None) by default.  It needs ``require_injective=True``: the
-    search prunes a node once the values of T not yet taken cannot all be
-    placed on the elements still unassigned (see :class:`_Search` for the
-    lemma), and only an injective search knows the values taken.  The
-    covered search yields exactly the homs of the uncovered one whose
-    image contains T, in the same order.
-
-    Element ids index the source and value ids the target; the search
-    raises ``ValueError`` for one out of range, and for ``covers`` given
-    without ``require_injective``.
-    """
-
-    require_injective: bool = False
-    allowed: Optional[Mapping[int, Iterable[int]]] = None
-    covers: Optional[Iterable[int]] = None
-
-
 # ---------------------------------------------------------------------------
 # backtracking engine
 
@@ -265,7 +243,7 @@ class _Search:
     :attr:`~semimod.core.PartialOrder.count_floors`), so the filter costs
     two lookups and two ANDs per source element.
 
-    A covering search (``covers`` = T, injective only) prunes a node at
+    A covering search (``covers`` = T, injective) prunes a node at
     depth d, before it scans a candidate, when need = T & ~used cannot be
     placed: when need & ~reach[d] != 0, or when |need| > left[d].  Here
     reach[d] is the OR of the allowed masks of the elements still
@@ -282,8 +260,7 @@ class _Search:
     most left[d] elements.  The pruning drops no map that the uncovered
     search would yield with an image containing T, and leaves the search
     order alone; at the leaves reach and left are 0, so every yielded map
-    covers T.  In a search that is not injective ``used`` stays 0 and the
-    count test would prune sound branches, hence the ``ValueError``.
+    covers T.
 
     Ticks: one per generator candidate scanned (a value in its allowed
     set), whether or not it passes, and one per verified map; the budget
@@ -291,15 +268,24 @@ class _Search:
     stops after k maps spends exactly the ticks up to the k-th.
     """
 
-    def __init__(self, M: FinModule, N: FinModule, cons: HomConstraints, budget: int):
+    def __init__(
+        self,
+        M: FinModule,
+        N: FinModule,
+        *,
+        injective: bool,
+        allowed: Optional[Mapping[int, Iterable[int]]],
+        covers: Optional[Iterable[int]],
+        budget: int,
+    ):
         if M.flavor is not N.flavor:
             raise FlavorMismatchError("hom search requires matching flavors")
         self.M, self.N = M, N
-        self.injective = cons.require_injective
+        self.injective = injective or covers is not None
         self.budget = budget
         self.explored = 0
         self.basis = M.basis
-        self.allowed = self._allowed_masks(cons)
+        self.allowed = self._allowed_masks(allowed or {})
         self.keys = N.order.order_keys
         if M.free_rank is None:
             self.below, self.above = M.order.down_masks, M.order.masks
@@ -308,18 +294,14 @@ class _Search:
         self.val = [-1] * M.size
         self.assigned = 0
         self.used = 0
-        self.cover = self._cover_mask(cons)
+        self.cover = self._cover_mask(covers or ())
         if self.cover:
             self.reach, self.left = self._unassigned_reach()
 
-    def _cover_mask(self, cons: HomConstraints) -> int:
+    def _cover_mask(self, covers: Iterable[int]) -> int:
         """The bitmask of the values the image must contain, 0 when off."""
-        if cons.covers is None:
-            return 0
-        if not self.injective:
-            raise ValueError("a covering search needs require_injective=True")
         mask = 0
-        for v in cons.covers:
+        for v in covers:
             if not 0 <= v < self.N.size:
                 raise ValueError(f"covered value {v} out of range")
             mask |= 1 << v
@@ -338,13 +320,13 @@ class _Search:
             left.append(left[-1] + 1 + len(layer))
         return reach[::-1], left[::-1]
 
-    def _allowed_masks(self, cons: HomConstraints) -> list[int]:
+    def _allowed_masks(self, allowed_sets: Mapping[int, Iterable[int]]) -> list[int]:
         """Per source element, the bitmask of target values it may take
         (the zero's holds N's zero at most), narrowed by the order-embedding
         filter for injective searches.  Ids out of range raise ``ValueError``."""
         m, n = self.M.size, self.N.size
         allowed = [(1 << n) - 1] * m
-        for x, vs in (cons.allowed or {}).items():
+        for x, vs in allowed_sets.items():
             if not 0 <= x < m:
                 raise ValueError(f"allowed set of element {x} out of range")
             mask = 0
@@ -400,31 +382,27 @@ class _Search:
         False at the first that fails.  The caller restores ``assigned`` and
         ``used``.
 
-        An element e = a + b is tested only against the assigned elements
+        An element e = a + g is tested only against the assigned elements
         below it.  The test against those above cannot fail: f is monotone
-        on the assigned elements, which include a and b, and every assigned
-        z above e lies above a and b; so f(a) + f(z) = f(z) = f(b) + f(z),
-        and f(e) + f(z) = f(a) + f(b) + f(z) = f(z) by associativity in N.
+        on the assigned elements, which include a and g, and every assigned
+        z above e lies above a and g; so f(a) + f(z) = f(z) = f(g) + f(z),
+        and f(e) + f(z) = f(a) + f(g) + f(z) = f(z) by associativity in N.
 
-        An element -g gets no order test: both are implied.  Negation is an
-        order automorphism of a valid Finf module, and 0 is its top.
-        Invariant: on a tabled Finf source, every partial map the search
-        keeps has f(-x) = -f(x) on its assigned elements.  Proof, by
-        induction over the layers from f(0) = 0: for the next generator h,
-        the recipe gives f(-h) = -f(h).  Any other y of h's layer has -y in
-        it too (-y in the earlier span S' would put y in S'), and not both
-        y, -y >= h (else y >= h + -h = 0); so the span walk, which lists
-        S' + h before S' + -h, derives y = a + h and later -y = a' + -h,
-        with a, a' in S'.  The lower test at y, against -a' <= y, gives
-        f(-a') = -f(a') <= f(y); with f(h) <= f(y), this makes
-        f(-y) = f(a') + f(-h) <= -f(y).  The one at -y, against -a <= -y,
-        gives -f(a) <= f(-y), so -f(y) = -f(a) + f(-h) <= f(-y).
-        Consequence: -g is placed first in its layer, after S' and g.  A
-        y <= -g there is not g (g <= -g would make -g = g + -g = 0), so
-        -y <= g lies in S', and the lower bound of g gave f(-y) <= f(g),
-        that is f(y) <= -f(g); y >= -g works the same way with the upper
-        bound.  A free source runs no order tests, and flavor B has no
-        negation recipe.
+        An element -x (flavor Finf) gets no order test: both are implied.
+        The layer of g is P ∪ -P, where P is g and the sums, placed first,
+        and -P their negations, in the same order
+        (:func:`semimod.core.span_walk`); so, from f(0) = 0 on, f(-x) = -f(x)
+        holds on the assigned elements by construction.  Let z be an assigned element
+        other than -x.  If z is in P, the span walk's lemma makes it
+        incomparable with -x.  Otherwise -z was placed before x: z in S'
+        gives -z in S' = -S', and z = -y with y in P placed before x gives
+        -z = y.  Negation is an order automorphism of M and of N, so
+        z <= -x iff -z <= x, and f(z) <= f(-x) = -f(x) iff
+        f(-z) = -f(z) <= f(x); likewise from above.  So the test at -x
+        against z is the test at x against -z, which ran (the generator's
+        two bounds, a sum's lower test) or is implied (a sum's upper test).
+        A free source runs no order tests, and flavor B has no negation
+        recipe.
         """
         N = self.N
         val, keys, allowed = self.val, self.keys, self.allowed
@@ -504,18 +482,30 @@ class _Search:
 def iter_homs(
     M: FinModule,
     N: FinModule,
-    constraints: Optional[HomConstraints] = None,
     *,
+    injective: bool = False,
+    allowed: Optional[Mapping[int, Iterable[int]]] = None,
+    covers: Optional[Iterable[int]] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> Iterator[Hom]:
-    """The homs M -> N meeting the constraints, in search order.
+    """The homs M -> N meeting the restrictions, in search order.
+
+    ``injective`` asks for injective homs.  ``allowed`` maps source
+    elements to the target values they may take; a pin x -> v is
+    ``{x: (v,)}``.  ``covers`` is a set T of target values that the image
+    must contain: the search then yields the injective homs whose image
+    contains T, exactly those of the injective search without T, in the
+    same order, and prunes a node once the values of T not yet taken
+    cannot all be placed on the elements still unassigned (see
+    :class:`_Search` for the lemma).  Element ids index the source and
+    value ids the target; one out of range raises ``ValueError``.
 
     The search ticks only as far as the caller reads, so the first hom
     costs only the ticks that lead to it; ``BudgetExceededError`` is raised
     at the first tick past the budget.  Every map passes the hom check
     before it is yielded, and its ``Hom`` carries that check.
     """
-    search = _Search(M, N, constraints or HomConstraints(), budget)
+    search = _Search(M, N, injective=injective, allowed=allowed, covers=covers, budget=budget)
     return (_searched(M, N, mp) for mp in search.run())
 
 
@@ -529,12 +519,16 @@ def _searched(M: FinModule, N: FinModule, mp: tuple[int, ...]) -> Hom:
 def enumerate_homs(
     M: FinModule,
     N: FinModule,
-    constraints: Optional[HomConstraints] = None,
     *,
+    injective: bool = False,
+    allowed: Optional[Mapping[int, Iterable[int]]] = None,
+    covers: Optional[Iterable[int]] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[Hom]:
-    """All homs M -> N meeting the constraints, sorted by map table."""
-    return sorted(iter_homs(M, N, constraints, budget=budget), key=lambda h: h.map)
+    """All homs M -> N meeting the restrictions of :func:`iter_homs`,
+    sorted by map table."""
+    homs = iter_homs(M, N, injective=injective, allowed=allowed, covers=covers, budget=budget)
+    return sorted(homs, key=lambda h: h.map)
 
 
 def find_left_inverse(f: Hom, *, budget: int = DEFAULT_BUDGET) -> Optional[Hom]:
@@ -544,8 +538,8 @@ def find_left_inverse(f: Hom, *, budget: int = DEFAULT_BUDGET) -> Optional[Hom]:
         raise ValueError("find_left_inverse expects a hom")
     if not f.injective:
         return None
-    pins = HomConstraints(allowed={v: (x,) for x, v in enumerate(f.map)})
-    w = next(iter_homs(f.target, f.source, pins, budget=budget), None)
+    pins = {v: (x,) for x, v in enumerate(f.map)}
+    w = next(iter_homs(f.target, f.source, allowed=pins, budget=budget), None)
     if w is not None and not compose(w, f).is_identity():
         raise AssertionError("left inverse failed verification")
     return w
@@ -561,7 +555,7 @@ def find_right_inverse(f: Hom, *, budget: int = DEFAULT_BUDGET) -> Optional[Hom]
     fibers: dict[int, list[int]] = {y: [] for y in range(f.target.size)}
     for x, y in enumerate(f.map):
         fibers[y].append(x)
-    h = next(iter_homs(f.target, f.source, HomConstraints(allowed=fibers), budget=budget), None)
+    h = next(iter_homs(f.target, f.source, allowed=fibers, budget=budget), None)
     if h is not None and not compose(f, h).is_identity():
         raise AssertionError("right inverse failed verification")
     return h

@@ -26,7 +26,6 @@ from .homs import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     Hom,
-    HomConstraints,
     compose,
     enumerate_homs,
     find_left_inverse,
@@ -82,11 +81,9 @@ def hom_catalog(spec: CategorySpec, x: str, y: str) -> tuple[CatalogEntry, ...]:
     if key in spec._catalog:
         return spec._catalog[key]
     X, Y = spec.module(x), spec.module(y)
-    cons = HomConstraints(
-        require_injective=spec.morphism_class is not MorphismClass.ALL
-    )
+    injective = spec.morphism_class is not MorphismClass.ALL
     entries = []
-    for h in enumerate_homs(X, Y, cons, budget=spec.budget):
+    for h in enumerate_homs(X, Y, injective=injective, budget=spec.budget):
         if spec.morphism_class is MorphismClass.SPLIT_INJECTIONS:
             cert = find_left_inverse(h, budget=spec.budget)
             if cert is not None:
@@ -130,7 +127,7 @@ def factors_through(spec: CategorySpec, f: Hom, yj: str) -> FactorizationResult:
     stops at the first factorization (the first in search order).
 
     Injection classes: stream the injective q whose image contains im(f),
-    from one covering search (``HomConstraints.covers``); a q whose image
+    from one covering search (``covers`` of ``iter_homs``); a q whose image
     misses a value of f factors nothing, and the search prunes every branch
     that can no longer cover im(f), so a streamed q that misses one is a
     broken contract and raises ``AssertionError``.  For a covering q,
@@ -164,8 +161,7 @@ def factors_through(spec: CategorySpec, f: Hom, yj: str) -> FactorizationResult:
             if not f.injective:
                 return FactorizationResult(Verdict.NO_FACTORIZATION)
             split = spec.morphism_class is MorphismClass.SPLIT_INJECTIONS
-            covering = HomConstraints(require_injective=True, covers=set(f.map))
-            for q in iter_homs(Yj, f.target, covering, budget=spec.budget):
+            for q in iter_homs(Yj, f.target, covers=set(f.map), budget=spec.budget):
                 inverse = {v: w for w, v in enumerate(q.map)}
                 pmap = tuple(inverse.get(v) for v in f.map)
                 if None in pmap:
@@ -175,13 +171,12 @@ def factors_through(spec: CategorySpec, f: Hom, yj: str) -> FactorizationResult:
                     continue
                 return _factorization(f, p, q)
             return FactorizationResult(Verdict.NO_FACTORIZATION)
-        cons = HomConstraints(require_injective=f.injective)
-        for p in iter_homs(X, Yj, cons, budget=spec.budget):
+        for p in iter_homs(X, Yj, injective=f.injective, budget=spec.budget):
             pins = dict(zip(p.map, f.map))
             if any(pins[w] != v for w, v in zip(p.map, f.map)):
                 continue
-            pinned = HomConstraints(allowed={w: (v,) for w, v in pins.items()})
-            q = next(iter_homs(Yj, f.target, pinned, budget=spec.budget), None)
+            pinned = {w: (v,) for w, v in pins.items()}
+            q = next(iter_homs(Yj, f.target, allowed=pinned, budget=spec.budget), None)
             if q is not None:
                 return _factorization(f, p, q)
         return FactorizationResult(Verdict.NO_FACTORIZATION)
@@ -256,12 +251,14 @@ def default_witness_family(
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[CategorySpec, str, list[str], list[Hom]]:
     """X_0 = the corner witness, Y_i the (i+3)-rd family member, f_i the
-    corner embeddings."""
+    corner embeddings.  The members are built largest first, so a member
+    too large for a dense table is refused before any is built."""
     prefix = "D" if flavor is Flavor.B else "E"
     ns = range(4, upto + 4)
+    members = {n: family(flavor, n) for n in reversed(ns)}
     y_names = [f"{prefix}{n}" for n in ns]
     objects = [(prefix + "0", corner_witness(flavor).module)]
-    objects += [(name, family(flavor, n).module) for name, n in zip(y_names, ns)]
+    objects += [(name, members[n].module) for name, n in zip(y_names, ns)]
     spec = CategorySpec(flavor, tuple(objects), morphism_class, budget)
     return spec, prefix + "0", y_names, [corner_embedding(n, flavor) for n in ns]
 

@@ -18,9 +18,14 @@ from .homs import DEFAULT_BUDGET, Hom, extension_hom, find_right_inverse
 
 @dataclass(frozen=True)
 class ProjectivityCertificate:
-    projective: bool
+    """The canonical cover and, when the module is projective, its section."""
+
     cover: Hom
     section: Optional[Hom]
+
+    @property
+    def projective(self) -> bool:
+        return self.section is not None
 
 
 def canonical_free_cover(m: FinModule) -> Hom:
@@ -50,4 +55,4 @@ def projectivity_certificate(
     """
     cover = canonical_free_cover(m)
     section = find_right_inverse(cover, budget=budget)
-    return ProjectivityCertificate(section is not None, cover, section)
+    return ProjectivityCertificate(cover, section)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
 from semimod import (
     DEFAULT_BUDGET,
@@ -45,7 +45,6 @@ from semimod import (
     Flavor,
     FlavorMismatchError,
     Hom,
-    HomConstraints,
     ModuleStructureError,
     Violation,
     compose,
@@ -385,20 +384,22 @@ def check_hom_on_generating_set(f: Hom) -> HomCheck:
 def brute_force_homs(
     M: FinModule,
     N: FinModule,
-    constraints: Optional[HomConstraints] = None,
     *,
+    injective: bool = False,
+    allowed: Optional[Mapping[int, Iterable[int]]] = None,
+    covers: Optional[Iterable[int]] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> list[Hom]:
     """Filter every total map: the reference for enumerate_homs, with the
-    same contract.
+    same contract; ``covers`` asks for injective maps on its own.
 
     The candidate space is narrowed by the allowed sets before the budget
     precheck, so heavily pinned searches on larger carriers stay admissible.
     """
     if M.flavor is not N.flavor:
         raise FlavorMismatchError("hom search requires matching flavors")
-    cons = constraints or HomConstraints()
-    allowed = {x: frozenset(vs) for x, vs in (cons.allowed or {}).items()}
+    allowed = {x: frozenset(vs) for x, vs in (allowed or {}).items()}
+    injective = injective or covers is not None
     cand_lists = []
     total = 1
     for x in range(M.size):
@@ -420,9 +421,9 @@ def brute_force_homs(
     for val in itertools.product(*cand_lists):
         if val[M.zero] != N.zero:
             continue
-        if cons.require_injective and len(set(val)) != n:
+        if injective and len(set(val)) != n:
             continue
-        if cons.covers is not None and not set(cons.covers) <= set(val):
+        if covers is not None and not set(covers) <= set(val):
             continue
         ok = True
         for a, b in pairs:
@@ -538,7 +539,13 @@ def extend_by_support_sums(
 
 
 def factors_through_by_catalog(
-    spec: CategorySpec, f: Hom, yj: str, *, source: str, target: str
+    spec: CategorySpec,
+    f: Hom,
+    yj: str,
+    *,
+    source: str,
+    target: str,
+    ps: Optional[Iterable[Hom]] = None,
 ) -> FactorizationResult:
     """p: source -> yj and q: yj -> target in the class with q∘p = f, by
     walking every map of one side with none of the pruning of
@@ -550,7 +557,9 @@ def factors_through_by_catalog(
     it is a hom in the class.  All-homs class: every p: source -> yj,
     injective or not, in search order, that is consistent with f pins q on
     its image, and the rest of q is searched; p is streamed, so a
-    "factors" verdict stops at its first p."""
+    "factors" verdict stops at its first p.  ``ps``, when given, lists
+    those p in search order, for a caller that checks many f against one
+    pair (source, yj)."""
     X, Yj = spec.module(source), spec.module(yj)
     try:
         if spec.morphism_class is not MorphismClass.ALL:
@@ -563,12 +572,12 @@ def factors_through_by_catalog(
                 if p.is_hom and in_class(spec, p):
                     return FactorizationResult(Verdict.FACTORS, (p, q))
             return FactorizationResult(Verdict.NO_FACTORIZATION)
-        for p in iter_homs(X, Yj, budget=spec.budget):
+        for p in iter_homs(X, Yj, budget=spec.budget) if ps is None else ps:
             pins = dict(zip(p.map, f.map))
             if any(pins[w] != v for w, v in zip(p.map, f.map)):
                 continue  # p identifies two elements that f keeps apart
-            pinned = HomConstraints(allowed={w: (v,) for w, v in pins.items()})
-            q = next(iter_homs(Yj, spec.module(target), pinned, budget=spec.budget), None)
+            pinned = {w: (v,) for w, v in pins.items()}
+            q = next(iter_homs(Yj, spec.module(target), allowed=pinned, budget=spec.budget), None)
             if q is not None:
                 return FactorizationResult(Verdict.FACTORS, (p, q))
         return FactorizationResult(Verdict.NO_FACTORIZATION)

@@ -196,7 +196,13 @@ def test_unreadable_input_is_an_input_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [("construct", "Dn", "--n", "725"), ("construct", "En", "--n", "363"), ("projective", "D100000")],
+    [
+        ("construct", "Dn", "--n", "725"),
+        ("construct", "En", "--n", "363"),
+        ("projective", "D100000"),
+        ("witness", "--flavor", "B", "--max-n", "800"),
+        ("witness", "--flavor", "Finf", "--max-n", "360"),
+    ],
 )
 def test_family_members_too_large_for_a_table_are_refused_at_once(argv, capsys):
     # 2897 elements is the least size whose table exceeds DENSE_TABLE_LIMIT

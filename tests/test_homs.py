@@ -96,9 +96,7 @@ def test_composition_associative_on_sampled_triples():
 
 def test_composition_of_injections_is_injective():
     i4 = sm.corner_embedding(4, Flavor.B)
-    inj45 = sm.enumerate_homs(
-        D(4).module, D(5).module, sm.HomConstraints(require_injective=True)
-    )
+    inj45 = sm.enumerate_homs(D(4).module, D(5).module, injective=True)
     for q in inj45[:5]:
         assert sm.compose(q, i4).injective
 
@@ -114,7 +112,7 @@ def test_hom_b_scalars_has_two_maps():
 def test_fully_pinned_e2_brute_force_within_budget():
     e2 = sm.construct_En(2).module
     pins = {e: (e2.zero,) for e in range(e2.size)}
-    homs = brute_force_homs(e2, e2, sm.HomConstraints(allowed=pins))
+    homs = brute_force_homs(e2, e2, allowed=pins)
     assert len(homs) == 1  # the constant zero map is the only candidate
 
 
@@ -167,11 +165,10 @@ def _oracle_pairs():
 
 @pytest.mark.parametrize("injective", [False, True])
 def test_enumerate_agrees_with_brute_force(injective):
-    cons = sm.HomConstraints(require_injective=injective)
     checked = 0
     for M, N in _oracle_pairs():
-        fast = sm.enumerate_homs(M, N, cons)
-        slow = brute_force_homs(M, N, cons)
+        fast = sm.enumerate_homs(M, N, injective=injective)
+        slow = brute_force_homs(M, N, injective=injective)
         assert [h.map for h in fast] == [h.map for h in slow], (M.names, N.names)
         checked += 1
     assert checked >= 20
@@ -204,9 +201,9 @@ def test_enumerate_agrees_on_random_quotients(flavor):
 def test_enumerate_with_pins_agrees_with_brute_force():
     d2 = D(2).module
     lat = D(2)
-    cons = sm.HomConstraints(allowed={lat.label(1, 2): (lat.label(2, 2),)})
-    fast = sm.enumerate_homs(d2, d2, cons)
-    slow = brute_force_homs(d2, d2, cons)
+    pins = {lat.label(1, 2): (lat.label(2, 2),)}
+    fast = sm.enumerate_homs(d2, d2, allowed=pins)
+    slow = brute_force_homs(d2, d2, allowed=pins)
     assert [h.map for h in fast] == [h.map for h in slow]
     assert all(h.map[lat.label(1, 2)] == lat.label(2, 2) for h in fast)
 
@@ -221,16 +218,15 @@ def test_enumerate_with_allowed_sets_agrees_with_brute_force():
             e: rng.sample(range(d2.size), rng.randint(1, d2.size))
             for e in rng.sample(range(d2.size), rng.randint(0, d2.size))
         }
-        cons = sm.HomConstraints(allowed=allowed)
-        fast = [h.map for h in sm.enumerate_homs(d2, d2, cons)]
-        slow = [h.map for h in brute_force_homs(d2, d2, cons)]
+        fast = [h.map for h in sm.enumerate_homs(d2, d2, allowed=allowed)]
+        slow = [h.map for h in brute_force_homs(d2, d2, allowed=allowed)]
         assert fast == slow, allowed
 
 
 def test_enumeration_is_deterministic():
     d0 = sm.construct_D0().module
-    first = sm.enumerate_homs(d0, d0, sm.HomConstraints(require_injective=True))
-    second = sm.enumerate_homs(d0, d0, sm.HomConstraints(require_injective=True))
+    first = sm.enumerate_homs(d0, d0, injective=True)
+    second = sm.enumerate_homs(d0, d0, injective=True)
     assert [h.map for h in first] == [h.map for h in second]
     assert [h.map for h in first] == sorted(h.map for h in first)
 
@@ -238,7 +234,7 @@ def test_enumeration_is_deterministic():
 def test_every_enumerated_hom_passes_check():
     d0 = sm.construct_D0().module
     d4 = D(4).module
-    for h in sm.enumerate_homs(d0, d4, sm.HomConstraints(require_injective=True)):
+    for h in sm.enumerate_homs(d0, d4, injective=True):
         assert h.is_hom and h.injective
 
 
@@ -417,7 +413,7 @@ def test_free_source_check_agrees_with_both_pair_scans():
 def test_allowed_ids_out_of_range_are_rejected(allowed):
     d2 = D(2).module
     with pytest.raises(ValueError, match="out of range"):
-        sm.enumerate_homs(d2, d2, sm.HomConstraints(allowed=allowed))
+        sm.enumerate_homs(d2, d2, allowed=allowed)
 
 
 @pytest.mark.parametrize("src, tgt", [("D4", "D5"), ("D0", "D4"), ("E2", "E3"), ("N5", "D3")])
@@ -426,7 +422,7 @@ def test_covering_search_filters_the_injective_stream(src, tgt):
     # order: T from images of homs, random subsets, and infeasible sets
     M, N = _module(src), _module(tgt)
     rng = random.Random(src + tgt)
-    stream = [h.map for h in sm.iter_homs(M, N, sm.HomConstraints(require_injective=True))]
+    stream = [h.map for h in sm.iter_homs(M, N, injective=True)]
     some_homs = [h.map for h in itertools.islice(sm.iter_homs(M, N), 200)]
     covers = [set()]
     for _ in range(6):
@@ -437,9 +433,8 @@ def test_covering_search_filters_the_injective_stream(src, tgt):
     covers.append(set(rng.sample(range(N.size), M.size + 1)))
     found = []
     for T in covers:
-        cons = sm.HomConstraints(require_injective=True, covers=T)
         expected = [mp for mp in stream if T <= set(mp)]
-        assert [h.map for h in sm.iter_homs(M, N, cons)] == expected, sorted(T)
+        assert [h.map for h in sm.iter_homs(M, N, covers=T)] == expected, sorted(T)
         found.append(len(expected))
     assert found[-1] == 0 and max(found) > 0 and 0 in found[:-1]
 
@@ -449,14 +444,13 @@ def test_infeasible_covers_are_refuted_before_any_tick():
     # prunes the root: a budget of one tick is never reached
     M, N = _module("D4"), _module("D5")
     v = N.size - 1
-    too_many = sm.HomConstraints(require_injective=True, covers=range(M.size + 1))
-    unreachable = sm.HomConstraints(
-        require_injective=True,
-        allowed={x: [w for w in range(N.size) if w != v] for x in range(M.size)},
-        covers={v},
-    )
-    for cons in (too_many, unreachable):
-        assert sm.enumerate_homs(M, N, cons, budget=1) == []
+    too_many = {"covers": range(M.size + 1)}
+    unreachable = {
+        "allowed": {x: [w for w in range(N.size) if w != v] for x in range(M.size)},
+        "covers": {v},
+    }
+    for restrictions in (too_many, unreachable):
+        assert sm.enumerate_homs(M, N, **restrictions, budget=1) == []
 
 
 def test_covering_search_agrees_with_brute_force():
@@ -465,33 +459,40 @@ def test_covering_search_agrees_with_brute_force():
     for M, N in _oracle_pairs():
         if M.size > N.size:
             continue
-        injective = sm.HomConstraints(require_injective=True)
-        images = [h.map for h in sm.enumerate_homs(M, N, injective)]
+        images = [h.map for h in sm.enumerate_homs(M, N, injective=True)]
         if not images:
             continue
         image = set(rng.choice(images))
         for T in (image, set(rng.sample(sorted(image), rng.randint(1, len(image))))):
-            cons = sm.HomConstraints(require_injective=True, covers=T)
-            fast = [h.map for h in sm.enumerate_homs(M, N, cons)]
-            assert fast == [h.map for h in brute_force_homs(M, N, cons)], (M.names, N.names)
+            fast = [h.map for h in sm.enumerate_homs(M, N, covers=T)]
+            assert fast == [h.map for h in brute_force_homs(M, N, covers=T)], (M.names, N.names)
             checked += 1
     assert checked >= 10
 
 
-@pytest.mark.parametrize(
-    "cons, match",
-    [
-        (sm.HomConstraints(require_injective=True, covers={99}), "out of range"),
-        (sm.HomConstraints(require_injective=True, covers={-1}), "out of range"),
-        (sm.HomConstraints(covers={1}), "require_injective"),
-        (sm.HomConstraints(covers=set()), "require_injective"),
-    ],
-    ids=["value-too-large", "negative-value", "not-injective", "empty-not-injective"],
-)
-def test_bad_covers_are_rejected(cons, match):
+@pytest.mark.parametrize("covers", [{99}, {-1}], ids=["value-too-large", "negative-value"])
+def test_bad_covers_are_rejected(covers):
     d2 = D(2).module
-    with pytest.raises(ValueError, match=match):
-        sm.enumerate_homs(d2, d2, cons)
+    with pytest.raises(ValueError, match="out of range"):
+        sm.enumerate_homs(d2, d2, covers=covers)
+
+
+@pytest.mark.parametrize(
+    "src, tgt, T",
+    [("D2", "D3", set()), ("D2", "D3", {1, 4}), ("E2", "E3", {1, 12}), ("D0", "D4", {1, 2})],
+)
+def test_covers_alone_is_an_injective_covering_search(src, tgt, T):
+    # covers=T gives the same homs and ticks with or without injective=True:
+    # the injective homs whose image contains T
+    M, N = _module(src), _module(tgt)
+    searches = [
+        sm.homs._Search(M, N, injective=injective, allowed=None, covers=T, budget=10**6)
+        for injective in (False, True)
+    ]
+    maps = [list(search.run()) for search in searches]
+    assert maps[0] == maps[1] and searches[0].explored == searches[1].explored
+    expected = [h.map for h in sm.iter_homs(M, N, injective=True) if T <= set(h.map)]
+    assert maps[0] == expected and expected
 
 
 def _module(name):
@@ -499,20 +500,29 @@ def _module(name):
         "M3": diamond_m3,
         "N5": pentagon_n5,
         "N5 c<b": lambda: pentagon_n5(("0", "a", "c", "b", "1")),
+        "Q19": _free_finf3_quotient,
     }
     return named.get(name, lambda: ref(name))()
 
 
+def _free_finf3_quotient():
+    # free:Finf:3 modulo A1+A3 ~ A1+A2+A3 and A2+A3 ~ -A1+A2+A3: 19 elements
+    free = sm.free_module(Flavor.FINF, 3)
+    ids = free.index_of_name
+    pairs = [(ids["A1+A3"], ids["A1+A2+A3"]), (ids["A2+A3"], ids["-A1+A2+A3"])]
+    return sm.quotient_by_congruence(free, sm.generated_congruence(free, pairs))
+
+
 def _inj(src, tgt):
     return lambda budget: sm.enumerate_homs(
-        _module(src), _module(tgt), sm.HomConstraints(require_injective=True), budget=budget
+        _module(src), _module(tgt), injective=True, budget=budget
     )
 
 
 def _covering(src, tgt, f):
     # the witness check of f through src: injective src -> tgt covering im(f)
-    cons = sm.HomConstraints(require_injective=True, covers=set(f.map))
-    return lambda budget: sm.enumerate_homs(_module(src), _module(tgt), cons, budget=budget)
+    T = set(f.map)
+    return lambda budget: sm.enumerate_homs(_module(src), _module(tgt), covers=T, budget=budget)
 
 
 def _all(src, tgt):
@@ -531,10 +541,11 @@ def _cover_section(name):
 # N5 an element derived from earlier generators lies above a later one, so
 # only these cases prune a generator's image from above.  In N5 with c
 # before b, 1 = a + b lies above c, which lies below neither a nor b, so a
-# derived sum is pruned from below.  The covering case prunes nodes both
-# because a needed value lies outside every unassigned element's allowed
-# set and because more values are needed than elements are left; without
-# either test it takes more ticks.
+# derived sum is pruned from below; Q19 is a Finf source where that
+# happens (without the lower test it takes 66 ticks).  The covering case
+# prunes nodes both because a needed value lies outside every unassigned
+# element's allowed set and because more values are needed than elements
+# are left; without either test it takes more ticks.
 TICK_CASES = {
     "injective D4->D5": (_inj("D4", "D5"), 622, 10),
     "injective D0->D4": (_inj("D0", "D4"), 345, 32),
@@ -548,6 +559,7 @@ TICK_CASES = {
     "section of the E4 cover": (_cover_section("E4"), 5_065, 1),
     "all free:B:3->D3": (_all("free:B:3", "D3"), 1_548, 729),
     "all free:Finf:2->E2": (_all("free:Finf:2", "E2"), 171, 81),
+    "all Q19->free:Finf:1": (_all("Q19", "free:Finf:1"), 62, 19),
 }
 
 
@@ -601,16 +613,16 @@ def test_iter_homs_ticks_only_as_far_as_it_is_read(src, tgt, injective):
     # reads k of them grows with k, and asking for one more than there are
     # runs the search to its end, at the count pinned in TICK_CASES
     M, N = _module(src), _module(tgt)
-    cons = sm.HomConstraints(require_injective=injective)
-    stream = [h.map for h in sm.iter_homs(M, N, cons)]
-    assert sorted(stream) == [h.map for h in sm.enumerate_homs(M, N, cons)]
+    stream = [h.map for h in sm.iter_homs(M, N, injective=injective)]
+    assert sorted(stream) == [h.map for h in sm.enumerate_homs(M, N, injective=injective)]
 
     def least_budget(k):
         lo, hi = 1, 10_000
         while lo < hi:
             mid = (lo + hi) // 2
             try:
-                read = list(itertools.islice(sm.iter_homs(M, N, cons, budget=mid), k))
+                homs = sm.iter_homs(M, N, injective=injective, budget=mid)
+                read = list(itertools.islice(homs, k))
             except sm.BudgetExceededError:
                 lo = mid + 1
             else:
@@ -736,7 +748,6 @@ def test_injective_searches_into_free_targets_agree_with_oracles(monkeypatch):
     def refuse(self):
         raise AssertionError("the search read the masks of a free order")
 
-    injective = sm.HomConstraints(require_injective=True)
     B, F = Flavor.B, Flavor.FINF
     cases = []
     for M, N in (
@@ -747,8 +758,8 @@ def test_injective_searches_into_free_targets_agree_with_oracles(monkeypatch):
         (sm.scalar_module(F), sm.free_module(F, 3)),
     ):
         # the oracle pins f(0) = 0 to keep its space of total maps small
-        pins = sm.HomConstraints(require_injective=True, allowed={M.zero: (N.zero,)})
-        cases.append((M, N, [h.map for h in brute_force_homs(M, N, pins)]))
+        pins = {M.zero: (N.zero,)}
+        cases.append((M, N, [h.map for h in brute_force_homs(M, N, injective=True, allowed=pins)]))
     # too many total maps to filter: the injective maps among all homs,
     # which the unfiltered search finds, are the reference
     for M, N in ((D(3).module, sm.free_module(B, 4)), (ref("E2"), sm.free_module(F, 3))):
@@ -756,13 +767,13 @@ def test_injective_searches_into_free_targets_agree_with_oracles(monkeypatch):
     monkeypatch.setattr(FreeOrder, "masks", property(refuse))
     monkeypatch.setattr(FreeOrder, "down_masks", property(refuse))
     for M, N, expected in cases:
-        assert [h.map for h in sm.enumerate_homs(M, N, injective)] == expected, N.size
+        assert [h.map for h in sm.enumerate_homs(M, N, injective=True)] == expected, N.size
     assert sum(len(expected) for _, _, expected in cases) > 0
     # an element of E2 has 5 elements above it, and no element of
     # free:Finf:2 more than 4: the filter refutes the pair before any tick
     e2, f2 = ref("E2"), sm.free_module(F, 2)
     assert not any(h.injective for h in sm.enumerate_homs(e2, f2))
-    assert sm.enumerate_homs(e2, f2, injective, budget=1) == []
+    assert sm.enumerate_homs(e2, f2, injective=True, budget=1) == []
 
 
 def test_searches_from_one_module_walk_its_span_once(monkeypatch):
@@ -775,9 +786,9 @@ def test_searches_from_one_module_walk_its_span_once(monkeypatch):
 
     monkeypatch.setattr(sm.core, "span_walk", counting_walk)
     d3 = dataclasses.replace(ref("D3"))  # a fresh copy: ref() caches its modules
-    for cons in (sm.HomConstraints(), sm.HomConstraints(require_injective=True)):
+    for injective in (False, True):
         for target in (D(3).module, D(4).module):
-            sm.enumerate_homs(d3, target, cons)
+            sm.enumerate_homs(d3, target, injective=injective)
     assert walks == [d3] and d3.basis == generating_basis(d3)
 
 
@@ -796,6 +807,20 @@ def test_generating_basis_derives_each_element_once_from_earlier_operands():
                     assert a in placed and m.neg_of(a) == e
                 placed.append(e)
         assert sorted(placed) == list(range(m.size)), m.names
+
+
+def test_finf_layers_are_their_sums_then_their_mirror():
+    # span_walk derives the negatives of a Finf layer by negation: the sums
+    # a + g, then -x for g and for each sum, in that order, and nothing else
+    mods = [ref(name) for name in ("E0", "E2", "E3", "E4", "E5", "E6", "E7", "E8")]
+    mods += [sm.free_module(Flavor.FINF, rank) for rank in range(5)]
+    mods += [m for m in assorted_modules() if m.flavor is Flavor.FINF]
+    for m in mods:
+        for g, layer in zip(m.basis.generators, m.basis.layers):
+            sums = [recipe for recipe in layer if recipe[1] == "add"]
+            assert all(b == g for _, _, _, b in sums)
+            mirror = [(m.neg_of(x), "neg", x, -1) for x in [g] + [e for e, _, _, _ in sums]]
+            assert list(layer) == sums + mirror, m.names
 
 
 def test_generating_basis_rejects_generators_that_do_not_form_a_basis():

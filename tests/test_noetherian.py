@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import random
 
@@ -6,7 +7,7 @@ import pytest
 
 import semimod as sm
 from semimod import Flavor
-from semimod import noetherian
+from semimod import families, noetherian
 from semimod.noetherian import (
     CategorySpec,
     MorphismClass,
@@ -26,6 +27,33 @@ from oracles import PrincipalProjective, factors_through_by_catalog, principal_p
 def b_spec(morphism_class=MorphismClass.INJECTIONS, upto=2):
     spec, x0, ys, fs = default_witness_family(Flavor.B, upto, morphism_class)
     return spec, x0, ys, fs
+
+
+@pytest.mark.parametrize(
+    "flavor, largest", [(Flavor.B, "D_23 has 89"), (Flavor.FINF, "E_23 has 177")]
+)
+def test_an_oversized_witness_run_is_refused_before_any_member_is_built(
+    flavor, largest, monkeypatch
+):
+    # under a cap of 37^2 table entries D_10 and E_5 are the largest members
+    # that fit; --max-n 20 asks for members up to D_23 or E_23
+    built = []
+    real_member = families._member
+
+    def counting_member(letter, flavor, n, size):
+        built.append(n)
+        return real_member(letter, flavor, n, size)
+
+    monkeypatch.setattr(families, "DENSE_TABLE_LIMIT", 37 * 37)
+    monkeypatch.setattr(families, "_member", counting_member)
+    for name in ("construct_Dn", "construct_En"):  # fresh caches, restored afterwards
+        fresh = functools.lru_cache(getattr(families, name).__wrapped__)
+        monkeypatch.setattr(families, name, fresh)
+    with pytest.raises(sm.ModuleStructureError, match=f"{largest} elements, too many"):
+        default_witness_family(flavor, 20)
+    assert built == [23]
+    default_witness_family(flavor, 2)
+    assert built == [23, 5, 4]
 
 
 def test_injective_endos_of_d0_are_the_diamond_swaps():
@@ -283,8 +311,8 @@ def test_a_streamed_q_missing_im_f_fails_loudly(morphism_class, monkeypatch):
     # the covering search yields only q with im(q) ⊇ im(f); a search that
     # ignores the covering set breaks that contract, which must not pass
     # for a missed factorization
-    def uncovered(M, N, cons, **kwargs):
-        return sm.iter_homs(M, N, dataclasses.replace(cons, covers=None), **kwargs)
+    def uncovered(M, N, *, covers, **kwargs):
+        return sm.iter_homs(M, N, injective=True, **kwargs)
 
     spec, x0, ys, fs = default_witness_family(Flavor.B, 2, morphism_class)
     assert factors_through(spec, fs[1], ys[0]).verdict is Verdict.NO_FACTORIZATION
@@ -335,12 +363,15 @@ def test_all_homs_factorizations_of_non_injective_morphisms_agree_with_the_catal
         spec = CategorySpec(X.flavor, objects, MorphismClass.ALL)
         oracle_spec = CategorySpec(X.flavor, objects, MorphismClass.ALL)
         seen = set()
+        ps = {yj: list(sm.iter_homs(X, middle)) for yj, middle in middles}
         for f in sm.enumerate_homs(X, Y):
             if f.injective:
                 continue
             for yj, _ in middles:
                 res = factors_through(spec, f, yj)
-                want = factors_through_by_catalog(oracle_spec, f, yj, source=x, target=y)
+                want = factors_through_by_catalog(
+                    oracle_spec, f, yj, source=x, target=y, ps=ps[yj]
+                )
                 assert res.verdict is want.verdict, (x, y, f.map, yj)
                 if res.verdict is Verdict.FACTORS:
                     _assert_factorization(res, f)

@@ -51,3 +51,14 @@ def test_readme_quickstart_runs():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_ci_installs_the_test_pins_of_pyproject():
+    # the test extra and the CI install step name the same exact versions;
+    # both files are read as text, as Python 3.10 has no tomllib
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    extra = re.search(r"^test = \[(.*)\]$", pyproject, re.M).group(1)
+    pins = sorted(re.findall(r'"([\w-]+==[\w.]+)"', extra))
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
+    install = re.search(r"run: pip install (.*)$", workflow, re.M).group(1)
+    assert pins and pins == sorted(install.split()), (pins, install)
