@@ -18,7 +18,6 @@ from .core import (
     irreducible_generators,
     is_distributive_lattice,
     join_irreducibles,
-    quotient_by_congruence,
     quotient_with_projection,
     scalar_module,
     submodule_on,
@@ -47,12 +46,10 @@ from .homs import (
 from .families import (
     IndexedLattice,
     canonical_section,
-    construct_D0,
-    construct_Dn,
-    construct_E0,
-    construct_En,
     corner_embedding,
     corner_retraction,
+    corner_witness,
+    family,
     family_index_pairs,
     rigidity_check,
 )

@@ -29,13 +29,7 @@ from .core import (
     require_valid,
     validate_module,
 )
-from .families import (
-    construct_D0,
-    construct_Dn,
-    construct_E0,
-    construct_En,
-    rigidity_check,
-)
+from .families import corner_witness, family, flavor_of_letter, rigidity_check
 from .free import free_module
 from .homs import (
     DEFAULT_BUDGET,
@@ -98,6 +92,7 @@ def _pins_arg(path: str, src, tgt) -> dict[int, tuple[int]]:
     """The pins of a ``{"pins": [[source, target], ...]}`` document, as
     allowed sets of one value; each element is a name or an id."""
     doc = _load_json(path)
+    serialize.refuse_unknown_keys(doc, "pins document", {"pins"})
     pairs = doc.get("pins", []) if isinstance(doc, dict) else None
     if not isinstance(pairs, list) or not all(
         isinstance(p, list) and len(p) == 2 for p in pairs
@@ -148,18 +143,16 @@ def _emit_module(mod, fmt: str) -> str:
 
 def _cmd_construct(args) -> int:
     kind = args.family
-    if kind == "D0":
-        mod = construct_D0().module
-    elif kind == "E0":
-        mod = construct_E0().module
-    elif kind in ("Dn", "En"):
-        if args.n is None:
-            raise ModuleStructureError("construct Dn/En requires --n")
-        mod = (construct_Dn if kind == "Dn" else construct_En)(args.n).module
-    else:  # free
+    if kind == "free":
         if args.rank is None:
             raise ModuleStructureError("construct free requires --rank")
         mod = free_module(Flavor(args.flavor), args.rank)
+    elif kind.endswith("0"):
+        mod = corner_witness(flavor_of_letter(kind[0])).module
+    elif args.n is None:
+        raise ModuleStructureError("construct Dn/En requires --n")
+    else:
+        mod = family(flavor_of_letter(kind[0]), args.n).module
     sys.stdout.write(_emit_module(mod, args.format))
     return 0
 
@@ -186,30 +179,22 @@ def _cmd_homs(args) -> int:
 
 
 def _cmd_rigidity(args) -> int:
-    flavor = Flavor(args.flavor)
-    found = rigidity_check(args.n, args.m, flavor, budget=args.budget)
-    if len(found) == 1 and found[0].is_identity():
+    found = rigidity_check(args.n, args.m, Flavor(args.flavor), budget=args.budget)
+    identity = len(found) == 1 and found[0].is_identity()
+    if identity:
         print("1 morphism (identity)")
     else:
         print(f"{len(found)} morphisms")
         for h in found:
             print("  " + h.describe())
-    expected_identity = args.n == args.m
-    as_expected = (
-        (expected_identity and len(found) == 1 and found[0].is_identity())
-        or (not expected_identity and not found)
-    )
-    return 0 if as_expected else 1
+    # as expected: the identity alone for n = m, no morphism otherwise
+    return 0 if (identity if args.n == args.m else not found) else 1
 
 
 def _cmd_split_check(args) -> int:
     f = _hom_arg(args.file)
-    result = {
-        "injective": f.injective,
-        "surjective": f.surjective,
-        "left_inverse": None,
-        "right_inverse": None,
-    }
+    result = {"injective": f.injective, "surjective": f.surjective,
+              "left_inverse": None, "right_inverse": None}
     splittable = False
     if f.injective:
         w = find_left_inverse(f, budget=args.budget)
@@ -280,17 +265,9 @@ def _cmd_witness(args) -> int:
         )
     report = witness_verify(spec, x0, ys, fs)
     if args.format == "json":
-        doc = {
-            "holds": report.holds,
-            "inconclusive": report.inconclusive,
-            "levels": [
-                {
-                    "index": lv.index,
-                    "checks": [[yj, v.value] for yj, v in lv.checks],
-                }
-                for lv in report.levels
-            ],
-        }
+        levels = [{"index": lv.index, "checks": [[yj, v.value] for yj, v in lv.checks]}
+                  for lv in report.levels]
+        doc = {"holds": report.holds, "inconclusive": report.inconclusive, "levels": levels}
         print(json.dumps(doc, sort_keys=True))
     else:
         print(report.summary())

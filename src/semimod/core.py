@@ -735,12 +735,6 @@ def generated_congruence(m: FinModule, pairs: Iterable[tuple[int, int]]) -> Cong
     return Congruence.from_class_map([find(e) for e in range(m.size)])
 
 
-def quotient_by_congruence(m: FinModule, c: Congruence) -> FinModule:
-    """Quotient module on the classes; raises on incompatible partitions."""
-    q, _ = quotient_with_projection(m, c)
-    return q
-
-
 def quotient_with_projection(
     m: FinModule, c: Congruence
 ) -> tuple[FinModule, tuple[int, ...]]:

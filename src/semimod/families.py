@@ -6,12 +6,16 @@ D_n is the diamond-chain distributive lattice of size 4n-3 on index pairs
 collapse to the absorbing zero.  The corner witnesses D0 and E0 (size 9 and
 17) are the same constructions on the corners {1,2}^2 and {3,4}^2 of D_4.
 
-Each table is built a row at a time at C level: a B row is the
-componentwise max of one index pair with all of them, a Finf row the min,
-and a result outside the index set (a set not closed under the flavor's
-operation) raises ``ModuleStructureError``.  Each constructor then
-validates its module and asserts the advertised size; a member whose table
-would exceed ``DENSE_TABLE_LIMIT`` entries is refused before it is built.
+The two cached constructors, :func:`family` and :func:`corner_witness`,
+build through one builder, ``_indexed``, which turns an index set into an
+:class:`IndexedLattice`.  Its table is built a row at a time at C level: a
+B row is the componentwise max of one index pair with all of them, a Finf
+row the min, and a result outside the index set (a set not closed under
+the flavor's operation) raises ``ModuleStructureError``.  The module is
+then validated; ``family`` also refuses, before it is built, a member whose
+table would exceed ``DENSE_TABLE_LIMIT`` entries, and asserts the size.
+Only this module pairs a flavor with its family letter (D for B, E for
+Finf): ``IndexedLattice.name`` and :func:`flavor_of_letter` read ``_LETTERS``.
 The section, the corner embedding and its retraction (the lower adjoint)
 pass the hom check before returning; the section and the retraction also
 check their splitting identities.
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Optional
 
 from .core import (
     DENSE_TABLE_LIMIT,
@@ -46,6 +50,14 @@ def _corners(k: int) -> tuple[Pair, ...]:
 
 CORNER_SET: tuple[Pair, ...] = _corners(4)
 
+_LETTERS = {Flavor.B: "D", Flavor.FINF: "E"}
+
+
+def flavor_of_letter(letter: str) -> Optional[Flavor]:
+    """The flavor whose family is written ``letter`` (D for B, E for Finf),
+    or None for any other letter."""
+    return next((f for f, mark in _LETTERS.items() if mark == letter), None)
+
 
 @dataclass(frozen=True)
 class IndexedLattice:
@@ -53,6 +65,7 @@ class IndexedLattice:
 
     ``n`` is the family parameter; the fixed corner witnesses use n=0.
     ``label_ids`` maps an index pair to the id of the positive element.
+    ``name`` is the family letter and n: "D4", "E0".
     """
 
     n: int
@@ -68,8 +81,8 @@ class IndexedLattice:
         return self.module.neg_of(self.label_ids[(i, k)])
 
     @property
-    def zero(self) -> int:
-        return self.module.zero
+    def name(self) -> str:
+        return f"{_LETTERS[self.flavor]}{self.n}"
 
 
 def family_index_pairs(n: int) -> tuple[Pair, ...]:
@@ -105,10 +118,10 @@ def _table_rows(pairs: tuple[Pair, ...], op) -> Iterator[list[int]]:
             ) from None
 
 
-def _join_lattice(pairs: tuple[Pair, ...], label: str, bottom: str) -> FinModule:
-    """Flavor B module on a max-closed index set plus a neutral bottom."""
+def _join_lattice(pairs: tuple[Pair, ...], label: str) -> FinModule:
+    """Flavor B module on a max-closed index set plus a neutral bottom O."""
     size = len(pairs) + 1
-    names = (bottom,) + tuple(f"{label}_{i}_{k}" for (i, k) in pairs)
+    names = ("O",) + tuple(f"{label}_{i}_{k}" for (i, k) in pairs)
     # the bottom row is the identity, and every other row starts with
     # bottom + p = p; rows are made one at a time, so the table is the only
     # copy held
@@ -141,63 +154,39 @@ def _signed_lattice(pairs: tuple[Pair, ...], label: str) -> FinModule:
     )
 
 
-def _wrap(n: int, flavor: Flavor, module: FinModule, pairs: tuple[Pair, ...]) -> IndexedLattice:
-    labels = {p: idx + 1 for idx, p in enumerate(pairs)}
+def _indexed(flavor: Flavor, n: int, pairs: tuple[Pair, ...], label: str) -> IndexedLattice:
+    """The module of ``flavor`` on the index set ``pairs``, its elements
+    named ``label_i_k``, validated and labelled by index pair."""
+    module = (_join_lattice if flavor is Flavor.B else _signed_lattice)(pairs, label)
     require_valid(module, "family module")
+    labels = {p: idx + 1 for idx, p in enumerate(pairs)}
     return IndexedLattice(n, flavor, module, pairs, MappingProxyType(labels))
 
 
-def _member(letter: str, flavor: Flavor, n: int, size: int) -> IndexedLattice:
-    """The n-th member of a family, refused before its index pairs are
-    listed when its table would exceed ``DENSE_TABLE_LIMIT`` entries."""
+@lru_cache(maxsize=None)
+def family(flavor: Flavor, n: int) -> IndexedLattice:
+    """The n-th member of the family of ``flavor``: the size 4n-3
+    distributive lattice D_n for B (2 <= n <= 724), the size 8n-7 signed
+    mirror E_n for Finf (2 <= n <= 362).  A member whose table would exceed
+    ``DENSE_TABLE_LIMIT`` entries is refused before its index pairs are
+    listed."""
+    letter = _LETTERS[flavor]
     if n < 2:
         raise ValueError(f"{letter}_n needs n >= 2")
+    size = 4 * n - 3 if flavor is Flavor.B else 8 * n - 7
     if size * size > DENSE_TABLE_LIMIT:
         raise ModuleStructureError(f"{letter}_{n} has {size} elements, too many for a dense table")
-    pairs = family_index_pairs(n)
-    if flavor is Flavor.B:
-        lat = _wrap(n, flavor, _join_lattice(pairs, "a", "O"), pairs)
-    else:
-        lat = _wrap(n, flavor, _signed_lattice(pairs, "a"), pairs)
+    lat = _indexed(flavor, n, family_index_pairs(n), "a")
     if lat.module.size != size:
         raise ModuleStructureError(f"{letter}_{n} has {lat.module.size} elements, expected {size}")
     return lat
 
 
 @lru_cache(maxsize=None)
-def construct_Dn(n: int) -> IndexedLattice:
-    """The size 4n-3 distributive lattice D_n (2 <= n <= 724)."""
-    return _member("D", Flavor.B, n, 4 * n - 3)
-
-
-@lru_cache(maxsize=None)
-def construct_En(n: int) -> IndexedLattice:
-    """The size 8n-7 signed mirror E_n (2 <= n <= 362)."""
-    return _member("E", Flavor.FINF, n, 8 * n - 7)
-
-
-@lru_cache(maxsize=None)
-def construct_D0() -> IndexedLattice:
-    """The 9-element stacked-diamond corner witness."""
-    lat = _wrap(0, Flavor.B, _join_lattice(CORNER_SET, "A", "O"), CORNER_SET)
-    assert lat.module.size == 9
-    return lat
-
-
-@lru_cache(maxsize=None)
-def construct_E0() -> IndexedLattice:
-    """The 17-element signed corner witness."""
-    lat = _wrap(0, Flavor.FINF, _signed_lattice(CORNER_SET, "A"), CORNER_SET)
-    assert lat.module.size == 17
-    return lat
-
-
-def family(flavor: Flavor, n: int) -> IndexedLattice:
-    return construct_Dn(n) if flavor is Flavor.B else construct_En(n)
-
-
 def corner_witness(flavor: Flavor) -> IndexedLattice:
-    return construct_D0() if flavor is Flavor.B else construct_E0()
+    """The corner witness of ``flavor``: the 9-element stacked diamonds D0
+    for B, the 17-element signed corners E0 for Finf."""
+    return _indexed(flavor, 0, CORNER_SET, "A")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .core import FinModule, Flavor, FlavorMismatchError, _cached
 from .free import FreeModule, _key_neg, _key_sum, free_module
-from .homs import DEFAULT_BUDGET, Hom, compose, extension_hom, find_left_inverse
+from .homs import Hom, compose, extension_hom, find_left_inverse
 
 
 @dataclass(frozen=True)
@@ -265,9 +265,7 @@ class DualFactorization:
     certificate: Hom
 
 
-def dual_factorization(
-    f: Hom, certificate: Optional[Hom] = None, *, budget: int = DEFAULT_BUDGET
-) -> DualFactorization:
+def dual_factorization(f: Hom, certificate: Optional[Hom] = None) -> DualFactorization:
     """Factor the dual surjection of a splittable injection f: B^n -> B[S]*.
 
     S-basis vectors with equal images under f* are merged; the first map is
@@ -283,7 +281,7 @@ def dual_factorization(
     if not f.is_hom or not f.injective:
         raise ValueError("dual factorization expects an injective hom")
     if certificate is None:
-        certificate = find_left_inverse(f, budget=budget)
+        certificate = find_left_inverse(f)
         if certificate is None:
             raise ValueError("f is not a splittable injection: no left inverse exists")
     elif not (compose(certificate, f).is_identity() and certificate.is_hom):

@@ -31,7 +31,7 @@ from .homs import (
     find_left_inverse,
     iter_homs,
 )
-from .serialize import _ints
+from .serialize import _ints, refuse_unknown_keys
 
 
 class MorphismClass(Enum):
@@ -253,18 +253,18 @@ def default_witness_family(
     """X_0 = the corner witness, Y_i the (i+3)-rd family member, f_i the
     corner embeddings.  The members are built largest first, so a member
     too large for a dense table is refused before any is built."""
-    prefix = "D" if flavor is Flavor.B else "E"
     ns = range(4, upto + 4)
-    members = {n: family(flavor, n) for n in reversed(ns)}
-    y_names = [f"{prefix}{n}" for n in ns]
-    objects = [(prefix + "0", corner_witness(flavor).module)]
-    objects += [(name, members[n].module) for name, n in zip(y_names, ns)]
-    spec = CategorySpec(flavor, tuple(objects), morphism_class, budget)
-    return spec, prefix + "0", y_names, [corner_embedding(n, flavor) for n in ns]
+    members = [family(flavor, n) for n in reversed(ns)][::-1]
+    x0 = corner_witness(flavor)
+    spec = CategorySpec(
+        flavor, tuple((lat.name, lat.module) for lat in [x0, *members]), morphism_class, budget
+    )
+    return spec, x0.name, [lat.name for lat in members], [corner_embedding(n, flavor) for n in ns]
 
 
 def witness_family_from_doc(doc: dict) -> tuple[CategorySpec, str, list[str], list[Hom]]:
     """Witness run description: {"flavor", "max_n", "class"?, "budget"?}."""
+    refuse_unknown_keys(doc, "witness description", {"flavor", "max_n", "class", "budget"})
     try:
         flavor = Flavor(doc["flavor"])
         upto, budget = _ints([doc["max_n"], doc.get("budget", DEFAULT_BUDGET)])

@@ -20,7 +20,7 @@ from .core import (
     Flavor,
     ModuleStructureError,
 )
-from .families import construct_D0, construct_E0, construct_Dn, construct_En
+from .families import corner_witness, family, flavor_of_letter
 from .free import free_module
 from .homs import Hom
 from .matrices import BoolMatrix
@@ -82,7 +82,16 @@ def _ints(xs: Any) -> tuple[int, ...]:
     return out
 
 
+def refuse_unknown_keys(doc: Any, what: str, keys: set[str]) -> None:
+    """Raise ModuleStructureError naming each key of ``doc`` (a JSON object)
+    that its reader does not read: a misspelled key is not a default."""
+    unknown = sorted(set(doc) - keys) if isinstance(doc, dict) else []
+    if unknown:
+        raise ModuleStructureError(f"malformed {what}: unknown key {', '.join(map(repr, unknown))}")
+
+
 def module_from_doc(doc: dict) -> FinModule:
+    refuse_unknown_keys(doc, "module document", {"flavor", "elements", "zero", "add", "neg"})
     try:
         flavor = _flavor_of(doc["flavor"])
         names = tuple(str(x) for x in doc["elements"])
@@ -98,12 +107,13 @@ def module_to_json(m: FinModule, canonical: bool = True) -> str:
     return json.dumps(module_to_doc(m, canonical), sort_keys=True, separators=(",", ":"))
 
 
-_REF_FAMILY = re.compile(r"^(D|E)(\d+)$")
+_REF_FAMILY = re.compile(r"^(\D)(\d+)$")
 _REF_FREE = re.compile(r"^free:(B|Finf):(\d+)$")
 
 
 def resolve_module_ref(ref: ModuleRef) -> FinModule:
-    """Inline document, or one of: D<n>, E<n>, D0, E0, free:<flavor>:<rank>, B, Finf."""
+    """Inline document, or one of: D<n>, E<n> (D0 and E0 are the corner
+    witnesses), free:<flavor>:<rank>, B, Finf."""
     if isinstance(ref, dict):
         return module_from_doc(ref)
     ref = ref.strip()
@@ -111,18 +121,15 @@ def resolve_module_ref(ref: ModuleRef) -> FinModule:
         return scalar_module(Flavor.B)
     if ref == "Finf":
         return scalar_module(Flavor.FINF)
-    if ref == "D0":
-        return construct_D0().module
-    if ref == "E0":
-        return construct_E0().module
     match = _REF_FAMILY.match(ref)
-    if match:
-        n = int(match.group(2))
+    flavor = flavor_of_letter(match.group(1)) if match else None
+    if flavor is not None:
+        digits = match.group(2)
         try:
-            fam = construct_Dn(n) if match.group(1) == "D" else construct_En(n)
+            lat = corner_witness(flavor) if digits == "0" else family(flavor, int(digits))
         except ValueError as exc:
             raise ModuleStructureError(f"bad family reference {ref!r}: {exc}") from exc
-        return fam.module
+        return lat.module
     match = _REF_FREE.match(ref)
     if match:
         return free_module(_flavor_of(match.group(1)), int(match.group(2)))
@@ -143,6 +150,7 @@ def hom_to_doc(
 
 
 def hom_from_doc(doc: dict) -> Hom:
+    refuse_unknown_keys(doc, "morphism document", {"source", "target", "map"})
     try:
         source = resolve_module_ref(doc["source"])
         target = resolve_module_ref(doc["target"])
@@ -158,6 +166,7 @@ def matrix_to_doc(mat: BoolMatrix) -> dict:
 
 def matrix_from_doc(doc: Union[dict, list]) -> BoolMatrix:
     """Accepts {"flavor", "entries"} or a bare array of rows (flavor inferred)."""
+    refuse_unknown_keys(doc, "matrix document", {"flavor", "entries"})
     try:
         if isinstance(doc, list):
             rows = doc

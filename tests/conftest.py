@@ -66,7 +66,7 @@ def assorted_modules():
         free = sm.free_module(flavor, rank)
         for _ in range(8):
             pairs = [(rng.randrange(free.size), rng.randrange(free.size)) for _ in range(2)]
-            out.append(sm.quotient_by_congruence(free, sm.generated_congruence(free, pairs)))
+            out.append(sm.quotient_with_projection(free, sm.generated_congruence(free, pairs))[0])
     return out
 
 

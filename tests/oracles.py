@@ -28,7 +28,9 @@ goes, and the Finf support codes deposit each sign pattern bit by bit,
 where the library steps through the submasks of the support.  The matrix
 product combines the entry lists row by row, where the library sums column
 keys as the free module does.  The principal projective and its rank
-profile read the hom catalog that the library exposes.
+profile read the hom catalog that the library exposes.  The composites of
+one-step maps are the data behind the generation lemma, against the
+library's direct search between distant family members.
 """
 from __future__ import annotations
 
@@ -48,10 +50,8 @@ from semimod import (
     ModuleStructureError,
     Violation,
     compose,
-    construct_D0,
-    construct_Dn,
-    construct_E0,
-    construct_En,
+    corner_witness,
+    family,
     is_distributive_lattice,
     iter_homs,
     projectivity_certificate,
@@ -697,8 +697,8 @@ def retraction_pair_f(n: int, k: int, l: int) -> tuple[int, int]:
 
 def retraction_by_case_formula(n: int, flavor: Flavor) -> tuple[int, ...]:
     """The map of the corner retraction X_n -> X0, from the case formulas."""
-    src = construct_Dn(n) if flavor is Flavor.B else construct_En(n)
-    dst = construct_D0() if flavor is Flavor.B else construct_E0()
+    src = family(flavor, n)
+    dst = corner_witness(flavor)
     rmap = [0] * src.module.size
     for (k, l) in src.index_pairs:
         if flavor is Flavor.B:
@@ -802,3 +802,15 @@ class PrincipalProjective:
 def principal_projective_profile(spec: CategorySpec, x: str) -> dict[str, int]:
     """Ranks |Hom(x, Y)| of the principal projective at each object."""
     return PrincipalProjective(spec, x).rank_profile()
+
+
+def composites_of_steps(steps) -> list[set[tuple[int, ...]]]:
+    """The maps of g_k ∘ ... ∘ g_1 with each g_t in ``steps[t - 1]`` (a list
+    of maps Y_{t-1} -> Y_t), one set for each k >= 1, grown one step at a
+    time: the k-th set composes each map of the (k-1)-st with each step."""
+    current = set(steps[0])
+    out = [current]
+    for step in steps[1:]:
+        current = {tuple(g[x] for x in f) for f in current for g in step}
+        out.append(current)
+    return out

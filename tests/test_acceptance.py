@@ -38,19 +38,19 @@ def criterion(number, description, limit_seconds):
 def test_criterion_01_family_sizes():
     with criterion(1, "family sizes 4n-3 / 8n-7, |D0|=9, |E0|=17", 1.0):
         for n in range(2, 11):
-            assert sm.construct_Dn(n).module.size == 4 * n - 3
-            assert sm.construct_En(n).module.size == 8 * n - 7
-        assert sm.construct_D0().module.size == 9
-        assert sm.construct_E0().module.size == 17
+            assert sm.family(Flavor.B, n).module.size == 4 * n - 3
+            assert sm.family(Flavor.FINF, n).module.size == 8 * n - 7
+        assert sm.corner_witness(Flavor.B).module.size == 9
+        assert sm.corner_witness(Flavor.FINF).module.size == 17
 
 
 def test_criterion_02_axiom_suite_and_mutations():
     with criterion(2, "constructed modules valid; every single-entry mutation detected", 5.0):
-        constructed = [sm.construct_Dn(n).module for n in range(2, 11)]
-        constructed += [sm.construct_En(n).module for n in range(2, 11)]
+        constructed = [sm.family(Flavor.B, n).module for n in range(2, 11)]
+        constructed += [sm.family(Flavor.FINF, n).module for n in range(2, 11)]
         constructed += [
-            sm.construct_D0().module,
-            sm.construct_E0().module,
+            sm.corner_witness(Flavor.B).module,
+            sm.corner_witness(Flavor.FINF).module,
             sm.scalar_module(Flavor.B),
             sm.scalar_module(Flavor.FINF),
             sm.free_module(Flavor.B, 3),
@@ -59,7 +59,7 @@ def test_criterion_02_axiom_suite_and_mutations():
         for mod in constructed:
             assert sm.validate_module(mod).ok, mod.names
 
-        for mod in (sm.construct_Dn(4).module, sm.construct_En(3).module):
+        for mod in (sm.family(Flavor.B, 4).module, sm.family(Flavor.FINF, 3).module):
             n = mod.size
             for pos in range(n * n):
                 table = list(mod.add_table)
@@ -103,7 +103,7 @@ def test_criterion_04_rigidity():
 
 
 def _oracle_pool():
-    d0 = sm.construct_D0()
+    d0 = sm.corner_witness(Flavor.B)
     bottom = sm.generated_submodule(
         d0.module, {d0.label(1, 1), d0.label(1, 2), d0.label(2, 1)}
     )
@@ -113,7 +113,7 @@ def _oracle_pool():
     tiny = sm.generated_submodule(d0.module, {d0.label(3, 4)})
     b_side = [
         sm.scalar_module(Flavor.B),
-        sm.construct_Dn(2).module,
+        sm.family(Flavor.B, 2).module,
         sm.submodule_on(d0.module, bottom)[0],
         sm.submodule_on(d0.module, chain)[0],
         sm.submodule_on(d0.module, tiny)[0],
@@ -123,7 +123,7 @@ def _oracle_pool():
     ]
     f_side = [
         sm.scalar_module(Flavor.FINF),
-        sm.construct_En(2).module,
+        sm.family(Flavor.FINF, 2).module,
         sm.free_module(Flavor.FINF, 0),
         sm.free_module(Flavor.FINF, 1),
     ]
@@ -211,10 +211,10 @@ def test_criterion_08_duality():
 def test_criterion_09_projectivity():
     with criterion(9, "D_n projective (n<=5); M_3, N_5 certified non-projective", 120.0):
         for n in range(2, 6):
-            cert = sm.projectivity_certificate(sm.construct_Dn(n).module)
+            cert = sm.projectivity_certificate(sm.family(Flavor.B, n).module)
             assert cert.projective and cert.section is not None
             assert sm.compose(cert.cover, cert.section).is_identity()
-            assert sm.is_distributive_lattice(sm.construct_Dn(n).module).distributive
+            assert sm.is_distributive_lattice(sm.family(Flavor.B, n).module).distributive
         for mod in (diamond_m3(), pentagon_n5()):
             cert = sm.projectivity_certificate(mod)
             dist = sm.is_distributive_lattice(mod)

@@ -184,6 +184,32 @@ def test_malformed_input_documents_are_input_errors(command, doc, tmp_path, caps
     assert err.startswith("error:")
 
 
+_ONE_ELEMENT = {"flavor": "B", "elements": ["0"], "zero": 0, "add": [0]}
+
+
+@pytest.mark.parametrize(
+    "argv, doc, key",
+    [
+        (["validate"], dict(_ONE_ELEMENT, negs=[0]), "negs"),
+        (["split-check"], {"source": _ONE_ELEMENT, "target": "B", "map": [0], "mapp": [0]}, "mapp"),
+        (["split-check"], {"source": dict(_ONE_ELEMENT, zer=0), "target": "B", "map": [0]}, "zer"),
+        (["factor-matrix"], {"flavour": "Finf", "entries": [[1, 1], [1, 1], [0, 1]]}, "flavour"),
+        (["homs", "--source", "D0", "--target", "D4", "--injective", "--pins"],
+         {"pin": [["A_1_1", "a_1_1"]]}, "pin"),
+        (["witness", "--spec"], {"flavor": "B", "max_n": 2, "clas": "all"}, "clas"),
+    ],
+    ids=["module", "morphism", "inline-module", "matrix", "pins", "witness"],
+)
+def test_documents_refuse_keys_their_reader_does_not_read(argv, doc, key, tmp_path, capsys):
+    # a misspelled key would otherwise read as absent: the matrix as flavor
+    # B, the pins as none, the witness class as injections
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 3 and not out
+    assert err.startswith("error: malformed ") and err.endswith(f": unknown key {key!r}\n")
+
+
 def test_unreadable_input_is_an_input_error(tmp_path, capsys):
     # a directory and malformed JSON; exit 1 would read as a verified negative
     bad = tmp_path / "bad.json"
@@ -274,7 +300,7 @@ def test_split_check_negative(tmp_path, capsys):
 
 
 def test_split_check_rejects_non_hom(tmp_path, capsys):
-    d2 = sm.construct_Dn(2).module
+    d2 = sm.family(Flavor.B, 2).module
     bad = sm.Hom(d2, d2, tuple([d2.size - 1] * d2.size))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(hom_to_doc(bad, source_ref="D2", target_ref="D2")))

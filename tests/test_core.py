@@ -91,7 +91,7 @@ def test_induced_order_on_scalars():
 
 
 def test_induced_order_on_d3_matches_index_domination():
-    lat = sm.construct_Dn(3)
+    lat = sm.family(Flavor.B, 3)
     mod = lat.module
     a12, a22, a13 = lat.label(1, 2), lat.label(2, 2), lat.label(1, 3)
     assert mod.leq(a12, a22)
@@ -109,7 +109,7 @@ def test_join_irreducibles_of_free_are_singletons():
 
 
 def test_generated_submodule_on_d3():
-    lat = sm.construct_Dn(3)
+    lat = sm.family(Flavor.B, 3)
     got = sm.generated_submodule(lat.module, {lat.label(1, 2), lat.label(2, 1)})
     expected = {lat.module.zero, lat.label(1, 2), lat.label(2, 1), lat.label(2, 2)}
     assert got == frozenset(expected)
@@ -118,7 +118,7 @@ def test_generated_submodule_on_d3():
 @pytest.mark.parametrize("bad", [-1, 9])
 def test_element_ids_outside_the_carrier_are_refused(bad):
     # -1 would index the top of D3 (9 elements) and 9 nothing
-    m = sm.construct_Dn(3).module
+    m = sm.family(Flavor.B, 3).module
     calls = (
         lambda: sm.generated_submodule(m, [bad]),
         lambda: sm.submodule_on(m, [bad]),
@@ -136,7 +136,7 @@ def test_generated_submodule_whole_carrier():
 
 
 def test_generated_submodule_on_e3():
-    lat = sm.construct_En(3)
+    lat = sm.family(Flavor.FINF, 3)
     a33 = lat.label(3, 3)
     got = sm.generated_submodule(lat.module, {a33})
     assert got == frozenset({lat.module.zero, a33, lat.module.neg_of(a33)})
@@ -145,7 +145,7 @@ def test_generated_submodule_on_e3():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_generated_submodule_closure_laws(data):
-    lat = sm.construct_Dn(4) if data.draw(st.booleans()) else sm.construct_En(3)
+    lat = sm.family(Flavor.B, 4) if data.draw(st.booleans()) else sm.family(Flavor.FINF, 3)
     m = lat.module
     ids = st.sets(st.integers(min_value=0, max_value=m.size - 1), max_size=4)
     small = data.draw(ids)
@@ -188,7 +188,7 @@ def test_induced_order_agrees_with_the_pair_loop():
         m = resolve_module_ref(base)
         for _ in range(6):
             pairs = [(rng.randrange(m.size), rng.randrange(m.size)) for _ in range(2)]
-            quotients.append(sm.quotient_by_congruence(m, sm.generated_congruence(m, pairs)))
+            quotients.append(sm.quotient_with_projection(m, sm.generated_congruence(m, pairs))[0])
     # assorted_modules() holds D0, D2-D4, E0, E2-E4 and free modules too
     larger = [resolve_module_ref(r) for r in ("D5", "D6")]
     for m in assorted_modules() + larger + quotients:
@@ -201,8 +201,8 @@ def test_induced_order_agrees_with_the_pair_loop():
             assert list(free.order.masks) == ref and list(sm.induced_order(free).masks) == ref
 
 
-@pytest.mark.parametrize("construct, n", [(sm.construct_Dn, 5), (sm.construct_En, 3)])
-def test_each_module_is_scanned_once(construct, n, monkeypatch):
+@pytest.mark.parametrize("flavor, n", [(Flavor.B, 5), (Flavor.FINF, 3)])
+def test_each_module_is_scanned_once(flavor, n, monkeypatch):
     scanned = []
     real = sm.core._scan_violations
 
@@ -212,7 +212,7 @@ def test_each_module_is_scanned_once(construct, n, monkeypatch):
 
     monkeypatch.setattr(sm.core, "_scan_violations", counting)
     # built anew, past the constructor's cache; the constructor validates it
-    m = construct.__wrapped__(n).module
+    m = sm.families.family.__wrapped__(flavor, n).module
     report = sm.validate_module(m)
     order = sm.induced_order(m)
     assert report.ok and sm.validate_module(m) is report
@@ -297,10 +297,10 @@ def test_congruence_partition_validation():
 
 def test_quotient_identity_and_total():
     m = diamond_m3()
-    q_id = sm.quotient_by_congruence(m, sm.Congruence.identity(m.size))
+    q_id = sm.quotient_with_projection(m, sm.Congruence.identity(m.size))[0]
     assert q_id.size == m.size
     assert sm.validate_module(q_id).ok
-    q_tot = sm.quotient_by_congruence(m, sm.Congruence.total(m.size))
+    q_tot = sm.quotient_with_projection(m, sm.Congruence.total(m.size))[0]
     assert q_tot.size == 1
 
 
@@ -309,7 +309,7 @@ def test_quotient_of_free_rank2_by_generated_congruence_is_chain():
     a1 = sm.element_of_support(free, [(0, 1)])
     a12 = sm.element_of_support(free, [(0, 1), (1, 1)])
     cong = sm.generated_congruence(free, [(a1, a12)])
-    q = sm.quotient_by_congruence(free, cong)
+    q = sm.quotient_with_projection(free, cong)[0]
     assert q.size == 3
     order = sm.induced_order(q)
     assert sum(order.leq(a, b) for a in range(3) for b in range(3)) == 6  # total order
@@ -318,7 +318,7 @@ def test_quotient_of_free_rank2_by_generated_congruence_is_chain():
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_generated_congruences_are_compatible(data):
-    lat = sm.construct_Dn(3) if data.draw(st.booleans()) else sm.construct_En(2)
+    lat = sm.family(Flavor.B, 3) if data.draw(st.booleans()) else sm.family(Flavor.FINF, 2)
     m = lat.module
     pair_strategy = st.tuples(
         st.integers(min_value=0, max_value=m.size - 1),
@@ -327,7 +327,7 @@ def test_generated_congruences_are_compatible(data):
     pairs = data.draw(st.lists(pair_strategy, max_size=3))
     cong = sm.generated_congruence(m, pairs)
     assert sm.congruence_compatibility_witness(m, cong) is None
-    q = sm.quotient_by_congruence(m, cong)
+    q = sm.quotient_with_projection(m, cong)[0]
     assert sm.validate_module(q).ok
 
 
@@ -336,7 +336,7 @@ def test_incompatible_partition_is_rejected():
     # identifying 0 with the top is not add-compatible with the middle
     bad = sm.Congruence.from_class_map([0, 1, 0])
     with pytest.raises(sm.ModuleStructureError):
-        sm.quotient_by_congruence(m, bad)
+        sm.quotient_with_projection(m, bad)[0]
 
 
 def test_quotient_projection_is_surjective_hom():
@@ -351,7 +351,7 @@ def test_quotient_projection_is_surjective_hom():
 
 def test_distributivity_of_families_and_counterexamples(m3, n5):
     for n in (2, 3, 4):
-        assert sm.is_distributive_lattice(sm.construct_Dn(n).module).distributive
+        assert sm.is_distributive_lattice(sm.family(Flavor.B, n).module).distributive
     assert sm.is_distributive_lattice(chain_module(5)).distributive
 
     rep = sm.is_distributive_lattice(m3)
@@ -374,7 +374,7 @@ def _lattices_to_check():
     out = [diamond_m3()]
     out += [pentagon_n5(("0", *p, "1")) for p in itertools.permutations("abc")]
     out += [chain_module(k) for k in range(1, 7)]
-    out += [sm.construct_Dn(n).module for n in range(2, 10)]
+    out += [sm.family(Flavor.B, n).module for n in range(2, 10)]
     out += [sm.free_module(Flavor.B, r) for r in range(0, 6)]
     rng = random.Random(13)
     free4, free3 = sm.free_module(Flavor.B, 4), sm.free_module(Flavor.B, 3)
@@ -384,7 +384,7 @@ def _lattices_to_check():
     for free, count in ((free3, 15), (free4, 30)):
         for _ in range(count):
             pairs = [(rng.randrange(free.size), rng.randrange(free.size)) for _ in range(2)]
-            out.append(sm.quotient_by_congruence(free, sm.generated_congruence(free, pairs)))
+            out.append(sm.quotient_with_projection(free, sm.generated_congruence(free, pairs))[0])
     return out
 
 

@@ -13,21 +13,21 @@ from oracles import (
 
 def test_family_sizes():
     for n in range(2, 11):
-        assert sm.construct_Dn(n).module.size == 4 * n - 3
-        assert sm.construct_En(n).module.size == 8 * n - 7
-    assert sm.construct_D0().module.size == 9
-    assert sm.construct_E0().module.size == 17
+        assert sm.family(Flavor.B, n).module.size == 4 * n - 3
+        assert sm.family(Flavor.FINF, n).module.size == 8 * n - 7
+    assert sm.corner_witness(Flavor.B).module.size == 9
+    assert sm.corner_witness(Flavor.FINF).module.size == 17
 
 
 def test_family_parameter_bounds():
     with pytest.raises(ValueError):
-        sm.construct_Dn(1)
+        sm.family(Flavor.B, 1)
     with pytest.raises(ValueError):
-        sm.construct_En(0)
+        sm.family(Flavor.FINF, 0)
 
 
 def test_dn_join_formula():
-    lat = sm.construct_Dn(3)
+    lat = sm.family(Flavor.B, 3)
     mod = lat.module
     assert mod.add_of(lat.label(1, 2), lat.label(2, 1)) == lat.label(2, 2)
     assert mod.add_of(lat.label(1, 3), lat.label(3, 2)) == lat.label(3, 3)
@@ -38,7 +38,7 @@ def test_dn_join_formula():
 
 
 def test_en_addition_rules():
-    lat = sm.construct_En(3)
+    lat = sm.family(Flavor.FINF, 3)
     mod = lat.module
     for p in lat.index_pairs:
         for q in lat.index_pairs:
@@ -55,11 +55,13 @@ def _tables(mod):
 def test_family_tables_equal_the_entry_by_entry_references():
     for n in range(2, 41):
         pairs = families.family_index_pairs(n)
-        assert _tables(sm.construct_Dn(n).module) == _tables(join_lattice_by_pairs(pairs, "a", "O"))
-        assert _tables(sm.construct_En(n).module) == _tables(signed_lattice_by_pairs(pairs, "a"))
+        d_n, e_n = sm.family(Flavor.B, n).module, sm.family(Flavor.FINF, n).module
+        assert _tables(d_n) == _tables(join_lattice_by_pairs(pairs, "a", "O"))
+        assert _tables(e_n) == _tables(signed_lattice_by_pairs(pairs, "a"))
     corners = families.CORNER_SET
-    assert _tables(sm.construct_D0().module) == _tables(join_lattice_by_pairs(corners, "A", "O"))
-    assert _tables(sm.construct_E0().module) == _tables(signed_lattice_by_pairs(corners, "A"))
+    d0, e0 = sm.corner_witness(Flavor.B).module, sm.corner_witness(Flavor.FINF).module
+    assert _tables(d0) == _tables(join_lattice_by_pairs(corners, "A", "O"))
+    assert _tables(e0) == _tables(signed_lattice_by_pairs(corners, "A"))
 
 
 def test_family_tables_need_only_their_own_closure():
@@ -68,15 +70,15 @@ def test_family_tables_need_only_their_own_closure():
     max_only = ((1, 2), (2, 1), (2, 2))
     min_only = ((1, 1), (1, 2), (2, 1))
     with pytest.raises(sm.ModuleStructureError, match=r"not max-closed at \(1, 2\): \(2, 2\)"):
-        families._join_lattice(min_only, "a", "O")
+        families._join_lattice(min_only, "a")
     with pytest.raises(sm.ModuleStructureError, match=r"not min-closed at \(1, 2\): \(1, 1\)"):
         families._signed_lattice(max_only, "a")
-    assert sm.validate_module(families._join_lattice(max_only, "a", "O")).ok
+    assert sm.validate_module(families._join_lattice(max_only, "a")).ok
     assert sm.validate_module(families._signed_lattice(min_only, "a")).ok
 
 
 def test_d0_hasse_relations():
-    lat = sm.construct_D0()
+    lat = sm.corner_witness(Flavor.B)
     mod = lat.module
     assert mod.add_of(lat.label(1, 2), lat.label(2, 1)) == lat.label(2, 2)
     assert mod.add_of(lat.label(3, 4), lat.label(4, 3)) == lat.label(4, 4)
@@ -87,7 +89,7 @@ def test_d0_hasse_relations():
 
 
 def test_e0_mixed_sign_rule():
-    lat = sm.construct_E0()
+    lat = sm.corner_witness(Flavor.FINF)
     mod = lat.module
     assert mod.add_of(lat.label(1, 1), lat.neg_label(4, 4)) == mod.zero
     assert mod.add_of(lat.label(3, 4), lat.label(4, 3)) == lat.label(3, 3)
@@ -95,22 +97,22 @@ def test_e0_mixed_sign_rule():
 
 def test_families_are_valid_and_distributive():
     for n in range(2, 7):
-        dn = sm.construct_Dn(n)
+        dn = sm.family(Flavor.B, n)
         assert sm.validate_module(dn.module).ok
         assert sm.is_distributive_lattice(dn.module).distributive
-        en = sm.construct_En(n)
+        en = sm.family(Flavor.FINF, n)
         assert sm.validate_module(en.module).ok
 
 
 def test_dn_join_irreducible_count():
     for n in range(2, 7):
-        lat = sm.construct_Dn(n)
+        lat = sm.family(Flavor.B, n)
         assert len(sm.join_irreducibles(lat.module)) == 2 * n - 1
 
 
 def test_en_positive_part_antiisomorphic_to_dn():
     n = 4
-    dn, en = sm.construct_Dn(n), sm.construct_En(n)
+    dn, en = sm.family(Flavor.B, n), sm.family(Flavor.FINF, n)
     for p in dn.index_pairs:
         for q in dn.index_pairs:
             forward = dn.module.leq(dn.label(*p), dn.label(*q))
@@ -121,7 +123,7 @@ def test_en_positive_part_antiisomorphic_to_dn():
 def test_canonical_section_values_b():
     n = 3
     g, h = sm.canonical_section(n, Flavor.B)
-    lat = sm.construct_Dn(n)
+    lat = sm.family(Flavor.B, n)
     free = g.source
     a12 = lat.label(1, 2)
     assert sm.support_of(free, h.map[a12]) == ((0, 1), (1, 1))  # A_1 + A_2
@@ -137,7 +139,7 @@ def test_canonical_section_values_b():
 def test_canonical_section_values_finf():
     n = 3
     g, h = sm.canonical_section(n, Flavor.FINF)
-    lat = sm.construct_En(n)
+    lat = sm.family(Flavor.FINF, n)
     free = g.source
     a33 = lat.label(3, 3)
     assert sm.support_of(free, h.map[a33]) == ((0, 1),)  # A_1
@@ -175,7 +177,7 @@ def test_corner_retraction_agrees_with_the_case_formulas(flavor):
 
 def test_corner_retraction_needs_a_least_corner_above_each_element(monkeypatch):
     # only 0 lies below the image of the zero map, so U(y) is empty for y != 0
-    d0, d4 = sm.construct_D0().module, sm.construct_Dn(4).module
+    d0, d4 = sm.corner_witness(Flavor.B).module, sm.family(Flavor.B, 4).module
     zero = sm.Hom(d0, d4, (d4.zero,) * d0.size)
     monkeypatch.setattr(families, "corner_embedding", lambda n, flavor: zero)
     with pytest.raises(sm.ModuleStructureError, match="no least corner"):
@@ -195,7 +197,7 @@ def test_section_generator_order_agrees_with_the_printed_table(flavor, top, list
         )
     for n in range(2, top + 1):
         g, _ = sm.canonical_section(n, flavor)
-        lat = sm.construct_Dn(n) if flavor is Flavor.B else sm.construct_En(n)
+        lat = sm.family(flavor, n)
         images = [g.map[a] for a in sm.generator_ids(g.source)]
         assert images == [lat.label(*p) for p in section_generator_pairs(flavor, n)], n
 
@@ -210,8 +212,8 @@ def test_corner_embedding_rejects_small_n():
 
 def test_retraction_collapses_middle_band():
     n = 4
-    lat = sm.construct_Dn(n)
-    d0 = sm.construct_D0()
+    lat = sm.family(Flavor.B, n)
+    d0 = sm.corner_witness(Flavor.B)
     j = sm.corner_retraction(n, Flavor.B)
     assert j.map[lat.label(2, 2)] == d0.label(2, 2)
     assert j.map[lat.label(3, 3)] == d0.label(3, 3)
@@ -227,7 +229,7 @@ def test_d0_embeds_in_dn_as_sublattice():
     for n in range(4, 9):
         emb = sm.corner_embedding(n, Flavor.B)
         image = set(emb.map)
-        mod = sm.construct_Dn(n).module
+        mod = sm.family(Flavor.B, n).module
         sub, _ = sm.submodule_on(mod, image)
         assert sub.size == 9
 

@@ -101,7 +101,7 @@ def test_zero_summand_absorbs():
 @pytest.mark.parametrize("flavor,rank", [(Flavor.B, 2), (Flavor.B, 3), (Flavor.FINF, 2)])
 def test_universal_property_extension_is_hom(flavor, rank):
     free = sm.free_module(flavor, rank)
-    target = sm.construct_Dn(3).module if flavor is Flavor.B else sm.construct_En(3).module
+    target = sm.family(flavor, 3).module
     images_space = st.lists(
         st.integers(min_value=0, max_value=target.size - 1), min_size=rank, max_size=rank
     )
@@ -163,7 +163,7 @@ def test_universal_property_uniqueness_small():
 
 def test_hom_count_from_free_by_universal_property():
     free1 = sm.free_module(Flavor.B, 1)
-    d2 = sm.construct_Dn(2).module
+    d2 = sm.family(Flavor.B, 2).module
     homs = brute_force_homs(free1, d2)
     assert len(homs) == d2.size  # one hom per generator image
 

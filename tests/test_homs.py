@@ -28,7 +28,8 @@ from oracles import (
 
 
 def D(n):
-    return sm.construct_Dn(n)
+    """D_n, or the corner witness D0 for n = 0."""
+    return sm.family(Flavor.B, n) if n else sm.corner_witness(Flavor.B)
 
 
 def test_identity_is_hom():
@@ -41,7 +42,7 @@ def test_constant_zero_is_hom_both_flavors():
     zmap = sm.Hom(d2, d2, tuple(d2.zero for _ in range(d2.size)))
     assert zmap.is_hom
     free1 = sm.free_module(Flavor.FINF, 1)
-    e2 = sm.construct_En(2).module
+    e2 = sm.family(Flavor.FINF, 2).module
     zmap_f = sm.Hom(free1, e2, tuple(e2.zero for _ in range(free1.size)))
     assert zmap_f.is_hom  # absorbing zero makes the constant map a hom
 
@@ -110,14 +111,14 @@ def test_hom_b_scalars_has_two_maps():
 
 
 def test_fully_pinned_e2_brute_force_within_budget():
-    e2 = sm.construct_En(2).module
+    e2 = sm.family(Flavor.FINF, 2).module
     pins = {e: (e2.zero,) for e in range(e2.size)}
     homs = brute_force_homs(e2, e2, allowed=pins)
     assert len(homs) == 1  # the constant zero map is the only candidate
 
 
 def test_brute_force_budget_error():
-    e2 = sm.construct_En(2).module
+    e2 = sm.family(Flavor.FINF, 2).module
     with pytest.raises(sm.BudgetExceededError):
         brute_force_homs(e2, e2, budget=10 ** 6)
 
@@ -134,21 +135,17 @@ ORACLE_OBJECTS_B = [
     lambda: sm.free_module(Flavor.B, 1),
     lambda: sm.free_module(Flavor.B, 2),
     lambda: sm.submodule_on(
-        sm.construct_D0().module,
-        sm.generated_submodule(
-            sm.construct_D0().module,
-            {sm.construct_D0().label(1, 2), sm.construct_D0().label(2, 1)},
-        ),
+        D(0).module,
+        sm.generated_submodule(D(0).module, {D(0).label(1, 2), D(0).label(2, 1)}),
     )[0],
     lambda: sm.submodule_on(
-        sm.construct_D0().module,
-        sm.generated_submodule(sm.construct_D0().module, {sm.construct_D0().label(3, 4)}),
+        D(0).module, sm.generated_submodule(D(0).module, {D(0).label(3, 4)})
     )[0],
 ]
 
 ORACLE_OBJECTS_F = [
     lambda: sm.scalar_module(Flavor.FINF),
-    lambda: sm.construct_En(2).module,
+    lambda: sm.family(Flavor.FINF, 2).module,
     lambda: sm.free_module(Flavor.FINF, 1),
 ]
 
@@ -187,7 +184,7 @@ def test_enumerate_agrees_on_random_quotients(flavor):
             (rng.randrange(free.size), rng.randrange(free.size))
             for _ in range(rng.randint(1, 2))
         ]
-        q = sm.quotient_by_congruence(free, sm.generated_congruence(free, pairs))
+        q = sm.quotient_with_projection(free, sm.generated_congruence(free, pairs))[0]
         mods.append(q)
     for M in mods:
         for N in mods:
@@ -224,7 +221,7 @@ def test_enumerate_with_allowed_sets_agrees_with_brute_force():
 
 
 def test_enumeration_is_deterministic():
-    d0 = sm.construct_D0().module
+    d0 = sm.corner_witness(Flavor.B).module
     first = sm.enumerate_homs(d0, d0, injective=True)
     second = sm.enumerate_homs(d0, d0, injective=True)
     assert [h.map for h in first] == [h.map for h in second]
@@ -232,7 +229,7 @@ def test_enumeration_is_deterministic():
 
 
 def test_every_enumerated_hom_passes_check():
-    d0 = sm.construct_D0().module
+    d0 = sm.corner_witness(Flavor.B).module
     d4 = D(4).module
     for h in sm.enumerate_homs(d0, d4, injective=True):
         assert h.is_hom and h.injective
@@ -510,7 +507,7 @@ def _free_finf3_quotient():
     free = sm.free_module(Flavor.FINF, 3)
     ids = free.index_of_name
     pairs = [(ids["A1+A3"], ids["A1+A2+A3"]), (ids["A2+A3"], ids["-A1+A2+A3"])]
-    return sm.quotient_by_congruence(free, sm.generated_congruence(free, pairs))
+    return sm.quotient_with_projection(free, sm.generated_congruence(free, pairs))[0]
 
 
 def _inj(src, tgt):

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import itertools
 import random
 
@@ -21,7 +20,12 @@ from semimod.noetherian import (
 from semimod.serialize import resolve_module_ref as ref
 
 from conftest import chain_module, diamond_m3, pentagon_n5
-from oracles import PrincipalProjective, factors_through_by_catalog, principal_projective_profile
+from oracles import (
+    PrincipalProjective,
+    composites_of_steps,
+    factors_through_by_catalog,
+    principal_projective_profile,
+)
 
 
 def b_spec(morphism_class=MorphismClass.INJECTIONS, upto=2):
@@ -38,22 +42,39 @@ def test_an_oversized_witness_run_is_refused_before_any_member_is_built(
     # under a cap of 37^2 table entries D_10 and E_5 are the largest members
     # that fit; --max-n 20 asks for members up to D_23 or E_23
     built = []
-    real_member = families._member
+    real_indexed = families._indexed
 
-    def counting_member(letter, flavor, n, size):
+    def counting_indexed(flavor, n, pairs, label):
         built.append(n)
-        return real_member(letter, flavor, n, size)
+        return real_indexed(flavor, n, pairs, label)
 
     monkeypatch.setattr(families, "DENSE_TABLE_LIMIT", 37 * 37)
-    monkeypatch.setattr(families, "_member", counting_member)
-    for name in ("construct_Dn", "construct_En"):  # fresh caches, restored afterwards
-        fresh = functools.lru_cache(getattr(families, name).__wrapped__)
-        monkeypatch.setattr(families, name, fresh)
+    monkeypatch.setattr(families, "_indexed", counting_indexed)
+    for constructor in (families.family, families.corner_witness):
+        constructor.cache_clear()  # so that every member is built, and counted
     with pytest.raises(sm.ModuleStructureError, match=f"{largest} elements, too many"):
         default_witness_family(flavor, 20)
-    assert built == [23]
+    assert built == []
     default_witness_family(flavor, 2)
-    assert built == [23, 5, 4]
+    assert built == [5, 4, 0]
+
+
+@pytest.mark.parametrize("flavor, lo, hi, scale", [(Flavor.B, 4, 10, 2), (Flavor.FINF, 3, 8, 4)])
+def test_injections_between_members_are_composites_of_one_step_injections(flavor, lo, hi, scale):
+    # the data of the generation lemma: every injective Y_j -> Y_i is a
+    # composite of injective Y_k -> Y_{k+1}, and there are 8d^2 + 2 of them
+    # for B (16d^2 + 4 for Finf), d = i - j
+    mods = {n: sm.family(flavor, n).module for n in range(lo, hi + 1)}
+    steps = {
+        n: [h.map for h in sm.enumerate_homs(mods[n], mods[n + 1], injective=True)]
+        for n in range(lo, hi)
+    }
+    for j in range(lo, hi):
+        composites = composites_of_steps([steps[n] for n in range(j, hi)])
+        for i, maps in zip(range(j + 1, hi + 1), composites):
+            direct = {h.map for h in sm.enumerate_homs(mods[j], mods[i], injective=True)}
+            assert maps == direct, (j, i)
+            assert len(direct) == scale * (4 * (i - j) ** 2 + 1), (j, i)
 
 
 def test_injective_endos_of_d0_are_the_diamond_swaps():
@@ -73,7 +94,7 @@ def test_catalog_contains_corner_embedding():
 
 def test_catalog_to_one_element_module():
     one = sm.FinModule(Flavor.B, ("0",), 0, (0,))
-    d2 = sm.construct_Dn(2).module
+    d2 = sm.family(Flavor.B, 2).module
     spec = CategorySpec(Flavor.B, (("D2", d2), ("pt", one)), MorphismClass.ALL)
     entries = hom_catalog(spec, "D2", "pt")
     assert len(entries) == 1  # the constant zero
@@ -98,7 +119,7 @@ def test_profiles_unchanged_by_extra_objects():
     base = principal_projective_profile(spec, "D0")
     extended = CategorySpec(
         Flavor.B,
-        spec.objects + (("D6", sm.construct_Dn(6).module),),
+        spec.objects + (("D6", sm.family(Flavor.B, 6).module),),
         MorphismClass.INJECTIONS,
     )
     ext = principal_projective_profile(extended, "D0")
@@ -398,7 +419,7 @@ def test_witness_holds_in_split_injection_class():
 
 def test_witness_fails_on_degenerate_family():
     base, x0, ys, fs = b_spec(upto=1)
-    objects = base.objects + (("D4b", sm.construct_Dn(4).module),)
+    objects = base.objects + (("D4b", sm.family(Flavor.B, 4).module),)
     spec = CategorySpec(Flavor.B, objects, MorphismClass.INJECTIONS)
     report = witness_verify(spec, x0, ["D4", "D4b"], [fs[0], fs[0]])
     assert not report.holds and not report.inconclusive
@@ -416,7 +437,7 @@ def test_witness_transfers_to_superset_spec():
     spec, x0, ys, fs = b_spec()
     bigger = CategorySpec(
         Flavor.B,
-        spec.objects + (("extra", sm.construct_Dn(6).module),),
+        spec.objects + (("extra", sm.family(Flavor.B, 6).module),),
         MorphismClass.INJECTIONS,
     )
     report = witness_verify(bigger, x0, ys, fs)
@@ -484,8 +505,8 @@ def test_endpoint_names_must_match_the_morphism():
 
 
 def test_spec_validation():
-    d2 = sm.construct_Dn(2).module
-    e2 = sm.construct_En(2).module
+    d2 = sm.family(Flavor.B, 2).module
+    e2 = sm.family(Flavor.FINF, 2).module
     with pytest.raises(ValueError):
         CategorySpec(Flavor.B, (("D2", d2), ("E2", e2)), MorphismClass.ALL)
     with pytest.raises(ValueError):

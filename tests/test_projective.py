@@ -9,7 +9,7 @@ from oracles import projectivity_agrees_with_distributivity
 
 def test_dn_projective_with_found_splitting():
     for n in range(2, 6):
-        mod = sm.construct_Dn(n).module
+        mod = sm.family(Flavor.B, n).module
         cert = sm.projectivity_certificate(mod)
         assert cert.projective
         assert cert.section is not None
@@ -18,14 +18,14 @@ def test_dn_projective_with_found_splitting():
 
 def test_en_projective():
     for n in (2, 3, 4):
-        mod = sm.construct_En(n).module
+        mod = sm.family(Flavor.FINF, n).module
         cert = sm.projectivity_certificate(mod)
         assert cert.projective
 
 
 def test_corner_witnesses_projective():
-    assert sm.projectivity_certificate(sm.construct_D0().module).projective
-    assert sm.projectivity_certificate(sm.construct_E0().module).projective
+    assert sm.projectivity_certificate(sm.corner_witness(Flavor.B).module).projective
+    assert sm.projectivity_certificate(sm.corner_witness(Flavor.FINF).module).projective
 
 
 def test_m3_not_projective_and_not_distributive(m3):
@@ -53,9 +53,9 @@ def test_chains_projective_and_distributive():
 
 def test_cover_has_expected_rank():
     for n in (2, 3, 4):
-        cover = sm.canonical_free_cover(sm.construct_Dn(n).module)
+        cover = sm.canonical_free_cover(sm.family(Flavor.B, n).module)
         assert cover.source.free_rank == 2 * n - 1
-        cover_e = sm.canonical_free_cover(sm.construct_En(n).module)
+        cover_e = sm.canonical_free_cover(sm.family(Flavor.FINF, n).module)
         assert cover_e.source.free_rank == 2 * n - 1
 
 

@@ -27,8 +27,8 @@ def _isomorphic(a, b):
 
 def test_module_round_trip_is_isomorphic():
     for build in (
-        lambda: sm.construct_Dn(3).module,
-        lambda: sm.construct_En(2).module,
+        lambda: sm.family(Flavor.B, 3).module,
+        lambda: sm.family(Flavor.FINF, 2).module,
         lambda: sm.free_module(Flavor.B, 2),
         diamond_m3,
     ):
@@ -42,7 +42,7 @@ def test_module_round_trip_is_isomorphic():
 
 
 def test_canonical_serialization_is_byte_stable():
-    mod = sm.construct_Dn(3).module
+    mod = sm.family(Flavor.B, 3).module
     js = module_to_json(mod)
     again = module_to_json(module_from_doc(json.loads(js)))
     assert js == again
@@ -52,7 +52,7 @@ def test_canonical_serialization_is_byte_stable():
 def test_canonical_form_invariant_under_relabeling():
     import random as _random
 
-    mod = sm.construct_En(3).module
+    mod = sm.family(Flavor.FINF, 3).module
     rng = _random.Random(17)
     perm = list(range(mod.size))
     rng.shuffle(perm)  # perm[old] = new id
@@ -75,7 +75,7 @@ def test_canonical_form_invariant_under_relabeling():
 
 
 def test_noncanonical_doc_preserves_order():
-    mod = sm.construct_Dn(2).module
+    mod = sm.family(Flavor.B, 2).module
     doc = module_to_doc(mod, canonical=False)
     assert tuple(doc["elements"]) == mod.names
     assert module_from_doc(doc) == mod
@@ -142,7 +142,7 @@ def test_matrix_doc_round_trip():
 
 
 def test_dot_export_d0():
-    dot = dot_hasse(sm.construct_D0().module)
+    dot = dot_hasse(sm.corner_witness(Flavor.B).module)
     assert dot.startswith("digraph")
     node_lines = [l for l in dot.splitlines() if l.endswith('";') and "->" not in l]
     assert len(node_lines) == 9
@@ -151,6 +151,6 @@ def test_dot_export_d0():
 
 
 def test_dot_export_signed():
-    dot = dot_hasse(sm.construct_En(2).module)
+    dot = dot_hasse(sm.family(Flavor.FINF, 2).module)
     assert '"a_1_1" -> "0";' in dot
     assert '"-a_1_1" -> "0";' in dot

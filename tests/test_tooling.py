@@ -53,6 +53,24 @@ def test_readme_quickstart_runs():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_readme_command_line_examples_run(tmp_path):
+    # the README's second sh block, with semimod as the module's command line
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    script = f'set -e\nsemimod() {{ "{sys.executable}" -m semimod.cli "$@"; }}\n' + blocks[1]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        ["bash", "-c", script],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "1 morphism (identity)"
+
+
 def test_ci_installs_the_test_pins_of_pyproject():
     # the test extra and the CI install step name the same exact versions;
     # both files are read as text, as Python 3.10 has no tomllib
