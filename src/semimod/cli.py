@@ -29,8 +29,7 @@ from .core import (
     require_valid,
     validate_module,
 )
-from .families import corner_witness, family, flavor_of_letter, rigidity_check
-from .free import free_module
+from .families import rigidity_check
 from .homs import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -39,12 +38,7 @@ from .homs import (
     find_right_inverse,
 )
 from .matrices import distinct_row_factorization, dualize_hom, matrix_of_hom
-from .noetherian import (
-    MorphismClass,
-    default_witness_family,
-    witness_family_from_doc,
-    witness_verify,
-)
+from .noetherian import MorphismClass, default_witness_family, witness_verify
 from .projective import projectivity_certificate
 from . import serialize
 from .serialize import matrix_to_doc
@@ -93,7 +87,7 @@ def _pins_arg(path: str, src, tgt) -> dict[int, tuple[int]]:
     allowed sets of one value; each element is a name or an id."""
     doc = _load_json(path)
     serialize.refuse_unknown_keys(doc, "pins document", {"pins"})
-    pairs = doc.get("pins", []) if isinstance(doc, dict) else None
+    pairs = doc.get("pins", [])
     if not isinstance(pairs, list) or not all(
         isinstance(p, list) and len(p) == 2 for p in pairs
     ):
@@ -106,6 +100,22 @@ def _pins_arg(path: str, src, tgt) -> dict[int, tuple[int]]:
         if pins.setdefault(s_id, (t_id,)) != (t_id,):
             raise ModuleStructureError(f"conflicting pins for element {s!r}")
     return pins
+
+
+def _witness_spec_arg(path: str) -> tuple[Flavor, int, MorphismClass]:
+    """The flavor, ``max_n`` and class of a witness description
+    ``{"flavor", "max_n", "class"?}``; the class defaults to injections."""
+    doc = _load_json(path)
+    serialize.refuse_unknown_keys(doc, "witness description", {"flavor", "max_n", "class"})
+    try:
+        flavor = Flavor(doc["flavor"])
+        (max_n,) = serialize._ints([doc["max_n"]])
+        mclass = MorphismClass(doc.get("class", MorphismClass.INJECTIONS.value))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed witness description: {exc}") from exc
+    if max_n < 1:
+        raise ValueError("witness description needs max_n of at least 1")
+    return flavor, max_n, mclass
 
 
 def _element_ref(mod, ref) -> int:
@@ -142,18 +152,7 @@ def _emit_module(mod, fmt: str) -> str:
 
 
 def _cmd_construct(args) -> int:
-    kind = args.family
-    if kind == "free":
-        if args.rank is None:
-            raise ModuleStructureError("construct free requires --rank")
-        mod = free_module(Flavor(args.flavor), args.rank)
-    elif kind.endswith("0"):
-        mod = corner_witness(flavor_of_letter(kind[0])).module
-    elif args.n is None:
-        raise ModuleStructureError("construct Dn/En requires --n")
-    else:
-        mod = family(flavor_of_letter(kind[0]), args.n).module
-    sys.stdout.write(_emit_module(mod, args.format))
+    sys.stdout.write(_emit_module(_module_arg(args.module), args.format))
     return 0
 
 
@@ -250,20 +249,17 @@ def _cmd_dualize(args) -> int:
 
 def _cmd_witness(args) -> int:
     if args.spec:
-        flags = {"--flavor": args.flavor, "--max-n": args.max_n,
-                 "--class": args.morphism_class, "--budget": args.budget}
+        flags = {"--flavor": args.flavor, "--max-n": args.max_n, "--class": args.morphism_class}
         given = [flag for flag, value in flags.items() if value is not None]
         if given:
             raise ModuleStructureError(f"--spec describes the whole run; drop {', '.join(given)}")
-        spec, x0, ys, fs = witness_family_from_doc(_load_json(args.spec))
+        flavor, max_n, mclass = _witness_spec_arg(args.spec)
     else:
         if args.flavor is None or args.max_n is None:
             raise ModuleStructureError("witness needs either --spec or --flavor/--max-n")
+        flavor, max_n = Flavor(args.flavor), args.max_n
         mclass = MorphismClass(args.morphism_class or MorphismClass.INJECTIONS.value)
-        spec, x0, ys, fs = default_witness_family(
-            Flavor(args.flavor), args.max_n, mclass, budget=args.budget or DEFAULT_BUDGET
-        )
-    report = witness_verify(spec, x0, ys, fs)
+    report = witness_verify(*default_witness_family(flavor, max_n, mclass, budget=args.budget))
     if args.format == "json":
         levels = [{"index": lv.index, "checks": [[yj, v.value] for yj, v in lv.checks]}
                   for lv in report.levels]
@@ -279,26 +275,17 @@ def _cmd_witness(args) -> int:
     return 2 if report.inconclusive else 1
 
 
-def _cmd_export_dot(args) -> int:
-    mod = _module_arg(args.module)
-    sys.stdout.write(serialize.dot_hasse(mod))
-    return 0
-
-
-def _construct_args(p) -> None:
-    p.add_argument("family", choices=["Dn", "En", "D0", "E0", "free"])
-    p.add_argument("--n", type=int, default=None, help="family parameter (Dn/En)")
-    p.add_argument("--flavor", choices=["B", "Finf"], default="B")
-    p.add_argument("--rank", type=int, default=None, help="free module rank")
-    p.add_argument("--format", choices=["json", "dot", "text"], default="json")
-
-
 def _file_arg(p) -> None:
     p.add_argument("file")
 
 
 def _module_ref_arg(p) -> None:
     p.add_argument("module", help="module reference or file")
+
+
+def _construct_args(p) -> None:
+    _module_ref_arg(p)
+    p.add_argument("--format", choices=["json", "dot", "text"], default="json")
 
 
 def _homs_args(p) -> None:
@@ -315,10 +302,7 @@ def _rigidity_args(p) -> None:
 
 
 def _witness_args(p) -> None:
-    # the run flags default to None, so that --spec can refuse them: witness
-    # adds its own --budget rather than the searches' one, whose default is
-    # DEFAULT_BUDGET
-    p.add_argument("--budget", type=_positive_int, default=None, help="search budget")
+    # the run flags default to None, so that --spec can refuse them
     p.add_argument("--flavor", choices=["B", "Finf"], default=None)
     p.add_argument("--max-n", type=_positive_int, default=None, dest="max_n")
     p.add_argument("--spec", default=None, help="JSON witness description file")
@@ -334,7 +318,7 @@ def _witness_args(p) -> None:
 
 # name: (help, takes --budget, adds the other arguments, runs the command)
 _COMMANDS = {
-    "construct": ("build a family member or free module", False, _construct_args, _cmd_construct),
+    "construct": ("emit a module as JSON, DOT or text", False, _construct_args, _cmd_construct),
     "validate": ("check the axioms of a module file", False, _file_arg, _cmd_validate),
     "homs": ("enumerate morphisms between two modules", True, _homs_args, _cmd_homs),
     "rigidity": ("count injective corner-pinned morphisms", True, _rigidity_args, _cmd_rigidity),
@@ -348,8 +332,7 @@ _COMMANDS = {
         "distinct-rows factorization of a matrix file", False, _file_arg, _cmd_factor_matrix
     ),
     "dualize": ("dualize a morphism between free modules", False, _file_arg, _cmd_dualize),
-    "witness": ("run the corner-embedding witness family", False, _witness_args, _cmd_witness),
-    "export-dot": ("Hasse diagram of a module as DOT", False, _module_ref_arg, _cmd_export_dot),
+    "witness": ("run the corner-embedding witness family", True, _witness_args, _cmd_witness),
 }
 
 
@@ -358,7 +341,7 @@ def build_parser(command: Optional[str] = None) -> _Parser:
     """The argument parser of every subcommand, or of ``command`` alone.
 
     Both read ``_COMMANDS``, so a subcommand parses the same either way;
-    a cold run builds only the one it runs, as building all ten costs a
+    a cold run builds only the one it runs, as building all nine costs a
     few milliseconds.  Each parser is built once per process: parsing keeps
     no state on it, and in-process callers run ``main`` many times.
     """

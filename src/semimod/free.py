@@ -18,8 +18,8 @@ sums on the free module, where each layer is one pass over the span of the
 earlier generators, and one target operation per element.  Element names
 are built on first read only (``FreeModule.names``), each from the name of
 a smaller element: a caller that prints element ids, as ``projective``
-does, never builds the |F| strings, while ``construct``, ``export-dot``,
-serialization and name lookups build them once per free module.
+does, never builds the |F| strings, while ``construct``, serialization
+and name lookups build them once per free module.
 """
 from __future__ import annotations
 

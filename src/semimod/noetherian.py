@@ -31,7 +31,6 @@ from .homs import (
     find_left_inverse,
     iter_homs,
 )
-from .serialize import _ints, refuse_unknown_keys
 
 
 class MorphismClass(Enum):
@@ -260,17 +259,3 @@ def default_witness_family(
         flavor, tuple((lat.name, lat.module) for lat in [x0, *members]), morphism_class, budget
     )
     return spec, x0.name, [lat.name for lat in members], [corner_embedding(n, flavor) for n in ns]
-
-
-def witness_family_from_doc(doc: dict) -> tuple[CategorySpec, str, list[str], list[Hom]]:
-    """Witness run description: {"flavor", "max_n", "class"?, "budget"?}."""
-    refuse_unknown_keys(doc, "witness description", {"flavor", "max_n", "class", "budget"})
-    try:
-        flavor = Flavor(doc["flavor"])
-        upto, budget = _ints([doc["max_n"], doc.get("budget", DEFAULT_BUDGET)])
-        mclass = MorphismClass(doc.get("class", MorphismClass.INJECTIONS.value))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed witness description: {exc}") from exc
-    if upto < 1 or budget < 1:
-        raise ValueError("witness description needs max_n and budget of at least 1")
-    return default_witness_family(flavor, upto, mclass, budget=budget)

@@ -83,9 +83,12 @@ def _ints(xs: Any) -> tuple[int, ...]:
 
 
 def refuse_unknown_keys(doc: Any, what: str, keys: set[str]) -> None:
-    """Raise ModuleStructureError naming each key of ``doc`` (a JSON object)
-    that its reader does not read: a misspelled key is not a default."""
-    unknown = sorted(set(doc) - keys) if isinstance(doc, dict) else []
+    """Raise ModuleStructureError unless ``doc`` is a JSON object, and name
+    each of its keys that its reader does not read: a misspelled key is not
+    a default."""
+    if not isinstance(doc, dict):
+        raise ModuleStructureError(f"a {what} is a JSON object")
+    unknown = sorted(set(doc) - keys)
     if unknown:
         raise ModuleStructureError(f"malformed {what}: unknown key {', '.join(map(repr, unknown))}")
 
@@ -107,14 +110,15 @@ def module_to_json(m: FinModule, canonical: bool = True) -> str:
     return json.dumps(module_to_doc(m, canonical), sort_keys=True, separators=(",", ":"))
 
 
-_REF_FAMILY = re.compile(r"^(\D)(\d+)$")
-_REF_FREE = re.compile(r"^free:(B|Finf):(\d+)$")
+# ASCII digits only: \d would read any Unicode decimal digit as well
+_REF_FAMILY = re.compile(r"^(\D)([0-9]+)$")
+_REF_FREE = re.compile(r"^free:(B|Finf):([0-9]+)$")
 
 
 def resolve_module_ref(ref: ModuleRef) -> FinModule:
     """Inline document, or one of: D<n>, E<n> (D0 and E0 are the corner
     witnesses), free:<flavor>:<rank>, B, Finf."""
-    if isinstance(ref, dict):
+    if not isinstance(ref, str):
         return module_from_doc(ref)
     ref = ref.strip()
     if ref == "B":
@@ -164,20 +168,13 @@ def matrix_to_doc(mat: BoolMatrix) -> dict:
     return {"flavor": mat.flavor.value, "entries": mat.to_rows()}
 
 
-def matrix_from_doc(doc: Union[dict, list]) -> BoolMatrix:
-    """Accepts {"flavor", "entries"} or a bare array of rows (flavor inferred)."""
+def matrix_from_doc(doc: dict) -> BoolMatrix:
+    """A matrix document ``{"flavor", "entries"}``: the flavor is stated,
+    never guessed from the entries."""
     refuse_unknown_keys(doc, "matrix document", {"flavor", "entries"})
     try:
-        if isinstance(doc, list):
-            rows = doc
-            flavor = None
-        else:
-            rows = doc["entries"]
-            flavor = _flavor_of(doc["flavor"]) if "flavor" in doc else None
-        rows = [_ints(row) for row in rows]
-        if flavor is None:
-            has_neg = any(x < 0 for row in rows for x in row)
-            flavor = Flavor.FINF if has_neg else Flavor.B
+        flavor = _flavor_of(doc["flavor"])
+        rows = [_ints(row) for row in doc["entries"]]
         if not rows:
             return BoolMatrix(flavor, 0, 0, ())
         return BoolMatrix.from_rows(flavor, rows)

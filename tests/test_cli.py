@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -29,10 +32,23 @@ def test_construct_d0_json(capsys):
     assert doc["flavor"] == "B"
 
 
-def test_construct_dn_requires_n(capsys):
-    code, _, err = run_cli(capsys, "construct", "Dn")
-    assert code == 3
-    assert "requires --n" in err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["construct", "Dn"], "error: unrecognized module reference 'Dn'"),
+        (["construct", "Dn", "--n", "2", "--flavor", "Finf"],
+         "unrecognized arguments: --n 2 --flavor Finf"),
+        (["construct", "free", "--rank", "2"], "unrecognized arguments: --rank 2"),
+        (["export-dot", "E2"], "invalid choice: 'export-dot'"),
+    ],
+    ids=["Dn", "Dn-flags", "free-rank", "export-dot"],
+)
+def test_removed_construct_forms_are_input_errors(argv, message, capsys):
+    # a module is named by its reference (D2, free:B:2) or a file, never by
+    # a family name and flags, which let --flavor go unread for Dn
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and not out
+    assert message in err
 
 
 def test_construct_d0_dot(capsys):
@@ -43,7 +59,7 @@ def test_construct_d0_dot(capsys):
 
 
 def test_construct_free(capsys):
-    code, out, _ = run_cli(capsys, "construct", "free", "--flavor", "Finf", "--rank", "2")
+    code, out, _ = run_cli(capsys, "construct", "free:Finf:2")
     assert code == 0
     assert len(json.loads(out)["elements"]) == 9
 
@@ -53,10 +69,10 @@ def test_construct_free(capsys):
     [
         ("construct", "D0"),
         ("construct", "E0"),
-        ("construct", "Dn", "--n", "5"),
-        ("construct", "En", "--n", "3"),
-        ("construct", "free", "--flavor", "B", "--rank", "3"),
-        ("construct", "free", "--flavor", "Finf", "--rank", "2"),
+        ("construct", "D5"),
+        ("construct", "E3"),
+        ("construct", "free:B:3"),
+        ("construct", "free:Finf:2"),
     ],
 )
 def test_construct_then_validate_round_trip(argv, tmp_path, capsys):
@@ -154,21 +170,32 @@ _NOT_A_HOM = {"source": "free:B:2", "target": "free:B:2", "map": [0, 1, 2, 0]}
         ("homs", {"pins": [[None, "a_2_2"]]}),
         ("homs", {"pins": [[True, 1]]}),
         ("factor-matrix", [1, 2]),
-        ("factor-matrix", {"entries": 5}),
-        ("factor-matrix", [[1, None]]),
+        ("factor-matrix", {"flavor": "B", "entries": 5}),
+        ("factor-matrix", {"flavor": "B", "entries": [[1, None]]}),
         ("dualize", _NOT_A_HOM),
         ("split-check", _NOT_A_HOM),
-        ("factor-matrix", [[1.7, 0], ["1", 1]]),
-        ("factor-matrix", [[True, 0], [0, 1]]),
+        ("factor-matrix", {"flavor": "B", "entries": [[1.7, 0], ["1", 1]]}),
+        ("factor-matrix", {"flavor": "Finf", "entries": [[True, 0], [0, 1]]}),
         ("split-check", {"source": "free:B:1", "target": "free:B:1", "map": [0, 1.9]}),
         ("validate", {"flavor": "B", "elements": ["0"], "zero": "0", "add": [0]}),
+        ("factor-matrix", [[1, 0], [1, 0], [0, 1]]),
+        ("factor-matrix", {"entries": [[1, 0], [1, 0], [0, 1]]}),
+        ("validate", [1, 2]),
+        ("validate", 7),
+        ("split-check", [1, 2]),
+        ("split-check", {"source": [1, 2], "target": "B", "map": [0, 0]}),
+        ("factor-matrix", 7),
+        ("witness", [1, 2]),
+        ("witness", 7),
     ],
     ids=[
         "pins-as-list", "pins-not-a-list", "pins-not-pairs", "pin-of-null", "pin-of-bool",
         "matrix-of-numbers", "entries-not-rows", "null-entry",
         "dualize-non-hom", "split-check-non-hom",
         "matrix-float-and-string-entries", "matrix-bool-entry", "map-float-entry",
-        "module-string-zero",
+        "module-string-zero", "matrix-as-rows", "matrix-without-flavor",
+        "module-array", "module-number", "morphism-array", "morphism-endpoint-array",
+        "matrix-number", "witness-array", "witness-number",
     ],
 )
 def test_malformed_input_documents_are_input_errors(command, doc, tmp_path, capsys):
@@ -176,12 +203,17 @@ def test_malformed_input_documents_are_input_errors(command, doc, tmp_path, caps
     path.write_text(json.dumps(doc))
     if command == "homs":
         argv = ["homs", "--source", "D2", "--target", "D2", "--pins", str(path)]
+    elif command == "witness":
+        argv = ["witness", "--spec", str(path)]
     else:
         argv = [command, str(path)]
     # an uncaught exception, which would exit 1 with a traceback, fails here
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and not out
     assert err.startswith("error:")
+    if not isinstance(doc, dict):
+        # a shape message, not the Python error of indexing a list or a number
+        assert err.endswith(" is a JSON object\n"), err
 
 
 _ONE_ELEMENT = {"flavor": "B", "elements": ["0"], "zero": 0, "add": [0]}
@@ -197,12 +229,13 @@ _ONE_ELEMENT = {"flavor": "B", "elements": ["0"], "zero": 0, "add": [0]}
         (["homs", "--source", "D0", "--target", "D4", "--injective", "--pins"],
          {"pin": [["A_1_1", "a_1_1"]]}, "pin"),
         (["witness", "--spec"], {"flavor": "B", "max_n": 2, "clas": "all"}, "clas"),
+        (["witness", "--spec"], {"flavor": "B", "max_n": 2, "budget": 5}, "budget"),
     ],
-    ids=["module", "morphism", "inline-module", "matrix", "pins", "witness"],
+    ids=["module", "morphism", "inline-module", "matrix", "pins", "witness", "witness-budget"],
 )
 def test_documents_refuse_keys_their_reader_does_not_read(argv, doc, key, tmp_path, capsys):
-    # a misspelled key would otherwise read as absent: the matrix as flavor
-    # B, the pins as none, the witness class as injections
+    # a misspelled key would otherwise read as absent: the pins as none, the
+    # witness class as injections; the budget is --budget, not a key
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, *argv, str(path))
@@ -223,8 +256,8 @@ def test_unreadable_input_is_an_input_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("construct", "Dn", "--n", "725"),
-        ("construct", "En", "--n", "363"),
+        ("construct", "D725"),
+        ("construct", "E363"),
         ("projective", "D100000"),
         ("witness", "--flavor", "B", "--max-n", "800"),
         ("witness", "--flavor", "Finf", "--max-n", "360"),
@@ -354,7 +387,7 @@ def test_projective_rejects_malformed_document(ref, corrupt, tmp_path, capsys):
 
 def test_factor_matrix_worked_example(tmp_path, capsys):
     path = tmp_path / "mat.json"
-    path.write_text(json.dumps([[1, 1], [1, 1], [0, 1]]))
+    path.write_text(json.dumps({"flavor": "B", "entries": [[1, 1], [1, 1], [0, 1]]}))
     code, out, _ = run_cli(capsys, "factor-matrix", str(path))
     assert code == 0
     res = json.loads(out)
@@ -427,12 +460,10 @@ def test_witness_from_spec_file(tmp_path, capsys):
         ({"max_n": 2.9}, "2.9"),
         ({"max_n": True}, "true"),
         ({"max_n": "3"}, '"3"'),
-        ({"max_n": 2, "budget": 7.5}, "7.5"),
     ],
 )
 def test_witness_spec_numbers_must_be_json_integers(entries, bad, tmp_path, capsys):
-    # int() would run N=2 for 2.9, N=1 for true, N=3 for "3" and budget 7
-    # for 7.5
+    # int() would run N=2 for 2.9, N=1 for true and N=3 for "3"
     path = tmp_path / "witness.json"
     path.write_text(json.dumps({"flavor": "B", **entries}))
     code, out, err = run_cli(capsys, "witness", "--spec", str(path))
@@ -441,9 +472,7 @@ def test_witness_spec_numbers_must_be_json_integers(entries, bad, tmp_path, caps
     assert f"{bad} is not an integer" in err
 
 
-@pytest.mark.parametrize(
-    "flag", [["--budget", "5"], ["--flavor", "B"], ["--max-n", "2"], ["--class", "all"]]
-)
+@pytest.mark.parametrize("flag", [["--flavor", "B"], ["--max-n", "2"], ["--class", "all"]])
 def test_witness_spec_refuses_run_flags(flag, tmp_path, capsys):
     # the spec file describes the whole run; a flag next to it used to be
     # ignored without a word
@@ -455,25 +484,31 @@ def test_witness_spec_refuses_run_flags(flag, tmp_path, capsys):
     assert f"drop {flag[0]}" in err
 
 
-def test_witness_budget_leaves_other_defaults_alone():
-    # witness has its own --budget, None when not given so that --spec can
-    # refuse it; the other searching subcommands keep the shared default
+def test_witness_spec_takes_the_budget_flag(tmp_path, capsys):
+    # a budget bounds the searches of a run; the description names the run
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps({"flavor": "B", "max_n": 2}))
+    code, out, _ = run_cli(capsys, "witness", "--spec", str(path), "--budget", "5")
+    assert code == 2
+    assert "inconclusive" in out
+
+
+def test_searching_subcommands_share_the_budget_default():
     parser = build_parser()
-    assert parser.parse_args(["witness"]).budget is None
-    for argv in (["projective", "D2"], ["homs", "--source", "D2", "--target", "D3"]):
+    for argv in (["witness"], ["projective", "D2"], ["homs", "--source", "D2", "--target", "D3"]):
         assert parser.parse_args(argv).budget == sm.DEFAULT_BUDGET
 
 
 SUBCOMMANDS = (
     "construct", "validate", "homs", "rigidity", "split-check",
-    "projective", "factor-matrix", "dualize", "witness", "export-dot",
+    "projective", "factor-matrix", "dualize", "witness",
 )
 
 # representative command lines of each subcommand, defaults included
 PARSE_CASES = {
     "construct": [
         ["construct", "D0"],
-        ["construct", "free", "--flavor", "Finf", "--rank", "2", "--format", "text"],
+        ["construct", "free:Finf:2", "--format", "text"],
     ],
     "validate": [["validate", "mod.json"]],
     "homs": [
@@ -495,16 +530,15 @@ PARSE_CASES = {
         ["witness", "--flavor", "B", "--max-n", "8", "--budget", "10", "--class", "all",
          "--format", "json"],
     ],
-    "export-dot": [["export-dot", "E2"]],
 }
 
 USAGE_ERRORS = [
     ["projective"], ["projective", "D2", "--zzz", "1"], ["projective", "D2", "extra"],
     ["projective", "--budget", "0", "D2"], ["rigidity", "--flavor", "X", "--n", "3", "--m", "3"],
-    ["rigidity", "--n", "3"], ["construct", "D0", "--budget", "5"], ["construct", "Q"],
-    ["construct", "Dn", "--n", "x"], ["witness", "--max-n", "0"], ["witness", "--class", "bogus"],
-    ["homs", "--source", "D2"], ["export-dot", "E2", "E3"], ["validate"], ["dualize"],
-    ["split-check"], ["factor-matrix", "a", "b"],
+    ["rigidity", "--n", "3"], ["construct", "D0", "--budget", "5"], ["construct"],
+    ["construct", "Dn", "--n", "x"], ["construct", "D0", "--format", "svg"],
+    ["witness", "--max-n", "0"], ["witness", "--class", "bogus"], ["homs", "--source", "D2"],
+    ["validate"], ["dualize"], ["split-check"], ["factor-matrix", "a", "b"],
 ]
 
 
@@ -595,7 +629,7 @@ def test_all_homs_witness_fails_at_depth(capsys):
 
 
 def test_export_dot(capsys):
-    code, out, _ = run_cli(capsys, "export-dot", "E2")
+    code, out, _ = run_cli(capsys, "construct", "E2", "--format", "dot")
     assert code == 0
     assert out.startswith("digraph")
 
@@ -607,7 +641,7 @@ def test_export_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
     )
     path = tmp_path / "mod.json"
     path.write_text(json.dumps(module_to_doc(chain)))
-    code, out, _ = run_cli(capsys, "export-dot", str(path))
+    code, out, _ = run_cli(capsys, "construct", str(path), "--format", "dot")
     assert code == 0
     assert out.splitlines()[2:] == [
         '  "0";', '  "a\\"b";', '  "c\\\\";', '  "0" -> "a\\"b";', '  "a\\"b" -> "c\\\\";', "}"
@@ -636,8 +670,13 @@ def test_bad_threads_value(capsys):
 
 
 def test_console_entry_point_runs():
+    # the semimod script of pyproject.toml, called as an installed
+    # entry point calls it: sys.exit of the target with no arguments
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
+    target = re.search(r'^semimod = "([\w.]+):(\w+)"$', pyproject, re.M)
+    script = f"import sys; from {target[1]} import {target[2]}; sys.exit({target[2]}())"
     proc = subprocess.run(
-        [sys.executable, "-m", "semimod.cli", "construct", "D0", "--format", "text"],
+        [sys.executable, "-c", script, "construct", "D0", "--format", "text"],
         capture_output=True,
         text=True,
     )
@@ -675,24 +714,18 @@ def test_closed_output_pipe_is_neither_a_traceback_nor_a_negative(argv, unbuffer
 
 
 def test_construct_refuses_modules_too_large_to_serialize(capsys):
-    code, _, err = run_cli(capsys, "construct", "free", "--flavor", "B", "--rank", "12")
+    code, _, err = run_cli(capsys, "construct", "free:B:12")
     assert code == 3
     assert "too large to serialize" in err
-    code, out, _ = run_cli(
-        capsys, "construct", "free", "--flavor", "B", "--rank", "12", "--format", "text"
-    )
+    code, out, _ = run_cli(capsys, "construct", "free:B:12", "--format", "text")
     assert code == 0
     assert "4096 elements" in out
     # the Hasse diagram needs the n^2 order masks
-    for argv in (
-        ("construct", "free", "--rank", "12", "--format", "dot"),
-        ("export-dot", "free:B:12"),
-        ("export-dot", "free:Finf:8"),
-    ):
-        code, out, err = run_cli(capsys, *argv)
+    for ref in ("free:B:12", "free:Finf:8"):
+        code, out, err = run_cli(capsys, "construct", ref, "--format", "dot")
         assert code == 3 and not out
         assert "too large to draw" in err
-    code, out, _ = run_cli(capsys, "export-dot", "free:B:11")
+    code, out, _ = run_cli(capsys, "construct", "free:B:11", "--format", "dot")
     assert code == 0
     assert out.count(" -> ") == 11 * 2**10
 
@@ -820,3 +853,100 @@ def test_a_module_document_is_checked_once(tmp_path, capsys, monkeypatch):
     calls.clear()
     assert run_cli(capsys, "projective", str(path))[0] == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "D\u0664"),
+        ("projective", "E\u0663"),
+        ("homs", "--source", "free:B:\u0663", "--target", "B"),
+    ],
+    ids=["family-member", "projective", "free-module"],
+)
+def test_module_references_are_ascii(argv, capsys):
+    # \u0663 and \u0664 are Arabic-Indic three and four, which int() reads
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and not out
+    assert err.startswith("error: unrecognized module reference")
+
+
+# The documents the byte cases below read, in the current forms.
+_BYTE_CASE_DOCS = {
+    "m3.json": module_to_doc(diamond_m3()),
+    "emb.json": hom_to_doc(sm.corner_embedding(4, Flavor.B), source_ref="D0", target_ref="D4"),
+    "dual.json": hom_to_doc(
+        sm.hom_of_matrix(sm.BoolMatrix.from_rows(Flavor.B, [[1, 0], [1, 1], [0, 0]])),
+        source_ref="free:B:2", target_ref="free:B:3",
+    ),
+    "spec-b.json": {"flavor": "B", "max_n": 2},
+    "spec-finf.json": {"flavor": "Finf", "max_n": 2, "class": "all"},
+    "spec-bad.json": {"flavor": "B", "max_n": 2.9},
+    "pins.json": {"pins": [["a_1_2", "a_2_2"]]},
+    "b.json": {"flavor": "B", "entries": [[1, 1], [1, 1], [0, 1]]},
+    "finf.json": {"flavor": "Finf", "entries": [[1, -1], [1, -1], [0, 1]]},
+}
+
+# (command in the syntax before modules were named by reference, budgets
+# given by --budget alone and matrix flavors stated; the same command now;
+# the first 16 hex digits of the sha256 of the earlier form's exit code,
+# stdout and stderr).  Before, b.json and finf.json were bare arrays of
+# rows and spec-b.json held "budget": 5.
+BYTE_CASES = [
+    ("construct D0", "construct D0", "eee778945e8eed11"),
+    ("construct D0 --format dot", "construct D0 --format dot", "071428c6cb2b5151"),
+    ("construct D0 --format text", "construct D0 --format text", "ee8adb803ef13216"),
+    ("construct E0 --format dot", "construct E0 --format dot", "0a0a0853fbb68c3a"),
+    ("construct Dn --n 5", "construct D5", "14a725ec81decb06"),
+    ("construct En --n 3 --format text", "construct E3 --format text", "06f13c77ee7686d7"),
+    ("construct free --flavor B --rank 3 --format dot",
+     "construct free:B:3 --format dot", "10ff247557279dc7"),
+    ("construct free --flavor Finf --rank 2", "construct free:Finf:2", "2516c1152bb10fbf"),
+    ("export-dot E2", "construct E2 --format dot", "fd706c2cce6da1d3"),
+    ("export-dot free:Finf:1", "construct free:Finf:1 --format dot", "51eb7e82467725cc"),
+    ("export-dot m3.json", "construct m3.json --format dot", "a81f900a31ad3f36"),
+    ("projective D4", "projective D4", "adf26694970a596f"),
+    ("projective E3", "projective E3", "a2049f21be08e5cf"),
+    ("projective m3.json", "projective m3.json", "8a205757eaf00eb8"),
+    ("projective E4 --budget 10", "projective E4 --budget 10", "6da4b22d154f47d9"),
+    ("projective nonsense", "projective nonsense", "e66df80a61a41c08"),
+    ("witness --flavor B --max-n 3", "witness --flavor B --max-n 3", "dd910263b357b055"),
+    ("witness --flavor Finf --max-n 2 --format json",
+     "witness --flavor Finf --max-n 2 --format json", "2d6ffe00059b71f3"),
+    ("witness --flavor B --max-n 2 --class all --format json",
+     "witness --flavor B --max-n 2 --class all --format json", "fa36f456b9a41b15"),
+    ("witness --flavor B --max-n 3 --class splittable-injections",
+     "witness --flavor B --max-n 3 --class splittable-injections", "dd910263b357b055"),
+    ("witness --flavor B --max-n 8 --budget 10",
+     "witness --flavor B --max-n 8 --budget 10", "f3a3764118280be5"),
+    ("witness --spec spec-b.json", "witness --spec spec-b.json --budget 5", "cc094c4dd04f6728"),
+    ("witness --spec spec-finf.json --format json",
+     "witness --spec spec-finf.json --format json", "c0f2ac657ffa438a"),
+    ("witness --spec spec-bad.json", "witness --spec spec-bad.json", "f825867c895b5314"),
+    ("witness --flavor Finf --max-n 360", "witness --flavor Finf --max-n 360", "090570c518fdb821"),
+    ("rigidity --flavor B --n 3 --m 3", "rigidity --flavor B --n 3 --m 3", "b4d8e6b589888bac"),
+    ("rigidity --flavor Finf --n 3 --m 4", "rigidity --flavor Finf --n 3 --m 4", "745789faeaba1524"),
+    ("homs --source D2 --target D3 --injective",
+     "homs --source D2 --target D3 --injective", "a568eb80587f9b81"),
+    ("homs --source D2 --target D2 --pins pins.json",
+     "homs --source D2 --target D2 --pins pins.json", "5e48f7fece8173fc"),
+    ("homs --source B --target Finf", "homs --source B --target Finf", "e20fce7fe562b223"),
+    ("split-check emb.json", "split-check emb.json", "e9c9ceabf5ebcbc3"),
+    ("factor-matrix b.json", "factor-matrix b.json", "5f4935a35a258725"),
+    ("factor-matrix finf.json", "factor-matrix finf.json", "47074835ac283f4c"),
+    ("dualize dual.json", "dualize dual.json", "309c6be6499296d3"),
+]
+
+
+@pytest.mark.parametrize("before, command, digest", BYTE_CASES, ids=[c[1] for c in BYTE_CASES])
+def test_command_bytes_are_those_of_the_earlier_syntax(
+    before, command, digest, tmp_path, monkeypatch, capsys
+):
+    # argparse's own usage and help text vary between Python versions, so
+    # every case here is run by a subcommand
+    monkeypatch.chdir(tmp_path)
+    for name, doc in _BYTE_CASE_DOCS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, *command.split())
+    got = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()[:16]
+    assert got == digest, (before, code, out[:200], err)

@@ -100,7 +100,8 @@ def test_document_entries_must_be_json_integers(entry):
         module_from_doc(finf)
     with pytest.raises(sm.ModuleStructureError, match="malformed morphism document"):
         hom_from_doc({"source": "free:B:1", "target": "free:B:1", "map": [0, entry]})
-    for doc in ([[1, entry]], {"flavor": "B", "entries": [[entry, 0]]}):
+    for doc in ({"flavor": "Finf", "entries": [[1, entry]]},
+                {"flavor": "B", "entries": [[entry, 0]]}):
         with pytest.raises(sm.ModuleStructureError, match="malformed matrix document"):
             matrix_from_doc(doc)
 
@@ -135,10 +136,12 @@ def test_hom_doc_round_trip_inline_and_ref():
 def test_matrix_doc_round_trip():
     mat = sm.BoolMatrix.from_rows(Flavor.B, [[1, 0], [1, 1]])
     assert matrix_from_doc(matrix_to_doc(mat)) == mat
-    bare = matrix_from_doc([[1, 0], [0, 1]])
-    assert bare.flavor is Flavor.B
-    signed = matrix_from_doc([[1, -1]])
-    assert signed.flavor is Flavor.FINF
+    signed = sm.BoolMatrix.from_rows(Flavor.FINF, [[1, -1], [0, 1]])
+    assert matrix_from_doc(matrix_to_doc(signed)) == signed
+    # the flavor is stated, never guessed from the entries
+    for doc in ([[1, 0], [0, 1]], {"entries": [[1, 0], [0, 1]]}):
+        with pytest.raises(sm.ModuleStructureError, match="matrix document"):
+            matrix_from_doc(doc)
 
 
 def test_dot_export_d0():

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from semimod.cli import _COMMANDS
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -69,6 +71,14 @@ def test_readme_command_line_examples_run(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "1 morphism (identity)"
+
+
+def test_readme_command_table_lists_every_subcommand():
+    # one row per subcommand of the command line, in the order of _COMMANDS
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([\w-]+)", section, re.M)
+    assert rows == list(_COMMANDS)
 
 
 def test_ci_installs_the_test_pins_of_pyproject():
