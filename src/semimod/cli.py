@@ -57,9 +57,11 @@ def _load_json(path: str):
 
 
 def _module_arg(arg: str):
-    """A module reference string, or a path to a module document, which is
-    refused as a document error unless it passes the axiom scan."""
-    if os.path.exists(arg):
+    """A module reference string, or else a path to a module document, which
+    is refused as a document error unless it passes the axiom scan.  A file
+    named like a reference (``D0`` in the working directory) is not read:
+    the reference wins."""
+    if not serialize.is_module_ref(arg) and os.path.exists(arg):
         mod = serialize.module_from_doc(_load_json(arg))
         require_valid(mod, "module document")
         return mod

@@ -12,8 +12,9 @@ Everything built from a generating set goes through one routine,
 :func:`span_walk`: it adds the generators one at a time and lists, with a
 recipe each, the elements every generator adds to the span of the earlier
 ones, in one pass over that span, so O(|M|·|S|) sums in all.  Generated
-submodules, the hom search's recipes and the universal-property extension
-of free modules all use it.
+submodules and the hom search's recipes use it; the universal-property
+extension of a free module follows the free module's own walk instead
+(:func:`semimod.free.extend_from_generators`).
 
 The axiom scan and the induced order read one cached pass per module
 (``FinModule._scan``) over the addition table, a row at a time with

@@ -22,6 +22,7 @@ check their splitting identities.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, repeat
@@ -101,13 +102,21 @@ def _table_rows(pairs: tuple[Pair, ...], op) -> Iterator[list[int]]:
 
     Row (a, b) zips op(a, -) over the first coordinates with op(b, -) over
     the second; each of these columns depends on one coordinate value, so
-    it is computed once per value.  A result outside the index set means
-    the set is not closed under ``op``.
+    it is computed once per value.  The pairs are sorted, so the first
+    coordinates ascend and a first-coordinate column is two slices: with j
+    the number of coordinates <= a, max(a, -) is j copies of a and then the
+    coordinates from j on, and min(a, -) the coordinates before j and then
+    copies of a.  A result outside the index set means the set is not
+    closed under ``op``.
     """
     pos = {p: idx + 1 for idx, p in enumerate(pairs)}
     firsts = [a for a, _ in pairs]
     seconds = [b for _, b in pairs]
-    by_first = {a: list(map(op, repeat(a), firsts)) for a in set(firsts)}
+    n = len(firsts)
+    by_first = {}
+    for a in set(firsts):
+        j = bisect_right(firsts, a)
+        by_first[a] = [a] * j + firsts[j:] if op is max else firsts[:j] + [a] * (n - j)
     by_second = {b: list(map(op, repeat(b), seconds)) for b in set(seconds)}
     for a, b in pairs:
         try:

@@ -11,20 +11,26 @@ An element is encoded by one integer, its key ``pos | neg << rank``, where
 (``neg`` empty for flavor B).  A free module (:class:`FreeModule`)
 computes its addition, negation and order from these keys and never builds
 a table, so it takes O(|F|) memory instead of O(|F|^2); the matrix layer
-reads a column as the key of its signed support.  The extension of a
-generator assignment follows the span walk of the free generators
-(:func:`semimod.core.span_walk`, cached as ``FinModule.basis``): O(|F|)
-sums on the free module, where each layer is one pass over the span of the
-earlier generators, and one target operation per element.  Element names
-are built on first read only (``FreeModule.names``), each from the name of
-a smaller element: a caller that prints element ids, as ``projective``
-does, never builds the |F| strings, while ``construct``, serialization
-and name lookups build them once per free module.
+reads a column as the key of its signed support.  Each nonzero element is
+an earlier element plus one signed generator, in the walk that lists the
+elements generator by generator (:func:`_along_walk`; ``FreeModule.walk``
+holds each element's place in it).  The extension of a generator
+assignment is folded along that walk: one target operation per element, in
+one C-level ``map`` per generator and sign, so a free cover is never
+walked as a generic module (``FinModule.basis``, which a hom search out of
+a free module still reads).  The keys, walk positions and negations are
+laid out the same way, a block of elements per support at a time.  Element
+names are built on first read only (``FreeModule.names``), along the same
+walk: a caller that prints element ids, as ``projective`` does, never
+builds the |F| strings, while ``construct``, serialization and name
+lookups build them once per free module.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import repeat
+from operator import add
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .core import (
     CARRIER_CAP,
@@ -37,29 +43,60 @@ from .core import (
 )
 
 
-def _keys(flavor: Flavor, rank: int) -> list[int]:
-    """The keys ``pos | neg << rank`` of all elements in canonical order:
-    zero, then by (size, support, signs).
+def _layout(flavor: Flavor, rank: int) -> tuple[list[int], list[int], Optional[list[int]]]:
+    """The keys ``pos | neg << rank`` of all elements in canonical order
+    (zero, then by size, support and signs), each one's walk position
+    (:func:`_along_walk`), and (flavor Finf) the id of each negation.
 
-    The keys of one support form a block, its negative parts the submasks
-    of the support in increasing order.  For neg ⊆ supp the key is
-    supp + neg·(2^rank − 1), as pos = supp − neg.
+    A support's keys form a block, ordered by negative part.  With t the top
+    generator of the support and R the block of the support less t (the
+    zero's block for a single generator), the block is R plus +g_t, then R
+    plus -g_t, since the negative parts without t come first; the walk
+    positions follow the same rule (+3^t, +2·3^t).  Negation complements
+    the negative part within the support, which reverses each block.  In
+    flavor B a support is one element, whose key is its walk position.
     """
     # a stable sort of the ascending supports by size alone orders them by (size, support)
     supports = sorted(range(1, 1 << rank), key=int.bit_count)
     if flavor is Flavor.B:
-        return [0] + supports
-    low = (1 << rank) - 1
-    out = [0]
+        keys = [0, *supports]
+        return keys, keys, None
+    keys, walk, negs = [0], [0], [0]
+    first = {0: 0}  # the id of the first element of each support's block
     for supp in supports:
-        # (neg - supp) & supp steps to the next submask and wraps to 0
-        neg = 0
-        while True:
-            out.append(supp + neg * low)
-            neg = (neg - supp) & supp
-            if not neg:
-                break
-    return out
+        top = supp.bit_length() - 1
+        start = first[supp ^ 1 << top]  # R, the block of the support less t
+        half = 1 << supp.bit_count() - 1  # the size of R
+        at = first[supp] = len(keys)
+        rest_keys, rest_walk = keys[start : start + half], walk[start : start + half]
+        for key_step, walk_step in ((1 << top, 3**top), (1 << top + rank, 2 * 3**top)):
+            keys += map(add, rest_keys, repeat(key_step))
+            walk += map(add, rest_walk, repeat(walk_step))
+        negs += range(at + 2 * half - 1, at - 1, -1)
+    return keys, walk, negs
+
+
+def _along_walk(
+    m: "FreeModule", zero: Any, join: Callable[[Any, Any], Any], signed: Sequence[Sequence[tuple]]
+) -> tuple:
+    """Values by element id of the v with v(0) = ``zero``, v(±g_t) = alone
+    and v(e ± g_t) = ``join(v(e), term)`` for each nonzero e spanned by the
+    generators before t; ``signed[t]`` holds the (alone, term) pair of +g_t
+    and (flavor Finf) of -g_t.
+
+    The walk lists the zero and then, per generator t and sign, the signed
+    generator alone and every earlier nonzero element plus it: the element
+    at walk position p has sign digit t of p in base 2 (B) or 3 (Finf), 0
+    absent, 1 plus, 2 minus.  So the values take one C-level ``map`` per
+    generator and sign, read back into id order through ``m.walk``.
+    """
+    vals = [zero]
+    for pairs in signed:
+        earlier = vals[1:]
+        for alone, term in pairs:
+            vals.append(alone)
+            vals += map(join, earlier, repeat(term))
+    return tuple(map(vals.__getitem__, m.walk))
 
 
 def _key_neg(key: int, rank: int) -> int:
@@ -86,26 +123,14 @@ def _key_sum(flavor: Flavor, rank: int, keys: Iterable[int]) -> int:
 
 def _names(m: "FreeModule") -> tuple[str, ...]:
     """Element names such as ``A1+A3`` and ``-A1-A2+A4``: the signed
-    generators of the support in index order.
-
-    Each name is the name of its key minus the top generator (an earlier
-    element, as keys are ordered by support size) followed by that
-    generator's term, so each costs one dict lookup and one concatenation.
-    """
-    rank, id_of_key, letter = m.free_rank, m.id_of_key, m.letter
-    low = (1 << rank) - 1
-    plus = [f"+{letter}{b + 1}" for b in range(rank)]
-    minus = [f"-{letter}{b + 1}" for b in range(rank)]
-    names = ["0"]
-    for key in m.keys[1:]:
-        top = (key & low | key >> rank).bit_length() - 1
-        rest = id_of_key[key & ~(1 << top | 1 << top + rank)]
-        term = plus[top] if key >> top & 1 else minus[top]
-        if rest:
-            names.append(names[rest] + term)
-        else:  # a single generator: no leading "+"
-            names.append(term.removeprefix("+"))
-    return tuple(names)
+    generators of the support in index order, each name that of an earlier
+    element followed by one term (:func:`_along_walk`)."""
+    signed = []
+    for b in range(m.free_rank):
+        gen = f"{m.letter}{b + 1}"
+        pairs = ((gen, "+" + gen), ("-" + gen, "-" + gen))
+        signed.append(pairs if m.flavor is Flavor.FINF else pairs[:1])
+    return _along_walk(m, "0", add, signed)
 
 
 class FreeModule(FinModule):
@@ -113,11 +138,13 @@ class FreeModule(FinModule):
 
     Element ``i`` has key ``keys[i] = pos | neg << rank``, the bitmasks of
     the generators with sign + and - in its support; the zero has id 0 and
-    key 0.  ``add_of`` and (flavor Finf) ``neg_of`` are plain functions of
-    element ids that cost a few integer operations each; no table is built,
-    so a free module takes O(|F|) memory however large it is.  ``names``
-    are built on first read, with generators named ``letter`` and their
-    index.  No structural check runs: the keys are correct by construction.
+    key 0.  ``walk[i]`` is its position in the walk of :func:`_along_walk`,
+    along which the extension of generator images and the names are built.
+    ``add_of`` and (flavor Finf) ``neg_of`` are plain functions of element
+    ids that cost a few integer operations each; no table is built, so a
+    free module takes O(|F|) memory however large it is.  ``names`` are
+    built on first read, with generators named ``letter`` and their index.
+    No structural check runs: the keys are correct by construction.
     """
 
     letter = "A"
@@ -130,7 +157,8 @@ class FreeModule(FinModule):
             raise ModuleStructureError(
                 f"free module of rank {rank} has {size} elements, above the cap of {CARRIER_CAP}"
             )
-        keys = tuple(_keys(flavor, rank))
+        keys, walk, negs = _layout(flavor, rank)
+        keys = tuple(keys)
         id_of_key = dict(zip(keys, range(size)))
         if flavor is Flavor.B:
 
@@ -139,15 +167,15 @@ class FreeModule(FinModule):
 
             top = 0
         else:
-            flips = tuple(_key_neg(key, rank) for key in keys)
+            negs = tuple(negs)
 
             def add(a: int, b: int) -> int:
-                if a == 0 or b == 0 or keys[a] & flips[b]:
+                # the key of -b has the signs of b swapped
+                if a == 0 or b == 0 or keys[a] & keys[negs[b]]:
                     return 0  # zero summand or sign conflict
                 return id_of_key[keys[a] | keys[b]]
 
-            # the ids of -e, so that a negation is one call
-            object.__setattr__(self, "neg_of", tuple(map(id_of_key.__getitem__, flips)).__getitem__)
+            object.__setattr__(self, "neg_of", negs.__getitem__)
             # every bit: inclusion of order keys then puts the zero on top
             top = (1 << (2 * rank)) - 1
         for name, value in (
@@ -158,6 +186,7 @@ class FreeModule(FinModule):
             ("free_rank", rank),
             ("size", size),
             ("keys", keys),
+            ("walk", keys if flavor is Flavor.B else tuple(walk)),
             ("id_of_key", id_of_key),
             ("order_keys", (top,) + keys[1:]),
             ("generators", tuple(id_of_key[1 << b] for b in range(rank))),
@@ -279,11 +308,12 @@ def extend_from_generators(
     """Full map table of the unique hom extending a generator assignment.
 
     This is the universal property of the free module: zero goes to zero,
-    generator i to ``images[i]``, and every other element to the value its
-    recipe in the span walk of the generators derives (the target-side sum
-    of the signed images of its support), one target operation each.  The
-    recipes are the module's cached ``basis``, which the hom check and the
-    hom search read too, so a free module is walked once.
+    generator i to ``images[i]``, and every other element, an earlier
+    element plus one signed generator in the walk of the free module, to
+    the target-side sum of the earlier element's value and that generator's
+    signed image (:func:`_along_walk`): one target operation per element,
+    in one C-level ``map`` per generator and sign.  The free module is
+    never walked as a generic module (``FinModule.basis``).
     """
     if free.flavor is not target.flavor:
         raise FlavorMismatchError("free source and target must share a flavor")
@@ -292,12 +322,6 @@ def extend_from_generators(
         raise FlavorMismatchError("source is not a free module")
     if len(images) != rank:
         raise ValueError(f"expected {rank} generator images, got {len(images)}")
-    basis = free.basis
-    out = [target.zero] * free.size
-    for g, v in zip(basis.generators, images):
-        out[g] = v
-    add, neg = target.add_of, target.neg_of
-    for layer in basis.layers:
-        for e, op, a, b in layer:
-            out[e] = add(out[a], out[b]) if op == "add" else neg(out[a])
-    return tuple(out)
+    finf = free.flavor is Flavor.FINF
+    signed = [((v, v), (target.neg_of(v),) * 2) if finf else ((v, v),) for v in images]
+    return _along_walk(free, target.zero, target.add_of, signed)

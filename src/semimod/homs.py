@@ -62,9 +62,9 @@ class Hom:
         if len(self.map) != self.source.size:
             raise ValueError("map length does not match the source carrier")
         n = self.target.size
-        for v in self.map:
-            if not (0 <= v < n):
-                raise ValueError(f"map value {v} is not a target element id")
+        if self.map and (min(self.map) < 0 or max(self.map) >= n):
+            v = next(v for v in self.map if not 0 <= v < n)
+            raise ValueError(f"map value {v} is not a target element id")
 
     @_cached
     def check(self) -> "HomCheck":
@@ -130,7 +130,8 @@ def _hom_violation(M: FinModule, N: FinModule, val: Sequence[int]) -> HomCheck:
     A free source M is checked in O(|M|) target operations instead: f is a
     hom exactly when it equals the extension of its generator images
     (:func:`semimod.free.extend_from_generators`, one target operation per
-    element along the recipes of ``M.basis``).  Free-source lemma: for a
+    element, each an earlier element plus one signed generator in the walk
+    of M; ``M.basis`` is not read).  Free-source lemma: for a
     valid N and any images, the map e ↦ Σ{±f(g_i) : ±g_i in the support of
     e}, with 0 ↦ 0, is a hom, and it is the only one with those generator
     images, since every element of M is 0 or a sum of signed generators.

@@ -115,6 +115,19 @@ _REF_FAMILY = re.compile(r"^(\D)([0-9]+)$")
 _REF_FREE = re.compile(r"^free:(B|Finf):([0-9]+)$")
 
 
+def is_module_ref(text: str) -> bool:
+    """Whether ``text`` is in the reference grammar of
+    :func:`resolve_module_ref` (D<n>, E<n>, free:<flavor>:<rank>, B or
+    Finf), whether or not the module it names can be built."""
+    text = text.strip()
+    match = _REF_FAMILY.match(text)
+    return (
+        text in ("B", "Finf")
+        or (match is not None and flavor_of_letter(match.group(1)) is not None)
+        or _REF_FREE.match(text) is not None
+    )
+
+
 def resolve_module_ref(ref: ModuleRef) -> FinModule:
     """Inline document, or one of: D<n>, E<n> (D0 and E0 are the corner
     witnesses), free:<flavor>:<rank>, B, Finf."""

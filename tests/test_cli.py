@@ -871,6 +871,26 @@ def test_module_references_are_ascii(argv, capsys):
     assert err.startswith("error: unrecognized module reference")
 
 
+ONE_ELEMENT = {"flavor": "B", "elements": ["0"], "zero": 0, "add": [0]}
+
+
+def test_a_file_named_like_a_reference_does_not_shadow_it(tmp_path, capsys, monkeypatch):
+    # a word in the reference grammar names its module in any working
+    # directory, also one it cannot build; a word outside it is read as a file
+    monkeypatch.chdir(tmp_path)
+    for name in ("D0", "E3", "free:Finf:2", "B", "Finf", "D725", "mine"):
+        (tmp_path / name).write_text(json.dumps(ONE_ELEMENT))
+    for ref in ("D0", "E3", "free:Finf:2", "B", "Finf"):
+        code, out, _ = run_cli(capsys, "construct", ref)
+        assert code == 0
+        assert len(json.loads(out)["elements"]) == resolve_module_ref(ref).size > 1
+    code, out, err = run_cli(capsys, "construct", "D725")
+    assert code == 3 and not out
+    assert "bad family reference 'D725'" in err
+    code, out, _ = run_cli(capsys, "construct", "mine")
+    assert code == 0 and json.loads(out)["elements"] == ["0"]
+
+
 # The documents the byte cases below read, in the current forms.
 _BYTE_CASE_DOCS = {
     "m3.json": module_to_doc(diamond_m3()),
@@ -950,3 +970,30 @@ def test_command_bytes_are_those_of_the_earlier_syntax(
     code, out, err = run_cli(capsys, *command.split())
     got = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()[:16]
     assert got == digest, (before, code, out[:200], err)
+
+
+# (command, the first 16 hex digits of the sha256 of its exit code, stdout
+# and stderr, as for BYTE_CASES); the budget case is a byte case too
+_COVER_CASES = [
+    ("projective D6", "f5f33610989d36ec"),
+    ("projective E4", "528bcbff81dca737"),
+    ("projective E4 --budget 10", dict((c, d) for _, c, d in BYTE_CASES)["projective E4 --budget 10"]),
+]
+
+
+@pytest.mark.parametrize("command, digest", _COVER_CASES, ids=[c for c, _ in _COVER_CASES])
+def test_the_cover_path_never_walks_the_free_module(command, digest, capsys, monkeypatch):
+    # the cover, its check and the section search read the free module's
+    # keys and walk, never its generic span walk (FinModule.basis)
+    real = sm.core.generating_basis
+
+    def refuse_free(m):
+        if isinstance(m, sm.free.FreeModule):
+            raise AssertionError("the free module was walked")
+        return real(m)
+
+    monkeypatch.setattr(sm.core, "generating_basis", refuse_free)
+    sm.free_module.cache_clear()  # a cached free module may hold its basis
+    code, out, err = run_cli(capsys, *command.split())
+    got = hashlib.sha256(json.dumps([code, out, err]).encode()).hexdigest()[:16]
+    assert got == digest, (code, out[:200], err)

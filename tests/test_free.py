@@ -127,21 +127,29 @@ def test_cover_extension_agrees_with_support_sums(name):
 
 
 def test_random_extensions_agree_with_support_sums():
-    # images x and -x, or zero, make sums collapse to the absorbing zero
+    # ranks up to the cover sizes 2^11 and 3^7; besides random images, each
+    # case has images holding a value twice (Finf: x and -x) and images
+    # holding the zero, which make Finf sums collapse to the absorbing zero
     rng = random.Random(41)
     collapsed = 0
     for flavor, targets, ranks in (
-        (Flavor.FINF, ("E0", "E2", "E3", "free:Finf:2"), (1, 2, 3, 4)),
-        (Flavor.B, ("D0", "D3", "free:B:3"), (1, 2, 3, 5)),
+        (Flavor.FINF, ("E0", "E2", "E3", "E4", "free:Finf:2"), (1, 2, 3, 4, 5, 7)),
+        (Flavor.B, ("D0", "D3", "D6", "free:B:3"), (1, 2, 3, 5, 8, 11)),
     ):
         for t in targets:
             target = resolve_module_ref(t)
             for rank in ranks:
                 free = sm.free_module(flavor, rank)
-                for _ in range(6):
-                    images = [rng.randrange(target.size) for _ in range(rank)]
-                    if flavor is Flavor.FINF and rank > 1 and rng.random() < 0.5:
-                        images[1] = target.neg_of(images[0])
+                cases = [[rng.randrange(target.size) for _ in range(rank)] for _ in range(4)]
+                if rank > 1:
+                    i, j = rng.sample(range(rank), 2)
+                    twice = cases[0][:]
+                    twice[j] = target.neg_of(twice[i]) if flavor is Flavor.FINF else twice[i]
+                    cases.append(twice)
+                with_zero = cases[1][:]
+                with_zero[rng.randrange(rank)] = target.zero
+                cases.append(with_zero)
+                for images in cases:
                     got = sm.extend_from_generators(free, target, images)
                     assert got == extend_by_support_sums(free, target, images), (t, images)
                     collapsed += sum(
