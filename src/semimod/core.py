@@ -174,6 +174,28 @@ class FinModule:
         hom search from this module reads it."""
         return generating_basis(self)
 
+    @_cached
+    def _reflection(self) -> list[Optional[tuple[tuple[int, ...], tuple[int, ...]]]]:
+        """Per depth of :attr:`basis`, None until an injective hom search
+        first reaches that depth, with recipes in its layer, and fills it
+        in (see :meth:`semimod.homs._Search._reflecting`)."""
+        return [None] * len(self.basis.generators)
+
+    @_cached
+    def _clashes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(low, high)``: per element x, the c <= x and the c >= x, and in
+        flavor Finf also the c <= -x and the c >= -x, whose sum with x is
+        the zero (the top): c >= -x gives x + c >= x + -x, and c <= -x
+        gives -c <= x, so x + c lies above c + -c."""
+        down, up = self.order.down_masks, self.order.masks
+        if self.flavor is Flavor.B:
+            return down, up
+        neg = self.neg_table
+        return (
+            tuple(d | down[y] for d, y in zip(down, neg)),  # type: ignore[arg-type]
+            tuple(u | up[y] for u, y in zip(up, neg)),  # type: ignore[arg-type]
+        )
+
 
 @dataclass(frozen=True)
 class Violation:

@@ -18,13 +18,21 @@ caller that needs one hom stops at the first.
 
 An injective search keeps only the values that pass an order-embedding
 filter (a static filter in the style of Ullmann, "An algorithm for
-subgraph isomorphism", JACM 23, 1976), and can be asked to cover a set T
-of target values (``covers`` of :func:`iter_homs`): it then yields only
-the homs whose image contains T, in the same order as without T (the
+subgraph isomorphism", JACM 23, 1976).  Between tabled modules it also
+refines per node, in one mask operation: an injective hom reflects the
+order (f(a) <= f(b) gives f(a + b) = f(b), so a + b = b), so a candidate
+f(g) = c that the order shows would put f(a + g) on f(a), on c or on the
+zero, for an assigned a with a + g new, is dropped unscanned; the layer's
+recipes would reject it at once, and it still costs its tick, so ticks,
+budget outcomes and yields are unchanged.  Free sources and targets keep
+the plain scan.  An injective search can be asked to cover a set T of
+target values (``covers`` of :func:`iter_homs`): it then yields only the
+homs whose image contains T, in the same order as without T (the
 factorization check of :mod:`semimod.noetherian` asks for the q with
 im(q) ⊇ im(f)).
-The search data of a module (its recipes, order masks and counts) is built
-once and cached on the module.  The tests check the search against plain
+The search data of a module (its recipes, order masks and counts, and the
+reflection antichains of each depth a search reaches) is built once and
+cached on the module.  The tests check the search against plain
 loops over all pairs and all total maps in ``tests/oracles.py``.  Each
 check runs once, where its object is made: a ``Hom`` keeps its hom check
 (``Hom.check``), a searched hom or an extension out of a free module
@@ -244,6 +252,33 @@ class _Search:
     :attr:`~semimod.core.PartialOrder.count_floors`), so the filter costs
     two lookups and two ANDs per source element.
 
+    Reflection (injective searches between tabled modules).  Call a an
+    operand of layer d when the layer has the recipe (e, "add", a, g):
+    a is assigned and e = a + g is new, so e is not a, g or 0.  Placing
+    f(g) = c gives f(e) = x + c for x = f(a): x when c <= x, c when
+    c >= x, and (flavor Finf) the zero when c <= -x or c >= -x
+    (``FinModule._clashes`` holds these c in its masks low[x] and
+    high[x]).  Each is a used value (c is placed before the recipes run),
+    so the layer rejects c at once.  Lemma: the maximal operands give all
+    of the low cases and the minimal ones all of the high cases.  Proof:
+    f is monotone on the assigned elements and negation is monotone, so
+    a <= a' gives f(a) <= f(a') and -f(a) <= -f(a'), hence low[f(a)]
+    within low[f(a')] and high[f(a')] within high[f(a)].  Both antichains
+    depend on d alone; they are built when a search first reaches d and
+    cached on M (a layer without recipes drops nothing and builds none).
+    So ``avoid``, the OR of ``used``, of low[f(a)] over the maximal a and
+    of high[f(b)] over the minimal b, holds only candidates the node
+    rejects at once, and the scan walks ``allowed & ~avoid``.  The cases
+    c <= x and c >= x are the order-embedding failures f(g) <= f(a) with
+    g not <= a and f(a) <= f(g) with a not <= g.  An assigned a that is
+    no operand can reflect too, but its candidates may pass the node, and
+    dropping them would skip the ticks of their subtrees.  A dropped
+    candidate still costs its tick: the scan adds the dropped candidates
+    below each kept one before it and the rest at the end, and stops at
+    the first tick past the budget, as the scan one at a time does.  Free
+    sources and targets keep that scan: the antichains come from M's order
+    masks and ``avoid`` from N's, and a free module's take |F|^2 bits.
+
     A covering search (``covers`` = T, injective) prunes a node at
     depth d, before it scans a candidate, when need = T & ~used cannot be
     placed: when need & ~reach[d] != 0, or when |need| > left[d].  Here
@@ -263,10 +298,11 @@ class _Search:
     order alone; at the leaves reach and left are 0, so every yielded map
     covers T.
 
-    Ticks: one per generator candidate scanned (a value in its allowed
-    set), whether or not it passes, and one per verified map; the budget
-    bounds their total.  :meth:`run` is a generator, so a caller that
-    stops after k maps spends exactly the ticks up to the k-th.
+    Ticks: one per generator candidate (a value in its allowed set),
+    whether it passes, is rejected or is dropped unscanned, and one per
+    verified map; the budget bounds their total.  :meth:`run` is a
+    generator, so a caller that stops after k maps spends exactly the
+    ticks up to the k-th.
     """
 
     def __init__(
@@ -298,6 +334,10 @@ class _Search:
         self.cover = self._cover_mask(covers or ())
         if self.cover:
             self.reach, self.left = self._unassigned_reach()
+        self.reflect = self.injective and M.free_rank is None and N.free_rank is None
+        if self.reflect:
+            self.low_at, self.high_at = N._clashes
+            self.reflection = M._reflection
 
     def _cover_mask(self, covers: Iterable[int]) -> int:
         """The bitmask of the values the image must contain, 0 when off."""
@@ -349,6 +389,7 @@ class _Search:
         return allowed
 
     def _exhausted(self) -> BudgetExceededError:
+        self.explored = self.budget + 1  # a batch of dropped ticks may overshoot
         return BudgetExceededError(
             f"hom search budget of {self.budget} exhausted", self.explored
         )
@@ -461,11 +502,25 @@ class _Search:
         placed = assigned | 1 << gen
         lo, hi = self._lower(gen), self._upper(gen)
         budget = self.budget
+        dropped = 0
+        if self.reflect and layer:  # a layer without recipes drops nothing
+            maxima, minima = self.reflection[depth] or self._reflecting(depth)
+            avoid = used
+            for a in maxima:
+                avoid |= self.low_at[val[a]]
+            for b in minima:
+                avoid |= self.high_at[val[b]]
+            dropped = cands & avoid
+            cands ^= dropped
         while cands:
             low = cands & -cands
             cands ^= low
             cand = low.bit_length() - 1
             self.explored += 1
+            if dropped:  # the dropped candidates below this one tick first
+                below = dropped & (low - 1)
+                dropped ^= below
+                self.explored += below.bit_count()
             if self.explored > budget:
                 raise self._exhausted()
             k = keys[cand]
@@ -478,6 +533,24 @@ class _Search:
             if self._run_recipes(layer):
                 yield from self._dfs(depth + 1)
             self.assigned, self.used = assigned, used
+        if dropped:
+            self.explored += dropped.bit_count()
+            if self.explored > budget:
+                raise self._exhausted()
+
+    def _reflecting(self, depth: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The maximal and the minimal operands a of the add recipes
+        (e, "add", a, g) of layer ``depth``, in M's order: cached on M
+        (``FinModule._reflection``), each depth built when a search first
+        reaches it."""
+        ids = [a for _, op, a, _ in self.basis.layers[depth] if op == "add"]
+        operands = sum(1 << a for a in ids)
+        up, down = self.M.order.masks, self.M.order.down_masks
+        entry = self.reflection[depth] = (
+            tuple(a for a in ids if up[a] & operands == 1 << a),
+            tuple(a for a in ids if down[a] & operands == 1 << a),
+        )
+        return entry
 
 
 def iter_homs(

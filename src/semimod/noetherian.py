@@ -148,7 +148,8 @@ def factors_through(spec: CategorySpec, f: Hom, yj: str) -> FactorizationResult:
     Each class streams the side that is cheaper to stream (timed on a
     2-vCPU host, Python 3.11).  For the injections, streaming p and
     searching an injective q pinned on its image is slower: witness B N=5
-    takes 0.67 s instead of 0.03 s, and B N=8 17 s instead of 0.15 s.  For
+    takes about 0.6 s instead of 0.006 s, and B N=8 about 10 s instead of
+    0.03 s.  For
     the all-homs class, streaming q is out of reach: there are 840,832
     homs D4 -> D5, and streaming them takes 37 s.
 

@@ -955,6 +955,13 @@ BYTE_CASES = [
     ("factor-matrix b.json", "factor-matrix b.json", "5f4935a35a258725"),
     ("factor-matrix finf.json", "factor-matrix finf.json", "47074835ac283f4c"),
     ("dualize dual.json", "dualize dual.json", "309c6be6499296d3"),
+    # recorded before the injective searches dropped candidates by mask
+    ("witness --flavor B --max-n 12 --format json",
+     "witness --flavor B --max-n 12 --format json", "b0abcc621b546d69"),
+    ("witness --flavor Finf --max-n 8", "witness --flavor Finf --max-n 8", "bfce73f79aadcfb1"),
+    ("rigidity --flavor Finf --n 5 --m 6", "rigidity --flavor Finf --n 5 --m 6", "745789faeaba1524"),
+    ("homs --source D4 --target D6 --injective",
+     "homs --source D4 --target D6 --injective", "3479fe8b6def8b48"),
 ]
 
 

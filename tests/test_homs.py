@@ -497,17 +497,28 @@ def _module(name):
         "M3": diamond_m3,
         "N5": pentagon_n5,
         "N5 c<b": lambda: pentagon_n5(("0", "a", "c", "b", "1")),
-        "Q19": _free_finf3_quotient,
+        "Q19": lambda: _free_finf3_quotient(("A1+A3", "A1+A2+A3"), ("A2+A3", "-A1+A2+A3")),
+        "Q13": lambda: _free_finf3_quotient(("-A1+A3", "0"), ("A2+A3", "0"), ("-A2+A3", "0")),
+        "Q15": lambda: _free_finf3_quotient(("A2+A3", "0"), ("A3", "-A2+A3")),
+        "U6": lambda: _union_closed(0b0000, 0b0101, 0b1011, 0b1100, 0b1101, 0b1111),
+        "V6": lambda: _union_closed(0b000, 0b010, 0b011, 0b100, 0b110, 0b111),
     }
     return named.get(name, lambda: ref(name))()
 
 
-def _free_finf3_quotient():
-    # free:Finf:3 modulo A1+A3 ~ A1+A2+A3 and A2+A3 ~ -A1+A2+A3: 19 elements
+def _free_finf3_quotient(*pairs):
+    # free:Finf:3 modulo the congruence the named pairs generate
     free = sm.free_module(Flavor.FINF, 3)
     ids = free.index_of_name
-    pairs = [(ids["A1+A3"], ids["A1+A2+A3"]), (ids["A2+A3"], ids["-A1+A2+A3"])]
+    pairs = [(ids[a], ids[b]) for a, b in pairs]
     return sm.quotient_with_projection(free, sm.generated_congruence(free, pairs))[0]
+
+
+def _union_closed(*sets):
+    # the flavor B module of a union-closed family of sets, given as bitmasks
+    ids = {s: i for i, s in enumerate(sets)}
+    table = tuple(ids[a | b] for a in sets for b in sets)
+    return sm.FinModule(Flavor.B, tuple(f"{s:b}" for s in sets), 0, table)
 
 
 def _inj(src, tgt):
@@ -542,13 +553,23 @@ def _cover_section(name):
 # happens (without the lower test it takes 66 ticks).  The covering case
 # prunes nodes both because a needed value lies outside every unassigned
 # element's allowed set and because more values are needed than elements
-# are left; without either test it takes more ticks.
+# are left; without either test it takes more ticks.  The injective
+# searches between tabled modules drop candidates by their reflection mask
+# (D6->D8 is one that does), and every dropped candidate ticks.  In U6 -> V6
+# (flavor B) and Q13 -> Q15 (Finf, free:Finf:3 modulo -A1+A3, A2+A3 and
+# -A2+A3 ~ 0, and modulo A2+A3 ~ 0 and A3 ~ -A2+A3) a generator g whose
+# layer holds recipes does not lie below an assigned a that is no operand
+# of the layer; the candidates below f(a) reflect but pass their node, and
+# dropping them as well takes 12 and 156 ticks.
 TICK_CASES = {
     "injective D4->D5": (_inj("D4", "D5"), 622, 10),
     "injective D0->D4": (_inj("D0", "D4"), 345, 32),
     "injective E2->E3": (_inj("E2", "E3"), 356, 40),
     "injective N5->D3": (_inj("N5", "D3"), 84, 2),
     "covering D4->D5 im(f_2)": (_covering("D4", "D5", sm.corner_embedding(5, Flavor.B)), 201, 0),
+    "covering D6->D8 im(f_5)": (_covering("D6", "D8", sm.corner_embedding(8, Flavor.B)), 977, 0),
+    "injective U6->V6": (_inj("U6", "V6"), 13, 0),
+    "injective Q13->Q15": (_inj("Q13", "Q15"), 164, 0),
     "all D2->D3": (_all("D2", "D3"), 690, 240),
     "all E0->E2": (_all("E0", "E2"), 7_293, 525),
     "all M3->D3": (_all("M3", "D3"), 1_313, 132),
@@ -602,6 +623,81 @@ def test_negation_recipes_pass_the_order_tests_they_no_longer_run(monkeypatch):
         for target in (ref("E2"), ref("E3")):
             sm.enumerate_homs(q, target)
     assert len(outcomes) > 1000 and all(outcomes)
+
+
+def _reflection_pairs():
+    """Same-flavor pairs of tabled modules, with a set for a covering search
+    to cover: the modules of ``assorted_modules()`` and the family members
+    with the images of the corner embeddings."""
+    rng = random.Random(41)
+    tabled = [m for m in assorted_modules() if m.free_rank is None]
+    tabled += [_module(name) for name in ("U6", "V6", "Q13", "Q15", "Q19")]
+    for M, N in itertools.product(tabled, repeat=2):
+        if M.flavor is N.flavor and M.size <= N.size:
+            yield M, N, None
+            yield M, N, set(rng.sample(range(N.size), rng.randint(1, min(3, M.size))))
+    for flavor, top in ((Flavor.B, 8), (Flavor.FINF, 6)):
+        x0 = sm.corner_witness(flavor).module
+        for n in range(4, top + 1):
+            f = sm.corner_embedding(n, flavor)
+            yield x0, f.target, None
+            for m in range(4, n):
+                yield sm.family(flavor, m).module, f.target, set(f.map)
+
+
+def test_reflection_drops_only_candidates_that_tick_and_fail_at_once():
+    # the injective searches between tabled modules, with and without the
+    # reflection mask: the same maps in the same order, the same ticks, and
+    # the same budget outcome, run out and at half the ticks
+    def outcome(M, N, covers, budget, reflect):
+        search = sm.homs._Search(M, N, injective=True, allowed=None, covers=covers, budget=budget)
+        assert search.reflect
+        search.reflect = reflect
+        maps = []
+        try:
+            maps.extend(search.run())
+        except sm.BudgetExceededError as exc:
+            maps.append(("budget", exc.explored))
+        return maps, search.explored
+
+    searches = 0
+    for M, N, covers in _reflection_pairs():
+        plain = outcome(M, N, covers, 20_000, False)
+        assert outcome(M, N, covers, 20_000, True) == plain, (M.names, N.names, covers)
+        half = max(1, plain[1] // 2)
+        assert outcome(M, N, covers, half, True) == outcome(M, N, covers, half, False)
+        searches += 1
+    assert searches > 300
+
+
+def test_reflection_lists_are_built_for_the_depths_a_search_reaches(monkeypatch):
+    # a budget-10 covering search from a fresh D11 builds the lists of the
+    # depths it enters whose layers hold recipes (an empty layer drops
+    # nothing) and no others, and later searches reuse them
+    M = dataclasses.replace(D(11).module)
+    N = D(12).module
+    T = set(sm.corner_embedding(12, Flavor.B).map)
+    entered = set()
+    real = sm.homs._Search._dfs
+
+    def recording(self, depth):
+        entered.add(depth)
+        return real(self, depth)
+
+    monkeypatch.setattr(sm.homs._Search, "_dfs", recording)
+    with pytest.raises(sm.BudgetExceededError):
+        list(sm.iter_homs(M, N, covers=T, budget=10))
+    lists, layers = M._reflection, M.basis.layers
+    recipes = {d for d, layer in enumerate(layers) if layer}
+    built = {d for d, entry in enumerate(lists) if entry is not None}
+    assert built == entered & recipes and 0 < len(built) < len(recipes)
+    first = list(lists)
+    with pytest.raises(sm.BudgetExceededError):
+        list(sm.iter_homs(M, N, covers=T, budget=10))
+    assert all(lists[d] is first[d] for d in range(len(lists)))
+    assert len(sm.enumerate_homs(M, N, injective=True)) == 10
+    assert all(lists[d] is first[d] for d in built)
+    assert {d for d, entry in enumerate(lists) if entry is not None} == recipes
 
 
 @pytest.mark.parametrize("src, tgt, injective", [("D4", "D5", True), ("D2", "D3", False)])

@@ -171,10 +171,26 @@ def test_witness_holds_for_finf_family():
         assert report.holds
 
 
-def test_witness_holds_at_depth():
-    # B 5 and Finf 4 are the sizes the benchmark's witness jobs run; with the
-    # covering search B 8 and Finf 6 take about 0.15 s and 0.1 s, and B 12
-    # and Finf 8 about 0.8 s and 0.3 s (2-vCPU host, Python 3.11)
+def _recording_searches(monkeypatch):
+    """The hom searches run from here on, recorded as they start."""
+    searches = []
+    real = sm.homs._Search.run
+
+    def recording(self):
+        searches.append(self)
+        return real(self)
+
+    monkeypatch.setattr(sm.homs._Search, "run", recording)
+    return searches
+
+
+def test_witness_holds_at_depth(monkeypatch):
+    # B 5 and Finf 4 are the sizes the benchmark's witness jobs run; B 8 and
+    # Finf 6 take about 0.02 s each, and B 24 and Finf 16 about 1.0 s and
+    # 0.25 s (2-vCPU host, Python 3.11).  At every level the adjacent check,
+    # f_i through Y_{i-1}, gives the verdict of all the others
+    searches = _recording_searches(monkeypatch)
+    deepest_ticks = {(Flavor.B, 24): 17_459_852, (Flavor.FINF, 16): 2_346_304}
     for flavor, upto in (
         (Flavor.B, 4),
         (Flavor.FINF, 3),
@@ -182,15 +198,32 @@ def test_witness_holds_at_depth():
         (Flavor.FINF, 4),
         (Flavor.B, 8),
         (Flavor.FINF, 6),
-        (Flavor.B, 12),
-        (Flavor.FINF, 8),
+        (Flavor.B, 24),
+        (Flavor.FINF, 16),
     ):
+        searches.clear()
         spec, x0, ys, fs = default_witness_family(flavor, upto)
         report = witness_verify(spec, x0, ys, fs)
         assert report.holds and not report.inconclusive, (flavor, upto)
         verdicts = [verdict for lv in report.levels for _, verdict in lv.checks]
         assert len(verdicts) == upto * (upto - 1) // 2, (flavor, upto)
         assert all(v is Verdict.NO_FACTORIZATION for v in verdicts), (flavor, upto)
+        for lv in report.levels[1:]:
+            adjacent, verdict = lv.checks[-1]
+            assert adjacent == ys[lv.index - 2]
+            assert all(v is verdict for _, v in lv.checks), (flavor, upto, lv.index)
+        if (flavor, upto) in deepest_ticks:
+            ticks = sum(search.explored for search in searches)
+            assert ticks == deepest_ticks[flavor, upto], (flavor, upto)
+
+
+@pytest.mark.parametrize("flavor, ticks", [(Flavor.B, 95_620), (Flavor.FINF, 119_840)])
+def test_witness_searches_take_the_pinned_number_of_ticks(flavor, ticks, monkeypatch):
+    # one covering search per pair j < i at N = 8, 28 in all
+    searches = _recording_searches(monkeypatch)
+    assert witness_verify(*default_witness_family(flavor, 8)).holds
+    assert len(searches) == 28
+    assert sum(search.explored for search in searches) == ticks
 
 
 def _assert_factorization(res, f):
