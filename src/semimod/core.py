@@ -5,8 +5,9 @@ join-semilattice with bottom.  Flavor Finf carries a negation and an
 *absorbing* zero: ``0 + a = 0`` and ``a + (-a) = 0``.  Everything here is
 finite and table-driven: a module is an element list, a distinguished zero,
 a flat addition table and (for Finf) a negation table, checked for structure
-once, when the module is made.  Free modules (:class:`semimod.free.FreeModule`)
-compute their operations from support keys instead.
+once, when the module is made.  Keyed modules (:class:`semimod.free.KeyedModule`:
+free modules and the family members) compute their operations from element
+keys instead.
 
 Everything built from a generating set goes through one routine,
 :func:`span_walk`: it adds the generators one at a time and lists, with a
@@ -16,12 +17,14 @@ submodules and the hom search's recipes use it; the universal-property
 extension of a free module follows the free module's own walk instead
 (:func:`semimod.free.extend_from_generators`).
 
-The axiom scan and the induced order read one cached pass per module
-(``FinModule._scan``) over the addition table, a row at a time with
-C-level loops (``map``, ``bytes``): each row a gives the bitmask of the
-elements above a, associativity is decided on those masks in O(n^2) mask
-operations (:func:`_is_join`), and the same masks are the order of a
-valid module.  Reading the order of an invalid module raises.
+The axiom scan and the induced order of a tabled module read one cached
+pass per module (``FinModule._scan``) over the addition table, a row at a
+time with C-level loops (``map``, ``bytes``): each row a gives the bitmask
+of the elements above a, associativity is decided on those masks in
+O(n^2) mask operations (:func:`_is_join`), and the same masks are the
+order of a valid module.  Reading the order of an invalid module raises.
+A keyed module's order is inclusion of keys, and its axiom scan runs only
+on request (:func:`validate_module`).
 
 Distributivity is decided on the irreducible generators alone: each must
 be join-prime (:func:`is_distributive_lattice`, O(|S|^2) sums), so no
@@ -80,7 +83,7 @@ class ModuleStructureError(ValueError):
     """Malformed module data: bad table shape, unknown IDs, duplicate names.
 
     Distinct from axiom violations, which are reported, not raised, until
-    the order of a module that fails an axiom is read (:func:`induced_order`).
+    the order of a module that fails an axiom is read (:attr:`FinModule.order`).
     """
 
 
@@ -97,8 +100,9 @@ class FinModule:
     size ``n*n``; ``neg_table`` is present exactly for flavor Finf.  The
     tables are checked for structure when the module is made
     (:func:`_structural_check`), so a malformed module is never built.
-    Free modules are the subclass :class:`semimod.free.FreeModule`, which
-    carries no tables and computes its operations from support keys.
+    Keyed modules, free ones included, are the subclass
+    :class:`semimod.free.KeyedModule`, which carries no tables and computes
+    its operations from element keys.
     """
 
     flavor: Flavor
@@ -142,14 +146,18 @@ class FinModule:
 
     @_cached
     def order(self) -> "PartialOrder":
-        return induced_order(self)
+        """The induced order: the up masks of the axiom scan, whose axioms
+        make it a partial order with the zero at the bottom (flavor B) or on
+        top (flavor Finf); see :func:`_is_join`.  Raises
+        :class:`ModuleStructureError` for a module that fails an axiom."""
+        require_valid(self, "module")
+        return PartialOrder(self.size, tuple(self._scan[1]))  # type: ignore[arg-type]
 
     @_cached
-    def _scan(self) -> tuple["ValidationReport", Optional["PartialOrder"]]:
-        """The axiom report and, for a valid module, the induced order."""
+    def _scan(self) -> tuple["ValidationReport", Optional[list[int]]]:
+        """The axiom report and the up masks of :func:`_scan_violations`."""
         violations, up = _scan_violations(self)
-        report = ValidationReport(tuple(violations))
-        return report, (PartialOrder(self.size, tuple(up)) if report.ok else None)
+        return ValidationReport(tuple(violations)), up
 
     @_cached
     def generators(self) -> tuple[int, ...]:
@@ -190,10 +198,10 @@ class FinModule:
         down, up = self.order.down_masks, self.order.masks
         if self.flavor is Flavor.B:
             return down, up
-        neg = self.neg_table
+        neg = list(map(self.neg_of, range(self.size)))
         return (
-            tuple(d | down[y] for d, y in zip(down, neg)),  # type: ignore[arg-type]
-            tuple(u | up[y] for u, y in zip(up, neg)),  # type: ignore[arg-type]
+            tuple(d | down[y] for d, y in zip(down, neg)),
+            tuple(u | up[y] for u, y in zip(up, neg)),
         )
 
 
@@ -274,10 +282,11 @@ def _rows(m: FinModule) -> Iterator[tuple[int, ...]]:
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _up_mask(row: Sequence[int]) -> int:
-    """The bitmask of the b with ``row[b] == b``: for row a of the addition
-    table, the elements above a in the induced order."""
-    return int(bytes(map(eq, row, range(len(row))))[::-1].translate(_DIGITS), 2)
+def _mask(flags: Iterable[bool]) -> int:
+    """The bitmask with bit b set iff flag b is true, built at C level: for
+    ``map(eq, row, range(n))`` over row a of the addition table, the
+    elements above a in the induced order."""
+    return int(bytes(flags)[::-1].translate(_DIGITS), 2)
 
 
 def _first_diff(xs: Iterable[int], ys: Iterable[int]) -> Optional[int]:
@@ -299,7 +308,7 @@ def _first_row_diff(
 def _is_join(rows: Sequence[Sequence[int]], up: Sequence[int]) -> bool:
     """Whether a commutative idempotent addition table is associative,
     decided in O(n^2) mask operations on the induced order; ``up[x]`` is
-    :func:`_up_mask` of row x.
+    the bitmask of the c with x + c = c (:func:`_mask`).
 
     With up(x) = {c : x + c = c}, the table is associative iff
     up(a + b) = up(a) ∩ up(b) for all a < b, i.e. iff a + b is the least
@@ -345,7 +354,7 @@ def _scan_violations(m: FinModule) -> tuple[list[Violation], Optional[list[int]]
     if comm:
         out.append(Violation("add_commutative", comm))
     idem = _first_diff(map(getitem, rows, ids), ids)
-    up = None if comm or idem is not None else [_up_mask(r) for r in rows]
+    up = None if comm or idem is not None else [_mask(map(eq, r, ids)) for r in rows]
 
     if up is None or not _is_join(rows, up):
         # read_at[b](row a) is a + (b + c) over c, gathered at C level; each
@@ -399,14 +408,13 @@ def validate_module(m: FinModule) -> ValidationReport:
     return m._scan[0]
 
 
-def require_valid(m: FinModule, what: str) -> PartialOrder:
-    """The induced order of ``m``; raises :class:`ModuleStructureError`,
-    "<what> fails the module axioms: ...", when ``m`` fails any axiom."""
-    report, order = m._scan
-    if order is None:
+def require_valid(m: FinModule, what: str) -> None:
+    """Raise :class:`ModuleStructureError`, "<what> fails the module axioms:
+    ...", when ``m`` fails any axiom of its scan."""
+    report = m._scan[0]
+    if not report.ok:
         failed = ", ".join(report.axioms())
         raise ModuleStructureError(f"{what} fails the module axioms: {failed}")
-    return order
 
 
 @dataclass(frozen=True)
@@ -424,6 +432,7 @@ class PartialOrder:
 
     @_cached
     def down_masks(self) -> tuple[int, ...]:
+        """Bit a of entry b is set iff a <= b: ``masks`` transposed."""
         down = [0] * self.size
         for a, ms in enumerate(self.masks):
             b = ms
@@ -437,8 +446,8 @@ class PartialOrder:
     def order_keys(self) -> tuple[int, ...]:
         """Bitmasks with ``a <= b`` iff ``keys[a] & ~keys[b] == 0``.
 
-        The down-sets here; a :class:`semimod.free.FreeOrder` stores its
-        support keys instead, which need no |F|^2 masks.
+        The down-sets here; a :class:`semimod.free.KeyOrder` stores its
+        element keys instead, which need no |M|^2 masks.
         """
         return self.down_masks
 
@@ -493,13 +502,10 @@ def _floors(counts: Sequence[int], size: int) -> tuple[int, ...]:
 
 
 def induced_order(m: FinModule) -> PartialOrder:
-    """The induced partial order, a <= b iff a + b = b: the up masks of the
-    module's axiom scan, whose axioms make it a partial order with the zero
-    at the bottom (flavor B) or on top (flavor Finf); see :func:`_is_join`.
-
-    Raises :class:`ModuleStructureError` for a module that fails an axiom.
-    """
-    return require_valid(m, "module")
+    """The induced partial order, a <= b iff a + b = b: ``m.order``, the
+    module's one order object, which raises for a tabled module that fails
+    an axiom (:attr:`FinModule.order`)."""
+    return m.order
 
 
 def join_irreducibles(m: FinModule) -> tuple[int, ...]:
@@ -607,11 +613,11 @@ def generating_basis(m: FinModule) -> GeneratingBasis:
     gens = m.generators
     members, layers = span_walk(m, gens)
     if None in layers:
-        raise FlavorMismatchError(
+        raise ModuleStructureError(
             "a generator is generated by the earlier ones; is the module valid?"
         )
     if len(members) != m.size:
-        raise FlavorMismatchError(
+        raise ModuleStructureError(
             "generating set does not generate the module; is the module valid?"
         )
     return GeneratingBasis(gens, layers)  # type: ignore[arg-type]

@@ -8,12 +8,14 @@ collapse to the absorbing zero.  The corner witnesses D0 and E0 (size 9 and
 
 The two cached constructors, :func:`family` and :func:`corner_witness`,
 build through one builder, ``_indexed``, which turns an index set into an
-:class:`IndexedLattice`.  Its table is built a row at a time at C level: a
-B row is the componentwise max of one index pair with all of them, a Finf
-row the min, and a result outside the index set (a set not closed under
-the flavor's operation) raises ``ModuleStructureError``.  The module is
-then validated; ``family`` also refuses, before it is built, a member whose
-table would exceed ``DENSE_TABLE_LIMIT`` entries, and asserts the size.
+:class:`IndexedLattice`.  Its module is a :class:`semimod.free.KeyedModule`,
+as a free module is: each index pair gets a key of unary codes of its two
+coordinates, whose union is the key of the componentwise max (B) or min
+(Finf), so no table is built and no axiom scan runs; ``_indexed`` proves
+that the keys give the construction above and that it is a valid module.
+``family`` refuses, before it is built, a member whose dense table (as the
+axiom scan and serialization build it) would exceed ``DENSE_TABLE_LIMIT``
+entries.
 Only this module pairs a flavor with its family letter (D for B, E for
 Finf): ``IndexedLattice.name`` and :func:`flavor_of_letter` read ``_LETTERS``.
 The section, the corner embedding and its retraction (the lower adjoint)
@@ -22,12 +24,10 @@ check their splitting identities.
 """
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, repeat
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .core import (
     DENSE_TABLE_LIMIT,
@@ -35,9 +35,8 @@ from .core import (
     Flavor,
     ModuleStructureError,
     irreducible_generators,
-    require_valid,
 )
-from .free import element_of_support, free_module
+from .free import KeyedModule, element_of_support, free_module
 from .homs import DEFAULT_BUDGET, Hom, compose, enumerate_homs, extension_hom
 
 Pair = tuple[int, int]
@@ -95,79 +94,45 @@ def family_index_pairs(n: int) -> tuple[Pair, ...]:
     return tuple(sorted(pairs))
 
 
-def _table_rows(pairs: tuple[Pair, ...], op) -> Iterator[list[int]]:
-    """Row p of the componentwise ``op`` (max or min) on the index set, one
-    at a time: the position (from 1) of ``op(p, q)`` for each q, built at C
-    level.
-
-    Row (a, b) zips op(a, -) over the first coordinates with op(b, -) over
-    the second; each of these columns depends on one coordinate value, so
-    it is computed once per value.  The pairs are sorted, so the first
-    coordinates ascend and a first-coordinate column is two slices: with j
-    the number of coordinates <= a, max(a, -) is j copies of a and then the
-    coordinates from j on, and min(a, -) the coordinates before j and then
-    copies of a.  A result outside the index set means the set is not
-    closed under ``op``.
-    """
-    pos = {p: idx + 1 for idx, p in enumerate(pairs)}
-    firsts = [a for a, _ in pairs]
-    seconds = [b for _, b in pairs]
-    n = len(firsts)
-    by_first = {}
-    for a in set(firsts):
-        j = bisect_right(firsts, a)
-        by_first[a] = [a] * j + firsts[j:] if op is max else firsts[:j] + [a] * (n - j)
-    by_second = {b: list(map(op, repeat(b), seconds)) for b in set(seconds)}
-    for a, b in pairs:
-        try:
-            yield list(map(pos.__getitem__, zip(by_first[a], by_second[b])))
-        except KeyError as exc:
-            raise ModuleStructureError(
-                f"index set not {op.__name__}-closed at {(a, b)}: {exc.args[0]} is missing"
-            ) from None
-
-
-def _join_lattice(pairs: tuple[Pair, ...], label: str) -> FinModule:
-    """Flavor B module on a max-closed index set plus a neutral bottom O."""
-    size = len(pairs) + 1
-    names = ("O",) + tuple(f"{label}_{i}_{k}" for (i, k) in pairs)
-    # the bottom row is the identity, and every other row starts with
-    # bottom + p = p; rows are made one at a time, so the table is the only
-    # copy held
-    rows = chain(
-        [range(size)], ([ip, *row] for ip, row in enumerate(_table_rows(pairs, max), 1))
-    )
-    return FinModule(Flavor.B, names, 0, tuple(chain.from_iterable(rows)))
-
-
-def _signed_lattice(pairs: tuple[Pair, ...], label: str) -> FinModule:
-    """Flavor Finf module: signed copies of the index set around an absorbing zero."""
-    k = len(pairs)
-    size = 2 * k + 1
-    names = (
-        ("0",)
-        + tuple(f"{label}_{i}_{j}" for (i, j) in pairs)
-        + tuple(f"-{label}_{i}_{j}" for (i, j) in pairs)
-    )
-    mins = list(_table_rows(pairs, min))
-    # 0 absorbs and mixed signs sum to 0; the negatives mirror the positives
-    zeros = [0] * k
-    rows = chain(
-        [[0] * size],
-        ([0, *row, *zeros] for row in mins),
-        ([0, *zeros, *map(k.__add__, row)] for row in mins),
-    )
-    neg = [0] + [ip + k for ip in range(1, k + 1)] + [ip for ip in range(1, k + 1)]
-    return FinModule(
-        Flavor.FINF, names, 0, tuple(chain.from_iterable(rows)), neg_table=tuple(neg)
-    )
-
-
 def _indexed(flavor: Flavor, n: int, pairs: tuple[Pair, ...], label: str) -> IndexedLattice:
     """The module of ``flavor`` on the index set ``pairs``, its elements
-    named ``label_i_k``, validated and labelled by index pair."""
-    module = (_join_lattice if flavor is Flavor.B else _signed_lattice)(pairs, label)
-    require_valid(module, "family module")
+    named ``label_i_k``, as a :class:`KeyedModule`, labelled by index pair.
+
+    Flavor B: a bottom O and the pairs, added by componentwise max.  Flavor
+    Finf: a zero, the pairs and their negations; equal signs add by
+    componentwise min, mixed signs give the zero, which absorbs.  Both are
+    valid: max and min are semilattice operations on a closed set, with O
+    neutral; in Finf a sum of three is the zero in either bracketing when
+    one is the zero or two have mixed signs, and else their min with its
+    sign; negation flips signs, so it distributes, and p + -p is the zero.
+
+    Keys.  With w = 1 + the largest coordinate, u(t) = 2^t - 1 (B) or
+    2^(w-t) - 1 (Finf), pair (i, k) has key u(i) | u(k) << w, plus bit 2w
+    in Finf, where -(i, k) has that key shifted by 2w + 1.  The keys are
+    nonzero and distinct, u(s) | u(t) is u(max(s, t)) (B) or u(min(s, t))
+    (Finf), so the union of the keys of p and q is the key of their max (B)
+    or min (Finf), with its sign.  In Finf the key of p meets that of -q
+    exactly when p and q have mixed signs (both hold bit 2w or bit 4w + 1).
+    So KeyedModule adds as above, and a <= b, a + b = b, is key inclusion.
+
+    Closure.  The family set (:func:`family_index_pairs`) is the band
+    -1 <= k - i <= 2 in [1, n]^2: for (a, b), (c, d) in it with a >= c,
+    -1 <= b - a <= max(b, d) - a <= d - c <= 2 when d > b, and likewise
+    for the min.  The corner set is the square {1,2}^2 below {3,4}^2.
+    """
+    w = 1 + max(map(max, pairs))
+    names = tuple(f"{label}_{i}_{k}" for i, k in pairs)
+    if flavor is Flavor.B:
+        unary = [(1 << t) - 1 for t in range(w)]
+        keys = [0] + [unary[i] | unary[k] << w for i, k in pairs]
+        module = KeyedModule(flavor, keys, names=("O", *names))
+    else:
+        unary = [(1 << w - t) - 1 for t in range(w)]
+        pos = [unary[i] | unary[k] << w | 1 << 2 * w for i, k in pairs]
+        keys = [0, *pos, *(key << 2 * w + 1 for key in pos)]
+        c = len(pairs)
+        negs = [0, *range(c + 1, 2 * c + 1), *range(1, c + 1)]
+        module = KeyedModule(flavor, keys, negs, ("0", *names, *("-" + nm for nm in names)))
     labels = {p: idx + 1 for idx, p in enumerate(pairs)}
     return IndexedLattice(n, flavor, module, pairs, MappingProxyType(labels))
 
@@ -176,19 +141,16 @@ def _indexed(flavor: Flavor, n: int, pairs: tuple[Pair, ...], label: str) -> Ind
 def family(flavor: Flavor, n: int) -> IndexedLattice:
     """The n-th member of the family of ``flavor``: the size 4n-3
     distributive lattice D_n for B (2 <= n <= 724), the size 8n-7 signed
-    mirror E_n for Finf (2 <= n <= 362).  A member whose table would exceed
-    ``DENSE_TABLE_LIMIT`` entries is refused before its index pairs are
-    listed."""
+    mirror E_n for Finf (2 <= n <= 362).  A member whose dense table would
+    exceed ``DENSE_TABLE_LIMIT`` entries is refused before its index pairs
+    are listed."""
     letter = _LETTERS[flavor]
     if n < 2:
         raise ValueError(f"{letter}_n needs n >= 2")
     size = 4 * n - 3 if flavor is Flavor.B else 8 * n - 7
     if size * size > DENSE_TABLE_LIMIT:
         raise ModuleStructureError(f"{letter}_{n} has {size} elements, too many for a dense table")
-    lat = _indexed(flavor, n, family_index_pairs(n), "a")
-    if lat.module.size != size:
-        raise ModuleStructureError(f"{letter}_{n} has {lat.module.size} elements, expected {size}")
-    return lat
+    return _indexed(flavor, n, family_index_pairs(n), "a")
 
 
 @lru_cache(maxsize=None)

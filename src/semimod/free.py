@@ -1,4 +1,4 @@
-"""Free modules on finite generator sets.
+"""Keyed modules, and the free modules on finite generator sets.
 
 Flavor B: elements are the subsets of the generators, addition is union,
 zero is the empty set (2^k elements).  Flavor Finf: elements are the sign
@@ -6,30 +6,33 @@ assignments on nonempty generator subsets plus a zero; addition unions
 supports, collapsing the whole sum to zero on any sign conflict or zero
 summand; negation flips every sign (3^k elements).
 
-An element is encoded by one integer, its key ``pos | neg << rank``, where
-``pos`` and ``neg`` are the bitmasks of the generators with sign + and -
-(``neg`` empty for flavor B).  A free module (:class:`FreeModule`)
-computes its addition, negation and order from these keys and never builds
-a table, so it takes O(|F|) memory instead of O(|F|^2); the matrix layer
-reads a column as the key of its signed support.  Each nonzero element is
-an earlier element plus one signed generator, in the walk that lists the
-elements generator by generator (:func:`_along_walk`; ``FreeModule.walk``
-holds each element's place in it).  The extension of a generator
-assignment is folded along that walk: one target operation per element, in
-one C-level ``map`` per generator and sign, so a free cover is never
-walked as a generic module (``FinModule.basis``, which a hom search out of
-a free module still reads).  The keys, walk positions and negations are
-laid out the same way, a block of elements per support at a time.  Element
-names are built on first read only (``FreeModule.names``), along the same
-walk: a caller that prints element ids, as ``projective`` does, never
-builds the |F| strings, while ``construct``, serialization and name
-lookups build them once per free module.
+A keyed module (:class:`KeyedModule`) computes its addition, negation and
+order from one integer key per element and never builds a table, so it
+takes O(|M|) memory instead of O(|M|^2): a sum is the union of keys, or
+the zero on a sign conflict.  The free modules (:class:`FreeModule`) and
+the family members (``semimod.families``) are keyed modules.  A free
+module's key is ``pos | neg << rank``, where ``pos`` and ``neg`` are the
+bitmasks of the generators with sign + and - (``neg`` empty for flavor
+B); the matrix layer reads a column as the key of its signed support.
+Each nonzero element is an earlier element plus one signed generator, in
+the walk that lists the elements generator by generator
+(:func:`_along_walk`; ``FreeModule.walk`` holds each element's place in
+it).  The extension of a generator assignment is folded along that walk:
+one target operation per element, in one C-level ``map`` per generator and
+sign, so a free cover is never walked as a generic module
+(``FinModule.basis``, which a hom search out of a free module still
+reads).  The keys, walk positions and negations are laid out the same way,
+a block of elements per support at a time.  Element names are built on
+first read only (``FreeModule.names``), along the same walk: a caller that
+prints element ids, as ``projective`` does, never builds the |F| strings,
+while ``construct``, serialization and name lookups build them once per
+free module.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import repeat
-from operator import add
+from operator import add, and_, eq, or_
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .core import (
@@ -40,6 +43,7 @@ from .core import (
     ModuleStructureError,
     PartialOrder,
     _cached,
+    _mask,
 )
 
 
@@ -133,18 +137,69 @@ def _names(m: "FreeModule") -> tuple[str, ...]:
     return _along_walk(m, "0", add, signed)
 
 
-class FreeModule(FinModule):
-    """The free module on ``rank`` generators, computed from support keys.
+class KeyedModule(FinModule):
+    """A module computed from element keys: element i has key ``keys[i]``,
+    the zero has id 0 and key 0, and ``negs[i]`` is the id of -i (Finf).
 
-    Element ``i`` has key ``keys[i] = pos | neg << rank``, the bitmasks of
-    the generators with sign + and - in its support; the zero has id 0 and
-    key 0.  ``walk[i]`` is its position in the walk of :func:`_along_walk`,
-    along which the extension of generator images and the names are built.
-    ``add_of`` and (flavor Finf) ``neg_of`` are plain functions of element
-    ids that cost a few integer operations each; no table is built, so a
-    free module takes O(|F|) memory however large it is.  ``names`` are
-    built on first read, with generators named ``letter`` and their index.
-    No structural check runs: the keys are correct by construction.
+    a + b is the element keyed by ``keys[a] | keys[b]``; in flavor Finf it
+    is the zero when a summand is the zero or when ``keys[a]`` meets the key
+    of -b.  The order keys are the keys, except that the Finf zero's has
+    every key bit, and a <= b is their inclusion (:class:`KeyOrder`).  ``add_of`` and
+    ``neg_of`` cost a few integer operations each.  No axiom scan runs: the
+    builder proves that its keys make a valid module ordered by inclusion
+    (:class:`FreeModule`, ``semimod.families._indexed``);
+    :func:`semimod.core.validate_module` still scans one on request.
+    """
+
+    def __init__(
+        self, flavor: Flavor, keys: Sequence[int], negs: Optional[Sequence[int]] = None,
+        names: Optional[Sequence[str]] = None,
+    ):
+        keys = tuple(keys)
+        id_of_key = dict(zip(keys, range(len(keys))))
+        if flavor is Flavor.B:
+
+            def add(a: int, b: int) -> int:
+                return id_of_key[keys[a] | keys[b]]
+
+            top = 0
+        else:
+            negs = tuple(negs)  # type: ignore[arg-type]
+
+            def add(a: int, b: int) -> int:
+                if a == 0 or b == 0 or keys[a] & keys[negs[b]]:
+                    return 0  # zero summand or sign conflict
+                return id_of_key[keys[a] | keys[b]]
+
+            object.__setattr__(self, "neg_of", negs.__getitem__)
+            top = reduce(or_, keys, 0)  # so the zero lies below no other element
+        if names is not None:
+            object.__setattr__(self, "names", tuple(names))
+        for name, value in (
+            ("flavor", flavor),
+            ("zero", 0),
+            ("add_table", None),
+            ("neg_table", None),
+            ("size", len(keys)),
+            ("keys", keys),
+            ("id_of_key", id_of_key),
+            ("order_keys", (top,) + keys[1:]),
+            ("add_of", add),
+        ):
+            object.__setattr__(self, name, value)
+
+    @_cached
+    def order(self) -> "KeyOrder":
+        return KeyOrder(self.order_keys)
+
+
+class FreeModule(KeyedModule):
+    """The free module on ``rank`` generators, keyed by signed supports
+    ``pos | neg << rank``; -e swaps the halves.  The rules of KeyedModule
+    are the free module's: supports unite, a Finf sum with a generator of
+    both signs is the zero, and the order is support inclusion with signs.
+    ``walk[i]`` is i's position in the walk of :func:`_along_walk`.
+    ``names`` are built on first read, from ``letter`` and the index.
     """
 
     letter = "A"
@@ -158,41 +213,12 @@ class FreeModule(FinModule):
                 f"free module of rank {rank} has {size} elements, above the cap of {CARRIER_CAP}"
             )
         keys, walk, negs = _layout(flavor, rank)
-        keys = tuple(keys)
-        id_of_key = dict(zip(keys, range(size)))
-        if flavor is Flavor.B:
-
-            def add(a: int, b: int) -> int:
-                return id_of_key[keys[a] | keys[b]]
-
-            top = 0
-        else:
-            negs = tuple(negs)
-
-            def add(a: int, b: int) -> int:
-                # the key of -b has the signs of b swapped
-                if a == 0 or b == 0 or keys[a] & keys[negs[b]]:
-                    return 0  # zero summand or sign conflict
-                return id_of_key[keys[a] | keys[b]]
-
-            object.__setattr__(self, "neg_of", negs.__getitem__)
-            # every bit: inclusion of order keys then puts the zero on top
-            top = (1 << (2 * rank)) - 1
-        for name, value in (
-            ("flavor", flavor),
-            ("zero", 0),
-            ("add_table", None),
-            ("neg_table", None),
-            ("free_rank", rank),
-            ("size", size),
-            ("keys", keys),
-            ("walk", keys if flavor is Flavor.B else tuple(walk)),
-            ("id_of_key", id_of_key),
-            ("order_keys", (top,) + keys[1:]),
-            ("generators", tuple(id_of_key[1 << b] for b in range(rank))),
-            ("add_of", add),
-        ):
-            object.__setattr__(self, name, value)
+        super().__init__(flavor, keys, negs)
+        object.__setattr__(self, "free_rank", rank)
+        object.__setattr__(self, "walk", self.keys if flavor is Flavor.B else tuple(walk))
+        object.__setattr__(
+            self, "generators", tuple(self.id_of_key[1 << b] for b in range(rank))
+        )
 
     @_cached
     def order(self) -> "FreeOrder":
@@ -203,26 +229,43 @@ class FreeModule(FinModule):
         return _names(self)
 
 
-class FreeOrder(PartialOrder):
-    """The induced order of a free module: inclusion of supports with signs,
-    with the zero at the bottom (flavor B) or on top (flavor Finf).
+class KeyOrder(PartialOrder):
+    """The induced order of a keyed module: inclusion of order keys.
 
-    ``leq`` compares two order keys.  ``masks`` are built on first read
-    only, because they take |F|^2 bits: 3.9 GB for ``free:Finf:11``;
-    ``counts`` has a closed form and reads no masks.
+    ``leq`` compares two order keys.  ``masks`` and ``down_masks`` are built
+    on first read only, each one C-level pass per element: they take |M|^2
+    bits, 3.9 GB for ``free:Finf:11``.
     """
 
-    def __init__(self, order_keys: tuple[int, ...], flavor: Flavor, rank: int):
+    def __init__(self, order_keys: tuple[int, ...]):
         object.__setattr__(self, "size", len(order_keys))
         object.__setattr__(self, "order_keys", order_keys)
-        object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "rank", rank)
 
     def __repr__(self) -> str:
-        return f"FreeOrder(size={self.size})"
+        return f"{type(self).__name__}(size={self.size})"
 
     def leq(self, a: int, b: int) -> bool:
         return not self.order_keys[a] & ~self.order_keys[b]
+
+    @_cached
+    def masks(self) -> tuple[int, ...]:
+        keys = self.order_keys  # bit b of entry a: key(a) & key(b) = key(a)
+        return tuple(_mask(map(eq, map(and_, repeat(k), keys), repeat(k))) for k in keys)
+
+    @_cached
+    def down_masks(self) -> tuple[int, ...]:
+        keys = self.order_keys  # bit a of entry b: key(b) & key(a) = key(a)
+        return tuple(_mask(map(eq, map(and_, repeat(k), keys), keys)) for k in keys)
+
+
+class FreeOrder(KeyOrder):
+    """The induced order of a free module, whose ``counts`` have a closed
+    form and read no masks."""
+
+    def __init__(self, order_keys: tuple[int, ...], flavor: Flavor, rank: int):
+        super().__init__(order_keys)
+        object.__setattr__(self, "flavor", flavor)
+        object.__setattr__(self, "rank", rank)
 
     @_cached
     def counts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -238,18 +281,6 @@ class FreeOrder(PartialOrder):
         down = [3**k] + [(1 << s) - 1 for s in sizes[1:]]
         up = [1] + [3 ** (k - s) + 1 for s in sizes[1:]]
         return tuple(down), tuple(up)
-
-    @_cached
-    def masks(self) -> tuple[int, ...]:
-        keys = self.order_keys
-        out = []
-        for ka in keys:
-            acc = 0
-            for b, kb in enumerate(keys):
-                if not ka & ~kb:
-                    acc |= 1 << b
-            out.append(acc)
-        return tuple(out)
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ caller that needs one hom stops at the first.
 
 An injective search keeps only the values that pass an order-embedding
 filter (a static filter in the style of Ullmann, "An algorithm for
-subgraph isomorphism", JACM 23, 1976).  Between tabled modules it also
+subgraph isomorphism", JACM 23, 1976).  Between non-free modules it also
 refines per node, in one mask operation: an injective hom reflects the
 order (f(a) <= f(b) gives f(a + b) = f(b), so a + b = b), so a candidate
 f(g) = c that the order shows would put f(a + g) on f(a), on c or on the
@@ -252,7 +252,7 @@ class _Search:
     :attr:`~semimod.core.PartialOrder.count_floors`), so the filter costs
     two lookups and two ANDs per source element.
 
-    Reflection (injective searches between tabled modules).  Call a an
+    Reflection (injective searches between non-free modules).  Call a an
     operand of layer d when the layer has the recipe (e, "add", a, g):
     a is assigned and e = a + g is new, so e is not a, g or 0.  Placing
     f(g) = c gives f(e) = x + c for x = f(a): x when c <= x, c when

@@ -23,9 +23,10 @@ formulas per flavor where the library takes the lower adjoint of the
 corner embedding, and the section's generator order is the printed table
 where the library sorts the irreducibles by a key.  The family tables are
 filled one entry at a time after a separate max- and min-closure pass,
-where the library builds each row at C level and checks closure as it
-goes, and the Finf support codes deposit each sign pattern bit by bit,
-where the library steps through the submasks of the support.  The matrix
+where the library computes each sum from unary keys of the index pairs
+(``families._indexed``), and the Finf support codes deposit each sign
+pattern bit by bit, where the library steps through the submasks of the
+support.  The matrix
 product combines the entry lists row by row, where the library sums column
 keys as the free module does.  The principal projective and its rank
 profile read the hom catalog that the library exposes.  The composites of
@@ -56,6 +57,7 @@ from semimod import (
     iter_homs,
     projectivity_certificate,
 )
+from semimod.families import CORNER_SET, family_index_pairs
 from semimod.free import generator_ids, support_of
 from semimod.homs import HomCheck
 from semimod.noetherian import (
@@ -447,6 +449,13 @@ def order_masks_by_pairs(m: FinModule) -> list[int]:
     return [sum(1 << b for b in range(m.size) if add(a, b) == b) for a in range(m.size)]
 
 
+def down_masks_by_pairs(m: FinModule) -> list[int]:
+    """Bit a of entry b is set iff a + b = b, one sum per pair: the reference
+    for the down masks of the induced order."""
+    add = m.add_of
+    return [sum(1 << a for a in range(m.size) if add(a, b) == b) for b in range(m.size)]
+
+
 def order_counts(m: FinModule) -> tuple[list[int], list[int]]:
     """|down(x)| and |up(x)| for every x, one test of the pair-loop masks
     per pair: the reference for ``PartialOrder.counts``."""
@@ -599,7 +608,8 @@ def assert_componentwise_closed(pairs) -> None:
 
 def join_lattice_by_pairs(pairs, label: str, bottom: str) -> FinModule:
     """Flavor B module on a max-closed index set plus a neutral bottom, one
-    table entry at a time: the reference for families._join_lattice."""
+    table entry at a time: the reference for the B members of
+    families._indexed."""
     assert_componentwise_closed(pairs)
     pos = {p: idx + 1 for idx, p in enumerate(pairs)}
     size = len(pairs) + 1
@@ -615,8 +625,8 @@ def join_lattice_by_pairs(pairs, label: str, bottom: str) -> FinModule:
 
 def signed_lattice_by_pairs(pairs, label: str) -> FinModule:
     """Flavor Finf module: signed copies of the index set around an absorbing
-    zero, one table entry at a time: the reference for
-    families._signed_lattice."""
+    zero, one table entry at a time: the reference for the Finf members of
+    families._indexed."""
     assert_componentwise_closed(pairs)
     k = len(pairs)
     pos = {p: idx + 1 for idx, p in enumerate(pairs)}
@@ -634,6 +644,15 @@ def signed_lattice_by_pairs(pairs, label: str) -> FinModule:
             flat[(ip + k) * size + (iq + k)] = m + k
     neg = [0] + [ip + k for ip in range(1, k + 1)] + [ip for ip in range(1, k + 1)]
     return FinModule(Flavor.FINF, names, 0, tuple(flat), neg_table=tuple(neg))
+
+
+def family_reference(flavor: Flavor, n: int) -> FinModule:
+    """The tabled reference of family member n of ``flavor``, and of the
+    corner witness for n = 0, one table entry at a time."""
+    pairs, label = (CORNER_SET, "A") if n == 0 else (family_index_pairs(n), "a")
+    if flavor is Flavor.B:
+        return join_lattice_by_pairs(pairs, label, "O")
+    return signed_lattice_by_pairs(pairs, label)
 
 
 def codes_by_sign_bits(flavor: Flavor, rank: int) -> list[tuple[int, int]]:

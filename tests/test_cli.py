@@ -962,6 +962,8 @@ BYTE_CASES = [
     ("rigidity --flavor Finf --n 5 --m 6", "rigidity --flavor Finf --n 5 --m 6", "745789faeaba1524"),
     ("homs --source D4 --target D6 --injective",
      "homs --source D4 --target D6 --injective", "3479fe8b6def8b48"),
+    # recorded while the family members were still tabled
+    ("construct E4", "construct E4", "062ac2e29d5103c0"),
 ]
 
 

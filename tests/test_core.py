@@ -15,6 +15,8 @@ from oracles import (
     closure_bfs,
     distributivity_all_triples,
     distributivity_by_meets,
+    down_masks_by_pairs,
+    family_reference,
     irreducibles_by_closure,
     meet_by_search,
     normalize,
@@ -191,14 +193,18 @@ def test_induced_order_agrees_with_the_pair_loop():
             quotients.append(sm.quotient_with_projection(m, sm.generated_congruence(m, pairs))[0])
     # assorted_modules() holds D0, D2-D4, E0, E2-E4 and free modules too
     larger = [resolve_module_ref(r) for r in ("D5", "D6")]
-    for m in assorted_modules() + larger + quotients:
-        assert list(sm.induced_order(m).masks) == order_masks_by_pairs(m), m.names
+    tabled = [family_reference(Flavor.B, 5), family_reference(Flavor.FINF, 3)]
+    for m in assorted_modules() + larger + quotients + tabled:
+        order = sm.induced_order(m)
+        assert list(order.masks) == order_masks_by_pairs(m), m.names
+        assert list(order.down_masks) == down_masks_by_pairs(m), m.names
     for flavor, top in ((Flavor.B, 4), (Flavor.FINF, 3)):
         for rank in range(top + 1):
             free = sm.free_module(flavor, rank)
             ref = order_masks_by_pairs(free)
-            assert isinstance(free.order, FreeOrder)
-            assert list(free.order.masks) == ref and list(sm.induced_order(free).masks) == ref
+            assert isinstance(free.order, FreeOrder) and sm.induced_order(free) is free.order
+            assert list(free.order.masks) == ref
+            assert list(free.order.down_masks) == down_masks_by_pairs(free)
 
 
 @pytest.mark.parametrize("flavor, n", [(Flavor.B, 5), (Flavor.FINF, 3)])
@@ -211,7 +217,8 @@ def test_each_module_is_scanned_once(flavor, n, monkeypatch):
         return real(m)
 
     monkeypatch.setattr(sm.core, "_scan_violations", counting)
-    # built anew, past the constructor's cache; the constructor validates it
+    # built anew, past the constructor's cache; the order of a member is its
+    # keys', so only validate_module scans it
     m = sm.families.family.__wrapped__(flavor, n).module
     report = sm.validate_module(m)
     order = sm.induced_order(m)
@@ -463,9 +470,9 @@ def test_submodule_on_requires_closure(m3):
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_scan_paths_agree_on_mutations(data):
-    # both flavors: D0 (9 elements), E4 (25) and E9 (65)
-    ref = data.draw(st.sampled_from(["D0", "E4", "E9"]))
-    base = resolve_module_ref(ref)
+    # both flavors: the reference tables of D0 (9 elements), E4 (25) and E9 (65)
+    flavor, n_ref = data.draw(st.sampled_from([(Flavor.B, 0), (Flavor.FINF, 4), (Flavor.FINF, 9)]))
+    base = family_reference(flavor, n_ref)
     n = base.size
     table = list(base.add_table)
     neg = list(base.neg_table) if base.neg_table is not None else None

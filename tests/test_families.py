@@ -3,12 +3,7 @@ import pytest
 import semimod as sm
 from semimod import Flavor, families
 
-from oracles import (
-    join_lattice_by_pairs,
-    retraction_by_case_formula,
-    section_generator_pairs,
-    signed_lattice_by_pairs,
-)
+from oracles import family_reference, retraction_by_case_formula, section_generator_pairs
 
 
 def test_family_sizes():
@@ -49,32 +44,32 @@ def test_en_addition_rules():
 
 
 def _tables(mod):
-    return mod.names, mod.zero, mod.add_table, mod.neg_table
+    ids = range(mod.size)
+    add = tuple(mod.add_of(a, b) for a in ids for b in ids)
+    neg = tuple(map(mod.neg_of, ids)) if mod.flavor is Flavor.FINF else None
+    return mod.names, mod.zero, add, neg
 
 
 def test_family_tables_equal_the_entry_by_entry_references():
-    for n in range(2, 41):
-        pairs = families.family_index_pairs(n)
-        d_n, e_n = sm.family(Flavor.B, n).module, sm.family(Flavor.FINF, n).module
-        assert _tables(d_n) == _tables(join_lattice_by_pairs(pairs, "a", "O"))
-        assert _tables(e_n) == _tables(signed_lattice_by_pairs(pairs, "a"))
-    corners = families.CORNER_SET
-    d0, e0 = sm.corner_witness(Flavor.B).module, sm.corner_witness(Flavor.FINF).module
-    assert _tables(d0) == _tables(join_lattice_by_pairs(corners, "A", "O"))
-    assert _tables(e0) == _tables(signed_lattice_by_pairs(corners, "A"))
+    # the keyed members against the tables filled one entry at a time (whose
+    # builder also checks the closure of the index set), their axiom scan,
+    # and their order, key inclusion, against the reference's scanned order
+    for flavor in (Flavor.B, Flavor.FINF):
+        members = [(0, sm.corner_witness(flavor))]
+        members += [(n, sm.family(flavor, n)) for n in range(2, 41)]
+        for n, lat in members:
+            mod, ref = lat.module, family_reference(flavor, n)
+            assert mod.add_table is None and mod.neg_table is None
+            assert _tables(mod) == (ref.names, ref.zero, ref.add_table, ref.neg_table), (flavor, n)
+            assert sm.validate_module(mod).ok
+            assert mod.order.masks == ref.order.masks
+            assert mod.order.down_masks == ref.order.down_masks
 
 
-def test_family_tables_need_only_their_own_closure():
-    # B reads the componentwise max, Finf the min; a set missing a value of
-    # its flavor's operation is a structure error, not a KeyError
-    max_only = ((1, 2), (2, 1), (2, 2))
-    min_only = ((1, 1), (1, 2), (2, 1))
-    with pytest.raises(sm.ModuleStructureError, match=r"not max-closed at \(1, 2\): \(2, 2\)"):
-        families._join_lattice(min_only, "a")
-    with pytest.raises(sm.ModuleStructureError, match=r"not min-closed at \(1, 2\): \(1, 1\)"):
-        families._signed_lattice(max_only, "a")
-    assert sm.validate_module(families._join_lattice(max_only, "a")).ok
-    assert sm.validate_module(families._signed_lattice(min_only, "a")).ok
+def test_the_largest_members_are_built_without_tables():
+    for flavor, n, size in ((Flavor.B, 724, 4 * 724 - 3), (Flavor.FINF, 362, 8 * 362 - 7)):
+        mod = sm.family(flavor, n).module
+        assert mod.add_table is None and mod.size == size
 
 
 def test_d0_hasse_relations():
