@@ -28,6 +28,7 @@ from .free import (
     extend_from_generators,
     free_module,
     generator_ids,
+    signed_double,
     support_of,
 )
 from .homs import (

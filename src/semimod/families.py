@@ -9,23 +9,28 @@ collapse to the absorbing zero.  The corner witnesses D0 and E0 (size 9 and
 The two cached constructors, :func:`family` and :func:`corner_witness`,
 build through one builder, ``_indexed``, which turns an index set into an
 :class:`IndexedLattice`.  Its module is a :class:`semimod.free.KeyedModule`,
-as a free module is: each index pair gets a key of unary codes of its two
-coordinates, whose union is the key of the componentwise max (B) or min
-(Finf), so no table is built and no axiom scan runs; ``_indexed`` proves
-that the keys give the construction above and that it is a valid module.
+as a free module is: in flavor B each index pair gets a key of unary codes
+of its two coordinates, whose union is the key of the componentwise max,
+so no table is built and no axiom scan runs.  A Finf member is the signed
+double (:func:`semimod.free.signed_double`) of the B module on the
+reflected coordinates t ↦ w - t, which turn max into min, and keeps that
+B module as ``module.half``; ``_indexed`` proves that the keys give the
+construction above.
 ``family`` refuses, before it is built, a member whose dense table (as the
 axiom scan and serialization build it) would exceed ``DENSE_TABLE_LIMIT``
 entries.
 Only this module pairs a flavor with its family letter (D for B, E for
 Finf): ``IndexedLattice.name`` and :func:`flavor_of_letter` read ``_LETTERS``.
-The section, the corner embedding and its retraction (the lower adjoint)
-pass the hom check before returning; the section and the retraction also
-check their splitting identities.
+The corner embedding and its retraction are built on the B halves, the
+retraction by a closed formula, and lifted to the doubles in Finf.  The
+section, the corner embedding and its retraction pass the hom check before
+returning; the section and the retraction also check their splitting
+identities.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -36,7 +41,7 @@ from .core import (
     ModuleStructureError,
     irreducible_generators,
 )
-from .free import KeyedModule, element_of_support, free_module
+from .free import KeyedModule, element_of_support, free_module, signed_double
 from .homs import DEFAULT_BUDGET, Hom, compose, enumerate_homs, extension_hom
 
 Pair = tuple[int, int]
@@ -98,22 +103,21 @@ def _indexed(flavor: Flavor, n: int, pairs: tuple[Pair, ...], label: str) -> Ind
     """The module of ``flavor`` on the index set ``pairs``, its elements
     named ``label_i_k``, as a :class:`KeyedModule`, labelled by index pair.
 
-    Flavor B: a bottom O and the pairs, added by componentwise max.  Flavor
-    Finf: a zero, the pairs and their negations; equal signs add by
-    componentwise min, mixed signs give the zero, which absorbs.  Both are
-    valid: max and min are semilattice operations on a closed set, with O
-    neutral; in Finf a sum of three is the zero in either bracketing when
-    one is the zero or two have mixed signs, and else their min with its
-    sign; negation flips signs, so it distributes, and p + -p is the zero.
+    Flavor B: a bottom O and the pairs, added by componentwise max, which
+    is a semilattice operation on a closed set, with O neutral.  Flavor
+    Finf: the signed double (:class:`semimod.free.SignedDouble`, which
+    proves it valid) of the B module on the reflected coordinates
+    t ↦ w - t; the reflection reverses the order of coordinates, so the max
+    of reflected pairs is the reflection of the min, and the positives add
+    by componentwise min.  The double's ids and names put the positives
+    first and their negations after, in the order of ``pairs``.
 
-    Keys.  With w = 1 + the largest coordinate, u(t) = 2^t - 1 (B) or
-    2^(w-t) - 1 (Finf), pair (i, k) has key u(i) | u(k) << w, plus bit 2w
-    in Finf, where -(i, k) has that key shifted by 2w + 1.  The keys are
-    nonzero and distinct, u(s) | u(t) is u(max(s, t)) (B) or u(min(s, t))
-    (Finf), so the union of the keys of p and q is the key of their max (B)
-    or min (Finf), with its sign.  In Finf the key of p meets that of -q
-    exactly when p and q have mixed signs (both hold bit 2w or bit 4w + 1).
-    So KeyedModule adds as above, and a <= b, a + b = b, is key inclusion.
+    Keys.  With w = 1 + the largest coordinate and u(t) = 2^t - 1, pair
+    (i, k) of the B module has key u(i) | u(k) << w (both coordinates lie
+    in [1, w - 1], reflected or not).  The keys are nonzero and distinct,
+    and u(s) | u(t) = u(max(s, t)), so the union of the keys of p and q is
+    the key of their max.  So KeyedModule adds as above, and a <= b,
+    a + b = b, is key inclusion.
 
     Closure.  The family set (:func:`family_index_pairs`) is the band
     -1 <= k - i <= 2 in [1, n]^2: for (a, b), (c, d) in it with a >= c,
@@ -121,18 +125,11 @@ def _indexed(flavor: Flavor, n: int, pairs: tuple[Pair, ...], label: str) -> Ind
     for the min.  The corner set is the square {1,2}^2 below {3,4}^2.
     """
     w = 1 + max(map(max, pairs))
-    names = tuple(f"{label}_{i}_{k}" for i, k in pairs)
-    if flavor is Flavor.B:
-        unary = [(1 << t) - 1 for t in range(w)]
-        keys = [0] + [unary[i] | unary[k] << w for i, k in pairs]
-        module = KeyedModule(flavor, keys, names=("O", *names))
-    else:
-        unary = [(1 << w - t) - 1 for t in range(w)]
-        pos = [unary[i] | unary[k] << w | 1 << 2 * w for i, k in pairs]
-        keys = [0, *pos, *(key << 2 * w + 1 for key in pos)]
-        c = len(pairs)
-        negs = [0, *range(c + 1, 2 * c + 1), *range(1, c + 1)]
-        module = KeyedModule(flavor, keys, negs, ("0", *names, *("-" + nm for nm in names)))
+    coords = pairs if flavor is Flavor.B else [(w - i, w - k) for i, k in pairs]
+    unary = [(1 << t) - 1 for t in range(w)]
+    keys = [0] + [unary[i] | unary[k] << w for i, k in coords]
+    half = KeyedModule(Flavor.B, keys, names=("O", *(f"{label}_{i}_{k}" for i, k in pairs)))
+    module = half if flavor is Flavor.B else signed_double(half)
     labels = {p: idx + 1 for idx, p in enumerate(pairs)}
     return IndexedLattice(n, flavor, module, pairs, MappingProxyType(labels))
 
@@ -220,16 +217,16 @@ def canonical_section(n: int, flavor: Flavor) -> tuple[Hom, Hom]:
 
 def corner_embedding(n: int, flavor: Flavor) -> Hom:
     """The embedding of the corner witness into the n-th family member that
-    sends the corners of D_4 (or E_4) to the corners of the member."""
+    sends the corners of D_4 (or E_4) to the corners of the member.  In
+    Finf it is the Σ-lift x^± ↦ e(x)^± of the embedding e of the halves."""
     if n <= 3:
         raise ValueError("corner embeddings need n > 3")
-    src = corner_witness(flavor)
-    dst = family(flavor, n)
-    emap = [0] * src.module.size
+    src, dst = corner_witness(flavor), family(flavor, n)
+    emap = [0] * (1 + len(CORNER_SET))
     for p, q in zip(CORNER_SET, _corners(n)):
         emap[src.label(*p)] = dst.label(*q)
-        if flavor is Flavor.FINF:
-            emap[src.neg_label(*p)] = dst.neg_label(*q)
+    if flavor is Flavor.FINF:
+        emap = dst.module.lift(emap)
     emb = _checked(Hom(src.module, dst.module, tuple(emap)), "corner embedding")
     if not emb.injective:
         raise ModuleStructureError("corner embedding is not injective")
@@ -237,35 +234,43 @@ def corner_embedding(n: int, flavor: Flavor) -> Hom:
 
 
 def corner_retraction(n: int, flavor: Flavor) -> Hom:
-    """The retraction r of the corner embedding e, computed as the lower
-    adjoint of e: r(y) is the least c in the corner witness with y <= e(c)
-    in the induced order.
+    """The retraction r of the corner embedding, by a closed formula on the
+    B halves (Finf: its Σ-lift x^± ↦ r(x)^±).
 
-    Lemma: let e be an injective hom between valid modules such that every
-    U(y) = {c : y <= e(c)} has a least element r(y).  Then r is a hom and
-    r∘e = id.  Proof: homs are monotone, and an injective hom reflects the
-    order (e(c) <= e(d) gives e(c + d) = e(d), so c + d = d).  So
-    r(e(c)) = c, and r(y) <= c holds exactly when y <= e(c) (a Galois
-    connection).  As + is the join of the induced order, y + y' <= e(c)
-    iff y <= e(c) and y' <= e(c), iff r(y) + r(y') <= c, so r(y + y') and
-    r(y) + r(y') are the least element of the same set.  r(0) = 0 in both
-    flavors: in B, 0 is the bottom; in Finf, 0 is the top, so
-    U(0) = {0} by injectivity.  In Finf, negation is an order automorphism,
-    so U(-y) = -U(y) and r(-y) = -r(y).
+    Let e: L -> M be an injective B-hom with L distributive (the corner
+    witness D0, or the half of E0, a copy of D0 by reflection), J its
+    join-irreducibles, and a_j = Σ{g ∈ J : j ≰ g}.  Then
+    r(y) = Σ{j ∈ J : y ≰ e(a_j)} is a hom with r∘e = id.  Proof: a_j is
+    the largest element of L not above j: if j ≰ x, no irreducible below
+    x lies above j, and x is the sum of the irreducibles below it, so
+    x <= a_j; and j <= a_j fails as j is join-prime (L is distributive,
+    :func:`semimod.core.is_distributive_lattice`).  So x <= a_j exactly
+    when j ≰ x.  As + is the join, y + y' <= e(a_j) exactly when y and y'
+    both are, so r(y + y') = r(y) + r(y'), and r(0) = 0, the empty sum.
+    An injective hom reflects the order (e(x) <= e(x') gives
+    e(x + x') = e(x'), so x + x' = x'), so r(e(x)) = Σ{j : x ≰ a_j} =
+    Σ{j : j <= x} = x.  The cost is O(|M|·|J|) order tests.
 
-    A y whose U(y) has no least element raises ModuleStructureError; the
+    In Finf the lift is a hom with Σ(r)∘Σ(e) = Σ(r∘e) = id when r sends
+    only the zero to the zero (:class:`semimod.free.SignedDouble`); a
+    nonzero y that r sends to the zero raises ModuleStructureError.  The
     map is still checked to be a hom with r∘e = id before returning.
     """
     emb = corner_embedding(n, flavor)
     src, dst = emb.target, emb.source
+    if flavor is Flavor.FINF:  # the halves, whose ids are the double's 0..c
+        src, dst = src.half, dst.half
+    irr = dst.generating_set
+    e_a = [emb.map[reduce(dst.add_of, [g for g in irr if not dst.leq(j, g)], 0)] for j in irr]
     rmap = []
     for y in range(src.size):
-        above = [c for c, ec in enumerate(emb.map) if src.leq(y, ec)]
-        least = [c for c in above if all(dst.leq(c, d) for d in above)]
-        if not least:
-            raise ModuleStructureError(f"no least corner lies above {src.name(y)}")
-        rmap.append(least[0])
-    ret = _checked(Hom(src, dst, tuple(rmap)), "corner retraction")
+        r = reduce(dst.add_of, [j for j, t in zip(irr, e_a) if not src.leq(y, t)], 0)
+        if y and not r:
+            raise ModuleStructureError(f"{src.name(y)} retracts to the zero")
+        rmap.append(r)
+    if flavor is Flavor.FINF:
+        rmap = emb.source.lift(rmap)
+    ret = _checked(Hom(emb.target, emb.source, tuple(rmap)), "corner retraction")
     if not compose(ret, emb).is_identity():
         raise ModuleStructureError("retraction ∘ embedding is not the identity")
     return ret

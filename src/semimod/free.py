@@ -1,4 +1,5 @@
-"""Keyed modules, and the free modules on finite generator sets.
+"""Keyed modules: the free modules on finite generator sets, and signed
+doubles.
 
 Flavor B: elements are the subsets of the generators, addition is union,
 zero is the empty set (2^k elements).  Flavor Finf: elements are the sign
@@ -9,8 +10,12 @@ summand; negation flips every sign (3^k elements).
 A keyed module (:class:`KeyedModule`) computes its addition, negation and
 order from one integer key per element and never builds a table, so it
 takes O(|M|) memory instead of O(|M|^2): a sum is the union of keys, or
-the zero on a sign conflict.  The free modules (:class:`FreeModule`) and
-the family members (``semimod.families``) are keyed modules.  A free
+the zero on a sign conflict.  The free modules (:class:`FreeModule`), the
+family members (``semimod.families``) and the signed double Σ(L) of a B
+keyed module L (:func:`signed_double`: a zero and x⁺, x⁻ for each nonzero
+x of L, same signs adding as in L) are keyed modules.  A signed double
+keeps L as ``half``, and its docstring proves that its injective homs are
+the lifts ±Σ(q) of those of the halves.  A free
 module's key is ``pos | neg << rank``, where ``pos`` and ``neg`` are the
 bitmasks of the generators with sign + and - (``neg`` empty for flavor
 B); the matrix layer reads a column as the key of its signed support.
@@ -147,8 +152,11 @@ class KeyedModule(FinModule):
     every key bit, and a <= b is their inclusion (:class:`KeyOrder`).  ``add_of`` and
     ``neg_of`` cost a few integer operations each.  No axiom scan runs: the
     builder proves that its keys make a valid module ordered by inclusion
-    (:class:`FreeModule`, ``semimod.families._indexed``);
-    :func:`semimod.core.validate_module` still scans one on request.
+    (:class:`FreeModule`, :class:`SignedDouble`,
+    ``semimod.families._indexed``); :func:`semimod.core.validate_module`
+    still scans one on request.  Two keyed modules are equal when they have
+    the same class, flavor, keys, negations and names, compared in that
+    order, so unequal free modules build no names; the hash skips the names.
     """
 
     def __init__(
@@ -182,11 +190,20 @@ class KeyedModule(FinModule):
             ("neg_table", None),
             ("size", len(keys)),
             ("keys", keys),
+            ("_identity", (type(self), flavor, keys, negs)),
             ("id_of_key", id_of_key),
             ("order_keys", (top,) + keys[1:]),
             ("add_of", add),
         ):
             object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        # keys before names: unequal free modules build no names
+        same = isinstance(other, KeyedModule) and self._identity == other._identity
+        return same and self.names == other.names
+
+    def __hash__(self) -> int:
+        return hash(self._identity)
 
     @_cached
     def order(self) -> "KeyOrder":
@@ -227,6 +244,86 @@ class FreeModule(KeyedModule):
     @_cached
     def names(self) -> tuple[str, ...]:
         return _names(self)
+
+
+class SignedDouble(KeyedModule):
+    """The signed double Σ(L) of a flavor-B keyed module L (``half``).
+
+    Σ(L) has a zero and, for each nonzero x of L, elements x⁺ and x⁻.  Same
+    signs add as in L: x⁺ + y⁺ = (x + y)⁺ and x⁻ + y⁻ = (x + y)⁻.  Mixed
+    signs, and any sum with the zero, give the zero; -x⁺ = x⁻.  With c the
+    number of nonzero elements of L, x⁺ has id x and x⁻ has id x + c, so
+    the ids 0..c are L's own, and the names are L's, with ``-`` for x⁻.
+
+    Σ(L) is a valid Finf module.  A sum of nonzero elements of L is nonzero
+    (x <= x + y, and only 0 lies below 0), so each sign class is closed
+    under + and is a copy of L less its zero, commutative, associative and
+    idempotent as L is.  A sum of three is the zero in either bracketing
+    when one summand is the zero or two have mixed signs, and else the sum
+    in L with the common sign.  Negation swaps the signs: it is an
+    involution, -(a + b) = -a + -b in the same-sign case by symmetry and
+    in the other cases because both sides are the zero, and x⁺ + x⁻ = 0.
+
+    Keys.  Let s = 2^b be a bit above every key of L (b the bit length of
+    the largest).  x⁺ has key key(x) | s, and x⁻ has that key shifted left
+    by b + 1, past s, so positives and negatives use disjoint bits, every
+    key is nonzero and the keys are distinct.  In L, key union is the sum,
+    so the union of the keys of x⁺ and y⁺ is the key of (x + y)⁺, and
+    likewise for x⁻ and y⁻.  The key of x^± meets that of -y^∓ = y^± (both
+    hold s, or s shifted) and never that of -y^± = y^∓.  So KeyedModule's
+    rule adds as above, and orders by key inclusion: x^± <= y^± exactly
+    when x <= y in L, and no two elements of opposite signs compare.
+
+    A hom q: L -> L' that sends only the zero to the zero, as an injective
+    one does, lifts to Σ(q): x^± ↦ q(x)^± (:meth:`lift`).  Σ(q) is a hom:
+    it preserves same-sign sums because q does, sends a mixed-sign or zero
+    sum to the zero, as the images are mixed or zero too, and commutes with
+    negation.
+
+    Lemma.  Hom_inj(ΣL, ΣL') = {Σ(q), -Σ(q) : q ∈ Hom_inj(L, L')}, and for
+    L nonzero these maps are distinct, so there are 2·|Hom_inj(L, L')|.
+    Proof.  Σ(q) is an injective hom as q is, and so is -Σ(q), negation
+    being an automorphism.  Conversely let f be an injective hom.  As
+    f(0) = 0, every x^± goes to a nonzero element, which has a sign.  If
+    x⁺ and y⁺ went to opposite signs, then f((x + y)⁺) = f(x⁺) + f(y⁺) = 0
+    = f(0), though (x + y)⁺ is not the zero.  So f sends all positives to
+    one sign; replacing f by -f, to positives: f(x⁺) = q(x)⁺ for a map q
+    with q(0) = 0.  q(x + y)⁺ = f(x⁺ + y⁺) = (q(x) + q(y))⁺ makes q a hom,
+    injective as f is, and f(x⁻) = f(-x⁺) = -f(x⁺) = q(x)⁻, so f = Σ(q).
+    Σ(q) and -Σ(q') differ in the sign of each image, and Σ(q) = Σ(q')
+    gives q = q' on the ids 0..c.
+
+    Corollary.  For an injective hom f: X -> Y', Σ(f) = g∘h for injective
+    homs h: ΣX -> ΣY and g: ΣY -> ΣY' exactly when f = q∘p for injective
+    homs p: X -> Y and q: Y -> Y'.  Proof.  Σ(q∘p) = Σ(q)∘Σ(p).
+    Conversely, by the lemma h = ±Σ(p) and g = ±Σ(q), so Σ(f) = ±Σ(q∘p),
+    as Σ(q) commutes with negation.  For X nonzero, Σ(f) sends x⁺ to a
+    positive, so the sign is + and f = q∘p on the ids 0..c; for X = 0 both
+    sides factor.  So a witness in the injection class holds on the doubles
+    exactly when it holds on the halves, at every depth.
+    """
+
+    def __init__(self, half: KeyedModule):
+        c, b = half.size - 1, max(half.keys).bit_length()
+        pos, names = [key | 1 << b for key in half.keys[1:]], half.names[1:]
+        keys = [0, *pos, *(key << b + 1 for key in pos)]
+        negs = [0, *range(c + 1, 2 * c + 1), *range(1, c + 1)]
+        super().__init__(Flavor.FINF, keys, negs, ("0", *names, *("-" + nm for nm in names)))
+        object.__setattr__(self, "half", half)
+
+    def lift(self, values: Sequence[int]) -> tuple[int, ...]:
+        """The map Σ(q) into this double, by element id, from the values
+        q(0), .., q(c) in ``half`` of a map q that sends only the zero to
+        the zero."""
+        return (0, *values[1:], *(v + self.size // 2 for v in values[1:]))
+
+
+def signed_double(half: FinModule) -> SignedDouble:
+    """The signed double Σ(half) of a flavor-B keyed module, such as a
+    family member or a free module (:class:`SignedDouble`)."""
+    if half.flavor is not Flavor.B or not isinstance(half, KeyedModule):
+        raise FlavorMismatchError("a signed double is built from a flavor B keyed module")
+    return SignedDouble(half)
 
 
 class KeyOrder(PartialOrder):

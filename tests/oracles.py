@@ -19,12 +19,15 @@ factorization walks the complete hom catalog of one side, and the two
 distributivity checks compute meets where the library tests the
 irreducibles for join-primality; for flavor B the splitting search must
 agree with the distributivity test.  The corner retractions are the case
-formulas per flavor where the library takes the lower adjoint of the
-corner embedding, and the section's generator order is the printed table
-where the library sorts the irreducibles by a key.  The family tables are
+formulas per flavor where the library sums irreducibles on the B halves
+and lifts the sum to Finf, and the section's generator order is the
+printed table where the library sorts the irreducibles by a key.  The
+family tables are
 filled one entry at a time after a separate max- and min-closure pass,
 where the library computes each sum from unary keys of the index pairs
-(``families._indexed``), and the Finf support codes deposit each sign
+(``families._indexed``); the signed double of a B module is tabled from
+its rules, where the library shifts and marks keys
+(``free.SignedDouble``); and the Finf support codes deposit each sign
 pattern bit by bit, where the library steps through the submasks of the
 support.  The matrix
 product combines the entry lists row by row, where the library sums column
@@ -644,6 +647,27 @@ def signed_lattice_by_pairs(pairs, label: str) -> FinModule:
             flat[(ip + k) * size + (iq + k)] = m + k
     neg = [0] + [ip + k for ip in range(1, k + 1)] + [ip for ip in range(1, k + 1)]
     return FinModule(Flavor.FINF, names, 0, tuple(flat), neg_table=tuple(neg))
+
+
+def signed_double_by_table(half: FinModule) -> tuple[FinModule, dict[tuple[int, int], int]]:
+    """The signed double of any flavor B module, one table entry at a time
+    from its rules, and the id of each signed element (x, 1) and (x, -1):
+    the zero, then the positives, then the negatives, each in the order of
+    ``half``'s nonzero ids.  The reference for ``free.signed_double``."""
+    nonzero = [x for x in range(half.size) if x != half.zero]
+    signed = [(x, sign) for sign in (1, -1) for x in nonzero]
+    ids = {e: i for i, e in enumerate(signed, start=1)}
+
+    def add(a, b):
+        if a is None or b is None or a[1] != b[1]:
+            return 0  # a zero summand or mixed signs
+        return ids[(half.add_of(a[0], b[0]), a[1])]
+
+    elems = [None, *signed]
+    table = tuple(add(a, b) for a in elems for b in elems)
+    neg = (0, *(ids[(x, -sign)] for x, sign in signed))
+    names = ("0", *(("" if sign > 0 else "-") + half.name(x) for x, sign in signed))
+    return FinModule(Flavor.FINF, names, 0, table, neg), ids
 
 
 def family_reference(flavor: Flavor, n: int) -> FinModule:

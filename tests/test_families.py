@@ -3,7 +3,13 @@ import pytest
 import semimod as sm
 from semimod import Flavor, families
 
-from oracles import family_reference, retraction_by_case_formula, section_generator_pairs
+from conftest import assorted_modules
+from oracles import (
+    family_reference,
+    retraction_by_case_formula,
+    section_generator_pairs,
+    signed_double_by_table,
+)
 
 
 def test_family_sizes():
@@ -64,6 +70,88 @@ def test_family_tables_equal_the_entry_by_entry_references():
             assert sm.validate_module(mod).ok
             assert mod.order.masks == ref.order.masks
             assert mod.order.down_masks == ref.order.down_masks
+
+
+def test_signed_doubles_equal_the_tabled_oracle():
+    # free halves have keys that do not meet, so only the sign bit keeps
+    # x+ + y- at the zero
+    halves = [sm.free_module(Flavor.B, r) for r in range(5)] + [sm.corner_witness(Flavor.B).module]
+    halves += [sm.family(Flavor.B, n).module for n in range(2, 7)]
+    halves += [sm.family(Flavor.FINF, n).module.half for n in range(2, 7)]
+    for half in halves:
+        double, (ref, _) = sm.signed_double(half), signed_double_by_table(half)
+        assert double.half is half
+        assert _tables(double) == (ref.names, ref.zero, ref.add_table, ref.neg_table)
+        assert sm.validate_module(double).ok
+        assert double.order.masks == ref.order.masks
+    with pytest.raises(sm.FlavorMismatchError):
+        sm.signed_double(sm.free_module(Flavor.FINF, 2))
+    with pytest.raises(sm.FlavorMismatchError):
+        sm.signed_double(family_reference(Flavor.B, 3))
+
+
+def test_en_half_is_dn_reversed():
+    # (i,k) -> (n+1-k, n+1-i) turns the min of E_n's positives into D_n's max
+    for n in range(2, 41):
+        en, dn = sm.family(Flavor.FINF, n), sm.family(Flavor.B, n)
+        half = en.module.half
+        assert isinstance(half, sm.free.KeyedModule) and half.flavor is Flavor.B
+        there = [0] * half.size
+        for i, k in en.index_pairs:
+            there[en.label(i, k)] = dn.label(n + 1 - k, n + 1 - i)
+        back = [there.index(x) for x in range(dn.module.size)]
+        assert sm.Hom(half, dn.module, tuple(there)).is_hom
+        assert sm.Hom(dn.module, half, tuple(back)).is_hom
+
+
+def _signed_lifts(homs, lift, neg):
+    """The maps Σ(q) and -Σ(q) for each q of ``homs``."""
+    out = set()
+    for q in homs:
+        up = lift(q)
+        out |= {up, tuple(map(neg, up))}
+    return out
+
+
+def test_en_injections_are_the_signed_lifts_of_the_halves():
+    # Hom_inj(ΣL, ΣL') = {±Σ(q) : q ∈ Hom_inj(L, L')}, map for map
+    count = 0
+    for j in range(3, 10):
+        for i in range(j + 1, 10):
+            ej, ei = sm.family(Flavor.FINF, j).module, sm.family(Flavor.FINF, i).module
+            halves = sm.enumerate_homs(ej.half, ei.half, injective=True)
+            lifts = _signed_lifts(halves, lambda q: ei.lift(q.map), ei.neg_of)
+            assert {f.map for f in sm.enumerate_homs(ej, ei, injective=True)} == lifts
+            count += len(lifts)
+    assert count == 3220
+
+
+def test_signed_double_injections_are_the_signed_lifts_on_assorted_modules():
+    halves = [m for m in assorted_modules() if m.flavor is Flavor.B and m.size <= 16]
+    doubles = [signed_double_by_table(m) for m in halves]
+    for L, (S, ids) in zip(halves, doubles):
+        assert sm.validate_module(S).ok
+        for L2, (T, tids) in zip(halves, doubles):
+
+            def lift(q):
+                out = [0] * S.size
+                for (x, sign), at in ids.items():
+                    out[at] = tids[(q.map[x], sign)]
+                return tuple(out)
+
+            lifts = _signed_lifts(sm.enumerate_homs(L, L2, injective=True), lift, T.neg_of)
+            assert {f.map for f in sm.enumerate_homs(S, T, injective=True)} == lifts
+
+
+def test_a_half_differs_from_the_member_with_its_names():
+    # E5's half has D5's names and reflected keys
+    half, d5 = sm.family(Flavor.FINF, 5).module.half, sm.family(Flavor.B, 5).module
+    assert half.names == d5.names and half != d5
+    identity = sm.Hom(half, d5, tuple(range(d5.size)))
+    assert not identity.is_identity() and not identity.is_hom
+    e5, copy = sm.family(Flavor.FINF, 5).module, families.family.__wrapped__(Flavor.FINF, 5).module
+    assert copy is not e5 and copy == e5 and hash(copy) == hash(e5)
+    assert copy.half == half
 
 
 def test_the_largest_members_are_built_without_tables():
@@ -166,17 +254,20 @@ def test_corner_split_identity_range(flavor):
 
 @pytest.mark.parametrize("flavor", [Flavor.B, Flavor.FINF])
 def test_corner_retraction_agrees_with_the_case_formulas(flavor):
-    for n in range(4, 21):
+    for n in range(4, 41):
         assert sm.corner_retraction(n, flavor).map == retraction_by_case_formula(n, flavor)
 
 
-def test_corner_retraction_needs_a_least_corner_above_each_element(monkeypatch):
-    # only 0 lies below the image of the zero map, so U(y) is empty for y != 0
+def test_corner_retraction_refuses_a_map_it_cannot_undo(monkeypatch):
+    # the zero map sends every a_j to O, so every nonzero y goes to the top
+    # and r∘e is the zero map; the constant top (not a hom) lies above every
+    # y, so r sends every y to O
     d0, d4 = sm.corner_witness(Flavor.B).module, sm.family(Flavor.B, 4).module
-    zero = sm.Hom(d0, d4, (d4.zero,) * d0.size)
-    monkeypatch.setattr(families, "corner_embedding", lambda n, flavor: zero)
-    with pytest.raises(sm.ModuleStructureError, match="no least corner"):
-        sm.corner_retraction(4, Flavor.B)
+    for value, match in ((d4.zero, "not the identity"), (d4.size - 1, "retracts to the zero")):
+        constant = sm.Hom(d0, d4, (value,) * d0.size)
+        monkeypatch.setattr(families, "corner_embedding", lambda n, flavor: constant)
+        with pytest.raises(sm.ModuleStructureError, match=match):
+            sm.corner_retraction(4, Flavor.B)
 
 
 @pytest.mark.parametrize("listed", ["ascending", "reversed"])

@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 import semimod as sm
 from semimod import Flavor
-from semimod.free import FreeModule, _key_neg, _key_sum
+from semimod.free import FreeModule, KeyedModule, _key_neg, _key_sum
 from semimod.serialize import resolve_module_ref
 
+from conftest import refuse_free_names
 from oracles import (
     _name_of_code,
     brute_force_homs,
@@ -261,6 +262,24 @@ def test_key_sum_and_negation_match_the_free_module(flavor, top):
             for b in range(free.size):
                 assert _key_sum(flavor, rank, (keys[a], keys[b])) == keys[free.add_of(a, b)]
         assert _key_sum(flavor, rank, ()) == keys[free.zero]
+
+
+def test_keyed_modules_are_equal_only_with_equal_keys():
+    names = ("O", "x", "y", "z")
+    square = KeyedModule(Flavor.B, [0, 1, 2, 3], names=names)
+    chain = KeyedModule(Flavor.B, [0, 1, 3, 7], names=names)
+    assert square != chain and hash(square) != hash(chain)
+    twin = KeyedModule(Flavor.B, [0, 1, 2, 3], names=names)
+    assert square == twin and hash(square) == hash(twin)
+    with pytest.raises(ValueError, match="compose"):
+        sm.compose(sm.identity_hom(chain), sm.identity_hom(square))
+
+
+def test_unequal_free_modules_build_no_names(monkeypatch):
+    refuse_free_names(monkeypatch)
+    free = sm.free_module(Flavor.B, 3)
+    assert free != sm.free_module(Flavor.B, 2) and free != sm.dualize_free(3)
+    assert free != sm.free_module(Flavor.FINF, 2) and hash(free) == hash(FreeModule(Flavor.B, 3))
 
 
 def test_free_rank_cap():

@@ -188,7 +188,9 @@ def test_witness_holds_at_depth(monkeypatch):
     # B 5 and Finf 4 are the sizes the benchmark's witness jobs run; B 8 and
     # Finf 6 take about 0.02 s each, and B 24 and Finf 16 about 1.0 s and
     # 0.25 s (2-vCPU host, Python 3.11).  At every level the adjacent check,
-    # f_i through Y_{i-1}, gives the verdict of all the others
+    # f_i through Y_{i-1}, gives the verdict of all the others.  Each Finf
+    # verdict is that of the same pair on the B halves, with the halves of
+    # the corner embeddings (the corollary in free.SignedDouble)
     searches = _recording_searches(monkeypatch)
     deepest_ticks = {(Flavor.B, 24): 17_459_852, (Flavor.FINF, 16): 2_346_304}
     for flavor, upto in (
@@ -215,6 +217,12 @@ def test_witness_holds_at_depth(monkeypatch):
         if (flavor, upto) in deepest_ticks:
             ticks = sum(search.explored for search in searches)
             assert ticks == deepest_ticks[flavor, upto], (flavor, upto)
+        if flavor is Flavor.FINF:
+            halves = tuple((name, mod.half) for name, mod in spec.objects)
+            half_spec = CategorySpec(Flavor.B, halves, spec.morphism_class, spec.budget)
+            half_fs = [sm.Hom(f.source.half, f.target.half, f.map[: f.source.half.size]) for f in fs]
+            half_report = witness_verify(half_spec, x0, ys, half_fs)
+            assert [lv.checks for lv in half_report.levels] == [lv.checks for lv in report.levels]
 
 
 @pytest.mark.parametrize("flavor, ticks", [(Flavor.B, 95_620), (Flavor.FINF, 119_840)])
