@@ -17,14 +17,17 @@ submodules and the hom search's recipes use it; the universal-property
 extension of a free module follows the free module's own walk instead
 (:func:`semimod.free.extend_from_generators`).
 
-The axiom scan and the induced order of a tabled module read one cached
-pass per module (``FinModule._scan``) over the addition table, a row at a
-time with C-level loops (``map``, ``bytes``): each row a gives the bitmask
-of the elements above a, associativity is decided on those masks in
-O(n^2) mask operations (:func:`_is_join`), and the same masks are the
-order of a valid module.  Reading the order of an invalid module raises.
-A keyed module's order is inclusion of keys, and its axiom scan runs only
-on request (:func:`validate_module`).
+Every module has one order object (:class:`PartialOrder`), built from one
+order key per element: a <= b iff ``keys[a] & ~keys[b] == 0``.  The axiom
+scan of a tabled module reads one cached pass per module
+(``FinModule._scan``) over the addition table, a row at a time with
+C-level loops (``map``, ``bytes``): each row a gives the bitmask of the
+elements above a, and associativity is decided on those masks in O(n^2)
+mask operations (:func:`_is_join`).  The order keys of a valid tabled
+module are the complements of those masks, and its order takes the masks
+themselves as its up masks; reading the keys, the order or ``leq`` of an
+invalid module raises.  A keyed module's order keys are its element keys,
+and its axiom scan runs only on request (:func:`validate_module`).
 
 Distributivity is decided on the irreducible generators alone: each must
 be join-prime (:func:`is_distributive_lattice`, O(|S|^2) sums), so no
@@ -37,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, count, repeat
-from operator import and_, eq, getitem, itemgetter, ne
+from operator import and_, eq, getitem, itemgetter, ne, xor
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 # Carriers above this size are refused outright (runaway constructions).
@@ -83,7 +86,8 @@ class ModuleStructureError(ValueError):
     """Malformed module data: bad table shape, unknown IDs, duplicate names.
 
     Distinct from axiom violations, which are reported, not raised, until
-    the order of a module that fails an axiom is read (:attr:`FinModule.order`).
+    the order of a module that fails an axiom is read (:attr:`FinModule.order`,
+    :attr:`FinModule.order_keys`, :meth:`FinModule.leq`).
     """
 
 
@@ -141,17 +145,32 @@ class FinModule:
         return {nm: i for i, nm in enumerate(self.names)}
 
     def leq(self, a: int, b: int) -> bool:
-        """Induced order: a <= b iff a + b = b."""
-        return self.add_of(a, b) == b
+        """Induced order: a <= b iff a + b = b, read from :attr:`order`."""
+        return self.order.leq(a, b)
+
+    @_cached
+    def order_keys(self) -> tuple[int, ...]:
+        """Per element a, the bitmask of the c with a ≰ c: the complements
+        of the up masks of the axiom scan, whose axioms make the induced
+        order a partial order with the zero at the bottom (flavor B) or on
+        top (flavor Finf); see :func:`_is_join`.  keys[a] lies within
+        keys[b] iff up(b) lies within up(a), iff a <= b: b is in up(b), and
+        a <= b puts every c above b above a.  Raises
+        :class:`ModuleStructureError` for a module that fails an axiom.  A
+        keyed module sets its element keys here instead."""
+        require_valid(self, "module")
+        full = (1 << self.size) - 1
+        return tuple(map(xor, repeat(full), self._scan[1]))  # type: ignore[arg-type]
 
     @_cached
     def order(self) -> "PartialOrder":
-        """The induced order: the up masks of the axiom scan, whose axioms
-        make it a partial order with the zero at the bottom (flavor B) or on
-        top (flavor Finf); see :func:`_is_join`.  Raises
-        :class:`ModuleStructureError` for a module that fails an axiom."""
-        require_valid(self, "module")
-        return PartialOrder(self.size, tuple(self._scan[1]))  # type: ignore[arg-type]
+        """The induced order, inclusion of :attr:`order_keys`.  A tabled
+        module's ``masks`` are the up masks of its scan, which the keys
+        would rebuild in |M|^2 key comparisons."""
+        order = PartialOrder(self.order_keys)
+        if self.add_table is not None:
+            object.__setattr__(order, "masks", tuple(self._scan[1]))  # type: ignore[arg-type]
+        return order
 
     @_cached
     def _scan(self) -> tuple["ValidationReport", Optional[list[int]]]:
@@ -417,39 +436,44 @@ def require_valid(m: FinModule, what: str) -> None:
         raise ModuleStructureError(f"{what} fails the module axioms: {failed}")
 
 
-@dataclass(frozen=True)
 class PartialOrder:
-    """The order induced by addition: ``a <= b`` iff ``a + b = b``.
+    """The order induced by addition, ``a <= b`` iff ``a + b = b``, given by
+    one order key per element: ``a <= b`` iff ``keys[a] & ~keys[b] == 0``.
 
-    ``masks[a]`` has bit ``b`` set iff ``a <= b``.
+    ``masks[a]`` has bit ``b`` set iff ``a <= b``, and ``down_masks[b]``
+    has bit ``a`` set iff ``a <= b``.  Both are built on first read only:
+    the masks in one C-level pass over the keys per element, the down masks
+    by transposing them.  They take |M|^2 bits, 3.9 GB for
+    ``free:Finf:11``, which ``leq`` never builds.  A module has one order
+    (:attr:`FinModule.order`), and orders compare and hash by identity.
     """
 
     size: int
-    masks: tuple[int, ...]
+    order_keys: tuple[int, ...]
+
+    def __init__(self, order_keys: Sequence[int]):
+        self.order_keys = tuple(order_keys)
+        self.size = len(self.order_keys)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(size={self.size})"
 
     def leq(self, a: int, b: int) -> bool:
-        return bool((self.masks[a] >> b) & 1)
+        return not self.order_keys[a] & ~self.order_keys[b]
+
+    @_cached
+    def masks(self) -> tuple[int, ...]:
+        keys = self.order_keys  # bit b of entry a: key(a) & key(b) = key(a)
+        return tuple(_mask(map(eq, map(and_, repeat(k), keys), repeat(k))) for k in keys)
 
     @_cached
     def down_masks(self) -> tuple[int, ...]:
-        """Bit a of entry b is set iff a <= b: ``masks`` transposed."""
-        down = [0] * self.size
-        for a, ms in enumerate(self.masks):
-            b = ms
-            while b:
-                low = b & -b
-                down[low.bit_length() - 1] |= 1 << a
-                b ^= low
-        return tuple(down)
-
-    @_cached
-    def order_keys(self) -> tuple[int, ...]:
-        """Bitmasks with ``a <= b`` iff ``keys[a] & ~keys[b] == 0``.
-
-        The down-sets here; a :class:`semimod.free.KeyOrder` stores its
-        element keys instead, which need no |M|^2 masks.
-        """
-        return self.down_masks
+        """``masks`` transposed at C level: character n - 1 - b of the
+        binary string of ``masks[a]`` is bit b, so column n - 1 - b of those
+        strings, read by ``zip``, is down mask b."""
+        n = self.size
+        rows = [format(u, f"0{n}b") for u in self.masks]
+        return tuple(int("".join(col)[::-1], 2) for col in zip(*rows))[::-1]
 
     @_cached
     def counts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -515,30 +539,17 @@ def join_irreducibles(m: FinModule) -> tuple[int, ...]:
     Every summand of a sum x lies below x, and in flavor Finf the zero is
     the top, so it lies below no nonzero x; nor does -x, as x + -x = 0.  So
     a nonzero x is generated by the elements other than x (and -x) iff the
-    sum of those below it is x.  The sum starts from its first summand, as
-    Finf has no neutral element; an x with nothing below it is irreducible.
+    sum of the set S of those below it is x.  The sum of a nonempty S is
+    its least upper bound (:func:`_is_join`), which lies below x: if it is
+    not x, it lies in S and is its largest element m, and then S is
+    down(m); conversely if S = down(m), then m is the sum.  So x is
+    irreducible iff S is empty or a down mask, one set lookup per element.
     """
     down = m.order.down_masks
-    add = m.add_of
-    out = []
-    for x in range(m.size):
-        if x == m.zero:
-            continue
-        summands = _bits(down[x] & ~(1 << x))
-        acc = next(summands, None)
-        for y in summands:
-            acc = add(acc, y)
-        if acc != x:
-            out.append(x)
-    return tuple(out)
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The ids of the set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    principal = set(down)
+    return tuple(
+        x for x, d in enumerate(down) if x != m.zero and (d == 1 << x or (d ^ 1 << x) in principal)
+    )
 
 
 # (element, op, a, b): the element is a + b for op "add" and -a for "neg"

@@ -10,7 +10,11 @@ summand; negation flips every sign (3^k elements).
 A keyed module (:class:`KeyedModule`) computes its addition, negation and
 order from one integer key per element and never builds a table, so it
 takes O(|M|) memory instead of O(|M|^2): a sum is the union of keys, or
-the zero on a sign conflict.  The free modules (:class:`FreeModule`), the
+the zero on a sign conflict, and its keys are the order keys of its
+:class:`semimod.core.PartialOrder`, whose |M|^2 order masks are built only
+if read.  A free module's order (:class:`FreeOrder`) gives the sizes of
+down- and up-sets in closed form, so an injective search with a free
+endpoint builds no masks.  The free modules (:class:`FreeModule`), the
 family members (``semimod.families``) and the signed double Σ(L) of a B
 keyed module L (:func:`signed_double`: a zero and x⁺, x⁻ for each nonzero
 x of L, same signs adding as in L) are keyed modules.  A signed double
@@ -37,7 +41,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import repeat
-from operator import add, and_, eq, or_
+from operator import add, or_
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .core import (
@@ -48,7 +52,6 @@ from .core import (
     ModuleStructureError,
     PartialOrder,
     _cached,
-    _mask,
 )
 
 
@@ -149,9 +152,10 @@ class KeyedModule(FinModule):
     a + b is the element keyed by ``keys[a] | keys[b]``; in flavor Finf it
     is the zero when a summand is the zero or when ``keys[a]`` meets the key
     of -b.  The order keys are the keys, except that the Finf zero's has
-    every key bit, and a <= b is their inclusion (:class:`KeyOrder`).  ``add_of`` and
-    ``neg_of`` cost a few integer operations each.  No axiom scan runs: the
-    builder proves that its keys make a valid module ordered by inclusion
+    every key bit, and a <= b is their inclusion, the module's
+    :class:`semimod.core.PartialOrder`.  ``add_of`` and ``neg_of`` cost a
+    few integer operations each.  No axiom scan runs: the builder proves
+    that its keys make a valid module ordered by inclusion
     (:class:`FreeModule`, :class:`SignedDouble`,
     ``semimod.families._indexed``); :func:`semimod.core.validate_module`
     still scans one on request.  Two keyed modules are equal when they have
@@ -204,10 +208,6 @@ class KeyedModule(FinModule):
 
     def __hash__(self) -> int:
         return hash(self._identity)
-
-    @_cached
-    def order(self) -> "KeyOrder":
-        return KeyOrder(self.order_keys)
 
 
 class FreeModule(KeyedModule):
@@ -326,43 +326,13 @@ def signed_double(half: FinModule) -> SignedDouble:
     return SignedDouble(half)
 
 
-class KeyOrder(PartialOrder):
-    """The induced order of a keyed module: inclusion of order keys.
-
-    ``leq`` compares two order keys.  ``masks`` and ``down_masks`` are built
-    on first read only, each one C-level pass per element: they take |M|^2
-    bits, 3.9 GB for ``free:Finf:11``.
-    """
-
-    def __init__(self, order_keys: tuple[int, ...]):
-        object.__setattr__(self, "size", len(order_keys))
-        object.__setattr__(self, "order_keys", order_keys)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(size={self.size})"
-
-    def leq(self, a: int, b: int) -> bool:
-        return not self.order_keys[a] & ~self.order_keys[b]
-
-    @_cached
-    def masks(self) -> tuple[int, ...]:
-        keys = self.order_keys  # bit b of entry a: key(a) & key(b) = key(a)
-        return tuple(_mask(map(eq, map(and_, repeat(k), keys), repeat(k))) for k in keys)
-
-    @_cached
-    def down_masks(self) -> tuple[int, ...]:
-        keys = self.order_keys  # bit a of entry b: key(b) & key(a) = key(a)
-        return tuple(_mask(map(eq, map(and_, repeat(k), keys), keys)) for k in keys)
-
-
-class FreeOrder(KeyOrder):
+class FreeOrder(PartialOrder):
     """The induced order of a free module, whose ``counts`` have a closed
     form and read no masks."""
 
     def __init__(self, order_keys: tuple[int, ...], flavor: Flavor, rank: int):
         super().__init__(order_keys)
-        object.__setattr__(self, "flavor", flavor)
-        object.__setattr__(self, "rank", rank)
+        self.flavor, self.rank = flavor, rank
 
     @_cached
     def counts(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -56,14 +56,15 @@ def module_to_doc(m: FinModule, canonical: bool = True) -> dict:
         inv = sorted(range(n), key=lambda e: rank[e])
     else:
         rank = inv = list(range(n))
+    add = m.add_of
     doc: dict[str, Any] = {
         "flavor": m.flavor.value,
         "elements": [m.names[e] for e in inv],
         "zero": rank[m.zero],
-        "add": [rank[m.add_of(inv[a], inv[b])] for a in range(n) for b in range(n)],
+        "add": [rank[add(a, b)] for a in inv for b in inv],
     }
     if m.flavor is Flavor.FINF:
-        doc["neg"] = [rank[m.neg_of(inv[a])] for a in range(n)]
+        doc["neg"] = [rank[m.neg_of(a)] for a in inv]
     return doc
 
 

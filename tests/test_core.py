@@ -194,10 +194,13 @@ def test_induced_order_agrees_with_the_pair_loop():
     # assorted_modules() holds D0, D2-D4, E0, E2-E4 and free modules too
     larger = [resolve_module_ref(r) for r in ("D5", "D6")]
     tabled = [family_reference(Flavor.B, 5), family_reference(Flavor.FINF, 3)]
-    for m in assorted_modules() + larger + quotients + tabled:
+    doubles = [sm.signed_double(resolve_module_ref(r)) for r in ("free:B:3", "D4")]
+    for m in assorted_modules() + larger + quotients + tabled + doubles:
         order = sm.induced_order(m)
         assert list(order.masks) == order_masks_by_pairs(m), m.names
         assert list(order.down_masks) == down_masks_by_pairs(m), m.names
+        for a, b in itertools.product(range(m.size), repeat=2):
+            assert order.leq(a, b) == m.leq(a, b) == (m.add_of(a, b) == b), (m.names, a, b)
     for flavor, top in ((Flavor.B, 4), (Flavor.FINF, 3)):
         for rank in range(top + 1):
             free = sm.free_module(flavor, rank)
@@ -276,12 +279,30 @@ def test_reading_the_order_of_an_invalid_module_raises(neg_of, axiom):
     scalars = sm.scalar_module(Flavor.FINF)
     for read in (
         lambda: m.order,
+        lambda: m.leq(0, 1),
         lambda: sm.induced_order(m),
         lambda: sm.check_hom(sm.Hom(m, scalars, (0,) * m.size)),
         lambda: next(sm.iter_homs(m, scalars)),
     ):
         with pytest.raises(sm.ModuleStructureError, match=f"fails the module axioms: {axiom}"):
             read()
+
+
+def test_orders_hash_compare_and_print_without_their_masks(monkeypatch):
+    # an order is one object per module, compared and hashed by identity; a
+    # free:Finf:8 order's masks would take 6,561 passes
+    def refuse(self):
+        raise AssertionError("the order masks were built")
+
+    modules = [sm.free_module(Flavor.FINF, 8), resolve_module_ref("E5"), pentagon_n5()]
+    orders = [m.order for m in modules]
+    monkeypatch.setattr(sm.PartialOrder, "masks", property(refuse))
+    monkeypatch.setattr(sm.PartialOrder, "down_masks", property(refuse))
+    assert len(set(orders)) == 3 and hash(orders[0]) == hash(modules[0].order)
+    for m, order in zip(modules, orders):
+        assert order == order and order == m.order and order in orders
+        assert order != sm.PartialOrder(order.order_keys)
+        assert repr(order) == f"{type(order).__name__}(size={m.size})"
 
 
 def test_validate_module_refuses_modules_too_large_to_scan():

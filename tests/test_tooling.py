@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 import subprocess
@@ -90,3 +91,57 @@ def test_ci_installs_the_test_pins_of_pyproject():
     workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text(encoding="utf-8")
     install = re.search(r"run: pip install (.*)$", workflow, re.M).group(1)
     assert pins and pins == sorted(install.split()), (pins, install)
+
+
+# a Sphinx-style cross-reference in a docstring: :class:`~semimod.core.X`
+_XREF = re.compile(r":(?:class|func|meth|attr|mod):`~?([^`]+)`")
+
+
+def _names_path(obj, path: list) -> bool:
+    """Whether the attribute path exists on ``obj``; the last name may also
+    be an annotated field, which a class sets on its instances."""
+    if not path:
+        return True
+    *through, last = path
+    for name in through:
+        obj = getattr(obj, name, None)
+    return obj is not None and (hasattr(obj, last) or last in getattr(obj, "__annotations__", {}))
+
+
+def _unresolved(module, source: str) -> list:
+    """The references in ``source`` that name nothing: neither a name of
+    ``module`` or of a class in its namespace, nor a dotted ``semimod.``
+    path (a module, then attributes)."""
+    classes = [obj for obj in vars(module).values() if isinstance(obj, type)]
+    bad = []
+    for ref in _XREF.findall(source):
+        parts = ref.split(".")
+        if parts[0] == "semimod":
+            for cut in range(len(parts), 0, -1):
+                try:
+                    owners = [importlib.import_module(".".join(parts[:cut]))]
+                except ImportError:
+                    continue
+                parts = parts[cut:]
+                break
+        else:
+            owners = [module, *classes]
+        if not any(_names_path(owner, parts) for owner in owners):
+            bad.append(ref)
+    return bad
+
+
+def test_docstring_cross_references_resolve():
+    # a deleted or renamed name leaves no dangling :class:/:func:/... reference
+    files = sorted((ROOT / "src" / "semimod").glob("*.py"))
+    checked = 0
+    for path in files:
+        name = "semimod" if path.stem == "__init__" else f"semimod.{path.stem}"
+        source = path.read_text(encoding="utf-8")
+        assert _unresolved(importlib.import_module(name), source) == [], path.name
+        checked += len(_XREF.findall(source))
+    assert checked > 50
+    # and a reference to a name that is gone is caught
+    free = importlib.import_module("semimod.free")
+    mutant = ":class:`KeyOrder` and :meth:`semimod.core.PartialOrder.transpose`"
+    assert _unresolved(free, mutant) == ["KeyOrder", "semimod.core.PartialOrder.transpose"]
