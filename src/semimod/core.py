@@ -294,7 +294,7 @@ def _rows(m: FinModule) -> Iterator[tuple[int, ...]]:
         t = m.add_table
         return (tuple(t[i : i + n]) for i in range(0, n * n, n))
     add = m.add_of
-    return (tuple(map(add, repeat(a, n), range(n))) for a in range(n))
+    return (tuple([add(a, b) for b in range(n)]) for a in range(n))
 
 
 # byte 0 or 1 to the ASCII digit, so that int(..., 2) reads a bitmask
@@ -663,25 +663,27 @@ def submodule_on(m: FinModule, elements: Iterable[int]) -> tuple[FinModule, tupl
     ids = sorted(set(elements) | {m.zero})
     _check_element_ids(m, ids, "subset element")
     pos = {e: i for i, e in enumerate(ids)}
+    add: list[int] = []
+    neg: Optional[list[int]] = [] if m.flavor is Flavor.FINF else None
     for a in ids:
         for b in ids:
-            if m.add_of(a, b) not in pos:
+            c = pos.get(m.add_of(a, b))
+            if c is None:
                 raise ModuleStructureError(
                     f"subset not closed under addition at ({m.name(a)}, {m.name(b)})"
                 )
-        if m.flavor is Flavor.FINF and m.neg_of(a) not in pos:
-            raise ModuleStructureError(f"subset not closed under negation at {m.name(a)}")
-    k = len(ids)
-    add = tuple(pos[m.add_of(ids[i], ids[j])] for i in range(k) for j in range(k))
-    neg = None
-    if m.flavor is Flavor.FINF:
-        neg = tuple(pos[m.neg_of(e)] for e in ids)
+            add.append(c)
+        if neg is not None:
+            c = pos.get(m.neg_of(a))
+            if c is None:
+                raise ModuleStructureError(f"subset not closed under negation at {m.name(a)}")
+            neg.append(c)
     sub = FinModule(
         flavor=m.flavor,
         names=tuple(m.names[e] for e in ids),
         zero=pos[m.zero],
-        add_table=add,
-        neg_table=neg,
+        add_table=tuple(add),
+        neg_table=None if neg is None else tuple(neg),
     )
     return sub, tuple(ids)
 

@@ -1,11 +1,10 @@
 """Morphisms between finite modules, and exhaustive search over them.
 
-A hom preserves zero, addition and (flavor Finf) negation.  Maps are
-checked on a generating set of the source (see :func:`_hom_violation`);
-a map out of a free module is a hom exactly when it equals the extension
-of its generator images (the universal property; a sign conflict in
-flavor Finf gives g + -g = 0 on both sides, and 0 absorbs), so it is
-checked in one target operation per element.
+A hom preserves zero, addition and (flavor Finf) negation.  Every map is
+checked on a generating set of its source (see :func:`_hom_violation`),
+a free source too.  The one hom kept without running that check is an
+extension of generator images out of a free module, a hom by the
+universal property (:func:`extension_hom`).
 The enumerator backtracks over the generators of the source, extends each
 partial assignment along the recipes of their span walk
 (:func:`semimod.core.span_walk`: O(|M|·|S|) sums, the same for free and
@@ -135,26 +134,7 @@ def _hom_violation(M: FinModule, N: FinModule, val: Sequence[int]) -> HomCheck:
     f(-(y' + s)) = f(-y' + -s) = f(-y') + f(-s) = -f(y') + -f(s) =
     -(f(y') + f(s)) = -f(y).
 
-    A free source M is checked in O(|M|) target operations instead: f is a
-    hom exactly when it equals the extension of its generator images
-    (:func:`semimod.free.extend_from_generators`, one target operation per
-    element, each an earlier element plus one signed generator in the walk
-    of M; ``M.basis`` is not read).  Free-source lemma: for a
-    valid N and any images, the map e ↦ Σ{±f(g_i) : ±g_i in the support of
-    e}, with 0 ↦ 0, is a hom, and it is the only one with those generator
-    images, since every element of M is 0 or a sum of signed generators.
-    Proof of additivity at x and y: if either is 0, both sides are the value
-    of the other (flavor B, 0 neutral) or 0 (flavor Finf, 0 absorbing).
-    Otherwise, without a sign conflict, x + y has the union of the two
-    supports, and both sides are the sum over it, by associativity,
-    commutativity and idempotence in N.  A sign conflict (flavor Finf, +g_i
-    in x and -g_i in y) gives x + y = 0 in M, while the right side contains
-    f(g_i) + -f(g_i) = 0, which absorbs the whole sum.  Negation flips
-    every sign, and -(a + b) = -a + -b and -0 = 0 in N.  So a mismatch means
-    that f is no hom, and only then does the scan over (x, s) run, to name
-    the same witness as for any other source.
-
-    The proofs use the axioms of M and N (associativity, the zero law, and
+    The proof uses the axioms of M and N (associativity, the zero law, and
     for flavor Finf that negation distributes and fixes zero, and that
     a + -a = 0), so the check holds for valid modules.  A tabled M that
     fails an axiom never reaches it: its generating set is read off its
@@ -164,10 +144,6 @@ def _hom_violation(M: FinModule, N: FinModule, val: Sequence[int]) -> HomCheck:
     """
     if val[M.zero] != N.zero:
         return HomCheck(False, "zero", (M.zero,))
-    if M.free_rank is not None and tuple(val) == extend_from_generators(
-        M, N, [val[g] for g in M.generators]
-    ):
-        return HomCheck(True)
     addM, addN = M.add_of, N.add_of
     gens = M.generating_set
     for x in range(M.size):
@@ -192,11 +168,20 @@ def extension_hom(free: FinModule, target: FinModule, images: Sequence[int]) -> 
     """The hom out of a free module that sends generator i to ``images[i]``,
     with its hom check kept.
 
-    Its map is :func:`semimod.free.extend_from_generators` of the images.
-    :func:`_hom_violation` on such a map finds f(0) = 0 and then recomputes
-    the same extension from the same generator images and compares it with
-    itself (its free-source lemma), so the kept passing check is exactly
-    what it would return, and the second O(|F|) walk is skipped.
+    Its map is :func:`semimod.free.extend_from_generators` of the images,
+    and it is kept as passing without running :func:`_hom_violation`.
+    Lemma (the universal property): for a valid target N and any images
+    f(g_i) = ``images[i]``, the map e ↦ Σ{±f(g_i) : ±g_i in the support of
+    e}, with 0 ↦ 0, is a hom, and it is the only one with those generator
+    images, since every element of the free module is 0 or a sum of signed
+    generators.  Proof of additivity at x and y: if either is 0, both sides are the value of
+    the other (flavor B, 0 neutral) or 0 (flavor Finf, 0 absorbing).
+    Otherwise, without a sign conflict, x + y has the union of the two
+    supports, and both sides are the sum over it, by associativity,
+    commutativity and idempotence in N.  A sign conflict (flavor Finf, +g_i
+    in x and -g_i in y) gives x + y = 0 in the free module, while the right
+    side contains f(g_i) + -f(g_i) = 0, which absorbs the whole sum.
+    Negation flips every sign, and -(a + b) = -a + -b and -0 = 0 in N.
     """
     return _searched(free, target, extend_from_generators(free, target, images))
 
@@ -239,8 +224,8 @@ class _Search:
     ``below`` and ``above`` masks are all zero, so no monotonicity test
     runs, and none could fail.  The assigned elements are the span of the
     generators placed so far, a free submodule, and the recipes give each
-    the value of the universal extension of the generator images, a hom;
-    so every partial map is monotone on them.
+    the value of the extension of the generator images, a hom by the lemma
+    of :func:`extension_hom`; so every partial map is monotone on them.
 
     An injective search ANDs the order-embedding filter into every
     element's allowed set before it starts: f(x) = v needs

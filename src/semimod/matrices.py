@@ -174,21 +174,6 @@ class DistinctRowFactorization:
         return cert
 
 
-def _row_classes(mat: BoolMatrix) -> tuple[list[int], list[int]]:
-    """The class of each row, numbering distinct rows in first-occurrence
-    order, and the first row of each class."""
-    seen: dict[tuple[int, ...], int] = {}
-    row_class: list[int] = []
-    reps: list[int] = []
-    for i in range(mat.rows):
-        key = mat.row(i)
-        if key not in seen:
-            seen[key] = len(seen)
-            reps.append(i)
-        row_class.append(seen[key])
-    return row_class, reps
-
-
 def distinct_row_factorization(mat: BoolMatrix) -> DistinctRowFactorization:
     """Factor a matrix map through the module on its distinct rows.
 
@@ -199,10 +184,17 @@ def distinct_row_factorization(mat: BoolMatrix) -> DistinctRowFactorization:
     the sum (the lowest-representative certificate is not a left inverse
     once a class has two rows).
     """
-    row_class, reps = _row_classes(mat)
+    seen: dict[tuple[int, ...], int] = {}  # distinct row -> its class
+    row_class: list[int] = []
+    reps: list[int] = []  # the first row of each class
+    for i in range(mat.rows):
+        key = mat.row(i)
+        if key not in seen:
+            seen[key] = len(seen)
+            reps.append(i)
+        row_class.append(seen[key])
     l = len(reps)
-    reduced = BoolMatrix.from_rows(mat.flavor, [list(mat.row(reps[r])) for r in range(l)]) \
-        if l else BoolMatrix(mat.flavor, 0, mat.cols, ())
+    reduced = BoolMatrix(mat.flavor, l, mat.cols, tuple(e for r in reps for e in mat.row(r)))
     dup = [0] * (mat.rows * l)
     for i, c in enumerate(row_class):
         dup[i * l + c] = 1
@@ -270,9 +262,13 @@ def dual_factorization(f: Hom, certificate: Optional[Hom] = None) -> DualFactori
 
     S-basis vectors with equal images under f* are merged; the first map is
     induced by that surjection of finite sets and the residual completes
-    f*.  Raises when f is not a splittable injection (certificate neither
-    supplied nor found).  A supplied certificate is checked here to be a
-    hom w with w∘f = id; a found one was checked by the search.
+    f*.  Basis vector t of B[S] goes to row t of the matrix of f, so these
+    are the distinct-rows factorization of that matrix, transposed: the
+    surjection is its ``row_class``, the induced map its duplicator and the
+    residual its reduced matrix.  Raises when f is not a splittable
+    injection (certificate neither supplied nor found).  A supplied
+    certificate is checked here to be a hom w with w∘f = id; a found one
+    was checked by the search.
     """
     if f.source.flavor is not Flavor.B:
         raise FlavorMismatchError("dual factorization is defined for flavor B")
@@ -288,29 +284,10 @@ def dual_factorization(f: Hom, certificate: Optional[Hom] = None) -> DualFactori
         raise ValueError("supplied certificate is not a left inverse of f")
 
     mat = matrix_of_hom(f)  # s x n
-    s, n = mat.rows, mat.cols
-    fstar = hom_of_matrix(
-        mat.transpose(), source=free_module(Flavor.B, s), target=dualize_free(n)
-    )
-    surj, reps = _row_classes(mat)
-    l = len(reps)
-    ind_flat = [0] * (l * s)
-    for t, c in enumerate(surj):
-        ind_flat[c * s + t] = 1
-    induced = hom_of_matrix(
-        BoolMatrix(Flavor.B, l, s, tuple(ind_flat)),
-        source=free_module(Flavor.B, s),
-        target=free_module(Flavor.B, l),
-    )
-    res_flat = [0] * (n * l)
-    for c, t in enumerate(reps):
-        for j, v in enumerate(mat.row(t)):
-            res_flat[j * l + c] = v
-    residual = hom_of_matrix(
-        BoolMatrix(Flavor.B, n, l, tuple(res_flat)),
-        source=free_module(Flavor.B, l),
-        target=dualize_free(n),
-    )
+    fstar = hom_of_matrix(mat.transpose(), target=dualize_free(mat.cols))
+    rows = distinct_row_factorization(mat)
+    induced = hom_of_matrix(rows.duplicator.transpose())
+    residual = hom_of_matrix(rows.reduced.transpose(), target=dualize_free(mat.cols))
     if compose(residual, induced).map != fstar.map:
         raise AssertionError("residual ∘ induced does not recover the dual map")
-    return DualFactorization(fstar, tuple(surj), induced, residual, certificate)
+    return DualFactorization(fstar, rows.row_class, induced, residual, certificate)

@@ -107,8 +107,8 @@ def module_from_doc(doc: dict) -> FinModule:
     return FinModule(flavor, names, zero, add, neg_table=neg)
 
 
-def module_to_json(m: FinModule, canonical: bool = True) -> str:
-    return json.dumps(module_to_doc(m, canonical), sort_keys=True, separators=(",", ":"))
+def module_to_json(m: FinModule) -> str:
+    return json.dumps(module_to_doc(m), sort_keys=True, separators=(",", ":"))
 
 
 # ASCII digits only: \d would read any Unicode decimal digit as well

@@ -488,6 +488,44 @@ def test_submodule_on_requires_closure(m3):
         sm.submodule_on(m3, {a, b})
 
 
+@pytest.mark.parametrize("flavor", [Flavor.B, Flavor.FINF])
+def test_submodule_on_names_the_first_element_outside_the_subset(flavor):
+    # the first sum (a, b) that leaves the subset, rows in id order, with -a
+    # (flavor Finf) checked after row a; a closed subset gives the restriction
+    m = sm.family(flavor, 3).module
+    rng = random.Random(5)
+    refused, closed = set(), 0
+    for _ in range(200):
+        picked = {rng.randrange(m.size) for _ in range(rng.randint(1, 4))}
+        ids = sorted(picked | {m.zero})
+        if rng.random() < 0.5:
+            ids = sorted(sm.generated_submodule(m, picked))
+        expected = None
+        for a in ids:
+            outside = [b for b in ids if m.add_of(a, b) not in ids]
+            if outside:
+                expected = f"addition at ({m.name(a)}, {m.name(outside[0])})"
+                break
+            if flavor is Flavor.FINF and m.neg_of(a) not in ids:
+                expected = f"negation at {m.name(a)}"
+                break
+        if expected is not None:
+            with pytest.raises(sm.ModuleStructureError) as err:
+                sm.submodule_on(m, ids)
+            assert str(err.value) == f"subset not closed under {expected}"
+            refused.add(expected.split()[0])
+            continue
+        sub, emb = sm.submodule_on(m, ids)
+        assert emb == tuple(ids)
+        for i, a in enumerate(ids):
+            for j, b in enumerate(ids):
+                assert ids[sub.add_of(i, j)] == m.add_of(a, b)
+            if flavor is Flavor.FINF:
+                assert ids[sub.neg_of(i)] == m.neg_of(a)
+        closed += 1
+    assert closed and refused == ({"addition", "negation"} if flavor is Flavor.FINF else {"addition"})
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.data())
 def test_scan_paths_agree_on_mutations(data):

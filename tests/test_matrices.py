@@ -371,3 +371,42 @@ def test_hom_of_matrix_refuses_endpoints_of_another_shape_or_flavor():
         sm.hom_of_matrix(signed, source=free_b, target=free_b)
     with pytest.raises(sm.FlavorMismatchError):
         sm.hom_of_matrix(signed, target=sm.free_module(Flavor.FINF, 3))
+
+
+def test_dual_factorization_merges_exactly_the_generators_with_equal_dual_images():
+    # split injections B^n -> B^s: the identity rows, so that the projection
+    # onto them is a left inverse, shuffled with zero, repeated and random
+    # rows; the surjection merges generators t and u of B[S] exactly when
+    # the dual map sends them to one element, and the map it induces is onto
+    rng = random.Random(28)
+    merged = zero_rows = 0
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(rng.randint(0, 4)):
+            kind = rng.choice(("zero", "repeat", "random"))
+            if kind == "zero":
+                rows.append([0] * n)
+            elif kind == "repeat":
+                rows.append(list(rng.choice(rows)))
+            else:
+                rows.append([rng.randint(0, 1) for _ in range(n)])
+        order = list(range(len(rows)))
+        rng.shuffle(order)
+        mat = BoolMatrix.from_rows(Flavor.B, [rows[i] for i in order])
+        f = sm.hom_of_matrix(mat)
+        assert f.injective
+        at = [order.index(j) for j in range(n)]  # where identity row j went
+        proj = BoolMatrix.from_rows(
+            Flavor.B, [[int(t == at[j]) for t in range(len(rows))] for j in range(n)]
+        )
+        res = sm.dual_factorization(f, certificate=sm.hom_of_matrix(proj))
+        images = [res.dual_map.map[g] for g in res.dual_map.source.generators]
+        surj = res.set_surjection
+        for t in range(len(rows)):
+            for u in range(len(rows)):
+                assert (surj[t] == surj[u]) == (images[t] == images[u]), (mat, t, u)
+                merged += t < u and images[t] == images[u]
+        assert res.induced.surjective
+        zero_rows += rows.count([0] * n)
+    assert merged and zero_rows

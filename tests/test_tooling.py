@@ -145,3 +145,43 @@ def test_docstring_cross_references_resolve():
     free = importlib.import_module("semimod.free")
     mutant = ":class:`KeyOrder` and :meth:`semimod.core.PartialOrder.transpose`"
     assert _unresolved(free, mutant) == ["KeyOrder", "semimod.core.PartialOrder.transpose"]
+
+
+# a dotted name in backticks in the README: `homs._hom_violation`, `semimod.free`
+_README_REF = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
+
+
+def _unresolved_in_readme(text: str) -> list:
+    """The dotted references in ``text`` that name nothing: each must be an
+    attribute path from ``semimod``, from one of its modules (``homs._Search``)
+    or from a name that one of them defines (``Hom.check``)."""
+    package = importlib.import_module("semimod")
+    modules = {
+        path.stem: importlib.import_module(f"semimod.{path.stem}")
+        for path in (ROOT / "src" / "semimod").glob("*.py")
+        if path.stem != "__init__"
+    }
+    bad = []
+    for ref in _README_REF.findall(text):
+        first, *rest = parts = ref.split(".")
+        if first == "semimod":
+            owners, path = [package], rest
+        elif first in modules:
+            owners, path = [modules[first]], rest
+        else:
+            owners, path = [m for m in modules.values() if hasattr(m, first)], parts
+        if not any(_names_path(owner, path) for owner in owners):
+            bad.append(ref)
+    return bad
+
+
+def test_readme_dotted_references_resolve():
+    # a deleted or renamed name leaves no dangling reference in the README
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert _unresolved_in_readme(readme) == []
+    assert len(_README_REF.findall(readme)) > 20
+    # and a reference to a name that is gone, or to no name at all, is caught
+    mutant = "`homs._free_violation`, `semimod.core.PartialOrder.transpose`, `m.order`"
+    assert _unresolved_in_readme(mutant) == [
+        "homs._free_violation", "semimod.core.PartialOrder.transpose", "m.order"
+    ]
