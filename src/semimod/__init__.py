@@ -43,6 +43,7 @@ from .homs import (
     find_right_inverse,
     identity_hom,
     iter_homs,
+    retraction,
 )
 from .families import (
     IndexedLattice,

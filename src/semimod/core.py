@@ -95,6 +95,13 @@ class FlavorMismatchError(ValueError):
     """Operation applied across modules of different flavors."""
 
 
+def _check_carrier(size: int) -> None:
+    """Refuse a carrier above ``CARRIER_CAP`` elements; every module, tabled
+    or keyed, runs this before it is built."""
+    if size > CARRIER_CAP:
+        raise ModuleStructureError(f"carrier of {size} elements exceeds the cap of {CARRIER_CAP}")
+
+
 @dataclass(frozen=True)
 class FinModule:
     """A finite module given by operation tables.
@@ -121,10 +128,7 @@ class FinModule:
 
     def __post_init__(self) -> None:
         n = len(self.names)
-        if n > CARRIER_CAP:
-            raise ModuleStructureError(
-                f"carrier of {n} elements exceeds the cap of {CARRIER_CAP}"
-            )
+        _check_carrier(n)
         # a plain attribute, not a property: ``add_of`` reads it per sum
         object.__setattr__(self, "size", n)
         _structural_check(self)

@@ -22,15 +22,15 @@ entries.
 Only this module pairs a flavor with its family letter (D for B, E for
 Finf): ``IndexedLattice.name`` and :func:`flavor_of_letter` read ``_LETTERS``.
 The corner embedding and its retraction are built on the B halves, the
-retraction by a closed formula, and lifted to the doubles in Finf.  The
-section, the corner embedding and its retraction pass the hom check before
-returning; the section and the retraction also check their splitting
-identities.
+retraction by the closed formula of :func:`semimod.homs.retraction`, and
+lifted to the doubles in Finf.  The section, the corner embedding and its
+retraction pass the hom check before returning; the section and the
+retraction also check their splitting identities.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -42,7 +42,7 @@ from .core import (
     irreducible_generators,
 )
 from .free import KeyedModule, element_of_support, free_module, signed_double
-from .homs import DEFAULT_BUDGET, Hom, compose, enumerate_homs, extension_hom
+from .homs import DEFAULT_BUDGET, Hom, compose, enumerate_homs, extension_hom, retraction
 
 Pair = tuple[int, int]
 
@@ -234,43 +234,25 @@ def corner_embedding(n: int, flavor: Flavor) -> Hom:
 
 
 def corner_retraction(n: int, flavor: Flavor) -> Hom:
-    """The retraction r of the corner embedding, by a closed formula on the
-    B halves (Finf: its Σ-lift x^± ↦ r(x)^±).
+    """The retraction of the corner embedding: in flavor B
+    :func:`semimod.homs.retraction` of it, whose docstring proves it; in
+    Finf the Σ-lift x^± ↦ r(x)^± of the retraction r of the embedding of
+    the halves (the half of E0 is a copy of D0 by reflection, so
+    distributive).
 
-    Let e: L -> M be an injective B-hom with L distributive (the corner
-    witness D0, or the half of E0, a copy of D0 by reflection), J its
-    join-irreducibles, and a_j = Σ{g ∈ J : j ≰ g}.  Then
-    r(y) = Σ{j ∈ J : y ≰ e(a_j)} is a hom with r∘e = id.  Proof: a_j is
-    the largest element of L not above j: if j ≰ x, no irreducible below
-    x lies above j, and x is the sum of the irreducibles below it, so
-    x <= a_j; and j <= a_j fails as j is join-prime (L is distributive,
-    :func:`semimod.core.is_distributive_lattice`).  So x <= a_j exactly
-    when j ≰ x.  As + is the join, y + y' <= e(a_j) exactly when y and y'
-    both are, so r(y + y') = r(y) + r(y'), and r(0) = 0, the empty sum.
-    An injective hom reflects the order (e(x) <= e(x') gives
-    e(x + x') = e(x'), so x + x' = x'), so r(e(x)) = Σ{j : x ≰ a_j} =
-    Σ{j : j <= x} = x.  The cost is O(|M|·|J|) order tests.
-
-    In Finf the lift is a hom with Σ(r)∘Σ(e) = Σ(r∘e) = id when r sends
-    only the zero to the zero (:class:`semimod.free.SignedDouble`); a
-    nonzero y that r sends to the zero raises ModuleStructureError.  The
-    map is still checked to be a hom with r∘e = id before returning.
+    The lift is a hom with Σ(r)∘Σ(e) = Σ(r∘e) = id when r sends only the
+    zero to the zero (:class:`semimod.free.SignedDouble`); a nonzero y that
+    r sends to the zero raises ModuleStructureError.  The lift is still
+    checked to be a hom with r∘e = id before returning.
     """
     emb = corner_embedding(n, flavor)
-    src, dst = emb.target, emb.source
-    if flavor is Flavor.FINF:  # the halves, whose ids are the double's 0..c
-        src, dst = src.half, dst.half
-    irr = dst.generating_set
-    e_a = [emb.map[reduce(dst.add_of, [g for g in irr if not dst.leq(j, g)], 0)] for j in irr]
-    rmap = []
-    for y in range(src.size):
-        r = reduce(dst.add_of, [j for j, t in zip(irr, e_a) if not src.leq(y, t)], 0)
-        if y and not r:
-            raise ModuleStructureError(f"{src.name(y)} retracts to the zero")
-        rmap.append(r)
-    if flavor is Flavor.FINF:
-        rmap = emb.source.lift(rmap)
-    ret = _checked(Hom(emb.target, emb.source, tuple(rmap)), "corner retraction")
+    if flavor is Flavor.B:
+        return retraction(emb)
+    src, dst = emb.source, emb.target
+    r = retraction(Hom(src.half, dst.half, emb.map[: src.half.size]))
+    if 0 in r.map[1:]:  # the first nonzero y that r sends to the zero
+        raise ModuleStructureError(f"{dst.name(r.map.index(0, 1))} retracts to the zero")
+    ret = _checked(Hom(dst, src, src.lift(r.map)), "corner retraction")
     if not compose(ret, emb).is_identity():
         raise ModuleStructureError("retraction ∘ embedding is not the identity")
     return ret

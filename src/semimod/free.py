@@ -52,6 +52,7 @@ from .core import (
     ModuleStructureError,
     PartialOrder,
     _cached,
+    _check_carrier,
 )
 
 
@@ -158,9 +159,11 @@ class KeyedModule(FinModule):
     that its keys make a valid module ordered by inclusion
     (:class:`FreeModule`, :class:`SignedDouble`,
     ``semimod.families._indexed``); :func:`semimod.core.validate_module`
-    still scans one on request.  Two keyed modules are equal when they have
-    the same class, flavor, keys, negations and names, compared in that
-    order, so unequal free modules build no names; the hash skips the names.
+    still scans one on request.  A carrier above ``CARRIER_CAP`` elements
+    is refused, as a tabled one is, before its key index is built.  Two
+    keyed modules are equal when they have the same class, flavor, keys,
+    negations and names, compared in that order, so unequal free modules
+    build no names; the hash skips the names.
     """
 
     def __init__(
@@ -168,6 +171,7 @@ class KeyedModule(FinModule):
         names: Optional[Sequence[str]] = None,
     ):
         keys = tuple(keys)
+        _check_carrier(len(keys))
         id_of_key = dict(zip(keys, range(len(keys))))
         if flavor is Flavor.B:
 
@@ -304,6 +308,7 @@ class SignedDouble(KeyedModule):
     """
 
     def __init__(self, half: KeyedModule):
+        _check_carrier(2 * half.size - 1)  # before the names of ``half`` are read
         c, b = half.size - 1, max(half.keys).bit_length()
         pos, names = [key | 1 << b for key in half.keys[1:]], half.names[1:]
         keys = [0, *pos, *(key << b + 1 for key in pos)]

@@ -36,14 +36,17 @@ loops over all pairs and all total maps in ``tests/oracles.py``.  Each
 check runs once, where its object is made: a ``Hom`` keeps its hom check
 (``Hom.check``), a searched hom or an extension out of a free module
 (:func:`extension_hom`) carries the check its making decided, and the
-inverse searches check w∘f = id or f∘h = id before they return.
+inverse searches check w∘f = id or f∘h = id before they return, as
+:func:`retraction`, the closed-form left inverse of an injection out of a
+distributive B-module, does.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .core import FinModule, Flavor, FlavorMismatchError, Recipe, _cached
+from .core import FinModule, Flavor, FlavorMismatchError, ModuleStructureError, Recipe, _cached
 from .free import extend_from_generators
 
 DEFAULT_BUDGET = 10_000_000
@@ -618,3 +621,40 @@ def find_right_inverse(f: Hom, *, budget: int = DEFAULT_BUDGET) -> Optional[Hom]
     if h is not None and not compose(f, h).is_identity():
         raise AssertionError("right inverse failed verification")
     return h
+
+
+def retraction(e: Hom) -> Hom:
+    """The left inverse r of an injective flavor-B hom e: L -> M with L
+    distributive, by a closed formula, with no search; checked here to be
+    a hom with r∘e = id, and ModuleStructureError otherwise.
+
+    Let J = ``L.generating_set``, the join-irreducibles of L, and
+    a_j = Σ{g ∈ J : j ≰ g}.  Then r(y) = Σ{j ∈ J : y ≰ e(a_j)}.  Proof
+    that r is a hom with r∘e = id: a_j is the largest element of L not
+    above j: if j ≰ x, no irreducible below x lies above j, and x is the
+    sum of the irreducibles below it, so x <= a_j; and j <= a_j fails as j
+    is join-prime (L is distributive,
+    :func:`semimod.core.is_distributive_lattice`).  So x <= a_j exactly
+    when j ≰ x.  As + is the join, y + y' <= e(a_j) exactly when y and y'
+    both are, so r(y + y') = r(y) + r(y'), and r(0) = 0, the empty sum.
+    An injective hom reflects the order (e(x) <= e(x') gives
+    e(x + x') = e(x'), so x + x' = x'), so r(e(x)) = Σ{j : x ≰ a_j} =
+    Σ{j : j <= x} = x.  The cost is O(|M|·|J|) order tests.
+
+    So every injection out of a finite distributive lattice splits (Horn
+    and Kimura, "The category of semilattices", Algebra Universalis 1,
+    1971).  Out of a non-distributive L the formula fails the check: for
+    an irreducible j that is not join-prime, j <= a_j, and every j' in the
+    sum r(e(j)) lies below j (j ≰ a_j' puts j' below j), j excluded, so
+    r(e(j)) is a sum of elements strictly below the irreducible j.
+    """
+    L, M = e.source, e.target
+    if L.flavor is not Flavor.B:
+        raise FlavorMismatchError("the retraction formula is defined for flavor B")
+    irr, add, zero = L.generating_set, L.add_of, L.zero
+    e_a = [(j, e.map[reduce(add, [g for g in irr if not L.leq(j, g)], zero)]) for j in irr]
+    rmap = [reduce(add, [j for j, t in e_a if not M.leq(y, t)], zero) for y in range(M.size)]
+    r = Hom(M, L, tuple(rmap))
+    if not (r.is_hom and compose(r, e).is_identity()):
+        raise ModuleStructureError("retraction ∘ embedding is not the identity")
+    return r

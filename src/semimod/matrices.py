@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from .core import FinModule, Flavor, FlavorMismatchError, _cached
 from .free import FreeModule, _key_neg, _key_sum, free_module
-from .homs import Hom, compose, extension_hom, find_left_inverse
+from .homs import Hom, compose, extension_hom, retraction
 
 
 @dataclass(frozen=True)
@@ -265,25 +265,21 @@ def dual_factorization(f: Hom, certificate: Optional[Hom] = None) -> DualFactori
     f*.  Basis vector t of B[S] goes to row t of the matrix of f, so these
     are the distinct-rows factorization of that matrix, transposed: the
     surjection is its ``row_class``, the induced map its duplicator and the
-    residual its reduced matrix.  Raises when f is not a splittable
-    injection (certificate neither supplied nor found).  A supplied
-    certificate is checked here to be a hom w with w∘f = id; a found one
-    was checked by the search.
+    residual its reduced matrix.  f splits: its source is a free B-module,
+    a Boolean lattice, so distributive, and the certificate defaults to
+    :func:`semimod.homs.retraction` of f, which checks itself.  A supplied
+    certificate is checked here to be a hom w with w∘f = id.
     """
     if f.source.flavor is not Flavor.B:
         raise FlavorMismatchError("dual factorization is defined for flavor B")
-    if f.source.free_rank is None or f.target.free_rank is None:
-        raise FlavorMismatchError("dual factorization requires free endpoints")
+    mat = matrix_of_hom(f)  # s x n; it refuses endpoints that are not free
     if not f.is_hom or not f.injective:
         raise ValueError("dual factorization expects an injective hom")
     if certificate is None:
-        certificate = find_left_inverse(f)
-        if certificate is None:
-            raise ValueError("f is not a splittable injection: no left inverse exists")
+        certificate = retraction(f)
     elif not (compose(certificate, f).is_identity() and certificate.is_hom):
         raise ValueError("supplied certificate is not a left inverse of f")
 
-    mat = matrix_of_hom(f)  # s x n
     fstar = hom_of_matrix(mat.transpose(), target=dualize_free(mat.cols))
     rows = distinct_row_factorization(mat)
     induced = hom_of_matrix(rows.duplicator.transpose())

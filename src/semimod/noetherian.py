@@ -53,7 +53,6 @@ class CategorySpec:
     objects: tuple[tuple[str, FinModule], ...]
     morphism_class: MorphismClass
     budget: int = DEFAULT_BUDGET
-    _catalog: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _by_name: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -72,13 +71,10 @@ class CategorySpec:
 
 
 def hom_catalog(spec: CategorySpec, x: str, y: str) -> tuple[CatalogEntry, ...]:
-    """All morphisms x -> y in the class, cached per ordered pair.
+    """All morphisms x -> y in the class, searched on every call.
 
     Splittable-injection entries carry their verified left inverse.
     """
-    key = (x, y)
-    if key in spec._catalog:
-        return spec._catalog[key]
     X, Y = spec.module(x), spec.module(y)
     injective = spec.morphism_class is not MorphismClass.ALL
     entries = []
@@ -89,9 +85,7 @@ def hom_catalog(spec: CategorySpec, x: str, y: str) -> tuple[CatalogEntry, ...]:
                 entries.append(CatalogEntry(h, cert))
         else:
             entries.append(CatalogEntry(h))
-    result = tuple(entries)
-    spec._catalog[key] = result
-    return result
+    return tuple(entries)
 
 
 def in_class(spec: CategorySpec, f: Hom) -> bool:

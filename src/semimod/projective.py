@@ -52,6 +52,25 @@ def projectivity_certificate(
     Returns the section, which the search checked to split the cover, when
     one exists; otherwise the exhausted search certifies non-projectivity.
     A BudgetExceededError propagates as an inconclusive outcome.
+
+    Lemma: the cover π: F -> m on ``m.generators`` g_1..g_k has at most one
+    section, the residual section h, where h(x) has the signed support
+    {+A_i : g_i <= x} ∪ {-A_i : -g_i <= x} (the second part in flavor Finf
+    only, where a sign conflict makes h(x) the zero).  So the search finds
+    h or nothing.  Proof, for a section s and x in m.  If s(x) is the zero
+    of F, then x = π(s(x)) is the zero of m, and so is h(x): in flavor B
+    the zero is the bottom, above no g_i, so the support is empty; in Finf
+    it is the top, above every ±g_i, so the support has both signs.
+    Otherwise s(x) ⊆ h(x): x = π(s(x)) is the sum of the ±g_i over the
+    support of s(x), and each summand lies below the sum.  And
+    h(x) ⊆ s(x): the irreducible g_i = π(s(g_i)) is a sum of the ±g_j in
+    the support of s(g_i), each below g_i, so it is one of them
+    (:func:`semimod.core.join_irreducibles`).  As the generators hold one
+    of each ± pair and g_i ≠ -g_i, that one is +g_i, so +A_i lies in
+    s(g_i).  Homs are monotone and the nonzero elements of F are ordered
+    by signed-support inclusion, so +A_i lies in s(x) for every x >= g_i,
+    and -A_i = -(+A_i) in s(-g_i) = -s(g_i) and in s(x) for every
+    x >= -g_i.
     """
     cover = canonical_free_cover(m)
     section = find_right_inverse(cover, budget=budget)

@@ -32,7 +32,9 @@ pattern bit by bit, where the library steps through the submasks of the
 support.  The matrix
 product combines the entry lists row by row, where the library sums column
 keys as the free module does.  The principal projective and its rank
-profile read the hom catalog that the library exposes.  The composites of
+profile read the hom catalog that the library exposes.  The residual
+section is built from its definition, support by support, where the
+library searches the cover for a section.  The composites of
 one-step maps are the data behind the generation lemma, against the
 library's direct search between distant family members.
 """
@@ -53,6 +55,7 @@ from semimod import (
     Hom,
     ModuleStructureError,
     Violation,
+    canonical_free_cover,
     compose,
     corner_witness,
     family,
@@ -857,3 +860,22 @@ def composites_of_steps(steps) -> list[set[tuple[int, ...]]]:
         current = {tuple(g[x] for x in f) for f in current for g in step}
         out.append(current)
     return out
+
+
+def residual_section(m: FinModule) -> Hom:
+    """The residual section h of the canonical cover of m, from its
+    definition: h(x) is the element of the free module whose signed support
+    is {+A_i : g_i <= x} and, in flavor Finf, {-A_i : -g_i <= x}, the zero
+    on a sign conflict, for the generators g_i = ``m.generators``.  Not
+    checked to be a hom or a section: on a module that is not projective it
+    is neither."""
+    free = canonical_free_cover(m).source
+    by_support = {frozenset(support_of(free, e)): e for e in range(free.size)}
+    signs = [(1, m.generators)]
+    if m.flavor is Flavor.FINF:
+        signs.append((-1, [m.neg_of(g) for g in m.generators]))
+    hmap = []
+    for x in range(m.size):
+        support = {(i, sign) for sign, gens in signs for i, g in enumerate(gens) if m.leq(g, x)}
+        hmap.append(by_support.get(frozenset(support), free.zero))
+    return Hom(m, free, tuple(hmap))

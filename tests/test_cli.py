@@ -15,7 +15,7 @@ from semimod.cli import build_parser, main
 from semimod.serialize import hom_to_doc, module_from_doc, module_to_doc, resolve_module_ref
 
 from conftest import diamond_m3
-from oracles import check_hom_all_pairs
+from oracles import check_hom_all_pairs, residual_section
 
 
 def run_cli(capsys, *argv):
@@ -342,6 +342,23 @@ def test_split_check_rejects_non_hom(tmp_path, capsys):
     assert "not a homomorphism" in err
 
 
+@pytest.mark.parametrize("target, code", [("D2", 0), ("M3", 1)])
+def test_split_check_of_a_cover_reports_its_section(target, code, tmp_path, capsys):
+    # the one section a cover can have is the residual section; the
+    # non-distributive M3 has none
+    mod = resolve_module_ref(target) if target == "D2" else diamond_m3()
+    cover = sm.canonical_free_cover(mod)
+    doc = hom_to_doc(cover, source_ref=f"free:B:{cover.source.free_rank}")
+    path = tmp_path / "cover.json"
+    path.write_text(json.dumps(doc))
+    got, out, _ = run_cli(capsys, "split-check", str(path))
+    assert got == code
+    res = json.loads(out)
+    assert res["surjective"] and not res["injective"] and res["left_inverse"] is None
+    want = list(residual_section(mod).map) if code == 0 else None
+    assert res["right_inverse"] == want
+
+
 def test_projective_positive(capsys):
     code, out, _ = run_cli(capsys, "projective", "D4")
     assert code == 0
@@ -438,6 +455,16 @@ def test_witness_command(capsys):
     assert "witness holds up to N=2" in out
 
 
+def test_witness_failure_is_a_verified_negative(capsys):
+    # in the all-homs class the corner embedding into D5 factors through D4
+    code, out, _ = run_cli(capsys, "witness", "--flavor", "B", "--max-n", "2", "--class", "all")
+    assert code == 1
+    assert out.splitlines() == [
+        "witness fails: some morphism factors through an earlier level",
+        "  f_2 through D4: factors",
+    ]
+
+
 def test_witness_inconclusive_budget(capsys):
     code, out, _ = run_cli(
         capsys, "witness", "--flavor", "B", "--max-n", "2", "--budget", "5"
@@ -482,6 +509,23 @@ def test_witness_spec_refuses_run_flags(flag, tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert f"drop {flag[0]}" in err
+
+
+def test_witness_spec_needs_a_positive_max_n(tmp_path, capsys):
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps({"flavor": "B", "max_n": 0}))
+    code, out, err = run_cli(capsys, "witness", "--spec", str(path))
+    assert code == 3
+    assert out == ""
+    assert "max_n of at least 1" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_budget_must_be_a_positive_integer(value, capsys):
+    code, out, err = run_cli(capsys, "projective", "D2", "--budget", value)
+    assert code == 3
+    assert out == ""
+    assert "--budget" in err
 
 
 def test_witness_spec_takes_the_budget_flag(tmp_path, capsys):

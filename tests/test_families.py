@@ -2,6 +2,7 @@ import pytest
 
 import semimod as sm
 from semimod import Flavor, families
+from semimod.free import KeyedModule
 
 from conftest import assorted_modules
 from oracles import (
@@ -261,13 +262,31 @@ def test_corner_retraction_agrees_with_the_case_formulas(flavor):
 def test_corner_retraction_refuses_a_map_it_cannot_undo(monkeypatch):
     # the zero map sends every a_j to O, so every nonzero y goes to the top
     # and r∘e is the zero map; the constant top (not a hom) lies above every
-    # y, so r sends every y to O
+    # y, so r sends every y to O, and r∘e is the zero map too
     d0, d4 = sm.corner_witness(Flavor.B).module, sm.family(Flavor.B, 4).module
-    for value, match in ((d4.zero, "not the identity"), (d4.size - 1, "retracts to the zero")):
+    undo = "retraction ∘ embedding is not the identity"
+    for value, match in ((d4.zero, "not the identity"), (d4.size - 1, undo)):
         constant = sm.Hom(d0, d4, (value,) * d0.size)
         monkeypatch.setattr(families, "corner_embedding", lambda n, flavor: constant)
         with pytest.raises(sm.ModuleStructureError, match=match):
             sm.corner_retraction(4, Flavor.B)
+
+
+def test_finf_corner_retraction_refuses_a_half_that_retracts_to_the_zero(monkeypatch):
+    # e: B^2 -> M sends the atoms a, b to {1,2} and {1,3}, both above
+    # c = {1}; r(c) is then the zero, which no lift to the doubles survives
+    b2 = KeyedModule(Flavor.B, (0, 0b01, 0b10, 0b11), names=("0", "a", "b", "ab"))
+    keys = (0, 0b001, 0b011, 0b101, 0b111)
+    m = KeyedModule(Flavor.B, keys, names=("0", "c", "a'", "b'", "top"))
+    e = sm.Hom(b2, m, (0, 2, 3, 4))
+    r = sm.retraction(e)
+    assert r.map[1] == 0 and sm.compose(r, e).is_identity()
+    src, dst = sm.signed_double(b2), sm.signed_double(m)
+    lifted = sm.Hom(src, dst, dst.lift(e.map))
+    assert lifted.is_hom and lifted.injective
+    monkeypatch.setattr(families, "corner_embedding", lambda n, flavor: lifted)
+    with pytest.raises(sm.ModuleStructureError, match="^c retracts to the zero$"):
+        sm.corner_retraction(4, Flavor.FINF)
 
 
 @pytest.mark.parametrize("listed", ["ascending", "reversed"])

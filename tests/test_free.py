@@ -285,3 +285,23 @@ def test_unequal_free_modules_build_no_names(monkeypatch):
 def test_free_rank_cap():
     with pytest.raises(sm.ModuleStructureError):
         sm.free_module(Flavor.B, 20)
+
+
+@pytest.mark.parametrize("flavor,rank", [(Flavor.B, 19), (Flavor.FINF, 12)])
+def test_free_rank_cap_refuses_before_listing_the_keys(flavor, rank, monkeypatch):
+    def refuse(flavor, rank):
+        raise AssertionError("the keys of a free module above the cap were listed")
+
+    monkeypatch.setattr(sm.free, "_layout", refuse)
+    with pytest.raises(sm.ModuleStructureError, match=f"rank {rank} has"):
+        FreeModule(flavor, rank)
+
+
+def test_keyed_modules_above_the_carrier_cap_are_refused():
+    with pytest.raises(sm.ModuleStructureError, match="exceeds the cap"):
+        KeyedModule(Flavor.B, range(sm.CARRIER_CAP + 1))
+    # the largest free B-module under the cap doubles to 2^19 - 1 elements
+    half = FreeModule(Flavor.B, 18)
+    assert half.size == sm.CARRIER_CAP
+    with pytest.raises(sm.ModuleStructureError, match="524287 elements exceeds the cap"):
+        sm.signed_double(half)

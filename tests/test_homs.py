@@ -299,6 +299,78 @@ def test_find_left_inverse_of_noninjective_is_none():
     assert sm.find_left_inverse(zmap) is None
 
 
+def _assert_retraction_splits(e):
+    # the formula undoes every injection out of a distributive source that
+    # the search splits, and by the theorem the search splits them all
+    w = sm.find_left_inverse(e)
+    assert w is not None and sm.compose(w, e).is_identity()
+    r = sm.retraction(e)
+    assert r.source is e.target and r.target is e.source
+    assert check_hom_all_pairs(r).ok and sm.compose(r, e).is_identity()
+    return r
+
+
+def test_retraction_splits_the_injections_between_family_members():
+    count = 0
+    for j in range(3, 7):
+        for i in range(j + 1, 8):
+            for e in sm.enumerate_homs(D(j).module, D(i).module, injective=True):
+                _assert_retraction_splits(e)
+                count += 1
+    assert count == 420  # 8d^2 + 2 maps per pair at distance d
+
+
+def test_retraction_splits_the_corner_witness_into_members():
+    for n in (4, 5, 6):
+        maps = sm.enumerate_homs(D(0).module, D(n).module, injective=True)
+        assert maps
+        for e in maps:
+            _assert_retraction_splits(e)
+
+
+def test_retraction_splits_injective_matrices_with_zero_and_repeated_rows():
+    rng = random.Random(12)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        rows = [[int(i == j) for j in range(n)] for i in range(n)]
+        rows += [[0] * n for _ in range(rng.randint(1, 2))]
+        rows += [list(rng.choice(rows)) for _ in range(rng.randint(1, 2))]
+        rows += [[rng.randint(0, 1) for _ in range(n)] for _ in range(rng.randint(0, 1))]
+        rng.shuffle(rows)
+        e = sm.hom_of_matrix(sm.BoolMatrix.from_rows(Flavor.B, rows))
+        assert e.injective
+        _assert_retraction_splits(e)
+
+
+def test_retraction_splits_injections_between_assorted_modules():
+    mods = [m for m in assorted_modules() if m.flavor is Flavor.B]
+    sources = [m for m in mods if sm.is_distributive_lattice(m).distributive]
+    count = 0
+    for L in sources:
+        for M in mods:
+            # the first maps in search order keep the pairs with thousands cheap
+            for e in itertools.islice(sm.iter_homs(L, M, injective=True), 40):
+                _assert_retraction_splits(e)
+                count += 1
+    assert count > 2000
+
+
+def test_retraction_refuses_a_non_distributive_source():
+    m3, n5 = diamond_m3(), pentagon_n5()
+    free = sm.free_module(Flavor.B, 3)
+    img = {"0": 0, "a": 0b011, "b": 0b110, "c": 0b101, "1": 0b111}
+    into_free = sm.Hom(m3, free, tuple(free.id_of_key[img[m3.name(e)]] for e in range(m3.size)))
+    assert into_free.is_hom and into_free.injective
+    for e in (into_free, sm.identity_hom(m3), sm.identity_hom(n5)):
+        with pytest.raises(sm.ModuleStructureError, match="retraction ∘ embedding"):
+            sm.retraction(e)
+
+
+def test_retraction_is_defined_for_flavor_b():
+    with pytest.raises(sm.FlavorMismatchError):
+        sm.retraction(sm.corner_embedding(4, Flavor.FINF))
+
+
 @pytest.mark.parametrize("find", ["find_left_inverse", "find_right_inverse"])
 def test_inverse_searches_refuse_a_found_hom_that_is_no_inverse(find, monkeypatch):
     # a broken search yields the zero map, a hom but no inverse: the search

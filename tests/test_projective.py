@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 import semimod as sm
 from semimod import Flavor
+from semimod.free import KeyedModule
+from semimod.serialize import resolve_module_ref as ref
 
 from conftest import chain_module
-from oracles import projectivity_agrees_with_distributivity
+from oracles import projectivity_agrees_with_distributivity, residual_section
 
 
 def test_dn_projective_with_found_splitting():
@@ -62,3 +66,48 @@ def test_cover_has_expected_rank():
 def test_distributivity_comparison_rejects_finf():
     with pytest.raises(ValueError):
         projectivity_agrees_with_distributivity(sm.scalar_module(Flavor.FINF))
+
+
+def _union_closed_module(rng, k, universe=8):
+    """The B-module of the union closure of k random subsets of the
+    universe, keyed by the sets themselves."""
+    picks = [sum(1 << b for b in range(universe) if rng.random() < 0.35) for _ in range(k)]
+    sets = {0}
+    for p in picks:
+        sets |= {s | p for s in sets}
+    keys = sorted(sets, key=lambda s: (s.bit_count(), s))
+    return KeyedModule(Flavor.B, keys, names=[f"x{s}" for s in keys])
+
+
+def _section_search_finds_exactly_the_residual_section(m):
+    # the docstring lemma of projectivity_certificate: every section of
+    # the canonical cover is h, so the search finds h or nothing
+    cert = sm.projectivity_certificate(m)
+    h = residual_section(m)
+    if cert.section is not None:
+        assert cert.section.map == h.map
+    else:
+        assert not (h.is_hom and sm.compose(cert.cover, h).is_identity())
+    return cert.projective
+
+
+def test_the_section_of_every_projective_family_member_is_the_residual_section():
+    names = [f"D{n}" for n in (0, *range(2, 8))] + [f"E{n}" for n in (0, 2, 3, 4)]
+    for name in names:
+        assert _section_search_finds_exactly_the_residual_section(ref(name)), name
+
+
+def test_the_section_search_finds_the_residual_section_or_nothing():
+    found = {}
+    for seed in range(1, 5):
+        rng = random.Random(seed)
+        for i in range(40):
+            half = _union_closed_module(rng, 2 + i % 5)
+            mods = [half]
+            if len(half.generators) <= 5:  # a Finf cover of at most 3^5 elements
+                mods.append(sm.signed_double(half))
+            for m in mods:
+                key = (m.flavor, _section_search_finds_exactly_the_residual_section(m))
+                found[key] = found.get(key, 0) + 1
+    # both verdicts occur in both flavors
+    assert len(found) == 4 and min(found.values()) >= 10, found
