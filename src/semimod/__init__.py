@@ -44,6 +44,7 @@ from .homs import (
     identity_hom,
     iter_homs,
     retraction,
+    signed_lift,
 )
 from .families import (
     IndexedLattice,

@@ -23,8 +23,10 @@ Only this module pairs a flavor with its family letter (D for B, E for
 Finf): ``IndexedLattice.name`` and :func:`flavor_of_letter` read ``_LETTERS``.
 The corner embedding and its retraction are built on the B halves, the
 retraction by the closed formula of :func:`semimod.homs.retraction`, and
-lifted to the doubles in Finf.  The section, the corner embedding and its
-retraction pass the hom check before returning; the section and the
+lifted to the doubles in Finf by :func:`semimod.homs.signed_lift`; the
+Finf rigidity check searches the halves and lifts what it finds the same
+way.  The section, the corner embedding and its retraction pass the hom
+check before returning (in Finf, on the halves); the section and the
 retraction also check their splitting identities.
 """
 from __future__ import annotations
@@ -42,7 +44,15 @@ from .core import (
     irreducible_generators,
 )
 from .free import KeyedModule, element_of_support, free_module, signed_double
-from .homs import DEFAULT_BUDGET, Hom, compose, enumerate_homs, extension_hom, retraction
+from .homs import (
+    DEFAULT_BUDGET,
+    Hom,
+    compose,
+    enumerate_homs,
+    extension_hom,
+    retraction,
+    signed_lift,
+)
 
 Pair = tuple[int, int]
 
@@ -218,32 +228,35 @@ def canonical_section(n: int, flavor: Flavor) -> tuple[Hom, Hom]:
 def corner_embedding(n: int, flavor: Flavor) -> Hom:
     """The embedding of the corner witness into the n-th family member that
     sends the corners of D_4 (or E_4) to the corners of the member.  In
-    Finf it is the Σ-lift x^± ↦ e(x)^± of the embedding e of the halves."""
+    Finf it is the lift Σ(e): x^± ↦ e(x)^± (:func:`semimod.homs.signed_lift`)
+    of the embedding e of the halves, which is checked to be an injective
+    hom on the halves."""
     if n <= 3:
         raise ValueError("corner embeddings need n > 3")
     src, dst = corner_witness(flavor), family(flavor, n)
+    S, T = src.module, dst.module
+    if flavor is Flavor.FINF:
+        S, T = S.half, T.half
     emap = [0] * (1 + len(CORNER_SET))
     for p, q in zip(CORNER_SET, _corners(n)):
         emap[src.label(*p)] = dst.label(*q)
-    if flavor is Flavor.FINF:
-        emap = dst.module.lift(emap)
-    emb = _checked(Hom(src.module, dst.module, tuple(emap)), "corner embedding")
+    emb = _checked(Hom(S, T, tuple(emap)), "corner embedding")
     if not emb.injective:
         raise ModuleStructureError("corner embedding is not injective")
-    return emb
+    return emb if flavor is Flavor.B else signed_lift(emb, src.module, dst.module)
 
 
 def corner_retraction(n: int, flavor: Flavor) -> Hom:
     """The retraction of the corner embedding: in flavor B
     :func:`semimod.homs.retraction` of it, whose docstring proves it; in
-    Finf the Σ-lift x^± ↦ r(x)^± of the retraction r of the embedding of
-    the halves (the half of E0 is a copy of D0 by reflection, so
-    distributive).
+    Finf the lift Σ(r): x^± ↦ r(x)^± (:func:`semimod.homs.signed_lift`) of
+    the retraction r of the embedding e of the halves (the half of E0 is a
+    copy of D0 by reflection, so distributive).
 
-    The lift is a hom with Σ(r)∘Σ(e) = Σ(r∘e) = id when r sends only the
-    zero to the zero (:class:`semimod.free.SignedDouble`); a nonzero y that
-    r sends to the zero raises ModuleStructureError.  The lift is still
-    checked to be a hom with r∘e = id before returning.
+    ``retraction`` checks on the halves that r is a hom with r∘e = id.
+    When r sends only the zero to the zero, Σ(r) is a hom
+    (:class:`semimod.free.SignedDouble`) and Σ(r)∘Σ(e) = Σ(r∘e) = id; a
+    nonzero y that r sends to the zero raises ModuleStructureError.
     """
     emb = corner_embedding(n, flavor)
     if flavor is Flavor.B:
@@ -252,10 +265,7 @@ def corner_retraction(n: int, flavor: Flavor) -> Hom:
     r = retraction(Hom(src.half, dst.half, emb.map[: src.half.size]))
     if 0 in r.map[1:]:  # the first nonzero y that r sends to the zero
         raise ModuleStructureError(f"{dst.name(r.map.index(0, 1))} retracts to the zero")
-    ret = _checked(Hom(dst, src, src.lift(r.map)), "corner retraction")
-    if not compose(ret, emb).is_identity():
-        raise ModuleStructureError("retraction ∘ embedding is not the identity")
-    return ret
+    return signed_lift(r, dst, src)
 
 
 def rigidity_check(
@@ -267,6 +277,14 @@ def rigidity_check(
     Exhaustive search; the expected outcome is exactly the identity for
     n = m and nothing otherwise.  For n or m below 4 the corner blocks
     overlap, and pins that send one element to two give no morphism.
+
+    In Finf the search runs on the halves, with the same pins (a double's
+    positive ids are its half's ids), and each result q is lifted to Σ(q)
+    (:func:`semimod.homs.signed_lift`); the budget bounds the half search.
+    By the lemma of :class:`semimod.free.SignedDouble` the injective homs
+    between the doubles are the ±Σ(q) for q injective between the halves.
+    The pins are positive, which -Σ(q) sends to negatives, so the pinned
+    ones are exactly the Σ(q) with q pinned, in the same sorted order.
     """
     if n < 2 or m < 2:
         raise ValueError("rigidity checks need parameters >= 2")
@@ -276,4 +294,8 @@ def rigidity_check(
         s, t = src.label(*p), dst.label(*q)
         if pins.setdefault(s, (t,)) != (t,):
             return []
-    return enumerate_homs(src.module, dst.module, injective=True, allowed=pins, budget=budget)
+    S, T = src.module, dst.module
+    if flavor is Flavor.B:
+        return enumerate_homs(S, T, injective=True, allowed=pins, budget=budget)
+    found = enumerate_homs(S.half, T.half, injective=True, allowed=pins, budget=budget)
+    return [signed_lift(q, S, T) for q in found]

@@ -279,7 +279,8 @@ class SignedDouble(KeyedModule):
     when x <= y in L, and no two elements of opposite signs compare.
 
     A hom q: L -> L' that sends only the zero to the zero, as an injective
-    one does, lifts to Σ(q): x^± ↦ q(x)^± (:meth:`lift`).  Σ(q) is a hom:
+    one does, lifts to Σ(q): x^± ↦ q(x)^± (:meth:`lift` gives its map, and
+    :func:`semimod.homs.signed_lift` the hom, ±Σ(q)).  Σ(q) is a hom:
     it preserves same-sign sums because q does, sends a mixed-sign or zero
     sum to the zero, as the images are mixed or zero too, and commutes with
     negation.

@@ -2,9 +2,11 @@
 
 A hom preserves zero, addition and (flavor Finf) negation.  Every map is
 checked on a generating set of its source (see :func:`_hom_violation`),
-a free source too.  The one hom kept without running that check is an
+a free source too.  Two homs are kept without running that check: an
 extension of generator images out of a free module, a hom by the
-universal property (:func:`extension_hom`).
+universal property (:func:`extension_hom`), and the lift ±Σ(q) to signed
+doubles of a checked hom q between their halves (:func:`signed_lift`),
+a hom by the lift paragraph of :class:`semimod.free.SignedDouble`.
 The enumerator backtracks over the generators of the source, extends each
 partial assignment along the recipes of their span walk
 (:func:`semimod.core.span_walk`: O(|M|·|S|) sums, the same for free and
@@ -47,7 +49,7 @@ from functools import reduce
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import FinModule, Flavor, FlavorMismatchError, ModuleStructureError, Recipe, _cached
-from .free import extend_from_generators
+from .free import SignedDouble, extend_from_generators
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -187,6 +189,29 @@ def extension_hom(free: FinModule, target: FinModule, images: Sequence[int]) -> 
     Negation flips every sign, and -(a + b) = -a + -b and -0 = 0 in N.
     """
     return _searched(free, target, extend_from_generators(free, target, images))
+
+
+def signed_lift(q: Hom, S: FinModule, T: FinModule, negate: bool = False) -> Hom:
+    """The lift Σ(q): S -> T of a hom q: S.half -> T.half between the
+    halves of two signed doubles, x^± ↦ q(x)^±, or -Σ(q) (x^± ↦ q(x)^∓)
+    when ``negate`` is set, with its hom check kept.
+
+    q must pass its hom check, run on the halves if it has not run, and
+    send only the zero to the zero; ValueError otherwise.  The lift is kept
+    as passing without running :func:`_hom_violation` on the doubles: Σ(q)
+    is then a hom by the lift paragraph of
+    :class:`semimod.free.SignedDouble`, and so is -Σ(q), negation being an
+    automorphism of T.  Σ and -Σ keep the order of maps: Σ(q).map is
+    (0, q(1), .., q(c), ..) and q(0) = 0 for every q, so
+    :func:`enumerate_homs` on the halves lifts to a sorted list.
+    """
+    doubles = isinstance(S, SignedDouble) and isinstance(T, SignedDouble)
+    if not doubles or (q.source, q.target) != (S.half, T.half):
+        raise ValueError("signed_lift needs a hom between the halves of two signed doubles")
+    if not q.is_hom or 0 in q.map[1:]:
+        raise ValueError("signed_lift needs a hom that sends only the zero to the zero")
+    lifted = T.lift(q.map)
+    return _searched(S, T, tuple(map(T.neg_of, lifted)) if negate else lifted)
 
 
 def identity_hom(m: FinModule) -> Hom:

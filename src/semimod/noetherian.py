@@ -11,6 +11,12 @@ one side of the triangle from the lazy hom search
 at the first factorization.  Budget exhaustion yields an explicit
 inconclusive verdict, never a silent "no factorization".
 
+An injection-class check between signed doubles, as every check of the
+default F∞ witness family is, runs its search on the B halves and lifts
+the factorization it finds (the corollary in
+:class:`semimod.free.SignedDouble`); the split class, the all-homs class
+and the catalogs search the modules they are given.
+
 The class tests read the hom check each ``Hom`` keeps, and the split
 certificates come checked from :func:`semimod.homs.find_left_inverse`.
 """
@@ -22,6 +28,7 @@ from typing import Optional, Sequence
 
 from .core import FinModule, Flavor
 from .families import corner_embedding, corner_witness, family
+from .free import SignedDouble
 from .homs import (
     DEFAULT_BUDGET,
     BudgetExceededError,
@@ -30,6 +37,7 @@ from .homs import (
     enumerate_homs,
     find_left_inverse,
     iter_homs,
+    signed_lift,
 )
 
 
@@ -133,6 +141,18 @@ def factors_through(spec: CategorySpec, f: Hom, yj: str) -> FactorizationResult:
     through no p in the class.  The split class also asks that p and q
     split, which is searched only for a q that pins a p.
 
+    Injection class between signed doubles (X, Y_j and Y_i all
+    :class:`semimod.free.SignedDouble`): the search runs on the halves.
+    By the lemma of ``SignedDouble``, the injective hom f is Σ(f_h) or
+    -Σ(f_h) for the map f_h of the halves that it induces on the positives;
+    the sign is read off one positive image.  By its corollary, f factors
+    through Y_j by injections exactly when f_h factors through the half of
+    Y_j: q_h∘p_h = f_h gives f = Σ(q_h)∘(±Σ(p_h)), lifted by
+    :func:`semimod.homs.signed_lift`.  So the covering search for q_h runs
+    on the halves, with half the elements and half the generators, and the
+    budget bounds it.  An f that is no such lift is no injective hom, and
+    takes the search on the doubles.
+
     All-homs class: stream p, pin q on its image (allowed sets of one
     value) and take the first completion of q.  If q∘p = f, then
     p(x) = p(y) gives f(x) = f(y), so for an injective f the p search asks
@@ -149,39 +169,75 @@ def factors_through(spec: CategorySpec, f: Hom, yj: str) -> FactorizationResult:
 
     Budget exhaustion anywhere yields an inconclusive verdict.
     """
-    X, Yj = f.source, spec.module(yj)
+    Yj = spec.module(yj)
     try:
-        if spec.morphism_class is not MorphismClass.ALL:
-            if not f.injective:
-                return FactorizationResult(Verdict.NO_FACTORIZATION)
-            split = spec.morphism_class is MorphismClass.SPLIT_INJECTIONS
-            for q in iter_homs(Yj, f.target, covers=set(f.map), budget=spec.budget):
-                inverse = {v: w for w, v in enumerate(q.map)}
-                pmap = tuple(inverse.get(v) for v in f.map)
-                if None in pmap:
-                    raise AssertionError("covering search yielded a q missing im(f)")
-                p = Hom(X, Yj, pmap)
-                if split and not (in_class(spec, p) and in_class(spec, q)):
-                    continue
-                return _factorization(f, p, q)
-            return FactorizationResult(Verdict.NO_FACTORIZATION)
-        for p in iter_homs(X, Yj, injective=f.injective, budget=spec.budget):
-            pins = dict(zip(p.map, f.map))
-            if any(pins[w] != v for w, v in zip(p.map, f.map)):
-                continue
-            pinned = {w: (v,) for w, v in pins.items()}
-            q = next(iter_homs(Yj, f.target, allowed=pinned, budget=spec.budget), None)
-            if q is not None:
-                return _factorization(f, p, q)
-        return FactorizationResult(Verdict.NO_FACTORIZATION)
+        if spec.morphism_class is MorphismClass.ALL:
+            found = _through_any(spec, f, Yj)
+        elif not f.injective:
+            found = None
+        elif spec.morphism_class is MorphismClass.INJECTIONS and (half := _half_of(f, Yj)):
+            f_h, negate = half
+            found = _through_cover(spec, f_h, Yj.half)
+            if found:
+                p_h, q_h = found
+                found = signed_lift(p_h, f.source, Yj, negate), signed_lift(q_h, Yj, f.target)
+        else:
+            found = _through_cover(spec, f, Yj)
     except BudgetExceededError:
         return FactorizationResult(Verdict.INCONCLUSIVE)
-
-
-def _factorization(f: Hom, p: Hom, q: Hom) -> FactorizationResult:
+    if found is None:
+        return FactorizationResult(Verdict.NO_FACTORIZATION)
+    p, q = found
     if compose(q, p).map != f.map:
         raise AssertionError("factorization failed recomposition")
-    return FactorizationResult(Verdict.FACTORS, (p, q))
+    return FactorizationResult(Verdict.FACTORS, found)
+
+
+def _half_of(f: Hom, Yj: FinModule) -> Optional[tuple[Hom, bool]]:
+    """(f_h, negate) with f = Σ(f_h), or -Σ(f_h) when ``negate`` is set,
+    when f and Yj are between signed doubles and f is such a lift; else None."""
+    X, Y = f.source, f.target
+    if not all(isinstance(m, SignedDouble) for m in (X, Y, Yj)):
+        return None
+    c = Y.size // 2
+    negate = X.size > 1 and f.map[1] > c  # the sign of the image of the first positive
+    hmap = (0, *(v - c if negate else v for v in f.map[1 : X.half.size]))
+    if not all(0 < v <= c for v in hmap[1:]):
+        return None
+    lifted = Y.lift(hmap)
+    if (tuple(map(Y.neg_of, lifted)) if negate else lifted) != f.map:
+        return None
+    return Hom(X.half, Y.half, hmap), negate
+
+
+def _through_cover(spec: CategorySpec, f: Hom, Yj: FinModule) -> Optional[tuple[Hom, Hom]]:
+    """The first (p, q) in an injection class with q∘p = f for the
+    injective f, from the covering search for q (see :func:`factors_through`)."""
+    split = spec.morphism_class is MorphismClass.SPLIT_INJECTIONS
+    for q in iter_homs(Yj, f.target, covers=set(f.map), budget=spec.budget):
+        inverse = {v: w for w, v in enumerate(q.map)}
+        pmap = tuple(inverse.get(v) for v in f.map)
+        if None in pmap:
+            raise AssertionError("covering search yielded a q missing im(f)")
+        p = Hom(f.source, Yj, pmap)
+        if split and not (in_class(spec, p) and in_class(spec, q)):
+            continue
+        return p, q
+    return None
+
+
+def _through_any(spec: CategorySpec, f: Hom, Yj: FinModule) -> Optional[tuple[Hom, Hom]]:
+    """The first (p, q) of any homs with q∘p = f, from the all-homs search
+    of :func:`factors_through`."""
+    for p in iter_homs(f.source, Yj, injective=f.injective, budget=spec.budget):
+        pins = dict(zip(p.map, f.map))
+        if any(pins[w] != v for w, v in zip(p.map, f.map)):
+            continue
+        pinned = {w: (v,) for w, v in pins.items()}
+        q = next(iter_homs(Yj, f.target, allowed=pinned, budget=spec.budget), None)
+        if q is not None:
+            return p, q
+    return None
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pytest
 
 import semimod as sm
 from semimod import FinModule, Flavor
+from semimod.homs import _hom_violation
 from semimod.serialize import resolve_module_ref
 
 
@@ -91,3 +92,23 @@ def m3():
 @pytest.fixture
 def n5():
     return pentagon_n5()
+
+
+@pytest.fixture(autouse=True)
+def signed_lifts(monkeypatch):
+    """Every hom ``signed_lift`` returns during a test, in every module that
+    calls it; after the test, each must pass the hom check when it is run
+    (a lift keeps its check without running it)."""
+    lifted = []
+    real = sm.homs.signed_lift
+
+    def recording(*args, **kwargs):
+        f = real(*args, **kwargs)
+        lifted.append(f)
+        return f
+
+    for module in (sm, sm.homs, sm.families, sm.noetherian):
+        monkeypatch.setattr(module, "signed_lift", recording)
+    yield lifted
+    failing = [f for f in lifted if not _hom_violation(f.source, f.target, f.map).ok]
+    assert not failing, f"{len(failing)} of {len(lifted)} signed lifts fail the hom check"

@@ -304,6 +304,16 @@ def test_rigidity_mismatch_case(capsys):
     assert "0 morphisms" in out
 
 
+def test_finf_rigidity_budget_bounds_the_search_on_the_halves(capsys):
+    # the E5 -> E5 search runs on the halves, in 20 ticks (36 on the doubles)
+    code, _, err = run_cli(capsys, "rigidity", "--flavor", "Finf", "--n", "5", "--m", "5",
+                           "--budget", "19")
+    assert code == 2 and "inconclusive" in err
+    code, out, _ = run_cli(capsys, "rigidity", "--flavor", "Finf", "--n", "5", "--m", "5",
+                           "--budget", "20")
+    assert code == 0 and "1 morphism (identity)" in out
+
+
 def test_split_check_positive(tmp_path, capsys):
     emb = sm.corner_embedding(4, Flavor.B)
     doc = hom_to_doc(emb, source_ref="D0", target_ref="D4")

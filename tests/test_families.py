@@ -361,6 +361,25 @@ def test_rigidity(flavor, n, m, expected):
         assert found[0].is_identity()
 
 
+def test_finf_rigidity_agrees_with_the_pinned_search_on_the_doubles():
+    # the Finf check searches the halves and lifts; the oracle searches the
+    # doubles, with each corner of E_n pinned to the matching one of E_m
+    def corners(k):
+        return [(a + i, a + j) for a in (0, k - 2) for i in (1, 2) for j in (1, 2)]
+
+    for n in range(2, 9):
+        for m in range(2, 9):
+            src, dst = sm.family(Flavor.FINF, n), sm.family(Flavor.FINF, m)
+            pins = {}
+            for p, q in zip(corners(n), corners(m)):
+                s, t = src.label(*p), dst.label(*q)
+                pins[s] = pins.get(s, {t}) & {t}
+            want = sm.enumerate_homs(src.module, dst.module, injective=True, allowed=pins)
+            found = sm.rigidity_check(n, m, Flavor.FINF)
+            assert [f.map for f in found] == [f.map for f in want], (n, m)
+            assert all(f.source is src.module and f.target is dst.module for f in found)
+
+
 @pytest.mark.parametrize("flavor", [Flavor.B, Flavor.FINF])
 def test_rigidity_at_larger_parameters(flavor):
     found = sm.rigidity_check(5, 5, flavor)

@@ -987,3 +987,36 @@ def test_generating_basis_rejects_generators_that_do_not_form_a_basis():
         generating_basis(with_generators(gens + (redundant,)))
     with pytest.raises(sm.ModuleStructureError, match="does not generate"):
         generating_basis(with_generators(gens[:-1]))
+
+
+def test_signed_lift_lifts_with_either_sign_and_refuses_what_it_cannot_lift():
+    e4, e5 = sm.family(Flavor.FINF, 4).module, sm.family(Flavor.FINF, 5).module
+    q = sm.enumerate_homs(e4.half, e5.half, injective=True)[7]
+    c = e5.size // 2
+    up = (0, *q.map[1:], *(v + c for v in q.map[1:]))
+    assert sm.signed_lift(q, e4, e5).map == up
+    assert sm.signed_lift(q, e4, e5, negate=True).map == tuple(map(e5.neg_of, up))
+    with pytest.raises(ValueError, match="halves"):
+        sm.signed_lift(q, e5, e4)
+    with pytest.raises(ValueError, match="halves"):
+        sm.signed_lift(q, e4.half, e5)
+    zero = sm.Hom(e4.half, e5.half, (0,) * e4.half.size)  # a hom, but not one to lift
+    not_hom = sm.Hom(e4.half, e5.half, (0, *reversed(q.map[1:])))
+    for f in (zero, not_hom):
+        with pytest.raises(ValueError, match="only the zero"):
+            sm.signed_lift(f, e4, e5)
+
+
+def test_the_signed_lifts_of_a_test_are_checked_after_it(signed_lifts):
+    # the autouse fixture of conftest runs the hom check on every map
+    # signed_lift returns during a test, everywhere it is called
+    e5, e6 = sm.family(Flavor.FINF, 5).module, sm.family(Flavor.FINF, 6).module
+    step = sm.enumerate_homs(e5, e6, injective=True)[1]
+    f = sm.compose(step, sm.corner_embedding(5, Flavor.FINF))
+    spec = sm.CategorySpec(Flavor.FINF, (("E5", e5), ("E6", e6)), sm.MorphismClass.INJECTIONS)
+    assert sm.factors_through(spec, f, "E5").verdict is sm.Verdict.FACTORS
+    assert len(sm.rigidity_check(5, 5, Flavor.FINF)) == 1
+    assert sm.corner_retraction(5, Flavor.FINF).is_hom
+    # the embedding twice, p and q, the rigidity result and the retraction
+    assert len(signed_lifts) == 6
+    assert all(sm.Hom(h.source, h.target, h.map).is_hom for h in signed_lifts)
