@@ -33,6 +33,7 @@ from .free import (
 )
 from .homs import (
     DEFAULT_BUDGET,
+    Budget,
     BudgetExceededError,
     Hom,
     check_hom,

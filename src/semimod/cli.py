@@ -1,13 +1,14 @@
 """Command-line driver.
 
 Exit codes: 0 success / property verified, 1 verified negative (for
-example: not projective, witness fails), 2 inconclusive because a search
-budget ran out, 3 input or usage error, 141 standard output closed before
-the output was written (as for a process killed by SIGPIPE).  All output
-is deterministic for fixed inputs and budgets.
+example: not projective, witness fails), 2 inconclusive because the
+command's search budget ran out, 3 input or usage error, 141 standard
+output closed before the output was written (as for a process killed by
+SIGPIPE).  All output is deterministic for fixed inputs and budgets.
 
 Each subcommand is one entry of ``_COMMANDS``: its help text, whether it
-takes the searches' ``--budget``, the function that adds its other
+takes ``--budget``, which bounds the ticks of all its searches together
+(one :class:`semimod.homs.Budget` per run), the function that adds its other
 arguments and the function that runs it.  A run builds the parser of its
 own subcommand only.  With no arguments, top-level help or an unknown name
 it builds the parser of every subcommand, which also reports arguments
@@ -32,6 +33,7 @@ from .core import (
 from .families import rigidity_check
 from .homs import (
     DEFAULT_BUDGET,
+    Budget,
     BudgetExceededError,
     enumerate_homs,
     find_left_inverse,
@@ -357,7 +359,10 @@ def build_parser(command: Optional[str] = None) -> _Parser:
         p = sub.add_parser(name, help=help_text)
         if searches:  # only the subcommands that search take a budget
             p.add_argument(
-                "--budget", type=_positive_int, default=DEFAULT_BUDGET, help="search budget"
+                "--budget",
+                type=_positive_int,
+                default=DEFAULT_BUDGET,
+                help="ticks all the searches of the command may take together",
             )
         add_arguments(p)
         p.set_defaults(func=run)
@@ -376,6 +381,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if "budget" in vars(args):  # one budget for all the searches of the run
+        args.budget = Budget(args.budget)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

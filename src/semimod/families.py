@@ -46,6 +46,7 @@ from .core import (
 from .free import KeyedModule, element_of_support, free_module, signed_double
 from .homs import (
     DEFAULT_BUDGET,
+    Budget,
     Hom,
     compose,
     enumerate_homs,
@@ -91,9 +92,6 @@ class IndexedLattice:
 
     def label(self, i: int, k: int) -> int:
         return self.label_ids[(i, k)]
-
-    def neg_label(self, i: int, k: int) -> int:
-        return self.module.neg_of(self.label_ids[(i, k)])
 
     @property
     def name(self) -> str:
@@ -269,7 +267,7 @@ def corner_retraction(n: int, flavor: Flavor) -> Hom:
 
 
 def rigidity_check(
-    n: int, m: int, flavor: Flavor, *, budget: int = DEFAULT_BUDGET
+    n: int, m: int, flavor: Flavor, *, budget: int | Budget = DEFAULT_BUDGET
 ) -> list[Hom]:
     """All injective homs between family members n and m that send each
     corner of member n to the matching corner of member m.

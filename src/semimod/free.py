@@ -163,7 +163,9 @@ class KeyedModule(FinModule):
     is refused, as a tabled one is, before its key index is built.  Two
     keyed modules are equal when they have the same class, flavor, keys,
     negations and names, compared in that order, so unequal free modules
-    build no names; the hash skips the names.
+    build no names; the hash skips the names.  A keyed module built without
+    ``names`` names its elements on first read, as a free module does: the
+    zero ``0`` and every other element ``k`` and its key in binary.
     """
 
     def __init__(
@@ -212,6 +214,10 @@ class KeyedModule(FinModule):
 
     def __hash__(self) -> int:
         return hash(self._identity)
+
+    @_cached
+    def names(self) -> tuple[str, ...]:
+        return ("0", *(f"k{key:b}" for key in self.keys[1:]))
 
 
 class FreeModule(KeyedModule):

@@ -40,7 +40,8 @@ check runs once, where its object is made: a ``Hom`` keeps its hom check
 (:func:`extension_hom`) carries the check its making decided, and the
 inverse searches check w∘f = id or f∘h = id before they return, as
 :func:`retraction`, the closed-form left inverse of an injection out of a
-distributive B-module, does.
+distributive B-module, does.  The searches of one command draw on one
+tick count, a :class:`Budget`, so ``--budget`` bounds the whole command.
 """
 from __future__ import annotations
 
@@ -60,6 +61,39 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, message: str, explored: int):
         super().__init__(message)
         self.explored = explored
+
+
+class Budget:
+    """The ticks that all the searches of one command may take together.
+
+    Every search on a budget adds its ticks to ``spent`` as it takes them,
+    so a search run while another is suspended (the q search of an
+    all-homs factorization, for each p the p stream yields) counts live,
+    and the least ``limit`` under which a command decides is the total of
+    its ticks.  The tick past the limit sets ``spent`` to limit + 1 and
+    raises :class:`BudgetExceededError`; from then on every search on the
+    budget raises as it starts, before it builds any search data, so the
+    rest of a command that goes on after an inconclusive search costs no
+    search.  The entry points of the library also take an ``int``, a fresh
+    budget for that call (:meth:`of`).
+    """
+
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.spent = 0
+
+    @classmethod
+    def of(cls, budget: int | Budget) -> Budget:
+        """``budget`` itself, or a fresh budget of that many ticks."""
+        return budget if isinstance(budget, Budget) else cls(budget)
+
+    def exhausted(self) -> BudgetExceededError:
+        """The error of running past the limit, with ``spent`` set to
+        limit + 1 (a batch of dropped ticks may overshoot)."""
+        self.spent = self.limit + 1
+        return BudgetExceededError(f"hom search budget of {self.limit} exhausted", self.spent)
 
 
 @dataclass(frozen=True)
@@ -313,9 +347,14 @@ class _Search:
 
     Ticks: one per generator candidate (a value in its allowed set),
     whether it passes, is rejected or is dropped unscanned, and one per
-    verified map; the budget bounds their total.  :meth:`run` is a
-    generator, so a caller that stops after k maps spends exactly the
-    ticks up to the k-th.
+    verified map.  Each tick is added to ``budget.spent``, the count of
+    the :class:`Budget` the search draws on with the other searches of its
+    command, and compared with its limit, one add and one compare per tick.
+    A search on a budget already run past raises before it reads any
+    module data.  :meth:`run` is a generator, so a caller that stops after
+    k maps spends exactly the ticks up to the k-th; ``explored`` counts the
+    ticks of this search alone, added up while it runs, not while it is
+    suspended at a yielded map.
     """
 
     def __init__(
@@ -326,13 +365,15 @@ class _Search:
         injective: bool,
         allowed: Optional[Mapping[int, Iterable[int]]],
         covers: Optional[Iterable[int]],
-        budget: int,
+        budget: int | Budget,
     ):
         if M.flavor is not N.flavor:
             raise FlavorMismatchError("hom search requires matching flavors")
+        self.budget = budget = Budget.of(budget)
+        if budget.spent > budget.limit:
+            raise budget.exhausted()
         self.M, self.N = M, N
         self.injective = injective or covers is not None
-        self.budget = budget
         self.explored = 0
         self.basis = M.basis
         self.allowed = self._allowed_masks(allowed or {})
@@ -402,10 +443,13 @@ class _Search:
         return allowed
 
     def _exhausted(self) -> BudgetExceededError:
-        self.explored = self.budget + 1  # a batch of dropped ticks may overshoot
-        return BudgetExceededError(
-            f"hom search budget of {self.budget} exhausted", self.explored
-        )
+        error = self.budget.exhausted()
+        self._pause()
+        return error
+
+    def _pause(self) -> None:
+        """Add the ticks spent since the search last started or resumed."""
+        self.explored += self.budget.spent - self._since
 
     def _lower(self, x: int) -> int:
         """OR of the keys of f(y) over the assigned y below x: f(x) = v is
@@ -477,8 +521,9 @@ class _Search:
         return True
 
     def _verify(self) -> bool:
-        self.explored += 1
-        if self.explored > self.budget:
+        budget = self.budget
+        budget.spent += 1
+        if budget.spent > budget.limit:
             raise self._exhausted()
         return _hom_violation(self.M, self.N, self.val).ok
 
@@ -492,7 +537,12 @@ class _Search:
         self.assigned = 1 << zero
         if self.injective:
             self.used = 1 << v
-        yield from self._dfs(0)
+        self._since = self.budget.spent
+        for mp in self._dfs(0):
+            self._pause()
+            yield mp
+            self._since = self.budget.spent
+        self._pause()
 
     def _dfs(self, depth: int) -> Iterator[tuple[int, ...]]:
         if self.cover:
@@ -515,6 +565,7 @@ class _Search:
         placed = assigned | 1 << gen
         lo, hi = self._lower(gen), self._upper(gen)
         budget = self.budget
+        limit = budget.limit
         dropped = 0
         if self.reflect and layer:  # a layer without recipes drops nothing
             maxima, minima = self.reflection[depth] or self._reflecting(depth)
@@ -529,12 +580,12 @@ class _Search:
             low = cands & -cands
             cands ^= low
             cand = low.bit_length() - 1
-            self.explored += 1
+            budget.spent += 1
             if dropped:  # the dropped candidates below this one tick first
                 below = dropped & (low - 1)
                 dropped ^= below
-                self.explored += below.bit_count()
-            if self.explored > budget:
+                budget.spent += below.bit_count()
+            if budget.spent > limit:
                 raise self._exhausted()
             k = keys[cand]
             if lo & ~k or k & ~hi or used >> cand & 1:
@@ -547,8 +598,8 @@ class _Search:
                 yield from self._dfs(depth + 1)
             self.assigned, self.used = assigned, used
         if dropped:
-            self.explored += dropped.bit_count()
-            if self.explored > budget:
+            budget.spent += dropped.bit_count()
+            if budget.spent > limit:
                 raise self._exhausted()
 
     def _reflecting(self, depth: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -573,7 +624,7 @@ def iter_homs(
     injective: bool = False,
     allowed: Optional[Mapping[int, Iterable[int]]] = None,
     covers: Optional[Iterable[int]] = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Budget = DEFAULT_BUDGET,
 ) -> Iterator[Hom]:
     """The homs M -> N meeting the restrictions, in search order.
 
@@ -589,8 +640,11 @@ def iter_homs(
 
     The search ticks only as far as the caller reads, so the first hom
     costs only the ticks that lead to it; ``BudgetExceededError`` is raised
-    at the first tick past the budget.  Every map passes the hom check
-    before it is yielded, and its ``Hom`` carries that check.
+    at the first tick past the budget, a :class:`Budget` shared with the
+    other searches of a command or an ``int``, a fresh budget for this
+    search alone.  On a budget already run past it is raised here, before
+    any search data is built.  Every map passes the hom check before it is
+    yielded, and its ``Hom`` carries that check.
     """
     search = _Search(M, N, injective=injective, allowed=allowed, covers=covers, budget=budget)
     return (_searched(M, N, mp) for mp in search.run())
@@ -610,7 +664,7 @@ def enumerate_homs(
     injective: bool = False,
     allowed: Optional[Mapping[int, Iterable[int]]] = None,
     covers: Optional[Iterable[int]] = None,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Budget = DEFAULT_BUDGET,
 ) -> list[Hom]:
     """All homs M -> N meeting the restrictions of :func:`iter_homs`,
     sorted by map table."""
@@ -618,7 +672,7 @@ def enumerate_homs(
     return sorted(homs, key=lambda h: h.map)
 
 
-def find_left_inverse(f: Hom, *, budget: int = DEFAULT_BUDGET) -> Optional[Hom]:
+def find_left_inverse(f: Hom, *, budget: int | Budget = DEFAULT_BUDGET) -> Optional[Hom]:
     """A hom w with w∘f = id on the source, checked to be one, or None after
     exhausting the space."""
     if not f.is_hom:
@@ -632,7 +686,7 @@ def find_left_inverse(f: Hom, *, budget: int = DEFAULT_BUDGET) -> Optional[Hom]:
     return w
 
 
-def find_right_inverse(f: Hom, *, budget: int = DEFAULT_BUDGET) -> Optional[Hom]:
+def find_right_inverse(f: Hom, *, budget: int | Budget = DEFAULT_BUDGET) -> Optional[Hom]:
     """A hom h with f∘h = id on the target, checked to be one, or None after
     exhausting the space."""
     if not f.is_hom:

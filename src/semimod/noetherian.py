@@ -9,7 +9,10 @@ ever materialized.  The factorization check builds no catalog: it streams
 one side of the triangle from the lazy hom search
 (:func:`semimod.homs.iter_homs`), derives or searches the other, and stops
 at the first factorization.  Budget exhaustion yields an explicit
-inconclusive verdict, never a silent "no factorization".
+inconclusive verdict, never a silent "no factorization".  The searches of
+one catalog, one factorization check or one witness run draw on one
+:class:`semimod.homs.Budget`: the spec's own when it holds one, as the
+command line's does, else a fresh one of the spec's limit per call.
 
 An injection-class check between signed doubles, as every check of the
 default F∞ witness family is, runs its search on the B halves and lifts
@@ -22,7 +25,7 @@ certificates come checked from :func:`semimod.homs.find_left_inverse`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -31,6 +34,7 @@ from .families import corner_embedding, corner_witness, family
 from .free import SignedDouble
 from .homs import (
     DEFAULT_BUDGET,
+    Budget,
     BudgetExceededError,
     Hom,
     compose,
@@ -55,12 +59,14 @@ class CatalogEntry:
 
 @dataclass(frozen=True)
 class CategorySpec:
-    """A flavor, named objects, and the morphism class under consideration."""
+    """A flavor, named objects, the morphism class under consideration and
+    the budget of the searches: a limit, or a :class:`Budget` that they
+    share with the rest of a command."""
 
     flavor: Flavor
     objects: tuple[tuple[str, FinModule], ...]
     morphism_class: MorphismClass
-    budget: int = DEFAULT_BUDGET
+    budget: int | Budget = DEFAULT_BUDGET
     _by_name: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -78,11 +84,19 @@ class CategorySpec:
             raise KeyError(f"unknown object {name!r}") from None
 
 
+def _budgeted(spec: CategorySpec) -> CategorySpec:
+    """``spec`` when it holds a :class:`Budget`, else a copy that holds a
+    fresh one of its limit, for the searches of one call to share."""
+    return spec if isinstance(spec.budget, Budget) else replace(spec, budget=Budget(spec.budget))
+
+
 def hom_catalog(spec: CategorySpec, x: str, y: str) -> tuple[CatalogEntry, ...]:
-    """All morphisms x -> y in the class, searched on every call.
+    """All morphisms x -> y in the class, searched on every call, all the
+    searches on one budget.
 
     Splittable-injection entries carry their verified left inverse.
     """
+    spec = _budgeted(spec)
     X, Y = spec.module(x), spec.module(y)
     injective = spec.morphism_class is not MorphismClass.ALL
     entries = []
@@ -123,6 +137,8 @@ class FactorizationResult:
 def factors_through(spec: CategorySpec, f: Hom, yj: str) -> FactorizationResult:
     """Search for p: X -> Y_j and q: Y_j -> Y_i in the class with q∘p = f,
     for f: X -> Y_i (its endpoints, checked by the caller) and Y_j named ``yj``.
+    An f that fails its hom check raises ``ValueError``: no p could be a
+    hom.
 
     One side is streamed from :func:`semimod.homs.iter_homs` and the search
     stops at the first factorization (the first in search order).
@@ -167,8 +183,12 @@ def factors_through(spec: CategorySpec, f: Hom, yj: str) -> FactorizationResult:
     the all-homs class, streaming q is out of reach: there are 840,832
     homs D4 -> D5, and streaming them takes 37 s.
 
-    Budget exhaustion anywhere yields an inconclusive verdict.
+    Budget exhaustion anywhere yields an inconclusive verdict; all the
+    searches of one call draw on one budget.
     """
+    if not f.is_hom:
+        raise ValueError("factors_through expects a hom")
+    spec = _budgeted(spec)
     Yj = spec.module(yj)
     try:
         if spec.morphism_class is MorphismClass.ALL:
@@ -278,16 +298,24 @@ def witness_verify(
     y_names: Sequence[str],
     morphisms: Sequence[Hom],
 ) -> WitnessReport:
-    """Check that no f_i factors through any earlier Y_j inside the class."""
+    """Check that no f_i factors through any earlier Y_j inside the class.
+
+    Every morphism is checked to be in the class before any factorization
+    check runs.  All the searches of the call draw on one budget, so once
+    one check runs out, every later check is inconclusive at once, and
+    the least limit under which the run decides is the total of its ticks.
+    """
     if len(y_names) != len(morphisms):
         raise ValueError("one morphism per family object is required")
+    spec = _budgeted(spec)
     X0 = spec.module(x0)
-    levels = []
     for i, (yn, f) in enumerate(zip(y_names, morphisms), start=1):
         if f.source != X0 or f.target != spec.module(yn):
             raise ValueError(f"morphism {i} does not run X0 -> {yn}")
         if not in_class(spec, f):
             raise ValueError(f"morphism {i} is not in the morphism class")
+    levels = []
+    for i, f in enumerate(morphisms, start=1):
         checks = tuple((yj, factors_through(spec, f, yj).verdict) for yj in y_names[: i - 1])
         levels.append(WitnessLevel(i, f, checks))
     return WitnessReport(tuple(levels))
@@ -298,7 +326,7 @@ def default_witness_family(
     upto: int,
     morphism_class: MorphismClass = MorphismClass.INJECTIONS,
     *,
-    budget: int = DEFAULT_BUDGET,
+    budget: int | Budget = DEFAULT_BUDGET,
 ) -> tuple[CategorySpec, str, list[str], list[Hom]]:
     """X_0 = the corner witness, Y_i the (i+3)-rd family member, f_i the
     corner embeddings.  The members are built largest first, so a member

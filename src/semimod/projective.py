@@ -13,7 +13,7 @@ from typing import Optional
 
 from .core import FinModule
 from .free import free_module
-from .homs import DEFAULT_BUDGET, Hom, extension_hom, find_right_inverse
+from .homs import DEFAULT_BUDGET, Budget, Hom, extension_hom, find_right_inverse
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ def canonical_free_cover(m: FinModule) -> Hom:
 
 
 def projectivity_certificate(
-    m: FinModule, *, budget: int = DEFAULT_BUDGET
+    m: FinModule, *, budget: int | Budget = DEFAULT_BUDGET
 ) -> ProjectivityCertificate:
     """Search the canonical cover for a right inverse.
 

@@ -84,6 +84,19 @@ def refuse_free_names(monkeypatch):
     sm.dualize_free.cache_clear()
 
 
+def recording_searches(monkeypatch):
+    """The hom searches run from here on, recorded as they start."""
+    searches = []
+    real = sm.homs._Search.run
+
+    def recording(self):
+        searches.append(self)
+        return real(self)
+
+    monkeypatch.setattr(sm.homs._Search, "run", recording)
+    return searches
+
+
 @pytest.fixture
 def m3():
     return diamond_m3()

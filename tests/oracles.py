@@ -721,6 +721,11 @@ def retraction_pair_b(n: int, lat, k: int, l: int) -> tuple[int, int]:
     raise AssertionError(f"retraction case formula does not cover a_{k}_{l}")
 
 
+def neg_label(lat, i: int, k: int) -> int:
+    """The id of -a_i_k in the Finf family member or corner witness ``lat``."""
+    return lat.module.neg_of(lat.label(i, k))
+
+
 def retraction_pair_f(n: int, k: int, l: int) -> tuple[int, int]:
     """The corner of E0 that the retraction E_n -> E0 sends a_k_l to, by
     case formula (-a_k_l goes to the negated corner)."""
@@ -752,7 +757,7 @@ def retraction_by_case_formula(n: int, flavor: Flavor) -> tuple[int, ...]:
         else:
             p = retraction_pair_f(n, k, l)
             rmap[src.label(k, l)] = dst.label(*p)
-            rmap[src.neg_label(k, l)] = dst.neg_label(*p)
+            rmap[neg_label(src, k, l)] = neg_label(dst, *p)
     return tuple(rmap)
 
 

@@ -14,7 +14,7 @@ from semimod import Flavor
 from semimod.cli import build_parser, main
 from semimod.serialize import hom_to_doc, module_from_doc, module_to_doc, resolve_module_ref
 
-from conftest import diamond_m3
+from conftest import diamond_m3, recording_searches
 from oracles import check_hom_all_pairs, residual_section
 
 
@@ -536,6 +536,61 @@ def test_budget_must_be_a_positive_integer(value, capsys):
     assert code == 3
     assert out == ""
     assert "--budget" in err
+
+
+@pytest.mark.parametrize("budget, code", [("1000", 2), ("1200", 2), ("1201", 0)])
+def test_the_budget_bounds_the_whole_witness_run(budget, code, capsys):
+    # B N=3 takes 1,201 ticks over its three checks, at most 757 in one:
+    # a budget that each check fits in alone no longer decides the run
+    got, out, _ = run_cli(capsys, "witness", "--flavor", "B", "--max-n", "3", "--budget", budget)
+    assert got == code
+    assert out.count(": inconclusive") == (code == 2)
+
+
+def _bijection_doc():
+    # negation on E3, a hom and a bijection: split-check runs both searches
+    e3 = sm.family(Flavor.FINF, 3).module
+    neg = sm.Hom(e3, e3, tuple(map(e3.neg_of, range(e3.size))))
+    return hom_to_doc(neg, source_ref="E3", target_ref="E3")
+
+
+@pytest.mark.parametrize(
+    "argv, searches",
+    [
+        ("witness --flavor B --max-n 2 --class all", 2),
+        ("witness --flavor B --max-n 3 --class all", 6),
+        ("witness --flavor Finf --max-n 2 --class all", 2),
+        ("split-check neg.json", 2),
+    ],
+)
+def test_the_least_deciding_budget_is_the_ticks_the_run_takes(
+    argv, searches, tmp_path, monkeypatch, capsys
+):
+    # the all-homs class runs a q search for each p while the p stream is
+    # suspended, and split-check runs two searches; all draw on one budget
+    # live, so the run decides on exactly the ticks it takes, one less
+    # leaves a check inconclusive, and each search's own ticks add up to it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "neg.json").write_text(json.dumps(_bijection_doc()))
+    argv = argv.split()
+    recorded = recording_searches(monkeypatch)
+    full = run_cli(capsys, *argv)
+    budget = recorded[0].budget
+    assert len(recorded) == searches and all(s.budget is budget for s in recorded)
+    ticks = budget.spent
+    assert sum(s.explored for s in recorded) == ticks
+    assert run_cli(capsys, *argv, "--budget", str(ticks)) == full
+    code, out, _ = run_cli(capsys, *argv, "--budget", str(ticks - 1))
+    assert code == 2 or ": inconclusive" in out
+
+
+def test_a_spent_budget_starts_no_further_search(capsys, monkeypatch):
+    # the first of the 28 checks runs out of its 10 ticks; the other 27 are
+    # inconclusive without a search
+    recorded = recording_searches(monkeypatch)
+    code, out, _ = run_cli(capsys, "witness", "--flavor", "B", "--max-n", "8", "--budget", "10")
+    assert code == 2 and out.count(": inconclusive") == 28
+    assert len(recorded) == 1
 
 
 def test_witness_spec_takes_the_budget_flag(tmp_path, capsys):

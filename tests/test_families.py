@@ -7,6 +7,7 @@ from semimod.free import KeyedModule
 from conftest import assorted_modules
 from oracles import (
     family_reference,
+    neg_label,
     retraction_by_case_formula,
     section_generator_pairs,
     signed_double_by_table,
@@ -46,8 +47,8 @@ def test_en_addition_rules():
         for q in lat.index_pairs:
             met = (min(p[0], q[0]), min(p[1], q[1]))
             assert mod.add_of(lat.label(*p), lat.label(*q)) == lat.label(*met)
-            assert mod.add_of(lat.neg_label(*p), lat.neg_label(*q)) == lat.neg_label(*met)
-            assert mod.add_of(lat.label(*p), lat.neg_label(*q)) == mod.zero
+            assert mod.add_of(neg_label(lat, *p), neg_label(lat, *q)) == neg_label(lat, *met)
+            assert mod.add_of(lat.label(*p), neg_label(lat, *q)) == mod.zero
 
 
 def _tables(mod):
@@ -175,7 +176,7 @@ def test_d0_hasse_relations():
 def test_e0_mixed_sign_rule():
     lat = sm.corner_witness(Flavor.FINF)
     mod = lat.module
-    assert mod.add_of(lat.label(1, 1), lat.neg_label(4, 4)) == mod.zero
+    assert mod.add_of(lat.label(1, 1), neg_label(lat, 4, 4)) == mod.zero
     assert mod.add_of(lat.label(3, 4), lat.label(4, 3)) == lat.label(3, 3)
 
 

@@ -275,6 +275,14 @@ def test_keyed_modules_are_equal_only_with_equal_keys():
         sm.compose(sm.identity_hom(chain), sm.identity_hom(square))
 
 
+def test_keyed_modules_built_without_names_name_their_elements_by_key():
+    square = KeyedModule(Flavor.B, [0, 0b01, 0b10, 0b11])
+    assert square.names == ("0", "k1", "k10", "k11") and square.name(1) == "k1"
+    assert sm.signed_double(square).names == ("0", "k1", "k10", "k11", "-k1", "-k10", "-k11")
+    assert square == KeyedModule(Flavor.B, [0, 1, 2, 3], names=square.names)
+    assert sm.validate_module(square).ok
+
+
 def test_unequal_free_modules_build_no_names(monkeypatch):
     refuse_free_names(monkeypatch)
     free = sm.free_module(Flavor.B, 3)

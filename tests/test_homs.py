@@ -662,6 +662,35 @@ def test_search_takes_the_pinned_number_of_ticks(case):
     assert exc.value.explored == ticks
 
 
+def test_searches_on_one_budget_add_up_their_ticks():
+    # two pinned searches, one after the other on one budget: the sum of
+    # their ticks decides both, and one tick less leaves the second short
+    (first, a, found_a), (second, b, found_b) = (
+        TICK_CASES["injective D4->D5"], TICK_CASES["injective D0->D4"]
+    )
+    budget = sm.Budget(a + b)
+    assert len(first(budget)) == found_a and len(second(budget)) == found_b
+    assert budget.spent == a + b
+    budget = sm.Budget(a + b - 1)
+    assert len(first(budget)) == found_a
+    with pytest.raises(sm.BudgetExceededError) as exc:
+        second(budget)
+    assert exc.value.explored == budget.spent == a + b
+
+
+def test_a_spent_budget_raises_before_any_search_data_is_built():
+    budget = sm.Budget(10)
+    with pytest.raises(sm.BudgetExceededError):
+        sm.enumerate_homs(_module("D4"), _module("D5"), budget=budget)
+    # fresh copies, past the cache: the search reads neither order nor basis
+    M, N = (sm.families.family.__wrapped__(Flavor.B, n).module for n in (11, 12))
+    before = set(vars(M)), set(vars(N))
+    with pytest.raises(sm.BudgetExceededError, match="budget of 10 exhausted") as exc:
+        sm.iter_homs(M, N, covers={1}, budget=budget)
+    assert exc.value.explored == budget.spent == 11
+    assert (set(vars(M)), set(vars(N))) == before
+
+
 def test_negation_recipes_pass_the_order_tests_they_no_longer_run(monkeypatch):
     # _Search._run_recipes proves that f(-g) = -f(g) passes both order tests
     # on a tabled Finf source; here they are evaluated before every negation

@@ -19,7 +19,7 @@ from semimod.noetherian import (
 )
 from semimod.serialize import resolve_module_ref as ref
 
-from conftest import chain_module, diamond_m3, pentagon_n5
+from conftest import chain_module, diamond_m3, pentagon_n5, recording_searches
 from oracles import (
     PrincipalProjective,
     composites_of_steps,
@@ -171,19 +171,6 @@ def test_witness_holds_for_finf_family():
         assert report.holds
 
 
-def _recording_searches(monkeypatch):
-    """The hom searches run from here on, recorded as they start."""
-    searches = []
-    real = sm.homs._Search.run
-
-    def recording(self):
-        searches.append(self)
-        return real(self)
-
-    monkeypatch.setattr(sm.homs._Search, "run", recording)
-    return searches
-
-
 def _on_halves(spec, fs):
     """The B spec of the halves of a Finf spec of signed doubles, and the
     maps the morphisms fs induce on the halves."""
@@ -201,8 +188,10 @@ def test_witness_holds_at_depth(monkeypatch):
     # others.  Each Finf
     # verdict is that of the same pair on the B halves, with the halves of
     # the corner embeddings (the corollary in free.SignedDouble), and the
-    # Finf searches are those of the B run on the halves, tick for tick
-    searches = _recording_searches(monkeypatch)
+    # Finf searches are those of the B run on the halves, tick for tick.
+    # The budget bounds the whole run, and B 24 takes more ticks than the
+    # default, so the deepest runs get exactly the ticks they take
+    searches = recording_searches(monkeypatch)
     deepest_ticks = {(Flavor.B, 24): 17_459_852, (Flavor.FINF, 16): 588_056}
     for flavor, upto in (
         (Flavor.B, 4),
@@ -215,7 +204,8 @@ def test_witness_holds_at_depth(monkeypatch):
         (Flavor.FINF, 16),
     ):
         searches.clear()
-        spec, x0, ys, fs = default_witness_family(flavor, upto)
+        budget = deepest_ticks.get((flavor, upto), sm.DEFAULT_BUDGET)
+        spec, x0, ys, fs = default_witness_family(flavor, upto, budget=budget)
         report = witness_verify(spec, x0, ys, fs)
         assert report.holds and not report.inconclusive, (flavor, upto)
         verdicts = [verdict for lv in report.levels for _, verdict in lv.checks]
@@ -240,7 +230,7 @@ def test_witness_holds_at_depth(monkeypatch):
 def test_witness_searches_take_the_pinned_number_of_ticks(flavor, ticks, monkeypatch):
     # one covering search per pair j < i at N = 8, 28 in all; the Finf
     # searches run on the halves, as the B witness on the halves does
-    searches = _recording_searches(monkeypatch)
+    searches = recording_searches(monkeypatch)
     spec, x0, ys, fs = default_witness_family(flavor, 8)
     assert witness_verify(spec, x0, ys, fs).holds
     assert len(searches) == 28
@@ -281,7 +271,7 @@ def test_injection_checks_between_signed_doubles_agree_with_the_search_on_the_do
     cases += [(f, yj) for f in composites for yj in ys]
     cases += [(_negated(f), yj) for f, yj in cases]
     want = [_covering_verdict(f, mods[yj]) for f, yj in cases]
-    searches = _recording_searches(monkeypatch)
+    searches = recording_searches(monkeypatch)
     verdicts = []
     for (f, yj), verdict in zip(cases, want):
         res = factors_through(spec, f, yj)
@@ -302,7 +292,7 @@ def test_injection_checks_between_signed_doubles_agree_with_the_search_on_the_do
 def test_no_finf_injection_search_runs_on_a_double(monkeypatch):
     # a default-family Finf witness and the Finf rigidity grid search the
     # B halves only
-    searches = _recording_searches(monkeypatch)
+    searches = recording_searches(monkeypatch)
     assert witness_verify(*default_witness_family(Flavor.FINF, 8)).holds
     for n in range(2, 9):
         for m in range(2, 9):
@@ -559,6 +549,42 @@ def test_witness_transfers_to_superset_spec():
     )
     report = witness_verify(bigger, x0, ys, fs)
     assert report.holds
+
+
+@pytest.mark.parametrize("morphism_class", list(MorphismClass))
+def test_factors_through_refuses_a_map_that_is_no_hom(morphism_class):
+    # the permutation of D4 swapping elements 1 and 2 is injective but no
+    # hom, so p = q⁻¹∘f could be no hom either
+    d4 = sm.family(Flavor.B, 4).module
+    spec = CategorySpec(Flavor.B, (("D4", d4),), morphism_class)
+    swap = sm.Hom(d4, d4, (0, 2, 1, *range(3, d4.size)))
+    assert swap.injective and not swap.is_hom
+    with pytest.raises(ValueError, match="expects a hom"):
+        factors_through(spec, swap, "D4")
+
+
+def test_witness_checks_share_one_budget_per_call():
+    # a budget that covers each check of B N=3 alone but not all three
+    # leaves the last inconclusive; each call starts on a fresh budget
+    spec, x0, ys, fs = default_witness_family(Flavor.B, 3, budget=1200)
+    for _ in range(2):
+        report = witness_verify(spec, x0, ys, fs)
+        assert [v for lv in report.levels for _, v in lv.checks] == [
+            Verdict.NO_FACTORIZATION, Verdict.NO_FACTORIZATION, Verdict.INCONCLUSIVE
+        ]
+    assert witness_verify(dataclasses.replace(spec, budget=1201), x0, ys, fs).holds
+
+
+def test_split_class_membership_is_checked_before_the_checks_spend_the_budget():
+    # the left-inverse searches that put each f_i in the class run first:
+    # with one tick more than they take, every check is inconclusive and
+    # the last f_i's membership search is not cut off
+    spec, x0, ys, fs = default_witness_family(Flavor.B, 3, MorphismClass.SPLIT_INJECTIONS)
+    budget = sm.Budget(sm.DEFAULT_BUDGET)
+    assert all(in_class(dataclasses.replace(spec, budget=budget), f) for f in fs)
+    limited = dataclasses.replace(spec, budget=budget.spent + 1)
+    report = witness_verify(limited, x0, ys, fs)
+    assert [v for lv in report.levels for _, v in lv.checks] == [Verdict.INCONCLUSIVE] * 3
 
 
 def test_inconclusive_on_tiny_budget():
