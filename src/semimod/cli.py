@@ -6,13 +6,14 @@ command's search budget ran out, 3 input or usage error, 141 standard
 output closed before the output was written (as for a process killed by
 SIGPIPE).  All output is deterministic for fixed inputs and budgets.
 
-Each subcommand is one entry of ``_COMMANDS``: its help text, whether it
-takes ``--budget``, which bounds the ticks of all its searches together
-(one :class:`semimod.homs.Budget` per run), the function that adds its other
-arguments and the function that runs it.  A run builds the parser of its
-own subcommand only.  With no arguments, top-level help or an unknown name
-it builds the parser of every subcommand, which also reports arguments
-left over, so the usage and help text list all of them.
+Each subcommand is one entry of ``_COMMANDS``: its help text, its
+positional arguments, its options and the function that runs it.  The
+subcommands that search take ``--budget``, which bounds the ticks of all
+their searches together (one :class:`semimod.homs.Budget` per run).  A
+well-formed command line is read off that table by :func:`_parse`, which
+builds no parser.  Every other line goes to the argparse parser that
+:func:`build_parser` builds from the same table, so help and usage errors
+are argparse's own.
 """
 from __future__ import annotations
 
@@ -279,74 +280,93 @@ def _cmd_witness(args) -> int:
     return 2 if report.inconclusive else 1
 
 
-def _file_arg(p) -> None:
-    p.add_argument("file")
+class _Opt:
+    """One option of a subcommand: what ``add_argument`` is given, and what
+    :func:`_parse` checks its value against.  (A plain class: a NamedTuple
+    would cost every cold run about 0.2 ms at import.)"""
+
+    __slots__ = ("flag", "dest", "type", "choices", "default", "required", "store_true", "help")
+
+    def __init__(self, flag, dest, type=None, choices=None, default=None, required=False,
+                 store_true=False, help=None):
+        self.flag, self.dest, self.type, self.choices = flag, dest, type, choices
+        self.default, self.required = default, required
+        self.store_true, self.help = store_true, help
 
 
-def _module_ref_arg(p) -> None:
-    p.add_argument("module", help="module reference or file")
+_FILE = (("file", None),)
+_MODULE = (("module", "module reference or file"),)
+# only the subcommands that search take a budget
+_BUDGET = _Opt(
+    "--budget", "budget", _positive_int, default=DEFAULT_BUDGET,
+    help="ticks all the searches of the command may take together",
+)
+_FLAVORS = ("B", "Finf")
 
-
-def _construct_args(p) -> None:
-    _module_ref_arg(p)
-    p.add_argument("--format", choices=["json", "dot", "text"], default="json")
-
-
-def _homs_args(p) -> None:
-    p.add_argument("--source", required=True, help="module reference or file")
-    p.add_argument("--target", required=True, help="module reference or file")
-    p.add_argument("--pins", default=None, help="JSON file with pinned element pairs")
-    p.add_argument("--injective", action="store_true")
-
-
-def _rigidity_args(p) -> None:
-    p.add_argument("--flavor", choices=["B", "Finf"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-
-
-def _witness_args(p) -> None:
-    # the run flags default to None, so that --spec can refuse them
-    p.add_argument("--flavor", choices=["B", "Finf"], default=None)
-    p.add_argument("--max-n", type=_positive_int, default=None, dest="max_n")
-    p.add_argument("--spec", default=None, help="JSON witness description file")
-    p.add_argument(
-        "--class",
-        dest="morphism_class",
-        choices=[c.value for c in MorphismClass],
-        default=None,
-        help=f"morphism class (default {MorphismClass.INJECTIONS.value})",
-    )
-    p.add_argument("--format", choices=["json", "text"], default="text")
-
-
-# name: (help, takes --budget, adds the other arguments, runs the command)
+# name: (help, positionals as (name, help) pairs, options, runs the command)
 _COMMANDS = {
-    "construct": ("emit a module as JSON, DOT or text", False, _construct_args, _cmd_construct),
-    "validate": ("check the axioms of a module file", False, _file_arg, _cmd_validate),
-    "homs": ("enumerate morphisms between two modules", True, _homs_args, _cmd_homs),
-    "rigidity": ("count injective corner-pinned morphisms", True, _rigidity_args, _cmd_rigidity),
+    "construct": (
+        "emit a module as JSON, DOT or text", _MODULE,
+        (_Opt("--format", "format", choices=("json", "dot", "text"), default="json"),),
+        _cmd_construct,
+    ),
+    "validate": ("check the axioms of a module file", _FILE, (), _cmd_validate),
+    "homs": (
+        "enumerate morphisms between two modules", (),
+        (
+            _BUDGET,
+            _Opt("--source", "source", required=True, help="module reference or file"),
+            _Opt("--target", "target", required=True, help="module reference or file"),
+            _Opt("--pins", "pins", help="JSON file with pinned element pairs"),
+            _Opt("--injective", "injective", default=False, store_true=True),
+        ),
+        _cmd_homs,
+    ),
+    "rigidity": (
+        "count injective corner-pinned morphisms", (),
+        (
+            _BUDGET,
+            _Opt("--flavor", "flavor", choices=_FLAVORS, required=True),
+            _Opt("--n", "n", int, required=True),
+            _Opt("--m", "m", int, required=True),
+        ),
+        _cmd_rigidity,
+    ),
     "split-check": (
-        "search one-sided inverses of a morphism file", True, _file_arg, _cmd_split_check
+        "search one-sided inverses of a morphism file", _FILE, (_BUDGET,), _cmd_split_check
     ),
     "projective": (
-        "certify (non-)projectivity of a module", True, _module_ref_arg, _cmd_projective
+        "certify (non-)projectivity of a module", _MODULE, (_BUDGET,), _cmd_projective
     ),
     "factor-matrix": (
-        "distinct-rows factorization of a matrix file", False, _file_arg, _cmd_factor_matrix
+        "distinct-rows factorization of a matrix file", _FILE, (), _cmd_factor_matrix
     ),
-    "dualize": ("dualize a morphism between free modules", False, _file_arg, _cmd_dualize),
-    "witness": ("run the corner-embedding witness family", True, _witness_args, _cmd_witness),
+    "dualize": ("dualize a morphism between free modules", _FILE, (), _cmd_dualize),
+    "witness": (
+        "run the corner-embedding witness family", (),
+        (
+            _BUDGET,
+            # the run flags default to None, so that --spec can refuse them
+            _Opt("--flavor", "flavor", choices=_FLAVORS),
+            _Opt("--max-n", "max_n", _positive_int),
+            _Opt("--spec", "spec", help="JSON witness description file"),
+            _Opt(
+                "--class", "morphism_class", choices=tuple(c.value for c in MorphismClass),
+                help=f"morphism class (default {MorphismClass.INJECTIONS.value})",
+            ),
+            _Opt("--format", "format", choices=("json", "text"), default="text"),
+        ),
+        _cmd_witness,
+    ),
 }
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser(command: Optional[str] = None) -> _Parser:
-    """The argument parser of every subcommand, or of ``command`` alone.
+@functools.cache
+def build_parser() -> _Parser:
+    """The argparse parser of every subcommand, built from ``_COMMANDS``.
 
-    Both read ``_COMMANDS``, so a subcommand parses the same either way;
-    a cold run builds only the one it runs, as building all nine costs a
-    few milliseconds.  Each parser is built once per process: parsing keeps
+    It parses the command lines that :func:`_parse` leaves to it and writes
+    all help and usage errors.  It is built once per process: parsing keeps
     no state on it, and in-process callers run ``main`` many times.
     """
     # the top-level help shows the first two paragraphs of the module
@@ -354,33 +374,75 @@ def build_parser(command: Optional[str] = None) -> _Parser:
     description = "\n\n".join((__doc__ or "").split("\n\n")[:2])
     parser = _Parser(prog="semimod", description=description)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in _COMMANDS if command is None else (command,):
-        help_text, searches, add_arguments, run = _COMMANDS[name]
+    for name, (help_text, positionals, options, run) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if searches:  # only the subcommands that search take a budget
-            p.add_argument(
-                "--budget",
-                type=_positive_int,
-                default=DEFAULT_BUDGET,
-                help="ticks all the searches of the command may take together",
-            )
-        add_arguments(p)
+        for pos, pos_help in positionals:
+            p.add_argument(pos, help=pos_help)
+        for o in options:
+            if o.store_true:
+                p.add_argument(o.flag, dest=o.dest, action="store_true", default=o.default,
+                               help=o.help)
+            else:
+                p.add_argument(o.flag, dest=o.dest, type=o.type, choices=o.choices,
+                               default=o.default, required=o.required, help=o.help)
         p.set_defaults(func=run)
     return parser
 
 
+def _parse(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``build_parser().parse_args(argv)`` gives for a
+    well-formed command line, read off ``_COMMANDS``; None for every other.
+
+    Well-formed: an exact subcommand name, then its exact positional count
+    and exact flags, each at most once and each but a store-true one
+    followed by a value that does not start with ``-`` and passes the
+    option's type and choices, with every required flag given.  On such a
+    line argparse takes the same tokens the same way, so the namespaces are
+    equal; any other line (help, abbreviations, ``--flag=value``, repeats,
+    ``--``, errors) is the full parser's.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, pos_args, specs, run = _COMMANDS[argv[0]]
+    options = {o.flag: o for o in specs}
+    values = {o.dest: o.default for o in specs}
+    given, positionals = set(), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        opt = options.get(token)
+        if opt is None or token in given:
+            return None
+        given.add(token)
+        if opt.store_true:
+            values[opt.dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = opt.type(value) if opt.type else value
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        values[opt.dest] = value
+    if len(positionals) != len(pos_args) or any(o.required and o.flag not in given for o in specs):
+        return None
+    values.update(zip((name for name, _ in pos_args), positionals))
+    return argparse.Namespace(command=argv[0], func=run, **values)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # no arguments, top-level help and an unknown name go to the full
-    # parser, whose usage and help list every subcommand
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    try:
-        args, extras = build_parser(command).parse_known_args(argv)
-        if extras:
-            # the full parser reports them, with its own usage line
+    args = _parse(argv)
+    if args is None:
+        try:
             args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        except SystemExit as exc:  # help, or a usage error
+            return int(exc.code or 0)
     if "budget" in vars(args):  # one budget for all the searches of the run
         args.budget = Budget(args.budget)
     try:

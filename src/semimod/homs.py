@@ -45,6 +45,7 @@ tick count, a :class:`Budget`, so ``--budget`` bounds the whole command.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -529,7 +530,13 @@ class _Search:
 
     def run(self) -> Iterator[tuple[int, ...]]:
         """The maps of the homs, in search order, ticking only as far as
-        the caller consumes them."""
+        the caller consumes them.
+
+        The search recurses once per generator of M.  One that runs past
+        Python's recursion limit raises
+        :class:`~semimod.core.ModuleStructureError`, naming the generator
+        count, at the depth where it does; nothing is refused ahead, so
+        every search that fits within the limit runs."""
         if self.injective and self.M.size > self.N.size or not all(self.allowed):
             return
         zero, v = self.M.zero, self.N.zero
@@ -538,10 +545,17 @@ class _Search:
         if self.injective:
             self.used = 1 << v
         self._since = self.budget.spent
-        for mp in self._dfs(0):
-            self._pause()
-            yield mp
-            self._since = self.budget.spent
+        try:
+            for mp in self._dfs(0):
+                self._pause()
+                yield mp
+                self._since = self.budget.spent
+        except RecursionError:
+            raise ModuleStructureError(
+                f"the hom search recurses once per generator, and the "
+                f"{len(self.basis.generators)} generators of its source go past "
+                f"Python's recursion limit ({sys.getrecursionlimit()})"
+            ) from None
         self._pause()
 
     def _dfs(self, depth: int) -> Iterator[tuple[int, ...]]:

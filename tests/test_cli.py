@@ -8,10 +8,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import semimod as sm
 from semimod import Flavor
-from semimod.cli import build_parser, main
+from semimod.cli import _COMMANDS, _parse, build_parser, main
 from semimod.serialize import hom_to_doc, module_from_doc, module_to_doc, resolve_module_ref
 
 from conftest import diamond_m3, recording_searches
@@ -666,8 +667,74 @@ def test_parse_cases_cover_every_subcommand():
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
 def test_one_subcommand_parser_parses_as_the_full_parser(command):
+    # the table parse of one subcommand's line accepts each case, as the
+    # full parser parses it
     for argv in PARSE_CASES[command]:
-        assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
+        assert _parse(argv) == build_parser().parse_args(argv), argv
+
+
+def test_the_benchmark_command_lines_are_table_parsed(monkeypatch):
+    # every command line a cover or witness benchmark job passes to
+    # cli.main, recorded by running the job on a stand-in main
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import jobs
+    import run
+    from tracing import NullTracer
+
+    lines = []
+
+    def record(argv):
+        lines.append(list(argv))
+        print("{}")  # a document each job can read; exit 3 is never a verdict
+        return 3
+
+    monkeypatch.setattr(sm.cli, "main", record)
+    for spec in run.COVER + run.WITNESS:
+        jobs.JOBS[spec["kind"]][0](spec, NullTracer())
+    assert len(lines) == 9 + 4 + 98
+    for argv in lines:
+        assert _parse(argv) == build_parser().parse_args(argv), argv
+
+
+_WORDS = ["D2", "f.json", "", "x", "b", "-3"]
+_NUMBERS = ["0", "-3", "1_0", "x", "", "3", "12"]
+
+
+def _argv_strategy(command):
+    """Lines of one subcommand, in any order: each option given a valid or
+    an invalid value (or, unless required, absent), its positional count,
+    and half the time one or two more tokens (a flag exact, abbreviated,
+    with ``=`` or repeated, help, ``--``, a value).  Many are well formed.
+    A missing required flag is left to the usage-error cases."""
+    _, positionals, options, _ = _COMMANDS[command]
+    flags = [o.flag for o in options]
+    noise = flags + [f[:k] for f in flags for k in (3, 4)] + [f + "=1" for f in flags]
+    noise += ["-h", "--help", "--", "-", "bogus", *_WORDS, *_NUMBERS]
+    groups = [st.lists(st.sampled_from(_WORDS).map(lambda w: [w]),
+                       min_size=len(positionals), max_size=len(positionals))]
+    for o in options:
+        if o.store_true:
+            present = st.just([[o.flag]])
+        else:
+            values = [*o.choices, "bogus", ""] if o.choices else _NUMBERS if o.type else _WORDS
+            present = st.sampled_from(values).map(lambda v, flag=o.flag: [[flag, v]])
+        groups.append(present if o.required else st.one_of(st.just([]), present))
+    extra = st.lists(st.sampled_from(noise).map(lambda t: [t]), min_size=1, max_size=2)
+    groups.append(st.one_of(st.just([]), extra))
+    chunks = st.tuples(*groups).map(lambda gs: sum(gs, [])).flatmap(st.permutations)
+    return chunks.map(lambda cs: [command, *sum(cs, [])])
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_the_table_parse_agrees_with_the_full_parser(command):
+    @settings(max_examples=150, deadline=None)
+    @given(_argv_strategy(command))
+    def agrees(argv):
+        args = _parse(argv)
+        if args is not None:
+            assert args == build_parser().parse_args(argv), argv
+
+    agrees()
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)
@@ -693,22 +760,58 @@ def test_top_level_output_lists_every_subcommand(argv, capsys):
     assert "{" + ",".join(SUBCOMMANDS) + "}" in out + err
 
 
-def test_cold_run_registers_one_subparser():
+def test_cold_run_builds_no_parser():
+    # a well-formed line is read off the command table: neither a cold run
+    # nor the benchmark's in-process rigidity grid builds an argparse parser
     script = (
-        "import argparse\n"
-        "registered = []\n"
-        "add_parser = argparse._SubParsersAction.add_parser\n"
-        "def counting(self, name, **kwargs):\n"
-        "    registered.append(name)\n"
-        "    return add_parser(self, name, **kwargs)\n"
-        "argparse._SubParsersAction.add_parser = counting\n"
+        "import argparse, contextlib, io, itertools\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(kwargs.get('prog'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
         "from semimod.cli import main\n"
-        "code = main(['projective', 'D2'])\n"
-        "print(code, registered)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['projective', 'D2'])]\n"
+        "    for fl, n, m in itertools.product(('B', 'Finf'), range(2, 9), range(2, 9)):\n"
+        "        codes.append(main(['rigidity', '--flavor', fl, '--n', str(n), '--m', str(m)]))\n"
+        "print(len(codes), set(codes), built)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 ['projective']"
+    assert proc.stdout.splitlines()[-1] == "99 {0} []"
+    # and the count sees a parser when one is built
+    proc = subprocess.run(
+        [sys.executable, "-c", script.replace("['projective', 'D2']", "['projective', '-h']")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].startswith("99 {0} ['semimod', ")
+
+
+def test_a_search_too_deep_for_the_recursion_limit_is_an_input_error():
+    # the search recurses once per generator (D_n has 2n - 1); under a low
+    # limit D80 goes past it and D40 does not, as D520 and D400 do at 1000
+    script = (
+        "import sys\n"
+        "sys.setrecursionlimit(150)\n"
+        "from semimod.cli import main\n"
+        "n = sys.argv[1]\n"
+        "code = main(['rigidity', '--flavor', 'B', '--n', n, '--m', n])\n"
+        "print(code, main(['homs', '--source', f'D{n}', '--target', f'D{n}', '--injective']))\n"
+    )
+    deep = subprocess.run([sys.executable, "-c", script, "80"], capture_output=True, text=True)
+    assert deep.stdout.splitlines() == ["3 3"], deep.stderr
+    assert "Traceback" not in deep.stderr
+    assert deep.stderr.splitlines() == [
+        "error: the hom search recurses once per generator, and the 159 generators of its"
+        " source go past Python's recursion limit (150)"
+    ] * 2
+    shallow = subprocess.run([sys.executable, "-c", script, "40"], capture_output=True, text=True)
+    identity = json.dumps({"map": list(range(resolve_module_ref("D40").size))})
+    assert shallow.stdout.splitlines() == ["1 morphism (identity)", identity, "0 0"], shallow.stderr
+    assert shallow.stderr.splitlines() == ["1 morphisms"]
 
 
 def test_witness_needs_parameters(capsys):

@@ -82,6 +82,17 @@ def test_readme_command_table_lists_every_subcommand():
     assert rows == list(_COMMANDS)
 
 
+def test_readme_command_table_names_every_flag():
+    # each row names every flag of its subcommand; --budget is documented
+    # once, in the paragraph on budgets
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `([\w-]+)(.*)$", section, re.M))
+    for name, (_, _, options, _) in _COMMANDS.items():
+        flags = {o.flag for o in options} - {"--budget"}
+        assert flags <= set(re.findall(r"--[\w-]+", rows[name])), name
+
+
 def test_ci_installs_the_test_pins_of_pyproject():
     # the test extra and the CI install step name the same exact versions;
     # both files are read as text, as Python 3.10 has no tomllib
