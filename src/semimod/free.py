@@ -220,6 +220,18 @@ class KeyedModule(FinModule):
         return ("0", *(f"k{key:b}" for key in self.keys[1:]))
 
 
+def _check_free_rank(flavor: Flavor, rank: int) -> None:
+    """Refuse a negative rank, and a free module above ``CARRIER_CAP``
+    elements before any of it is built."""
+    if rank < 0:
+        raise ValueError("rank must be nonnegative")
+    size = (2 if flavor is Flavor.B else 3) ** rank
+    if size > CARRIER_CAP:
+        raise ModuleStructureError(
+            f"free module of rank {rank} has {size} elements, above the cap of {CARRIER_CAP}"
+        )
+
+
 class FreeModule(KeyedModule):
     """The free module on ``rank`` generators, keyed by signed supports
     ``pos | neg << rank``; -e swaps the halves.  The rules of KeyedModule
@@ -232,13 +244,7 @@ class FreeModule(KeyedModule):
     letter = "A"
 
     def __init__(self, flavor: Flavor, rank: int):
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
-        size = (2 if flavor is Flavor.B else 3) ** rank
-        if size > CARRIER_CAP:
-            raise ModuleStructureError(
-                f"free module of rank {rank} has {size} elements, above the cap of {CARRIER_CAP}"
-            )
+        _check_free_rank(flavor, rank)
         keys, walk, negs = _layout(flavor, rank)
         super().__init__(flavor, keys, negs)
         object.__setattr__(self, "free_rank", rank)
@@ -312,6 +318,29 @@ class SignedDouble(KeyedModule):
     positive, so the sign is + and f = q∘p on the ids 0..c; for X = 0 both
     sides factor.  So a witness in the injection class holds on the doubles
     exactly when it holds on the halves, at every depth.
+
+    Projectivity.  Σ(L) is projective exactly when L is, and L is zero or
+    has a least nonzero element ℓ (then an irreducible below every other
+    one).  Let π: F -> Σ(L) and π_L: F_L -> L be the canonical covers.  The
+    irreducibles of Σ(L) are the g⁺ for g irreducible in L, as the nonzero
+    elements below x⁺ are the y⁺ with y <= x; so F is the free F∞ module on
+    the generators of F_L, and π sends a signed support to the zero on
+    mixed signs and else to (π_L of its support)^± with its sign.  Proof.
+    Let σ be a section of π.  As π(σ(x⁺)) = x⁺, σ(x⁺) is a positive
+    support; read in F_L it is s(x), and s (with s(0) = 0) is a hom with
+    π_L∘s = id, since positive supports add by union.  So L is projective.
+    For nonzero x and y, σ(x⁺) + -σ(y⁺) = σ(x⁺ + y⁻) = σ(0) = 0, so s(x)
+    and s(y) share a generator A_i, and g_i = π_L(A_i) lies below both.
+    Two distinct atoms have no nonzero element below both, so a nonzero L
+    has one atom ℓ, and every nonzero element lies above it.  Conversely
+    let s be a section of π_L and σ(x^±) = ±s(x), σ(0) = 0.  Same-sign sums
+    go to unions, so σ is additive on them, and σ(-x) = -σ(x).  By the
+    uniqueness lemma of :func:`semimod.projective.projectivity_certificate`,
+    s(x) holds A_ℓ for every nonzero x, as ℓ <= x; so σ(x⁺) + σ(y⁻) has a
+    sign conflict and is the zero, σ(x⁺ + y⁻), and sums with the zero are
+    the zero on both sides.  And π(σ(x^±)) = (π_L(s(x)))^± = x^±.  Σ(2×2),
+    the double of the square with atoms a and b, is the smallest case where
+    L splits and Σ(L) does not: a⁺ + b⁻ = 0 needs a shared generator.
     """
 
     def __init__(self, half: KeyedModule):

@@ -4,16 +4,19 @@ A finitely generated module is projective exactly when some surjection from
 a free module onto it splits, and then the canonical cover (the free module
 on the irreducible generators) splits as well.  The search either produces
 the section or exhausts the constrained space, so a negative answer is a
-certificate, not a timeout.
+certificate, not a timeout.  A signed double Σ(L) is decided on its B half
+L, whose free cover has 2^k elements where the double's has 3^k: by the
+projectivity lemma of :class:`semimod.free.SignedDouble`, the section of
+L's cover lifts to the double's exactly when L has a least nonzero element.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import FinModule
-from .free import free_module
-from .homs import DEFAULT_BUDGET, Budget, Hom, extension_hom, find_right_inverse
+from .core import FinModule, Flavor
+from .free import SignedDouble, _check_free_rank, free_module
+from .homs import DEFAULT_BUDGET, Budget, Hom, compose, extension_hom, find_right_inverse
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,40 @@ def projectivity_certificate(
     by signed-support inclusion, so +A_i lies in s(x) for every x >= g_i,
     and -A_i = -(+A_i) in s(-g_i) = -s(g_i) and in s(x) for every
     x >= -g_i.
+
+    A signed double Σ(L) (:class:`semimod.free.SignedDouble`) is decided
+    by the search on its half L, on the same budget, after its F∞ cover is
+    refused if it would exceed the carrier cap: Σ(L) is projective exactly
+    when L is and L is zero or has a least nonzero element, and then the
+    section is L's lifted, x^± ↦ ±s(x), checked once where it is made.  The
+    double's own search walks the same tree at the same ticks: its
+    generators are the g_i⁺, each candidate set is g_i's fiber in L's cover
+    read as positive supports, in the same order, and the mixed-sign sums
+    it adds are checked only at the leaves, where h takes the largest,
+    hence last, candidate at every depth.  So the answer, the section and
+    the ticks are those of the double's search.
     """
+    if isinstance(m, SignedDouble):
+        return _double_certificate(m, budget)
     cover = canonical_free_cover(m)
     section = find_right_inverse(cover, budget=budget)
+    return ProjectivityCertificate(cover, section)
+
+
+def _double_certificate(m: SignedDouble, budget: int | Budget) -> ProjectivityCertificate:
+    """Σ(L) decided on its half L (see :func:`projectivity_certificate`);
+    the F∞ cover is built once L has decided, for a negative too."""
+    L = m.half
+    irr = L.generators
+    _check_free_rank(Flavor.FINF, len(irr))
+    half = projectivity_certificate(L, budget=budget)
+    cover = canonical_free_cover(m)
+    # a least nonzero element is an irreducible below every irreducible
+    if half.section is None or irr and not any(all(L.leq(low, g) for g in irr) for low in irr):
+        return ProjectivityCertificate(cover, None)
+    F, keys = cover.source, half.cover.source.keys
+    pos = [F.id_of_key[keys[v]] for v in half.section.map[1:]]
+    section = Hom(m, F, (0, *pos, *map(F.neg_of, pos)))
+    if not (section.is_hom and compose(cover, section).is_identity()):
+        raise AssertionError("lifted section failed verification")
     return ProjectivityCertificate(cover, section)

@@ -1033,6 +1033,7 @@ def test_each_hom_and_certificate_is_checked_once(tmp_path, capsys, monkeypatch)
     emb = sm.corner_embedding(5, Flavor.B)
     path = tmp_path / "emb.json"
     path.write_text(json.dumps(hom_to_doc(emb, source_ref="D0", target_ref="D5")))
+    half_section = sm.find_right_inverse(sm.canonical_free_cover(resolve_module_ref("E4").half))
     checked.clear()
     # the five corner embeddings; their class test reads the kept check, and
     # the covering searches reach no complete map
@@ -1044,11 +1045,48 @@ def test_each_hom_and_certificate_is_checked_once(tmp_path, capsys, monkeypatch)
     assert code == 0
     assert checked == [emb.map, tuple(json.loads(out)["left_inverse"])]
     checked.clear()
-    # only the section the search checks as a hom: the cover is an extension
-    # of generator images, which carries its check from its construction
+    # E4 is decided on its B half: the half's section, which its search
+    # checks as a hom, then that section lifted to the double, checked where
+    # it is lifted; the covers are extensions of generator images, which
+    # carry their checks from their construction
     code, out, _ = run_cli(capsys, "projective", "E4")
     assert code == 0
-    assert checked == [tuple(json.loads(out)["section"])]
+    assert checked == [half_section.map, tuple(json.loads(out)["section"])]
+
+
+@pytest.mark.parametrize("budget, code", [("5064", 2), ("5065", 0)])
+def test_projective_e4_decides_at_the_ticks_of_the_double_search(budget, code, capsys):
+    # 5,065 ticks, pinned in TICK_CASES for the search on the double
+    assert run_cli(capsys, "projective", "E4", "--budget", budget)[0] == code
+
+
+def test_a_double_is_refused_or_run_out_before_its_finf_cover_is_built():
+    # E4 --budget 10 runs out in the search on its half, and E7's F∞ cover
+    # (rank 13) is refused before any search starts
+    script = (
+        "import contextlib, io\n"
+        "from semimod import free, homs\n"
+        "from semimod.cli import main\n"
+        "built, searches = [], []\n"
+        "free_init, search_init = free.FreeModule.__init__, homs._Search.__init__\n"
+        "def free_counting(self, flavor, rank):\n"
+        "    built.append(flavor.value)\n"
+        "    free_init(self, flavor, rank)\n"
+        "def search_counting(self, *args, **kwargs):\n"
+        "    searches.append(args)\n"
+        "    search_init(self, *args, **kwargs)\n"
+        "free.FreeModule.__init__ = free_counting\n"
+        "homs._Search.__init__ = search_counting\n"
+        "runs = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    for argv in (['E4', '--budget', '10'], ['E7']):\n"
+        "        runs.append((main(['projective', *argv]), built[:], len(searches)))\n"
+        "        built.clear(), searches.clear()\n"
+        "print(runs)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[(2, ['B'], 1), (3, [], 0)]"]
 
 
 def test_a_module_document_is_checked_once(tmp_path, capsys, monkeypatch):

@@ -111,3 +111,36 @@ def test_the_section_search_finds_the_residual_section_or_nothing():
                 found[key] = found.get(key, 0) + 1
     # both verdicts occur in both flavors
     assert len(found) == 4 and min(found.values()) >= 10, found
+
+
+def _decided_on_the_half_as_by_the_double_search(double):
+    # the half path against the double's own section search: the same
+    # section or none, at the same ticks (the docstring of
+    # projectivity_certificate); returns (double, half) verdicts
+    on_half, on_double = sm.Budget(10**9), sm.Budget(10**9)
+    cert = sm.projectivity_certificate(double, budget=on_half)
+    section = sm.find_right_inverse(sm.canonical_free_cover(double), budget=on_double)
+    maps = [None if s is None else s.map for s in (cert.section, section)]
+    assert maps[0] == maps[1]
+    assert on_half.spent == on_double.spent
+    return cert.projective, sm.projectivity_certificate(double.half).projective
+
+
+def test_a_signed_double_is_decided_on_its_half_as_by_its_own_search():
+    for name in ("E0", "E2", "E3", "E4"):
+        assert _decided_on_the_half_as_by_the_double_search(ref(name)) == (True, True), name
+    # Σ(2×2): the square splits, its double does not (two atoms); Σ(0) splits
+    square, zero = KeyedModule(Flavor.B, [0, 1, 2, 3]), KeyedModule(Flavor.B, [0])
+    assert _decided_on_the_half_as_by_the_double_search(sm.signed_double(square)) == (False, True)
+    assert _decided_on_the_half_as_by_the_double_search(sm.signed_double(zero)) == (True, True)
+    found = {}
+    for seed in range(1, 5):
+        rng = random.Random(seed)
+        for i in range(40):
+            half = _union_closed_module(rng, 2 + i % 5)
+            if len(half.generators) <= 5:  # a Finf cover of at most 3^5 elements
+                verdicts = _decided_on_the_half_as_by_the_double_search(sm.signed_double(half))
+                found[verdicts] = found.get(verdicts, 0) + 1
+    # projective, split half without a least nonzero element, unsplit half
+    assert set(found) == {(True, True), (False, True), (False, False)}, found
+    assert min(found.values()) >= 10, found
