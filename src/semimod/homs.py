@@ -67,16 +67,17 @@ class BudgetExceededError(RuntimeError):
 class Budget:
     """The ticks that all the searches of one command may take together.
 
-    Every search on a budget adds its ticks to ``spent`` as it takes them,
-    so a search run while another is suspended (the q search of an
-    all-homs factorization, for each p the p stream yields) counts live,
-    and the least ``limit`` under which a command decides is the total of
-    its ticks.  The tick past the limit sets ``spent`` to limit + 1 and
-    raises :class:`BudgetExceededError`; from then on every search on the
-    budget raises as it starts, before it builds any search data, so the
-    rest of a command that goes on after an inconclusive search costs no
-    search.  The entry points of the library also take an ``int``, a fresh
-    budget for that call (:meth:`of`).
+    Every search on a budget adds its ticks to ``spent``, the only tick
+    count, as it takes them, so a search run while another is suspended
+    (the q search of an all-homs factorization, for each p the p stream
+    yields) counts live, and the least ``limit`` under which a command
+    decides is the total of its ticks.  The tick past the limit sets
+    ``spent`` to limit + 1 and raises :class:`BudgetExceededError`; from
+    then on every search on the budget raises as it starts, before it
+    builds any search data, so the rest of a command that goes on after an
+    inconclusive search costs no search.  The entry points of the library
+    also take an ``int``, a fresh budget for that call (:meth:`of`); pass
+    a budget to read the ticks of calls off its ``spent``.
     """
 
     __slots__ = ("limit", "spent")
@@ -350,12 +351,11 @@ class _Search:
     whether it passes, is rejected or is dropped unscanned, and one per
     verified map.  Each tick is added to ``budget.spent``, the count of
     the :class:`Budget` the search draws on with the other searches of its
-    command, and compared with its limit, one add and one compare per tick.
-    A search on a budget already run past raises before it reads any
-    module data.  :meth:`run` is a generator, so a caller that stops after
-    k maps spends exactly the ticks up to the k-th; ``explored`` counts the
-    ticks of this search alone, added up while it runs, not while it is
-    suspended at a yielded map.
+    command, and compared with its limit, one add and one compare per tick;
+    no search keeps a count of its own.  A search on a budget already run
+    past raises before it reads any module data.  :meth:`run` is a
+    generator, so a caller that stops after k maps spends exactly the
+    ticks up to the k-th.
     """
 
     def __init__(
@@ -375,7 +375,6 @@ class _Search:
             raise budget.exhausted()
         self.M, self.N = M, N
         self.injective = injective or covers is not None
-        self.explored = 0
         self.basis = M.basis
         self.allowed = self._allowed_masks(allowed or {})
         self.keys = N.order.order_keys
@@ -442,15 +441,6 @@ class _Search:
                 else:  # no element of N has that many below or above it
                     allowed[x] = 0
         return allowed
-
-    def _exhausted(self) -> BudgetExceededError:
-        error = self.budget.exhausted()
-        self._pause()
-        return error
-
-    def _pause(self) -> None:
-        """Add the ticks spent since the search last started or resumed."""
-        self.explored += self.budget.spent - self._since
 
     def _lower(self, x: int) -> int:
         """OR of the keys of f(y) over the assigned y below x: f(x) = v is
@@ -525,7 +515,7 @@ class _Search:
         budget = self.budget
         budget.spent += 1
         if budget.spent > budget.limit:
-            raise self._exhausted()
+            raise budget.exhausted()
         return _hom_violation(self.M, self.N, self.val).ok
 
     def run(self) -> Iterator[tuple[int, ...]]:
@@ -544,19 +534,14 @@ class _Search:
         self.assigned = 1 << zero
         if self.injective:
             self.used = 1 << v
-        self._since = self.budget.spent
         try:
-            for mp in self._dfs(0):
-                self._pause()
-                yield mp
-                self._since = self.budget.spent
+            yield from self._dfs(0)
         except RecursionError:
             raise ModuleStructureError(
                 f"the hom search recurses once per generator, and the "
                 f"{len(self.basis.generators)} generators of its source go past "
                 f"Python's recursion limit ({sys.getrecursionlimit()})"
             ) from None
-        self._pause()
 
     def _dfs(self, depth: int) -> Iterator[tuple[int, ...]]:
         if self.cover:
@@ -600,7 +585,7 @@ class _Search:
                 dropped ^= below
                 budget.spent += below.bit_count()
             if budget.spent > limit:
-                raise self._exhausted()
+                raise budget.exhausted()
             k = keys[cand]
             if lo & ~k or k & ~hi or used >> cand & 1:
                 continue
@@ -614,7 +599,7 @@ class _Search:
         if dropped:
             budget.spent += dropped.bit_count()
             if budget.spent > limit:
-                raise self._exhausted()
+                raise budget.exhausted()
 
     def _reflecting(self, depth: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The maximal and the minimal operands a of the add recipes

@@ -569,8 +569,8 @@ def test_the_least_deciding_budget_is_the_ticks_the_run_takes(
 ):
     # the all-homs class runs a q search for each p while the p stream is
     # suspended, and split-check runs two searches; all draw on one budget
-    # live, so the run decides on exactly the ticks it takes, one less
-    # leaves a check inconclusive, and each search's own ticks add up to it
+    # live, so the run decides on exactly the ticks it takes, and one less
+    # leaves a check inconclusive
     monkeypatch.chdir(tmp_path)
     (tmp_path / "neg.json").write_text(json.dumps(_bijection_doc()))
     argv = argv.split()
@@ -579,7 +579,6 @@ def test_the_least_deciding_budget_is_the_ticks_the_run_takes(
     budget = recorded[0].budget
     assert len(recorded) == searches and all(s.budget is budget for s in recorded)
     ticks = budget.spent
-    assert sum(s.explored for s in recorded) == ticks
     assert run_cli(capsys, *argv, "--budget", str(ticks)) == full
     code, out, _ = run_cli(capsys, *argv, "--budget", str(ticks - 1))
     assert code == 2 or ": inconclusive" in out

@@ -558,7 +558,7 @@ def test_covers_alone_is_an_injective_covering_search(src, tgt, T):
         for injective in (False, True)
     ]
     maps = [list(search.run()) for search in searches]
-    assert maps[0] == maps[1] and searches[0].explored == searches[1].explored
+    assert maps[0] == maps[1] and searches[0].budget.spent == searches[1].budget.spent
     expected = [h.map for h in sm.iter_homs(M, N, injective=True) if T <= set(h.map)]
     assert maps[0] == expected and expected
 
@@ -758,7 +758,7 @@ def test_reflection_drops_only_candidates_that_tick_and_fail_at_once():
             maps.extend(search.run())
         except sm.BudgetExceededError as exc:
             maps.append(("budget", exc.explored))
-        return maps, search.explored
+        return maps, search.budget.spent
 
     searches = 0
     for M, N, covers in _reflection_pairs():

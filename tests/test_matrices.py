@@ -138,6 +138,46 @@ def test_factorization_random_bound():
         assert sm.compose(fact.split_certificate, fact.duplicator_hom).is_identity()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (0, "duplicator · reduced does not recover the input"),
+        (1, "certificate is not a left inverse of the duplicator"),
+    ],
+)
+@pytest.mark.parametrize(
+    "mat",
+    [
+        BoolMatrix.from_rows(Flavor.B, [[1, 0, 1], [0, 1, 1], [1, 0, 1], [0, 0, 0]]),
+        BoolMatrix.from_rows(Flavor.FINF, [[1, -1, 0], [0, 1, 1], [1, -1, 0], [0, 0, -1]]),
+    ],
+    ids=["B", "Finf"],
+)
+def test_the_factorization_checks_fire(mat, call, message, monkeypatch):
+    # the two matrix identities are the only check of the split certificate
+    # (the lemma of hom_of_matrix): each entry of each product, changed in
+    # turn, trips the check that reads that product
+    real = sm.matrices.mat_mul
+    fact = sm.distinct_row_factorization(mat)
+    size = len(mat.entries) if call == 0 else fact.reduced.rows**2
+    for p in range(size):
+        products = []
+
+        def altered(a, b):
+            out = real(a, b)
+            if len(products) == call:
+                entries = list(out.entries)
+                entries[p] = int(not entries[p])
+                out = BoolMatrix(out.flavor, out.rows, out.cols, tuple(entries))
+            products.append(out)
+            return out
+
+        monkeypatch.setattr(sm.matrices, "mat_mul", altered)
+        with pytest.raises(AssertionError, match=message):
+            sm.distinct_row_factorization(mat)
+        assert len(products) == call + 1, p
+
+
 def test_factorization_finf_certificate_marks_classes():
     mat = BoolMatrix.from_rows(Flavor.FINF, [[1, -1], [1, -1], [0, 1]])
     fact = sm.distinct_row_factorization(mat)

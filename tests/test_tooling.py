@@ -93,6 +93,41 @@ def test_readme_command_table_names_every_flag():
         assert flags <= set(re.findall(r"--[\w-]+", rows[name])), name
 
 
+# the public names of ``semimod``: the API its __init__ imports and the seven
+# submodules that brings in; a change that adds or drops one edits this pin
+_PUBLIC_NAMES = """
+BoolMatrix Budget BudgetExceededError CARRIER_CAP CategorySpec Congruence
+DEFAULT_BUDGET DistinctRowFactorization DistributivityReport DualFactorization
+FactorizationResult FinModule Flavor FlavorMismatchError Hom IndexedLattice
+ModuleStructureError MorphismClass PartialOrder ProjectivityCertificate
+ValidationReport Verdict Violation WitnessReport canonical_free_cover
+canonical_section check_hom compose congruence_compatibility_witness core
+corner_embedding corner_retraction corner_witness default_witness_family
+distinct_row_factorization dual_factorization dualize_free dualize_hom
+element_of_support enumerate_homs extend_from_generators extension_hom
+factors_through families family family_index_pairs find_left_inverse
+find_right_inverse free free_module generated_congruence generated_submodule
+generator_ids hom_catalog hom_of_matrix homs identity_hom induced_order
+irreducible_generators is_distributive_lattice iter_homs join_irreducibles
+mat_mul matrices matrix_of_hom noetherian projective projectivity_certificate
+quotient_with_projection retraction rigidity_check scalar_module signed_double
+signed_lift submodule_on support_of validate_module witness_verify
+""".split()
+
+
+def test_the_public_namespace_is_pinned():
+    # read in a fresh interpreter: a test that imports semimod.cli or
+    # semimod.serialize adds that submodule to the package namespace
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    code = "import semimod; print(*(n for n in dir(semimod) if not n.startswith('_')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(_PUBLIC_NAMES) == 78
+    assert proc.stdout.split() == _PUBLIC_NAMES
+
+
 def test_ci_installs_the_test_pins_of_pyproject():
     # the test extra and the CI install step name the same exact versions;
     # both files are read as text, as Python 3.10 has no tomllib
